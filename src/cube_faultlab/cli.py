@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -168,7 +169,9 @@ def _parse_faults(spec: str | None, n: int, mode: FaultMode | None) -> FaultFami
 def _cmd_verify(args, jobs: int) -> tuple[_Report, int]:
     ids = None
     if args.claims not in (None, "all"):
-        ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+        # claim ids carry commas of their own, as in lem2.4(n=4,m=2)
+        parts = re.split(r",(?![^()]*\))", args.claims)
+        ids = [c.strip() for c in parts if c.strip()]
     t0 = time.perf_counter()
     results = verify_claims(ids, max_n=args.max_n, jobs=jobs)
     failed = sum(1 for r in results if not r.passed)

@@ -7,9 +7,18 @@ The workhorse is a bitset engine: a vertex set of Q_n is one Python
 integer with bit w set iff vertex w is present, and one BFS level for
 all n dimensions at once is n masked shifts.  The masks select, per
 dimension, the vertices whose coordinate is 0; shifting them up by the
-dimension's stride lands each vertex on its neighbor.  At desk scale
-(n <= 8) a full diameter scan runs in microseconds per family, which is
-what makes the brute-force oracles feasible.
+dimension's stride lands each vertex on its neighbor.
+
+One integer can also hold k rows of 2^n bits, row r at bits r*2^n and
+up, each an independent BFS (multi-source BFS: Then et al., "The More
+the Merrier", VLDB 2014).  The masks are copied into every row, so no
+shift crosses a row boundary, and one loop (_bfs_cover) advances all k
+searches with the same big-int operations.  Rows go max(1, 2^16 >> n)
+to an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds
+one row per source vertex; the connectivity oracle seeds one row per
+candidate family.  At desk scale (n <= 8) a full diameter scan runs in
+microseconds per family, which is what makes the brute-force oracles
+feasible.
 
 For ambient dimensions past the bitset range a plain dict BFS answers
 single-pair distance and connectivity queries; full diameter scans are
@@ -28,50 +37,61 @@ from .faults import FaultFamily, fault_bits, require_valid
 
 _BITSET_LIMIT = 26
 _DIAMETER_LIMIT = 16
+_ROW_BITS = 1 << 16
 
 
 def _full_mask(n: int) -> int:
     return (1 << (1 << n)) - 1
 
 
-@lru_cache(maxsize=8)
-def _lo_masks(n: int) -> tuple[tuple[int, int], ...]:
+def _rows_per_int(n: int) -> int:
+    """How many 2^n-bit rows one BFS integer holds: at most _ROW_BITS bits."""
+    return max(1, _ROW_BITS >> n)
+
+
+@lru_cache(maxsize=16)
+def _spaced_ones(count: int, step: int) -> int:
+    """`count` one bits, `step` positions apart, starting at bit 0."""
+    return ((1 << (count * step)) - 1) // ((1 << step) - 1)
+
+
+@lru_cache(maxsize=16)
+def _lo_masks(n: int, rows: int = 1) -> tuple[tuple[int, int], ...]:
     # (stride, mask) per dimension; the mask selects vertices whose bit p
-    # is 0: blocks of 2^p ones every 2^(p+1) positions
+    # is 0: blocks of 2^p ones every 2^(p+1) positions, repeated in every
+    # row, so no shift crosses from one row into the next
     full = _full_mask(n)
+    rep = _spaced_ones(rows, 1 << n)
     out = []
     for p in range(n):
         block = (1 << (1 << p)) - 1
         period_ones = (1 << (1 << (p + 1))) - 1
-        out.append((1 << p, full // period_ones * block))
+        out.append((1 << p, full // period_ones * block * rep))
     return tuple(out)
 
 
-def _spread(bits: int, n: int) -> int:
-    """Union of all neighbors of the vertex set `bits`."""
-    out = 0
-    for s, lo in _lo_masks(n):
-        out |= (bits & lo) << s | (bits >> s) & lo
-    return out
+def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1) -> tuple[int, int]:
+    """BFS from the vertex set `start` inside `allowed`, `rows` BFSs at once.
 
-
-def _bfs_cover(n: int, allowed: int, start: int) -> tuple[int, int]:
-    """BFS from the vertex set `start` inside `allowed`.
-
+    Bits r*2^n .. (r+1)*2^n - 1 of both integers are row r, an
+    independent BFS in Q_n; all rows share every big-int operation.
+    `start` must lie inside `allowed`; `rows` bounds the row count
+    (unused rows are all zero).
     Returns (visited set, number of levels expanded), the second being
-    the eccentricity of the start set within its component.
+    the largest eccentricity of a row's start set within its component.
     """
-    masks = _lo_masks(n)
-    visited = frontier = start
+    masks = _lo_masks(n, rows)
+    frontier = start
+    left = allowed ^ start
     levels = 0
     while True:
         nxt = 0
         for s, lo in masks:
             nxt |= (frontier & lo) << s | (frontier >> s) & lo
-        nxt &= allowed & ~visited
+        nxt &= left
         if not nxt:
-            return visited, levels
-        visited |= nxt
+            return allowed ^ left, levels
+        left ^= nxt
         frontier = nxt
         levels += 1
 
@@ -104,22 +124,69 @@ def _connected_mask(n: int, allowed: int) -> bool:
     return visited == allowed
 
 
+def _first_disconnected(n: int, sets: list[int]) -> int | None:
+    """Index of the first vertex set in `sets` whose induced subgraph is
+    disconnected, None when all are connected.
+
+    Each set must be nonempty; at most _rows_per_int(n) sets.  Set i is
+    row i of one integer, seeded at its lowest vertex, and one
+    _bfs_cover checks them all: the lowest vertex it leaves unvisited
+    lies in the first disconnected row.
+    """
+    rows = _rows_per_int(n)
+    allowed = _pack_rows(n, sets)
+    # x & ~(x - 1) is the lowest bit of x, done in every row at once;
+    # no row is 0, so no borrow crosses into the next row
+    ones = _spaced_ones(rows, 1 << n) >> ((rows - len(sets)) << n)
+    visited, _ = _bfs_cover(n, allowed, allowed & ~(allowed - ones), rows)
+    left = allowed ^ visited
+    if not left:
+        return None
+    return ((left & -left).bit_length() - 1) >> n
+
+
+def _pack_rows(n: int, sets: list[int]) -> int:
+    """One integer holding sets[i] in row i (bits i*2^n and up)."""
+    width = 1 << n
+    while len(sets) > 1:
+        pairs = iter(sets)
+        packed = [a | b << width for a, b in zip(pairs, pairs)]
+        if len(sets) % 2:
+            packed.append(sets[-1])
+        sets = packed
+        width <<= 1
+    return sets[0]
+
+
 def _diameter_mask(n: int, allowed: int) -> int | None:
-    """Exact diameter of the induced subgraph, None when disconnected."""
+    """Exact diameter of the induced subgraph, None when disconnected.
+
+    Every survivor is a BFS source.  Sources go min(2^n,
+    _rows_per_int(n)) at a time into one integer: in the block starting
+    at vertex `base`, row i is seeded with vertex base + i (a diagonal
+    ANDed with `allowed` copied into every row), and one _bfs_cover
+    yields the block's largest eccentricity.  The first nonempty block
+    holds the lowest survivor; the graph is connected iff its row
+    covers `allowed`.
+    """
     if not allowed:
         raise ValueError("empty vertex set has no diameter")
-    first = allowed & -allowed
-    visited, ecc = _bfs_cover(n, allowed, first)
-    if visited != allowed:
-        return None
-    best = ecc
-    rest = allowed ^ first
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        _, ecc = _bfs_cover(n, allowed, low)
-        if ecc > best:
-            best = ecc
+    size = 1 << n
+    rows = min(size, _rows_per_int(n))
+    wide = allowed * _spaced_ones(rows, size)
+    diagonal = _spaced_ones(rows, size + 1)
+    low = (allowed & -allowed).bit_length() - 1
+    first = low - low % rows
+    best = 0
+    for base in range(first, size, rows):
+        seeds = wide & diagonal << base
+        if not seeds:
+            continue
+        visited, levels = _bfs_cover(n, wide, seeds, rows)
+        if base == first and visited >> ((low - first) << n) & allowed != allowed:
+            return None
+        if levels > best:
+            best = levels
     return best
 
 

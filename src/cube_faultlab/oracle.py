@@ -17,18 +17,29 @@ are reproducible: the connectivity witness is the first disconnecting
 family encountered, the diameter witness the first family attaining
 the maximum.
 
+The connectivity scan checks consecutive families in batches: each
+family's survivor set is one 2^n-bit row of a single integer, and one
+row-packed BFS (metrics._first_disconnected) tests the whole batch.  The
+first row left incomplete is the hit, so the witness and the
+families-scanned count are exactly those of a one-family-at-a-time scan.
+
 Scans can be split across processes; chunks partition the range of the
 first element index, and chunk results are reduced in canonical order,
-so the answer is identical for any worker count.  Exhaustive requests
+so the answer is identical for any worker count.  The split depends on
+`jobs` alone; one pool of at most min(jobs, cpu count, chunks) workers
+serves every family size of a call.  Exhaustive requests
 beyond desk scale are refused with a resource error instead of running
 for days; the sampled search is the escape hatch for bigger instances.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InvariantViolation, ResourceLimitError
 from .faults import (
@@ -38,7 +49,13 @@ from .faults import (
     _mask_space,
     _sample_one,
 )
-from .metrics import _connected_mask, _diameter_mask, _full_mask
+from .metrics import (
+    _DIAMETER_LIMIT,
+    _diameter_mask,
+    _first_disconnected,
+    _full_mask,
+    _rows_per_int,
+)
 
 _CONNECTIVITY_MAX_N = 7
 
@@ -134,18 +151,25 @@ def _iter_packings(masks: tuple[int, ...], size: int, lo: int, hi: int):
 
 
 def _kappa_chunk(args: tuple[int, str, int, int, int]) -> tuple[tuple[int, ...] | None, int]:
-    """Scan one chunk for a disconnecting family; stop at the first hit."""
+    """Scan one chunk for a disconnecting family; stop at the first hit.
+
+    Consecutive families go _rows_per_int(n) at a time through one
+    batched BFS, one survivor set per row.  A hit in row r of a batch
+    counts the families of the earlier batches plus r + 1, exactly what
+    a one-family-at-a-time scan reports.
+    """
     n, mode_label, size, lo, hi = args
-    mode = FaultMode.from_label(mode_label)
-    elems = _element_space(n, mode)
-    masks = _mask_space(n, mode)
+    masks = _mask_space(n, FaultMode.from_label(mode_label))
     full = _full_mask(n)
+    packings = _iter_packings(masks, size, lo, hi)
     scanned = 0
-    for idx, acc in _iter_packings(masks, size, lo, hi):
-        scanned += 1
-        surv = full & ~acc
-        if surv and not _connected_mask(n, surv):
-            return idx, scanned
+    while batch := list(islice(packings, _rows_per_int(n))):
+        # a family that leaves no survivors does not disconnect; its row
+        # gets the whole cube, which is connected
+        row = _first_disconnected(n, [full & ~acc or full for _, acc in batch])
+        if row is not None:
+            return batch[row][0], scanned + row + 1
+        scanned += len(batch)
     return None, scanned
 
 
@@ -188,14 +212,21 @@ def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _run_chunks(worker, argses: list, jobs: int) -> list:
-    if jobs <= 1 or len(argses) <= 1:
-        out = []
-        for a in argses:
-            out.append(worker(a))
-        return out
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, argses))
+@contextmanager
+def _chunk_runner(jobs: int, chunks: int):
+    """Yield run(worker, argses), returning the results in order.
+
+    Work runs on one process pool of min(jobs, cpu count, chunks)
+    workers that serves the whole oracle call, or inline when that is
+    a single worker.  The chunk split is the caller's, made from `jobs`
+    alone, so results never depend on the machine.
+    """
+    workers = min(jobs, os.cpu_count() or 1, chunks)
+    if workers <= 1:
+        yield lambda worker, argses: [worker(a) for a in argses]
+        return
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        yield lambda worker, argses: list(ex.map(worker, argses))
 
 
 def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
@@ -218,28 +249,23 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     elems = _element_space(n, mode)
+    ranges = _chunk_ranges(len(elems), jobs)
     total_scanned = 0
-    for size in range(1, (1 << n) + 1):
-        if jobs == 1:
-            results = [_kappa_chunk((n, mode.label, size, 0, len(elems)))]
-        else:
-            argses = [
-                (n, mode.label, size, lo, hi)
-                for lo, hi in _chunk_ranges(len(elems), jobs)
-            ]
-            results = _run_chunks(_kappa_chunk, argses, jobs)
-        size_scanned = 0
-        witness_idx = None
-        for idx, scanned in results:
-            size_scanned += scanned
-            if idx is not None and witness_idx is None:
-                witness_idx = idx
-        total_scanned += size_scanned
-        if witness_idx is not None:
-            witness = FaultFamily(tuple(elems[i] for i in witness_idx), mode, n)
-            return ConnectivityResult(n, mode, size, witness, total_scanned)
-        if size_scanned == 0:
-            break
+    with _chunk_runner(jobs, len(ranges)) as run:
+        for size in range(1, (1 << n) + 1):
+            results = run(_kappa_chunk, [(n, mode.label, size, lo, hi) for lo, hi in ranges])
+            size_scanned = 0
+            witness_idx = None
+            for idx, scanned in results:
+                size_scanned += scanned
+                if idx is not None and witness_idx is None:
+                    witness_idx = idx
+            total_scanned += size_scanned
+            if witness_idx is not None:
+                witness = FaultFamily(tuple(elems[i] for i in witness_idx), mode, n)
+                return ConnectivityResult(n, mode, size, witness, total_scanned)
+            if size_scanned == 0:
+                break
     raise InvariantViolation(
         f"no disconnecting family of any size exists in Q_{n} under mode {mode.label}"
     )
@@ -282,24 +308,22 @@ def fault_diameter_bruteforce(
         return _fault_diameter_sampled(n, mode, budget, search, budget_safe)
     _check_exhaustive_feasible(n, budget)
     elems = _element_space(n, mode)
+    ranges = _chunk_ranges(len(elems), jobs)
     best = -1
     best_idx: tuple[int, ...] | None = None
     scanned = 0
     skipped = 0
-    for size in range(budget + 1):
-        if jobs == 1 or size == 0:
-            results = [_diameter_chunk((n, mode.label, size, 0, len(elems), budget_safe))]
-        else:
+    with _chunk_runner(jobs, len(ranges) if budget else 1) as run:
+        for size in range(budget + 1):
             argses = [
                 (n, mode.label, size, lo, hi, budget_safe)
-                for lo, hi in _chunk_ranges(len(elems), jobs)
+                for lo, hi in (ranges if size else [(0, len(elems))])
             ]
-            results = _run_chunks(_diameter_chunk, argses, jobs)
-        for value, idx, chunk_scanned, chunk_skipped in results:
-            scanned += chunk_scanned
-            skipped += chunk_skipped
-            if idx is not None and value > best:
-                best, best_idx = value, idx
+            for value, idx, chunk_scanned, chunk_skipped in run(_diameter_chunk, argses):
+                scanned += chunk_scanned
+                skipped += chunk_skipped
+                if idx is not None and value > best:
+                    best, best_idx = value, idx
     if best_idx is None:
         raise InvariantViolation(
             f"every family within budget {budget} disconnected Q_{n}; "
@@ -319,6 +343,12 @@ def _fault_diameter_sampled(
     seed and draw count.
     """
     assert search.seed is not None and search.draws is not None
+    if n > _DIAMETER_LIMIT:
+        raise ResourceLimitError(
+            f"sampled fault-diameter search needs exact survivor diameters, "
+            f"supported for n <= {_DIAMETER_LIMIT}; got n={n}. Use bfs_distance "
+            "on chosen vertex pairs instead."
+        )
     rng = random.Random(search.seed)
     elems = _element_space(n, mode)
     masks = _mask_space(n, mode)

@@ -59,6 +59,15 @@ class TestVerify:
         lines = [ln for ln in out.splitlines() if ln.startswith("lem")]
         assert len(lines) == 2
 
+    def test_ids_with_commas_inside_parentheses(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--claims", "lem2.4(n=4,m=2), thm3.26(n=3,m=1)",
+            "--format", "json",
+        )
+        assert code == 0
+        claims = [c["claim"] for c in json.loads(out)["claims"]]
+        assert claims == ["lem2.4(n=4,m=2)", "thm3.26(n=3,m=1)"]
+
     def test_csv_round_trips_through_the_csv_module(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--claims", "lem2.3(n=3)", "--format", "csv"

@@ -20,6 +20,7 @@ from cube_faultlab import (
     fault_diameter_bruteforce,
     is_connected,
 )
+from cube_faultlab import oracle
 
 
 class TestConnectivity:
@@ -146,9 +147,61 @@ class TestFaultDiameterSampled:
         res = fault_diameter_bruteforce(7, FaultMode.structure(1), 3, search=spec)
         assert res.value >= 7
 
+    def test_sampling_refuses_exact_diameters_past_the_limit(self, monkeypatch):
+        # structure:15 has only 544 elements at n = 17, but every draw
+        # would need a diameter scan of a 2^17-vertex graph
+        def built(*args):
+            raise AssertionError("element space built before the size check")
+
+        monkeypatch.setattr(oracle, "_element_space", built)
+        spec = SearchSpec.sampled(3, 50)
+        with pytest.raises(ResourceLimitError):
+            fault_diameter_bruteforce(17, FaultMode.structure(15), 1, search=spec)
+
     def test_search_labels(self):
         assert SearchSpec.exhaustive().label == "exhaustive"
         assert SearchSpec.sampled(7, 500).label == "sampled(seed=7,draws=500)"
+
+
+class TestChunkPool:
+    @staticmethod
+    def fake_pool(monkeypatch, cpus: int) -> list[int]:
+        """Record each pool's worker count; run its chunks inline."""
+        opened = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, argses):
+                return map(fn, argses)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        return opened
+
+    def test_one_pool_per_oracle_call(self, monkeypatch):
+        opened = self.fake_pool(monkeypatch, 8)
+        res = connectivity_bruteforce(4, FaultMode.structure(1), jobs=3)
+        assert res.kappa == 3  # three family sizes, one pool
+        fault_diameter_bruteforce(4, FaultMode.structure(1), 2, jobs=2)
+        fault_diameter_bruteforce(4, FaultMode.structure(1), 0, jobs=2)
+        assert opened == [3, 2]
+
+    def test_pool_is_capped_by_cpus_and_chunks(self, monkeypatch):
+        opened = self.fake_pool(monkeypatch, 2)
+        wide = connectivity_bruteforce(3, FaultMode.structure(1), jobs=64)
+        assert opened == [2]
+        # one CPU: no pool, the same chunks inline, the same counts
+        inline = self.fake_pool(monkeypatch, 1)
+        assert connectivity_bruteforce(3, FaultMode.structure(1), jobs=64) == wide
+        assert inline == []
 
 
 class TestArgumentChecks:

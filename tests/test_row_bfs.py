@@ -1,0 +1,225 @@
+"""The row-packed bitset BFS against plain one-BFS-at-a-time references.
+
+metrics._diameter_mask runs many BFS sources per big integer, and
+oracle._kappa_chunk checks a batch of candidate families per BFS.  Both
+must give exactly what a per-source diameter scan and a per-family
+connectivity scan give: the same diameters and None cases, the same
+witness indices and the same families-scanned counts.  The references
+here build their own neighbour masks vertex by vertex and run one BFS
+per source or per family.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from cube_faultlab import FaultMode, sample_families
+from cube_faultlab import metrics
+from cube_faultlab.faults import _mask_space, fault_bits
+from cube_faultlab.oracle import _chunk_ranges, _iter_packings, _kappa_chunk
+
+
+@lru_cache(maxsize=None)
+def ref_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """(stride, vertices whose bit p is 0) per dimension, vertex by vertex."""
+    return tuple(
+        (1 << p, sum(1 << w for w in range(1 << n) if not w >> p & 1)) for p in range(n)
+    )
+
+
+def ref_bfs(n: int, allowed: int, source: int) -> tuple[int, int]:
+    """(vertices reached, eccentricity) of one source inside `allowed`."""
+    seen = frontier = 1 << source
+    ecc = 0
+    while True:
+        nxt = 0
+        for s, lo in ref_masks(n):
+            nxt |= (frontier & lo) << s | (frontier >> s) & lo
+        nxt &= allowed & ~seen
+        if not nxt:
+            return seen, ecc
+        seen |= nxt
+        frontier = nxt
+        ecc += 1
+
+
+def ref_diameter(n: int, allowed: int) -> int | None:
+    best = 0
+    for w in range(1 << n):
+        if allowed >> w & 1:
+            seen, ecc = ref_bfs(n, allowed, w)
+            if seen != allowed:
+                return None
+            best = max(best, ecc)
+    return best
+
+
+def ref_connected(n: int, allowed: int) -> bool:
+    low = (allowed & -allowed).bit_length() - 1
+    return ref_bfs(n, allowed, low)[0] == allowed
+
+
+def ref_kappa_chunk(n: int, label: str, size: int, lo: int, hi: int):
+    """(witness indices, families scanned), one family at a time."""
+    masks = _mask_space(n, FaultMode.from_label(label))
+    full = (1 << (1 << n)) - 1
+    scanned = 0
+    for idx, acc in _iter_packings(masks, size, lo, hi):
+        scanned += 1
+        surv = full & ~acc
+        if surv and not ref_connected(n, surv):
+            return idx, scanned
+    return None, scanned
+
+
+def packings(n: int, label: str, size: int, lo: int, hi: int) -> list[int]:
+    """Union bitset of every family in the chunk."""
+    masks = _mask_space(n, FaultMode.from_label(label))
+    return [acc for _, acc in _iter_packings(masks, size, lo, hi)]
+
+
+def modes(n: int):
+    yield FaultMode.structure(0)
+    if n >= 3:
+        yield FaultMode.substructure()
+        for m in range(1, n - 1):
+            yield FaultMode.structure(m)
+            yield FaultMode.subcube(m)
+
+
+def vertex_set(n: int, vertices) -> int:
+    return sum(1 << w for w in vertices)
+
+
+# ---------------------------------------------------------------------------
+# diameter
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diameter_on_every_vertex_subset(n):
+    for allowed in range(1, 1 << (1 << n)):
+        assert metrics._diameter_mask(n, allowed) == ref_diameter(n, allowed), bin(allowed)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_diameter_on_seeded_subsets(n):
+    rng = random.Random(1_000 + n)
+    full = (1 << (1 << n)) - 1
+    cases = 12 if n <= 8 else 3
+    seen_none = seen_value = False
+    for _ in range(cases):
+        quarter = rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+        sparse_faults = full
+        for _ in range(5):
+            sparse_faults &= rng.getrandbits(1 << n)
+        # a quarter of the vertices is usually cut apart; removing one
+        # vertex in 32 usually is not
+        for allowed in (quarter, full & ~sparse_faults):
+            if not allowed:
+                continue
+            want = ref_diameter(n, allowed)
+            seen_none |= want is None
+            seen_value |= want is not None
+            assert metrics._diameter_mask(n, allowed) == want
+    assert seen_none and seen_value
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_diameter_on_sampled_fault_families(n):
+    for label in ("structure:1", "subcube:2", "structure:0"):
+        mode = FaultMode.from_label(label)
+        for fam in sample_families(n, mode, mode.kappa(n) - 1, 4, seed=n):
+            allowed = (1 << (1 << n)) - 1 & ~vertex_set(n, fault_bits(fam))
+            assert metrics._diameter_mask(n, allowed) == ref_diameter(n, allowed)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_diameter_when_the_lowest_survivor_is_past_block_zero(n):
+    rows = metrics._rows_per_int(n)
+    assert rows < 1 << n  # several source blocks
+    full = (1 << (1 << n)) - 1
+    head = (1 << rows) - 1  # every vertex of block 0
+    connected = full & ~head
+    # vertex 3*rows + 1 cut off from the rest
+    lone = 3 * rows + 1
+    cut = connected & ~vertex_set(n, (lone ^ 1 << p for p in range(n)))
+    # the lowest survivor, vertex `rows`, cut off
+    cut_low = connected & ~vertex_set(n, (rows ^ 1 << p for p in range(n)))
+    for allowed in (connected, full & ~(head << rows | head), cut, cut_low):
+        assert (allowed & -allowed).bit_length() - 1 >= rows
+        assert metrics._diameter_mask(n, allowed) == ref_diameter(n, allowed)
+    assert metrics._diameter_mask(n, cut) is None
+    assert metrics._diameter_mask(n, cut_low) is None
+
+
+# ---------------------------------------------------------------------------
+# connectivity batches
+
+
+def chunk_cases(n: int, label: str):
+    """(size, lo, hi) for every size up to the first disconnecting one,
+    over the single-job range and the two-job chunk split."""
+    count = len(_mask_space(n, FaultMode.from_label(label)))
+    ranges = [(0, count)] + _chunk_ranges(count, 2)
+    for size in range(1, (1 << n) + 1):
+        for lo, hi in ranges:
+            yield size, lo, hi
+        if ref_kappa_chunk(n, label, size, 0, count)[0] is not None:
+            return
+
+
+@pytest.mark.parametrize(
+    "n,label", [(n, mode.label) for n in (2, 3, 4) for mode in modes(n)]
+)
+def test_kappa_chunk_matches_the_per_family_scan(n, label):
+    for size, lo, hi in chunk_cases(n, label):
+        want = ref_kappa_chunk(n, label, size, lo, hi)
+        assert _kappa_chunk((n, label, size, lo, hi)) == want, (size, lo, hi)
+
+
+@pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
+def test_kappa_chunk_matches_the_per_family_scan_at_n5(label):
+    count = len(_mask_space(5, FaultMode.from_label(label)))
+    for size in range(1, 5):
+        hit, scanned = ref_kappa_chunk(5, label, size, 0, count)
+        assert _kappa_chunk((5, label, size, 0, count)) == (hit, scanned)
+        if hit is not None:
+            break
+    assert hit is not None
+
+
+@pytest.mark.parametrize("n,label,size", [(3, "structure:1", 2), (4, "structure:1", 3)])
+def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
+    """Shrink the batches so the hit lands in every row position, in the
+    last row of a full batch and in a short final batch."""
+    count = len(_mask_space(n, FaultMode.from_label(label)))
+    lo = ref_kappa_chunk(n, label, size, 0, count)[0][0]
+    # the chunk of families whose first element is the witness's
+    hit, scanned = ref_kappa_chunk(n, label, size, lo, lo + 1)
+    total = len(packings(n, label, size, lo, lo + 1))
+    assert hit is not None
+    last_row = short_final = False
+    for rows in range(1, total + 2):
+        monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
+        assert _kappa_chunk((n, label, size, lo, lo + 1)) == (hit, scanned), rows
+        batch_end = -(-scanned // rows) * rows
+        last_row |= batch_end == scanned
+        short_final |= batch_end > total
+    assert last_row and short_final
+
+
+@pytest.mark.parametrize("n,label", [(2, "structure:0"), (3, "subcube:1")])
+def test_kappa_chunk_on_every_size(n, label):
+    """Past kappa too, where some families remove every vertex: those
+    never count as disconnecting, also when they share a batch with a hit."""
+    count = len(_mask_space(n, FaultMode.from_label(label)))
+    full = (1 << (1 << n)) - 1
+    emptied = 0
+    for size in range(1, (1 << n) + 1):
+        want = ref_kappa_chunk(n, label, size, 0, count)
+        assert _kappa_chunk((n, label, size, 0, count)) == want, size
+        emptied += packings(n, label, size, 0, count).count(full)
+    assert emptied
