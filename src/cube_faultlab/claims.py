@@ -8,10 +8,11 @@ enumeration.  Claim ids follow the package's claim catalog numbering
 (lem/thm prefix plus instance parameters), e.g. "lem2.4(n=5,m=3)" or
 "thm3.3"; the verify CLI subcommand accepts these ids.
 
-Oracle calls are cached per (n, mode, budget), so claims that share a
-scan (several theorems constrain the same sweep) pay for it once per
-process.  Randomized claims draw from seeds fixed by the claim id, so
-every run checks the identical case list.
+Oracle calls are cached per (n, canonical mode, budget), so claims that
+share a scan (several theorems constrain the same sweep, and
+substructure scans as subcube:1) pay for it once per process.
+Randomized claims draw from seeds fixed by the claim id, so every run
+checks the identical case list.
 """
 
 from __future__ import annotations
@@ -55,16 +56,18 @@ def _seed(claim_id: str) -> int:
     return zlib.crc32(claim_id.encode())
 
 
-@lru_cache(maxsize=None)
-def _kappa(n: int, mode_label: str):
-    return connectivity_bruteforce(n, FaultMode.from_label(mode_label), jobs=_jobs)
+def _canonical(mode_label: str) -> FaultMode:
+    return FaultMode.from_label(mode_label).canonical
 
 
 @lru_cache(maxsize=None)
-def _fd(n: int, mode_label: str, budget: int):
-    return fault_diameter_bruteforce(
-        n, FaultMode.from_label(mode_label), budget, jobs=_jobs
-    )
+def _kappa(n: int, mode: FaultMode):
+    return connectivity_bruteforce(n, mode, jobs=_jobs)
+
+
+@lru_cache(maxsize=None)
+def _fd(n: int, mode: FaultMode, budget: int):
+    return fault_diameter_bruteforce(n, mode, budget, jobs=_jobs)
 
 
 @dataclass
@@ -110,8 +113,8 @@ class ClaimResult:
 
 
 def _check_two_modes(n: int, expected: int, label_a: str, label_b: str, name_a: str, name_b: str):
-    ra = _kappa(n, label_a)
-    rb = _kappa(n, label_b)
+    ra = _kappa(n, _canonical(label_a))
+    rb = _kappa(n, _canonical(label_b))
     ok = ra.kappa == expected and rb.kappa == expected
     computed = (
         str(ra.kappa) if ra.kappa == rb.kappa else f"{name_a}={ra.kappa}, {name_b}={rb.kappa}"
@@ -120,14 +123,14 @@ def _check_two_modes(n: int, expected: int, label_a: str, label_b: str, name_a: 
 
 
 def _check_fd(n: int, mode_label: str, budget: int, expected: int, at_most: bool = False):
-    r = _fd(n, mode_label, budget)
+    r = _fd(n, _canonical(mode_label), budget)
     ok = r.value <= expected if at_most else r.value == expected
     return str(r.value), ok, r.witness.patterns()
 
 
 def _check_fd_pair(n: int, budget: int, expected: int):
-    rs = _fd(n, "structure:1", budget)
-    rb = _fd(n, "substructure", budget)
+    rs = _fd(n, _canonical("structure:1"), budget)
+    rb = _fd(n, _canonical("substructure"), budget)
     ok = rs.value == expected and rb.value == expected
     computed = (
         str(rs.value)

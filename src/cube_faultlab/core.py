@@ -23,7 +23,7 @@ in native integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 MAX_DIM = 30
 
@@ -189,11 +189,6 @@ class Subcube:
         bits = v.bits if isinstance(v, Vertex) else v
         return bits & ~self.free_mask == self.base
 
-    def free_coordinates(self) -> tuple[int, ...]:
-        """1-based coordinate indices that are free, ascending."""
-        n = self.dim_ambient
-        return tuple(i for i in range(1, n + 1) if self.free_mask >> (n - i) & 1)
-
     def vertex_bits(self) -> Iterator[int]:
         """Labels of the subcube's vertices, ascending."""
         free = self.free_mask
@@ -235,10 +230,19 @@ def enumerate_subcubes(n: int, k: int) -> Iterator[Subcube]:
     _check_ambient(n)
     if not 0 <= k <= n:
         raise ValueError(f"subcube dimension must be in [0, {n}], got {k}")
+    yield from _subcubes(n, k.__eq__)
+
+
+def _subcubes(n: int, admits: Callable[[int], bool]) -> Iterator[Subcube]:
+    """Subcubes of Q_n whose dimension passes `admits`, in canonical order.
+
+    The dimension is tested per free mask, before any Subcube is built.
+    """
+    full = (1 << n) - 1
     for free in range(1 << n):
-        if free.bit_count() != k:
+        if not admits(free.bit_count()):
             continue
-        rest = (~free) & ((1 << n) - 1)
+        rest = full ^ free
         base = 0
         while True:
             yield Subcube(free, base, n)

@@ -11,10 +11,11 @@ cover the regimes of interest:
 * subcube:m     every element is a Q_k with k <= m (any piece of a Q_m
                 structure).
 
-Element-wise, substructure coincides with subcube:1; it is kept as its
-own mode because its connectivity budget differs from structure:1 only
-in name, and because files and reports read better with the intended
-regime spelled out.
+Substructure admits exactly the elements of subcube:1, so it computes
+as subcube:1: FaultMode.canonical maps it there, and the oracles scan
+and the claim catalog caches the canonical mode.  The label is kept for
+parsing, files and reports, which read better with the intended regime
+spelled out.
 
 The module also builds the two extremal families that make the known
 fault-diameter bounds tight: a family of n-2 parallel edges that pins
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .core import MAX_DIM, Subcube, Vertex, _check_ambient, coord_bit
+from .core import MAX_DIM, Subcube, Vertex, _check_ambient, _subcubes, coord_bit
 from .errors import ResourceLimitError
 
 _MODE_KINDS = ("structure", "substructure", "subcube")
@@ -98,6 +99,11 @@ class FaultMode:
         return self.kind if self.m is None else f"{self.kind}:{self.m}"
 
     @property
+    def canonical(self) -> "FaultMode":
+        """The mode computations run under: subcube:1 for substructure."""
+        return FaultMode.subcube(1) if self.kind == "substructure" else self
+
+    @property
     def max_element_dim(self) -> int:
         return 1 if self.kind == "substructure" else self.m  # type: ignore[return-value]
 
@@ -115,17 +121,11 @@ class FaultMode:
         oracle reproduces at desk scale.
         """
         _check_ambient(n)
-        if self.kind == "substructure":
-            if n < 3:
-                raise ValueError("substructure connectivity needs n >= 3")
-            return n - 1
         m = self.max_element_dim
         if m > n - 2:
             raise ValueError(f"mode {self.label} needs element dimension <= n-2 = {n - 2}")
         if self.kind == "structure" and m == 0:
             return n
-        if n < 3:
-            raise ValueError(f"mode {self.label} connectivity needs n >= 3")
         return n - m
 
     def __str__(self) -> str:
@@ -172,10 +172,6 @@ class FaultFamily:
 
     def patterns(self) -> list[str]:
         return [s.pattern for s in self.elements]
-
-    def budget(self) -> int:
-        """Largest family size guaranteed to leave Q_n connected."""
-        return self.mode.kappa(self.ambient) - 1
 
 
 @dataclass(frozen=True)
@@ -346,18 +342,7 @@ def adversarial_subcube_family(n: int, m: int) -> FaultFamily:
 def _element_space(n: int, mode: FaultMode) -> tuple[Subcube, ...]:
     """All admissible elements in canonical (free_mask, base) order."""
     _check_ambient(n)
-    out = []
-    for free in range(1 << n):
-        if not mode.admits(free.bit_count()):
-            continue
-        rest = (~free) & ((1 << n) - 1)
-        base = 0
-        while True:
-            out.append(Subcube(free, base, n))
-            if base == rest:
-                break
-            base = (base - rest) & rest
-    return tuple(out)
+    return tuple(_subcubes(n, mode.admits))
 
 
 @lru_cache(maxsize=64)
@@ -386,20 +371,36 @@ def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFami
     if size < 0:
         raise ValueError(f"family size must be >= 0, got {size}")
     elems = _element_space(n, mode)
-    masks = _mask_space(n, mode)
+    for idx, _ in _iter_packings(_mask_space(n, mode), size, 0, len(elems)):
+        yield FaultFamily(tuple(elems[i] for i in idx), mode, n)
 
-    def rec(start: int, acc: int, chosen: list[int]) -> Iterator[FaultFamily]:
-        if len(chosen) == size:
-            yield FaultFamily(tuple(elems[i] for i in chosen), mode, n)
+
+def _iter_packings(masks: tuple[int, ...], size: int, lo: int, hi: int):
+    """Ascending index tuples of pairwise-disjoint elements.
+
+    The first index ranges over [lo, hi), later ones over the full
+    space; yields (indices, union bitset).  Lexicographic order of the
+    tuples is exactly the canonical family order.
+    """
+    count = len(masks)
+    idx = [0] * size
+
+    def rec(depth: int, start: int, stop: int, acc: int):
+        if depth == size:
+            yield tuple(idx), acc
             return
-        for i in range(start, len(elems)):
-            if masks[i] & acc:
+        for i in range(start, stop):
+            mi = masks[i]
+            if mi & acc:
                 continue
-            chosen.append(i)
-            yield from rec(i + 1, acc | masks[i], chosen)
-            chosen.pop()
+            idx[depth] = i
+            yield from rec(depth + 1, i + 1, count, acc | mi)
 
-    yield from rec(0, 0, [])
+    if size == 0:
+        if lo == 0:
+            yield (), 0
+        return
+    yield from rec(0, lo, hi, 0)
 
 
 def _vertex_mask(s: Subcube) -> int:

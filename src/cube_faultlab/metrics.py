@@ -20,9 +20,11 @@ candidate family.  At desk scale (n <= 8) a full diameter scan runs in
 microseconds per family, which is what makes the brute-force oracles
 feasible.
 
-For ambient dimensions past the bitset range a plain dict BFS answers
-single-pair distance and connectivity queries; full diameter scans are
-refused above _DIAMETER_LIMIT rather than left to run for hours.
+For ambient dimensions past the bitset range (n = 27..30) the one dict
+BFS, _bfs_parents, answers single-pair distance, connectivity and
+component queries; the router runs the same helper inside its routing
+contexts.  Full diameter scans are refused above _DIAMETER_LIMIT rather
+than left to run for hours.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 from .core import Vertex, _check_ambient
 from .errors import ResourceLimitError
@@ -70,50 +73,33 @@ def _lo_masks(n: int, rows: int = 1) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1) -> tuple[int, int]:
+def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -> tuple[int, int]:
     """BFS from the vertex set `start` inside `allowed`, `rows` BFSs at once.
 
     Bits r*2^n .. (r+1)*2^n - 1 of both integers are row r, an
     independent BFS in Q_n; all rows share every big-int operation.
     `start` must lie inside `allowed`; `rows` bounds the row count
-    (unused rows are all zero).
-    Returns (visited set, number of levels expanded), the second being
-    the largest eccentricity of a row's start set within its component.
+    (unused rows are all zero).  The search ends early once a level
+    (the start set being level 0) meets `stop`.
+    Returns (visited set, number of levels expanded); without an early
+    end the second is the largest eccentricity of a row's start set
+    within its component.
     """
     masks = _lo_masks(n, rows)
     frontier = start
     left = allowed ^ start
     levels = 0
-    while True:
+    while not frontier & stop:
         nxt = 0
         for s, lo in masks:
             nxt |= (frontier & lo) << s | (frontier >> s) & lo
         nxt &= left
         if not nxt:
-            return allowed ^ left, levels
+            break
         left ^= nxt
         frontier = nxt
         levels += 1
-
-
-def _distance_mask(n: int, allowed: int, u: int, v: int) -> int | None:
-    if u == v:
-        return 0
-    masks = _lo_masks(n)
-    target = 1 << v
-    visited = frontier = 1 << u
-    levels = 0
-    while frontier:
-        nxt = 0
-        for s, lo in masks:
-            nxt |= (frontier & lo) << s | (frontier >> s) & lo
-        nxt &= allowed & ~visited
-        levels += 1
-        if nxt & target:
-            return levels
-        visited |= nxt
-        frontier = nxt
-    return None
+    return allowed ^ left, levels
 
 
 def _connected_mask(n: int, allowed: int) -> bool:
@@ -190,42 +176,29 @@ def _diameter_mask(n: int, allowed: int) -> int | None:
     return best
 
 
-def _distance_dict(n: int, removed: frozenset[int], u: int, v: int) -> int | None:
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque((u,))
-    while queue:
-        w = queue.popleft()
-        d = dist[w] + 1
-        for p in range(n):
-            x = w ^ (1 << p)
-            if x in dist or x in removed:
-                continue
-            if x == v:
-                return d
-            dist[x] = d
-            queue.append(x)
-    return None
+def _bfs_parents(
+    start: int, flips: Sequence[int], blocked: Callable[[int], bool], target: int | None = None
+) -> dict[int, int]:
+    """Dict BFS from `start`: the BFS-tree parent of every vertex reached.
 
-
-def _connected_dict(n: int, removed: frozenset[int]) -> bool:
-    total = (1 << n) - len(removed)
-    if total <= 0:
-        raise ValueError("empty vertex set has no connectivity")
-    start = 0
-    while start in removed:
-        start += 1
-    seen = {start}
+    A step XORs a vertex with one of `flips`, tried in the given order;
+    vertices with `blocked(x)` true are never entered.  `start` is its
+    own parent.  The search stops as soon as `target` is discovered;
+    its parent chain, fixed at discovery, is a shortest path.
+    """
+    parent = {start: start}
     queue = deque((start,))
     while queue:
         w = queue.popleft()
-        for p in range(n):
-            x = w ^ (1 << p)
-            if x not in seen and x not in removed:
-                seen.add(x)
-                queue.append(x)
-    return len(seen) == total
+        for f in flips:
+            x = w ^ f
+            if x in parent or blocked(x):
+                continue
+            parent[x] = w
+            if x == target:
+                return parent
+            queue.append(x)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -278,6 +251,11 @@ class SurvivalGraph:
             raise ValueError(f"{name} {v.pattern} is a removed vertex")
         return v.bits
 
+    def _parents(self, start: int, target: int | None = None) -> dict[int, int]:
+        """Dict BFS over the survivors, for n past _BITSET_LIMIT."""
+        flips = [1 << p for p in range(self.ambient)]
+        return _bfs_parents(start, flips, self.removed.__contains__, target)
+
 
 def bfs_distance(g: SurvivalGraph, u: Vertex, v: Vertex) -> int | None:
     """Exact distance between two survivors, None when unreachable.
@@ -287,8 +265,16 @@ def bfs_distance(g: SurvivalGraph, u: Vertex, v: Vertex) -> int | None:
     ub = g._check_endpoint(u, "u")
     vb = g._check_endpoint(v, "v")
     if g.ambient <= _BITSET_LIMIT:
-        return _distance_mask(g.ambient, g.survivor_mask, ub, vb)
-    return _distance_dict(g.ambient, g.removed, ub, vb)
+        visited, levels = _bfs_cover(g.ambient, g.survivor_mask, 1 << ub, stop=1 << vb)
+        return levels if visited >> vb & 1 else None
+    parent = g._parents(ub, vb)
+    if vb not in parent:
+        return None
+    d = 0
+    while vb != ub:
+        vb = parent[vb]
+        d += 1
+    return d
 
 
 def is_connected(g: SurvivalGraph) -> bool:
@@ -297,7 +283,8 @@ def is_connected(g: SurvivalGraph) -> bool:
         raise ValueError("empty survivor set has no connectivity")
     if g.ambient <= _BITSET_LIMIT:
         return _connected_mask(g.ambient, g.survivor_mask)
-    return _connected_dict(g.ambient, g.removed)
+    start = next(w for w in range(1 << g.ambient) if w not in g.removed)
+    return len(g._parents(start)) == g.survivor_count
 
 
 def diameter(g: SurvivalGraph) -> int | None:
@@ -324,13 +311,4 @@ def component_of(g: SurvivalGraph, v: Vertex) -> set[Vertex]:
             visited ^= low
             out.add(Vertex(low.bit_length() - 1, n))
         return out
-    seen = {vb}
-    queue = deque((vb,))
-    while queue:
-        w = queue.popleft()
-        for p in range(n):
-            x = w ^ (1 << p)
-            if x not in seen and x not in g.removed:
-                seen.add(x)
-                queue.append(x)
-    return {Vertex(w, n) for w in seen}
+    return {Vertex(w, n) for w in g._parents(vb)}

@@ -15,7 +15,10 @@ Enumeration order is fixed (ascending element index tuples over the
 canonical element space, sizes ascending), so the reported witnesses
 are reproducible: the connectivity witness is the first disconnecting
 family encountered, the diameter witness the first family attaining
-the maximum.
+the maximum.  The families come from faults._iter_packings, the same
+enumerator that faults.enumerate_families iterates.  Exhaustive scans
+run under mode.canonical (substructure scans as subcube:1, the same
+element space); results and witnesses carry the caller's mode.
 
 The connectivity scan checks consecutive families in batches: each
 family's survivor set is one 2^n-bit row of a single integer, and one
@@ -40,12 +43,15 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterable
 
+from .core import Subcube
 from .errors import InvariantViolation, ResourceLimitError
 from .faults import (
     FaultFamily,
     FaultMode,
     _element_space,
+    _iter_packings,
     _mask_space,
     _sample_one,
 )
@@ -122,34 +128,6 @@ class FaultDiameterResult:
     disconnected_skipped: int
 
 
-def _iter_packings(masks: tuple[int, ...], size: int, lo: int, hi: int):
-    """Ascending index tuples of pairwise-disjoint elements.
-
-    The first index ranges over [lo, hi), later ones over the full
-    space; yields (indices, union bitset).  Lexicographic order of the
-    tuples is exactly the canonical family order.
-    """
-    count = len(masks)
-    idx = [0] * size
-
-    def rec(depth: int, start: int, stop: int, acc: int):
-        if depth == size:
-            yield tuple(idx), acc
-            return
-        for i in range(start, stop):
-            mi = masks[i]
-            if mi & acc:
-                continue
-            idx[depth] = i
-            yield from rec(depth + 1, i + 1, count, acc | mi)
-
-    if size == 0:
-        if lo == 0:
-            yield (), 0
-        return
-    yield from rec(0, lo, hi, 0)
-
-
 def _kappa_chunk(args: tuple[int, str, int, int, int]) -> tuple[tuple[int, ...] | None, int]:
     """Scan one chunk for a disconnecting family; stop at the first hit.
 
@@ -188,20 +166,30 @@ def _diameter_chunk(
     skipped = 0
     for idx, acc in _iter_packings(masks, size, lo, hi):
         scanned += 1
-        surv = full & ~acc
-        d = _diameter_mask(n, surv) if surv else None
+        family = (elems[i] for i in idx)
+        d = _survivor_diameter(n, full & ~acc, budget_safe, mode_label, family)
         if d is None:
-            if budget_safe:
-                pats = ", ".join(elems[i].pattern for i in idx)
-                raise InvariantViolation(
-                    f"family within the connectivity budget disconnected Q_{n} "
-                    f"(mode {mode_label}, size {size}): {pats}"
-                )
             skipped += 1
-            continue
-        if d > best:
+        elif d > best:
             best, best_idx = d, idx
     return best, best_idx, scanned, skipped
+
+
+def _survivor_diameter(
+    n: int, surv: int, budget_safe: bool, mode_label: str, elements: Iterable[Subcube]
+) -> int | None:
+    """Diameter of the survivor set `surv`; None when it is disconnected or empty.
+
+    Within the connectivity budget (`budget_safe`) a disconnection
+    contradicts kappa and raises, naming the family's `elements`.
+    """
+    d = _diameter_mask(n, surv) if surv else None
+    if d is None and budget_safe:
+        pats = ", ".join(s.pattern for s in elements)
+        raise InvariantViolation(
+            f"family within the connectivity budget disconnected Q_{n} (mode {mode_label}): {pats}"
+        )
+    return d
 
 
 def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
@@ -248,12 +236,13 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
         )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    elems = _element_space(n, mode)
+    canon = mode.canonical
+    elems = _element_space(n, canon)
     ranges = _chunk_ranges(len(elems), jobs)
     total_scanned = 0
     with _chunk_runner(jobs, len(ranges)) as run:
         for size in range(1, (1 << n) + 1):
-            results = run(_kappa_chunk, [(n, mode.label, size, lo, hi) for lo, hi in ranges])
+            results = run(_kappa_chunk, [(n, canon.label, size, lo, hi) for lo, hi in ranges])
             size_scanned = 0
             witness_idx = None
             for idx, scanned in results:
@@ -307,7 +296,8 @@ def fault_diameter_bruteforce(
     if search.kind == "sampled":
         return _fault_diameter_sampled(n, mode, budget, search, budget_safe)
     _check_exhaustive_feasible(n, budget)
-    elems = _element_space(n, mode)
+    canon = mode.canonical
+    elems = _element_space(n, canon)
     ranges = _chunk_ranges(len(elems), jobs)
     best = -1
     best_idx: tuple[int, ...] | None = None
@@ -316,7 +306,7 @@ def fault_diameter_bruteforce(
     with _chunk_runner(jobs, len(ranges) if budget else 1) as run:
         for size in range(budget + 1):
             argses = [
-                (n, mode.label, size, lo, hi, budget_safe)
+                (n, canon.label, size, lo, hi, budget_safe)
                 for lo, hi in (ranges if size else [(0, len(elems))])
             ]
             for value, idx, chunk_scanned, chunk_skipped in run(_diameter_chunk, argses):
@@ -359,17 +349,10 @@ def _fault_diameter_sampled(
     for _ in range(search.draws):
         size = rng.randint(0, budget)
         family, acc = _sample_one(rng, n, mode, elems, masks, size)
-        surv = full & ~acc
-        d = _diameter_mask(n, surv) if surv else None
+        d = _survivor_diameter(n, full & ~acc, budget_safe, mode.label, family.elements)
         if d is None:
-            if budget_safe:
-                raise InvariantViolation(
-                    f"family within the connectivity budget disconnected Q_{n} "
-                    f"(mode {mode.label}): {', '.join(family.patterns())}"
-                )
             skipped += 1
-            continue
-        if d > best:
+        elif d > best:
             best, witness = d, family
     if witness is None:
         raise InvariantViolation(

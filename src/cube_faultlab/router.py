@@ -36,12 +36,12 @@ InvariantViolation rather than returning quietly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import Path, Vertex
 from .errors import InvariantViolation
 from .faults import FaultFamily, FaultMode, require_valid
+from .metrics import _bfs_parents
 
 _BFS_BASE_DIM = 4
 
@@ -54,8 +54,6 @@ def route_bound(n: int, mode: FaultMode) -> int:
     n + 1 everywhere else.
     """
     mode.kappa(n)  # validates the pairing
-    if mode.kind == "substructure":
-        return 3 if n == 3 else n + 1
     m = mode.max_element_dim
     if m == 0:
         return n + 1 if n >= 3 else n
@@ -73,10 +71,6 @@ class RouteBound:
     @classmethod
     def compute(cls, n: int, mode: FaultMode) -> "RouteBound":
         return cls(n, mode, route_bound(n, mode))
-
-    @property
-    def m(self) -> int:
-        return self.mode.max_element_dim
 
 
 @dataclass(frozen=True)
@@ -134,57 +128,47 @@ def _greedy(u: int, v: int, n: int) -> list[int]:
             path.append(cur)
     return path
 
+
 def _bfs_route(
     n: int, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
 ) -> list[int] | None:
     """Shortest fault-free path inside the context, deterministic ties."""
-    free_pos = _positions(ctx_free, n)
-    parent: dict[int, int] = {u: u}
-    queue = deque((u,))
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            out = [v]
-            while out[-1] != u:
-                out.append(parent[out[-1]])
-            out.reverse()
-            return out
-        for p in free_pos:
-            y = x ^ (1 << p)
-            if y in parent or _hit(y, faults):
-                continue
-            parent[y] = x
-            queue.append(y)
-    return None
-
-
-def _classify(
-    faults: list[tuple[int, int]], p: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """Split elements by their relation to bit position p: zero, one, straddling."""
-    bit = 1 << p
-    zero, one, both = [], [], []
-    for fr, ba in faults:
-        if fr & bit:
-            both.append((fr, ba))
-        elif ba & bit:
-            one.append((fr, ba))
-        else:
-            zero.append((fr, ba))
-    return zero, one, both
+    flips = [1 << p for p in _positions(ctx_free, n)]
+    parent = _bfs_parents(u, flips, lambda x: _hit(x, faults), v)
+    if v not in parent:
+        return None
+    out = [v]
+    while out[-1] != u:
+        out.append(parent[out[-1]])
+    out.reverse()
+    return out
 
 
 def _half_faults(
     faults: list[tuple[int, int]], p: int, side: int
 ) -> list[tuple[int, int]]:
     """Elements meeting the half with bit p == side, straddlers projected."""
-    zero, one, both = _classify(faults, p)
-    keep = list(zero if side == 0 else one)
     bit = 1 << p
-    for fr, ba in both:
-        keep.append((fr ^ bit, ba | (bit if side else 0)))
+    half = bit if side else 0
+    keep = []
+    for fr, ba in faults:
+        if fr & bit:
+            keep.append((fr ^ bit, ba | half))
+        elif ba & bit == half:
+            keep.append((fr, ba))
     keep.sort()
     return keep
+
+
+def _safe_crossing(
+    ctx_free: int, n: int, u: int, v: int, faults: list[tuple[int, int]]
+) -> int | None:
+    """First free bit position (ascending coordinate) whose flip keeps both
+    endpoints off the faults, None when there is none."""
+    for p in _positions(ctx_free, n):
+        if not _hit(u ^ (1 << p), faults) and not _hit(v ^ (1 << p), faults):
+            return p
+    return None
 
 
 class _Router:
@@ -251,8 +235,12 @@ class _Router:
         self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
     ) -> list[int]:
         """Endpoints differ in every free coordinate: cross next to one of them."""
-        n = self.n
-        p = self._crossing_position(ctx_free, u, v, faults)
+        p = _safe_crossing(ctx_free, self.n, u, v, faults)
+        if p is None:
+            raise InvariantViolation(
+                "no safe crossing coordinate exists for a symmetric pair within "
+                "budget; this contradicts the crossing lemma"
+            )
         bit = 1 << p
         tgt = _target(ctx_free.bit_count(), faults)
         child_free = ctx_free ^ bit
@@ -265,17 +253,6 @@ class _Router:
         if _in_budget(k1, f_v) and _target(k1, f_v) + 1 <= tgt:
             return [u] + self.route(child_free, u ^ bit, v, f_v)
         return self._fallback(ctx_free, u, v, faults)
-
-    def _crossing_position(
-        self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
-    ) -> int:
-        for p in _positions(ctx_free, self.n):
-            if not _hit(u ^ (1 << p), faults) and not _hit(v ^ (1 << p), faults):
-                return p
-        raise InvariantViolation(
-            "no safe crossing coordinate exists for a symmetric pair within "
-            "budget; this contradicts the crossing lemma"
-        )
 
     def _route_unsymmetric(
         self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
@@ -335,12 +312,12 @@ def pick_crossing_dimension(u: Vertex, v: Vertex, family: FaultFamily) -> int:
     for s in family.elements:
         if s.dim > n - 3:
             raise ValueError("fault elements must have dimension at most n-3")
-    for p in range(n - 1, -1, -1):
-        if not _hit(u.bits ^ (1 << p), faults) and not _hit(v.bits ^ (1 << p), faults):
-            return n - p
-    raise InvariantViolation(
-        "no safe crossing coordinate exists despite valid preconditions"
-    )
+    p = _safe_crossing((1 << n) - 1, n, u.bits, v.bits, faults)
+    if p is None:
+        raise InvariantViolation(
+            "no safe crossing coordinate exists despite valid preconditions"
+        )
+    return n - p
 
 
 def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from cube_faultlab import claim_ids, verify_claims
+from cube_faultlab import claim_ids, claims, verify_claims
+
+CATALOG_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_reference.json"
 
 
 def test_catalog_is_nonempty_and_ordered():
@@ -55,3 +60,37 @@ def test_randomized_claims_are_reproducible():
     a, = verify_claims(["lem3.1(n=5)"])
     b, = verify_claims(["lem3.1(n=5)"])
     assert (a.computed, a.status) == (b.computed, b.status)
+
+
+def test_substructure_shares_the_subcube_1_scan(monkeypatch):
+    calls = []
+    scan = claims.connectivity_bruteforce
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    claims._kappa.cache_clear()
+    claims._fd.cache_clear()
+    monkeypatch.setattr(claims, "connectivity_bruteforce", counted)
+    results = verify_claims(["lem2.3(n=4)", "lem2.4(n=4,m=1)"])
+    assert [r.status for r in results] == ["pass", "pass"]
+    assert len(calls) == 2
+
+
+def test_frozen_catalog_slice():
+    """Status, value and witness of every claim in the benchmark's frozen
+    reference slice (read only; it is the benchmark's correctness check)."""
+    want = json.loads(CATALOG_REFERENCE.read_text())["slice"]
+    results = verify_claims([c["claim"] for c in want])
+    got = [
+        {
+            "claim": r.claim_id,
+            "status": r.status,
+            "computed": r.computed,
+            "witness": list(r.witness),
+        }
+        for r in results
+    ]
+    assert len(want) == 53
+    assert got == want

@@ -1,0 +1,93 @@
+"""The dict BFS (n past the bitset range, and the router's BFS) against the
+bitset engine.
+
+No input below n = 27 reaches the dict path on its own, so the metrics
+tests lower metrics._BITSET_LIMIT to 0 and compare the two engines on
+the same survival graphs: every vertex subset at n <= 3, seeded subsets
+(connected and disconnected) at n = 4..8.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from cube_faultlab import (
+    FaultMode,
+    SurvivalGraph,
+    Vertex,
+    bfs_distance,
+    component_of,
+    is_connected,
+    sample_families,
+)
+from cube_faultlab import metrics, router
+
+
+def answers(g: SurvivalGraph, pairs) -> tuple:
+    n = g.ambient
+    survivors = [w for w in range(1 << n) if w not in g.removed]
+    comps = [frozenset(x.bits for x in component_of(g, Vertex(w, n))) for w in survivors]
+    dists = [bfs_distance(g, Vertex(u, n), Vertex(v, n)) for u, v in pairs]
+    return is_connected(g), comps, dists
+
+
+def both_engines(g: SurvivalGraph, pairs, monkeypatch) -> tuple[tuple, tuple]:
+    bitset = answers(g, pairs)
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_BITSET_LIMIT", 0)
+        plain = answers(g, pairs)
+    return bitset, plain
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_vertex_subset(n, monkeypatch):
+    size = 1 << n
+    for keep in range(1, 1 << size):
+        g = SurvivalGraph(n, frozenset(w for w in range(size) if not keep >> w & 1))
+        survivors = [w for w in range(size) if keep >> w & 1]
+        pairs = [(u, v) for u in survivors for v in survivors]
+        bitset, plain = both_engines(g, pairs, monkeypatch)
+        assert plain == bitset
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_seeded_subsets(n, monkeypatch):
+    rng = random.Random(n)
+    size = 1 << n
+    seen = set()
+    for _ in range(12):
+        density = rng.uniform(0.05, 0.6)
+        removed = frozenset(w for w in range(size) if rng.random() < density)
+        if len(removed) == size:
+            continue
+        g = SurvivalGraph(n, removed)
+        survivors = [w for w in range(size) if w not in removed]
+        pairs = [(rng.choice(survivors), rng.choice(survivors)) for _ in range(40)]
+        bitset, plain = both_engines(g, pairs, monkeypatch)
+        assert plain == bitset
+        seen.add(bitset[0])
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_router_bfs_is_shortest(n):
+    rng = random.Random(100 + n)
+    labels = ["substructure", "structure:0"]
+    labels += [f"structure:{m}" for m in range(1, n - 1)]
+    labels += [f"subcube:{m}" for m in range(1, n - 1)]
+    for label in labels:
+        mode = FaultMode.from_label(label)
+        for size in range(mode.kappa(n)):
+            for fam in sample_families(n, mode, size, 3, rng.randrange(1 << 30)):
+                g = SurvivalGraph.from_family(fam)
+                faults = sorted((s.free_mask, s.base) for s in fam.elements)
+                survivors = [w for w in range(1 << n) if w not in g.removed]
+                for _ in range(10):
+                    u, v = rng.choice(survivors), rng.choice(survivors)
+                    path = router._bfs_route(n, (1 << n) - 1, u, v, faults)
+                    assert path[0] == u and path[-1] == v
+                    assert all((a ^ b).bit_count() == 1 for a, b in zip(path, path[1:]))
+                    assert not g.removed & set(path)
+                    assert len(path) - 1 == bfs_distance(g, Vertex(u, n), Vertex(v, n))

@@ -16,11 +16,13 @@ from cube_faultlab import (
     classify_along,
     element_space_size,
     enumerate_families,
+    enumerate_subcubes,
     family_from_text,
     family_to_text,
     fault_vertices,
     read_family,
     restrict_along,
+    route_bound,
     sample_families,
     validate_family,
     write_family,
@@ -67,6 +69,25 @@ class TestFaultMode:
             FaultMode.structure(3).kappa(4)
         with pytest.raises(ValueError):
             FaultMode.substructure().kappa(2)
+        for n in (0, 31):
+            with pytest.raises(ValueError):
+                FaultMode.subcube(1).kappa(n)
+
+    def test_substructure_computes_as_subcube_1(self):
+        sub, one = FaultMode.substructure(), FaultMode.subcube(1)
+        assert sub.canonical == one and one.canonical == one
+        assert FaultMode.structure(1).canonical == FaultMode.structure(1)
+        for n in range(3, 31):
+            assert sub.kappa(n) == one.kappa(n)
+            assert route_bound(n, sub) == route_bound(n, one)
+        for n in range(3, 11):
+            assert _element_space(n, sub) == _element_space(n, one)
+        for n in (1, 2):
+            for mode in (sub, one):
+                with pytest.raises(ValueError):
+                    mode.kappa(n)
+                with pytest.raises(ValueError):
+                    route_bound(n, mode)
 
 
 class TestValidation:
@@ -170,6 +191,15 @@ class TestEnumeration:
         for n, label in ((3, "substructure"), (4, "structure:1"), (5, "subcube:2")):
             mode = FaultMode.from_label(label)
             assert element_space_size(n, mode) == len(_element_space(n, mode))
+
+    def test_element_space_is_the_admitted_subcubes(self):
+        for n, label in ((4, "structure:2"), (5, "subcube:2"), (5, "substructure")):
+            mode = FaultMode.from_label(label)
+            want = sorted(
+                (s for k in range(n + 1) if mode.admits(k) for s in enumerate_subcubes(n, k)),
+                key=lambda s: (s.free_mask, s.base),
+            )
+            assert list(_element_space(n, mode)) == want
 
     def test_pairs_match_a_double_loop(self):
         mode = FaultMode.structure(1)
