@@ -12,8 +12,9 @@ cover the regimes of interest:
                 structure).
 
 Substructure admits exactly the elements of subcube:1, so it computes
-as subcube:1: FaultMode.canonical maps it there, and the oracles scan
-and the claim catalog caches the canonical mode.  The label is kept for
+as subcube:1: FaultMode.canonical maps it there, the oracles scan and
+the samplers draw from the canonical mode's cached element space, and
+the claim catalog caches the canonical mode.  The label is kept for
 parsing, files and reports, which read better with the intended regime
 spelled out.
 
@@ -371,36 +372,38 @@ def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFami
     if size < 0:
         raise ValueError(f"family size must be >= 0, got {size}")
     elems = _element_space(n, mode)
-    for idx, _ in _iter_packings(_mask_space(n, mode), size, 0, len(elems)):
+    for idx, _ in _iter_packings(_mask_space(n, mode), size, range(len(elems))):
         yield FaultFamily(tuple(elems[i] for i in idx), mode, n)
 
 
-def _iter_packings(masks: tuple[int, ...], size: int, lo: int, hi: int):
+def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
     """Ascending index tuples of pairwise-disjoint elements.
 
-    The first index ranges over [lo, hi), later ones over the full
-    space; yields (indices, union bitset).  Lexicographic order of the
-    tuples is exactly the canonical family order.
+    The first index runs over `firsts` (ascending), later ones over the
+    rest of the space; yields (indices, union bitset).  Lexicographic
+    order of the tuples is exactly the canonical family order.  Size 0
+    yields the empty family once, whatever `firsts` is.
     """
+    if size == 0:
+        yield (), 0
+        return
     count = len(masks)
     idx = [0] * size
 
-    def rec(depth: int, start: int, stop: int, acc: int):
+    def rec(depth: int, start: int, acc: int):
         if depth == size:
             yield tuple(idx), acc
             return
-        for i in range(start, stop):
+        for i in range(start, count):
             mi = masks[i]
             if mi & acc:
                 continue
             idx[depth] = i
-            yield from rec(depth + 1, i + 1, count, acc | mi)
+            yield from rec(depth + 1, i + 1, acc | mi)
 
-    if size == 0:
-        if lo == 0:
-            yield (), 0
-        return
-    yield from rec(0, lo, hi, 0)
+    for i in firsts:
+        idx[0] = i
+        yield from rec(1, i + 1, masks[i])
 
 
 def _vertex_mask(s: Subcube) -> int:
@@ -449,8 +452,8 @@ def sample_families(
     if size < 0 or count < 0:
         raise ValueError("size and count must be >= 0")
     rng = random.Random(seed)
-    elems = _element_space(n, mode)
-    masks = _mask_space(n, mode)
+    elems = _element_space(n, mode.canonical)
+    masks = _mask_space(n, mode.canonical)
     return [_sample_one(rng, n, mode, elems, masks, size)[0] for _ in range(count)]
 
 

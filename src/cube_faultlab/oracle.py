@@ -1,8 +1,8 @@
 """Brute-force ground truth for connectivity and fault diameters.
 
-Two questions are answered by exhaustion, with no symmetry shortcuts,
-so the results are usable as an independent check on both the closed
-formulas and the router:
+Two questions are answered by exhaustion.  By default the scans take
+no symmetry shortcuts, so their results are usable as an independent
+check on the closed formulas, the router and the reduced scan below:
 
 * connectivity: the smallest number of disjoint admissible faults whose
   removal disconnects Q_n (leaving a nonempty, non-connected survivor
@@ -26,13 +26,31 @@ row-packed BFS (metrics._first_disconnected) tests the whole batch.  The
 first row left incomplete is the hit, so the witness and the
 families-scanned count are exactly those of a one-family-at-a-time scan.
 
-Scans can be split across processes; chunks partition the range of the
-first element index, and chunk results are reduced in canonical order,
-so the answer is identical for any worker count.  The split depends on
-`jobs` alone; one pool of at most min(jobs, cpu count, chunks) workers
-serves every family size of a call.  Exhaustive requests
-beyond desk scale are refused with a resource error instead of running
-for days; the sampled search is the escape hatch for bigger instances.
+Translation reduction (up_to_translation=True, what the claim catalog
+runs).  XOR by a vertex b is an automorphism of Q_n; it maps an element
+(free, base) to (free, base ^ (b & ~free)), so it keeps element
+dimensions, disjointness, survivor connectivity and diameters.  Let F
+be the first family of its size in canonical order that disconnects,
+or that attains the maximum diameter, and let (f1, b1) be its first
+element.  If b1 != 0, translating F by b1 gives a family holding
+(f1, 0); every element of F has a free mask >= f1 and translation
+keeps free masks, so that family's first element is (f1, 0) < (f1, b1).
+It comes earlier in canonical order and qualifies too, contradicting
+the choice of F.  So the first qualifying family starts with a base-0
+element, i.e. one containing vertex 0, and the same translation maps
+any family to one that does, which keeps the maximum.  The reduced scan
+therefore lets the first index run only over elements containing
+vertex 0 and reports the same kappa, value and witness; only
+families_scanned and disconnected_skipped shrink.
+
+Scans can be split across processes; chunks partition the sequence of
+allowed first element indices, and chunk results are reduced in
+canonical order, so the answer is identical for any worker count.  The
+split depends on `jobs` alone; one pool of at most min(jobs, cpu count,
+chunks) workers serves every family size of a call.  Exhaustive
+requests beyond desk scale are refused with a resource error instead
+of running for days; the sampled search is the escape hatch for bigger
+instances.
 """
 
 from __future__ import annotations
@@ -43,7 +61,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import Subcube
 from .errors import InvariantViolation, ResourceLimitError
@@ -128,7 +146,7 @@ class FaultDiameterResult:
     disconnected_skipped: int
 
 
-def _kappa_chunk(args: tuple[int, str, int, int, int]) -> tuple[tuple[int, ...] | None, int]:
+def _kappa_chunk(args: tuple[int, str, int, Sequence[int]]) -> tuple[tuple[int, ...] | None, int]:
     """Scan one chunk for a disconnecting family; stop at the first hit.
 
     Consecutive families go _rows_per_int(n) at a time through one
@@ -136,10 +154,10 @@ def _kappa_chunk(args: tuple[int, str, int, int, int]) -> tuple[tuple[int, ...] 
     counts the families of the earlier batches plus r + 1, exactly what
     a one-family-at-a-time scan reports.
     """
-    n, mode_label, size, lo, hi = args
+    n, mode_label, size, firsts = args
     masks = _mask_space(n, FaultMode.from_label(mode_label))
     full = _full_mask(n)
-    packings = _iter_packings(masks, size, lo, hi)
+    packings = _iter_packings(masks, size, firsts)
     scanned = 0
     while batch := list(islice(packings, _rows_per_int(n))):
         # a family that leaves no survivors does not disconnect; its row
@@ -152,10 +170,10 @@ def _kappa_chunk(args: tuple[int, str, int, int, int]) -> tuple[tuple[int, ...] 
 
 
 def _diameter_chunk(
-    args: tuple[int, str, int, int, int, bool],
+    args: tuple[int, str, int, Sequence[int], bool],
 ) -> tuple[int, tuple[int, ...] | None, int, int]:
     """Max survivor diameter over one chunk; ties keep the earliest family."""
-    n, mode_label, size, lo, hi, budget_safe = args
+    n, mode_label, size, firsts, budget_safe = args
     mode = FaultMode.from_label(mode_label)
     elems = _element_space(n, mode)
     masks = _mask_space(n, mode)
@@ -164,7 +182,7 @@ def _diameter_chunk(
     best_idx: tuple[int, ...] | None = None
     scanned = 0
     skipped = 0
-    for idx, acc in _iter_packings(masks, size, lo, hi):
+    for idx, acc in _iter_packings(masks, size, firsts):
         scanned += 1
         family = (elems[i] for i in idx)
         d = _survivor_diameter(n, full & ~acc, budget_safe, mode_label, family)
@@ -200,6 +218,22 @@ def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
+def _first_chunks(
+    n: int, mode: FaultMode, jobs: int, up_to_translation: bool
+) -> list[Sequence[int]]:
+    """The allowed first element indices of a scan, split into chunks.
+
+    All indices for the plain scan; under translation reduction only
+    the elements containing vertex 0 (bit 0 of their vertex mask).
+    """
+    masks = _mask_space(n, mode)
+    if up_to_translation:
+        firsts: Sequence[int] = tuple(i for i, m in enumerate(masks) if m & 1)
+    else:
+        firsts = range(len(masks))
+    return [firsts[lo:hi] for lo, hi in _chunk_ranges(len(firsts), jobs)]
+
+
 @contextmanager
 def _chunk_runner(jobs: int, chunks: int):
     """Yield run(worker, argses), returning the results in order.
@@ -217,7 +251,9 @@ def _chunk_runner(jobs: int, chunks: int):
         yield lambda worker, argses: list(ex.map(worker, argses))
 
 
-def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
+def connectivity_bruteforce(
+    n: int, mode: FaultMode, jobs: int = 1, *, up_to_translation: bool = False
+) -> ConnectivityResult:
     """Exact connectivity of Q_n under `mode`, by exhausting family sizes.
 
     Sweeps t = 1, 2, ... and scans every valid family of exactly t
@@ -225,9 +261,11 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
     kappa = t.  Disconnection requires survivors: a removal that leaves
     a single component, or nothing at all, does not count.
 
-    kappa and the witness do not depend on `jobs`; families_scanned
-    counts work actually done, so with several workers it can exceed
-    the single-job count (each chunk stops at its own first hit).
+    kappa and the witness do not depend on `jobs` or on
+    `up_to_translation` (first elements restricted to those containing
+    vertex 0, see the module docstring); families_scanned counts work
+    actually done, so with several workers it can exceed the single-job
+    count (each chunk stops at its own first hit).
     """
     mode.kappa(n)  # validates the (n, mode) pairing
     if n > _CONNECTIVITY_MAX_N:
@@ -238,11 +276,11 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     canon = mode.canonical
     elems = _element_space(n, canon)
-    ranges = _chunk_ranges(len(elems), jobs)
+    chunks = _first_chunks(n, canon, jobs, up_to_translation)
     total_scanned = 0
-    with _chunk_runner(jobs, len(ranges)) as run:
+    with _chunk_runner(jobs, len(chunks)) as run:
         for size in range(1, (1 << n) + 1):
-            results = run(_kappa_chunk, [(n, canon.label, size, lo, hi) for lo, hi in ranges])
+            results = run(_kappa_chunk, [(n, canon.label, size, c) for c in chunks])
             size_scanned = 0
             witness_idx = None
             for idx, scanned in results:
@@ -275,6 +313,8 @@ def fault_diameter_bruteforce(
     budget: int,
     search: SearchSpec | None = None,
     jobs: int = 1,
+    *,
+    up_to_translation: bool = False,
 ) -> FaultDiameterResult:
     """Worst diameter of Q_n minus any family of at most `budget` elements.
 
@@ -284,6 +324,11 @@ def fault_diameter_bruteforce(
     contradicts the connectivity value.  With a larger budget,
     disconnecting families are skipped and counted instead, because the
     maximum is over connected survivor graphs only.
+
+    `up_to_translation` restricts an exhaustive scan's first elements to
+    those containing vertex 0; the value and witness stay the same (see
+    the module docstring), the counters shrink.  Sampled searches ignore
+    it.
     """
     kappa = mode.kappa(n)
     if budget < 0:
@@ -298,16 +343,16 @@ def fault_diameter_bruteforce(
     _check_exhaustive_feasible(n, budget)
     canon = mode.canonical
     elems = _element_space(n, canon)
-    ranges = _chunk_ranges(len(elems), jobs)
+    chunks = _first_chunks(n, canon, jobs, up_to_translation)
     best = -1
     best_idx: tuple[int, ...] | None = None
     scanned = 0
     skipped = 0
-    with _chunk_runner(jobs, len(ranges) if budget else 1) as run:
+    with _chunk_runner(jobs, len(chunks) if budget else 1) as run:
         for size in range(budget + 1):
+            # the empty family has no first element: one chunk yields it
             argses = [
-                (n, canon.label, size, lo, hi, budget_safe)
-                for lo, hi in (ranges if size else [(0, len(elems))])
+                (n, canon.label, size, c, budget_safe) for c in (chunks if size else chunks[:1])
             ]
             for value, idx, chunk_scanned, chunk_skipped in run(_diameter_chunk, argses):
                 scanned += chunk_scanned
@@ -340,8 +385,8 @@ def _fault_diameter_sampled(
             "on chosen vertex pairs instead."
         )
     rng = random.Random(search.seed)
-    elems = _element_space(n, mode)
-    masks = _mask_space(n, mode)
+    elems = _element_space(n, mode.canonical)
+    masks = _mask_space(n, mode.canonical)
     full = _full_mask(n)
     best = -1
     witness: FaultFamily | None = None

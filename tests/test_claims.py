@@ -94,3 +94,19 @@ def test_frozen_catalog_slice():
     ]
     assert len(want) == 53
     assert got == want
+
+
+def test_claims_outside_the_frozen_slice():
+    """The five n = 5 claims the benchmark slice leaves out, pinned as
+    the plain (unreduced) scan computes them."""
+    want = [
+        ("lem2.3(n=5)", "4", ["0000*", "0011*", "0101*", "1001*"]),
+        ("lem2.4(n=5,m=1)", "4", ["0000*", "0011*", "0101*", "1001*"]),
+        ("lem3.6(n=5)", "6", ["0000*", "0011*", "0101*"]),
+        ("thm3.7(n=5)", "6", ["0000*", "0011*", "0101*"]),
+        ("thm3.26(n=5,m=1)", "6", ["0000*", "0011*", "0101*"]),
+    ]
+    results = verify_claims([claim for claim, _, _ in want])
+    got = [(r.claim_id, r.computed, list(r.witness)) for r in results]
+    assert got == want
+    assert all(r.passed for r in results)

@@ -236,6 +236,23 @@ class TestSampling:
         for fam in sample_families(6, FaultMode.subcube(2), 3, 1000, seed=1):
             assert validate_family(fam) is None
 
+    def test_substructure_samples_from_the_subcube_1_space(self):
+        # one element space serves both labels; the families keep the
+        # caller's mode and the draws are those of a per-label space
+        _element_space.cache_clear()
+        sub = sample_families(6, FaultMode.substructure(), 3, 4, seed=11)
+        one = sample_families(6, FaultMode.subcube(1), 3, 4, seed=11)
+        assert _element_space.cache_info().misses == 1
+        assert [f.patterns() for f in sub] == [
+            ["11110*", "0000*1", "*10011"],
+            ["110000", "11111*", "*00100"],
+            ["101110", "01000*", "110*11"],
+            ["010101", "0*1010", "*00111"],
+        ]
+        assert [f.patterns() for f in one] == [f.patterns() for f in sub]
+        assert {f.mode.label for f in sub} == {"substructure"}
+        assert {f.mode.label for f in one} == {"subcube:1"}
+
     @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=25, deadline=None)
     def test_sampled_sizes_and_modes(self, size, seed):

@@ -158,9 +158,75 @@ class TestFaultDiameterSampled:
         with pytest.raises(ResourceLimitError):
             fault_diameter_bruteforce(17, FaultMode.structure(15), 1, search=spec)
 
+    def test_substructure_samples_from_the_subcube_1_space(self):
+        oracle._element_space.cache_clear()
+        spec = SearchSpec.sampled(5, 40)
+        sub = fault_diameter_bruteforce(6, FaultMode.substructure(), 4, search=spec)
+        one = fault_diameter_bruteforce(6, FaultMode.subcube(1), 4, search=spec)
+        assert oracle._element_space.cache_info().misses == 1
+        assert sub.value == one.value == 6
+        assert sub.witness.patterns() == ["011010", "111001", "10000*", "1111*1"]
+        assert one.witness.patterns() == sub.witness.patterns()
+        assert (sub.witness.mode.label, one.witness.mode.label) == ("substructure", "subcube:1")
+
     def test_search_labels(self):
         assert SearchSpec.exhaustive().label == "exhaustive"
         assert SearchSpec.sampled(7, 500).label == "sampled(seed=7,draws=500)"
+
+
+def all_modes(n: int):
+    yield FaultMode.structure(0)
+    yield FaultMode.substructure()
+    for m in range(1, n - 1):
+        yield FaultMode.structure(m)
+        yield FaultMode.subcube(m)
+
+
+def starts_at_vertex_0(witness) -> bool:
+    return not witness.elements or witness.elements[0].base == 0
+
+
+class TestTranslationReduction:
+    """up_to_translation=True reports the plain scan's values and
+    witnesses from a subset of its families."""
+
+    @staticmethod
+    def check_connectivity(n, mode, jobs):
+        plain = connectivity_bruteforce(n, mode, jobs=jobs)
+        reduced = connectivity_bruteforce(n, mode, jobs=jobs, up_to_translation=True)
+        assert (reduced.kappa, reduced.witness) == (plain.kappa, plain.witness)
+        assert starts_at_vertex_0(reduced.witness)
+        if jobs == 1:
+            # with several chunks each stops at its own hit, so only the
+            # single-chunk scans are nested
+            assert reduced.families_scanned <= plain.families_scanned
+        return plain.kappa
+
+    @staticmethod
+    def check_diameter(n, mode, budget, jobs):
+        plain = fault_diameter_bruteforce(n, mode, budget, jobs=jobs)
+        reduced = fault_diameter_bruteforce(n, mode, budget, jobs=jobs, up_to_translation=True)
+        assert (reduced.value, reduced.witness) == (plain.value, plain.witness)
+        assert starts_at_vertex_0(reduced.witness)
+        assert reduced.families_scanned <= plain.families_scanned
+        assert reduced.disconnected_skipped <= plain.disconnected_skipped
+        return reduced
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("n,label", [(n, m.label) for n in (3, 4) for m in all_modes(n)])
+    def test_every_mode_and_budget_at_small_n(self, n, label, jobs):
+        mode = FaultMode.from_label(label)
+        kappa = self.check_connectivity(n, mode, jobs)
+        for budget in range(kappa + 1):
+            reduced = self.check_diameter(n, mode, budget, jobs)
+            # at budget kappa the disconnecting families are skipped
+            assert (reduced.disconnected_skipped > 0) == (budget == kappa)
+
+    @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
+    def test_n5(self, label):
+        mode = FaultMode.from_label(label)
+        kappa = self.check_connectivity(5, mode, 1)
+        self.check_diameter(5, mode, kappa - 1, 1)
 
 
 class TestChunkPool:

@@ -67,7 +67,7 @@ def ref_kappa_chunk(n: int, label: str, size: int, lo: int, hi: int):
     masks = _mask_space(n, FaultMode.from_label(label))
     full = (1 << (1 << n)) - 1
     scanned = 0
-    for idx, acc in _iter_packings(masks, size, lo, hi):
+    for idx, acc in _iter_packings(masks, size, range(lo, hi)):
         scanned += 1
         surv = full & ~acc
         if surv and not ref_connected(n, surv):
@@ -78,7 +78,7 @@ def ref_kappa_chunk(n: int, label: str, size: int, lo: int, hi: int):
 def packings(n: int, label: str, size: int, lo: int, hi: int) -> list[int]:
     """Union bitset of every family in the chunk."""
     masks = _mask_space(n, FaultMode.from_label(label))
-    return [acc for _, acc in _iter_packings(masks, size, lo, hi)]
+    return [acc for _, acc in _iter_packings(masks, size, range(lo, hi))]
 
 
 def modes(n: int):
@@ -177,7 +177,7 @@ def chunk_cases(n: int, label: str):
 def test_kappa_chunk_matches_the_per_family_scan(n, label):
     for size, lo, hi in chunk_cases(n, label):
         want = ref_kappa_chunk(n, label, size, lo, hi)
-        assert _kappa_chunk((n, label, size, lo, hi)) == want, (size, lo, hi)
+        assert _kappa_chunk((n, label, size, range(lo, hi))) == want, (size, lo, hi)
 
 
 @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
@@ -185,7 +185,7 @@ def test_kappa_chunk_matches_the_per_family_scan_at_n5(label):
     count = len(_mask_space(5, FaultMode.from_label(label)))
     for size in range(1, 5):
         hit, scanned = ref_kappa_chunk(5, label, size, 0, count)
-        assert _kappa_chunk((5, label, size, 0, count)) == (hit, scanned)
+        assert _kappa_chunk((5, label, size, range(count))) == (hit, scanned)
         if hit is not None:
             break
     assert hit is not None
@@ -204,7 +204,7 @@ def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
     last_row = short_final = False
     for rows in range(1, total + 2):
         monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
-        assert _kappa_chunk((n, label, size, lo, lo + 1)) == (hit, scanned), rows
+        assert _kappa_chunk((n, label, size, range(lo, lo + 1))) == (hit, scanned), rows
         batch_end = -(-scanned // rows) * rows
         last_row |= batch_end == scanned
         short_final |= batch_end > total
@@ -220,6 +220,6 @@ def test_kappa_chunk_on_every_size(n, label):
     emptied = 0
     for size in range(1, (1 << n) + 1):
         want = ref_kappa_chunk(n, label, size, 0, count)
-        assert _kappa_chunk((n, label, size, 0, count)) == want, size
+        assert _kappa_chunk((n, label, size, range(count))) == want, size
         emptied += packings(n, label, size, 0, count).count(full)
     assert emptied
