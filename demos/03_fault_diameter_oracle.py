@@ -1,8 +1,8 @@
 """Brute-force ground truth at desk scale.
 
-Exhaustive scans over every valid fault family establish the
-connectivity and fault-diameter values exactly; a seeded sampled search
-covers configurations the exhaustive guard refuses.
+Exhaustive scans over every valid fault family, up to translation,
+establish the connectivity and fault-diameter values exactly; a seeded
+sampled search covers configurations the exhaustive guard refuses.
 
 Run: python3 demos/03_fault_diameter_oracle.py
 """

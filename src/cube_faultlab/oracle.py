@@ -1,13 +1,11 @@
 """Brute-force ground truth for connectivity and fault diameters.
 
-Two questions are answered by exhaustion.  By default the scans take
-no symmetry shortcuts, so their results are usable as an independent
-check on the closed formulas, the router and the reduced scan below:
+Two questions are answered by exhaustion:
 
 * connectivity: the smallest number of disjoint admissible faults whose
   removal disconnects Q_n (leaving a nonempty, non-connected survivor
   set), found by sweeping family sizes upward and scanning every
-  placement in canonical order;
+  placement, up to translation, in canonical order;
 * fault diameter: the largest survivor diameter over every family of at
   most `budget` elements, including the empty family.
 
@@ -26,22 +24,23 @@ row-packed BFS (metrics._first_disconnected) tests the whole batch.  The
 first row left incomplete is the hit, so the witness and the
 families-scanned count are exactly those of a one-family-at-a-time scan.
 
-Translation reduction (up_to_translation=True, what the claim catalog
-runs).  XOR by a vertex b is an automorphism of Q_n; it maps an element
-(free, base) to (free, base ^ (b & ~free)), so it keeps element
-dimensions, disjointness, survivor connectivity and diameters.  Let F
-be the first family of its size in canonical order that disconnects,
-or that attains the maximum diameter, and let (f1, b1) be its first
-element.  If b1 != 0, translating F by b1 gives a family holding
-(f1, 0); every element of F has a free mask >= f1 and translation
-keeps free masks, so that family's first element is (f1, 0) < (f1, b1).
-It comes earlier in canonical order and qualifies too, contradicting
-the choice of F.  So the first qualifying family starts with a base-0
-element, i.e. one containing vertex 0, and the same translation maps
-any family to one that does, which keeps the maximum.  The reduced scan
-therefore lets the first index run only over elements containing
-vertex 0 and reports the same kappa, value and witness; only
-families_scanned and disconnected_skipped shrink.
+Translation reduction.  XOR by a vertex b is an automorphism of Q_n; it
+maps an element (free, base) to (free, base ^ (b & ~free)), so it keeps
+element dimensions, disjointness, survivor connectivity and diameters.
+Let F be the first family of its size in canonical order that
+disconnects, or that attains the maximum diameter, and let (f1, b1) be
+its first element.  If b1 != 0, translating F by b1 gives a family
+holding (f1, 0); every element of F has a free mask >= f1 and
+translation keeps free masks, so that family's first element is
+(f1, 0) < (f1, b1).  It comes earlier in canonical order and qualifies
+too, contradicting the choice of F.  So the first qualifying family
+starts with a base-0 element, i.e. one containing vertex 0, and the
+same translation maps any family to one that does, which keeps the
+maximum.  The scans therefore let the first index run only over the
+elements containing vertex 0 (one per admissible free mask) and report
+the kappa, value and witness of a scan over every family;
+families_scanned and disconnected_skipped count the families actually
+walked.
 
 Scans can be split across processes; chunks partition the sequence of
 allowed first element indices, and chunk results are reduced in
@@ -218,19 +217,10 @@ def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _first_chunks(
-    n: int, mode: FaultMode, jobs: int, up_to_translation: bool
-) -> list[Sequence[int]]:
-    """The allowed first element indices of a scan, split into chunks.
-
-    All indices for the plain scan; under translation reduction only
-    the elements containing vertex 0 (bit 0 of their vertex mask).
-    """
-    masks = _mask_space(n, mode)
-    if up_to_translation:
-        firsts: Sequence[int] = tuple(i for i, m in enumerate(masks) if m & 1)
-    else:
-        firsts = range(len(masks))
+def _first_chunks(n: int, mode: FaultMode, jobs: int) -> list[Sequence[int]]:
+    """The allowed first element indices of a scan, split into chunks:
+    the elements containing vertex 0 (bit 0 of their vertex mask)."""
+    firsts = tuple(i for i, m in enumerate(_mask_space(n, mode)) if m & 1)
     return [firsts[lo:hi] for lo, hi in _chunk_ranges(len(firsts), jobs)]
 
 
@@ -251,9 +241,7 @@ def _chunk_runner(jobs: int, chunks: int):
         yield lambda worker, argses: list(ex.map(worker, argses))
 
 
-def connectivity_bruteforce(
-    n: int, mode: FaultMode, jobs: int = 1, *, up_to_translation: bool = False
-) -> ConnectivityResult:
+def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
     """Exact connectivity of Q_n under `mode`, by exhausting family sizes.
 
     Sweeps t = 1, 2, ... and scans every valid family of exactly t
@@ -261,9 +249,10 @@ def connectivity_bruteforce(
     kappa = t.  Disconnection requires survivors: a removal that leaves
     a single component, or nothing at all, does not count.
 
-    kappa and the witness do not depend on `jobs` or on
-    `up_to_translation` (first elements restricted to those containing
-    vertex 0, see the module docstring); families_scanned counts work
+    Only families whose first element contains vertex 0 are walked; by
+    translation symmetry that gives the kappa and witness of a scan
+    over every family (see the module docstring).  kappa and the
+    witness do not depend on `jobs`; families_scanned counts work
     actually done, so with several workers it can exceed the single-job
     count (each chunk stops at its own first hit).
     """
@@ -276,7 +265,7 @@ def connectivity_bruteforce(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     canon = mode.canonical
     elems = _element_space(n, canon)
-    chunks = _first_chunks(n, canon, jobs, up_to_translation)
+    chunks = _first_chunks(n, canon, jobs)
     total_scanned = 0
     with _chunk_runner(jobs, len(chunks)) as run:
         for size in range(1, (1 << n) + 1):
@@ -313,8 +302,6 @@ def fault_diameter_bruteforce(
     budget: int,
     search: SearchSpec | None = None,
     jobs: int = 1,
-    *,
-    up_to_translation: bool = False,
 ) -> FaultDiameterResult:
     """Worst diameter of Q_n minus any family of at most `budget` elements.
 
@@ -325,10 +312,11 @@ def fault_diameter_bruteforce(
     disconnecting families are skipped and counted instead, because the
     maximum is over connected survivor graphs only.
 
-    `up_to_translation` restricts an exhaustive scan's first elements to
-    those containing vertex 0; the value and witness stay the same (see
-    the module docstring), the counters shrink.  Sampled searches ignore
-    it.
+    An exhaustive scan walks only the families whose first element
+    contains vertex 0; by translation symmetry the value and witness
+    are those of a scan over every family (see the module docstring),
+    and families_scanned and disconnected_skipped count the families
+    walked.
     """
     kappa = mode.kappa(n)
     if budget < 0:
@@ -343,7 +331,7 @@ def fault_diameter_bruteforce(
     _check_exhaustive_feasible(n, budget)
     canon = mode.canonical
     elems = _element_space(n, canon)
-    chunks = _first_chunks(n, canon, jobs, up_to_translation)
+    chunks = _first_chunks(n, canon, jobs)
     best = -1
     best_idx: tuple[int, ...] | None = None
     scanned = 0

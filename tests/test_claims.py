@@ -78,6 +78,22 @@ def test_substructure_shares_the_subcube_1_scan(monkeypatch):
     assert len(calls) == 2
 
 
+def test_jobs_reach_the_scans(monkeypatch):
+    seen = []
+    scan = claims.connectivity_bruteforce
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs.get("jobs"))
+        return scan(*args, **kwargs)
+
+    claims._kappa.cache_clear()
+    claims._fd.cache_clear()
+    monkeypatch.setattr(claims, "connectivity_bruteforce", recorded)
+    result, = verify_claims(["lem2.3(n=4)"], jobs=3)
+    assert result.status == "pass"
+    assert seen == [3, 3]  # structure:1 and substructure (as subcube:1)
+
+
 def test_frozen_catalog_slice():
     """Status, value and witness of every claim in the benchmark's frozen
     reference slice (read only; it is the benchmark's correctness check)."""

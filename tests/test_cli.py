@@ -101,6 +101,29 @@ class TestOracleCommands:
         assert payload["budget"] == 2
         assert payload["value"] == 5
 
+    def test_connectivity_counts_the_reduced_scan(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "connectivity", "--n", "5", "--mode", "substructure",
+            "--format", "json", "--jobs", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kappa"] == 4
+        assert payload["witness"] == ["0000*", "0011*", "0101*", "1001*"]
+        assert payload["families_scanned"] == 164050
+
+    def test_fault_diameter_counts_the_reduced_scan(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "fault-diameter", "--n", "4", "--mode", "structure", "--m", "0",
+            "--budget", "3", "--format", "json", "--jobs", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == 5
+        assert payload["families_scanned"] == 122
+
     def test_sampled_search(self, capsys):
         code, out, _ = run(
             capsys,

@@ -8,6 +8,8 @@ change, not just as silence.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from cube_faultlab import (
@@ -17,10 +19,45 @@ from cube_faultlab import (
     SurvivalGraph,
     connectivity_bruteforce,
     diameter,
+    enumerate_families,
     fault_diameter_bruteforce,
     is_connected,
 )
 from cube_faultlab import oracle
+
+
+@lru_cache(maxsize=None)
+def reference_connectivity(n: int, label: str):
+    """(kappa, witness, families walked) of a plain scan: every family of
+    each size, one at a time, in canonical order, until one disconnects."""
+    mode = FaultMode.from_label(label)
+    scanned = 0
+    for size in range(1, (1 << n) + 1):
+        for family in enumerate_families(n, mode, size):
+            scanned += 1
+            g = SurvivalGraph.from_family(family)
+            if g.survivor_count and not is_connected(g):
+                return size, family, scanned
+    raise AssertionError(f"nothing disconnects Q_{n} under {label}")
+
+
+@lru_cache(maxsize=None)
+def reference_fault_diameter(n: int, label: str, budget: int):
+    """(value, witness, families walked, families skipped) of a plain scan
+    over every family of at most `budget` elements; a family that leaves
+    the survivors empty or disconnected is skipped."""
+    mode = FaultMode.from_label(label)
+    best, witness, scanned, skipped = -1, None, 0, 0
+    for size in range(budget + 1):
+        for family in enumerate_families(n, mode, size):
+            scanned += 1
+            g = SurvivalGraph.from_family(family)
+            d = diameter(g) if g.survivor_count else None
+            if d is None:
+                skipped += 1
+            elif d > best:
+                best, witness = d, family
+    return best, witness, scanned, skipped
 
 
 class TestConnectivity:
@@ -28,7 +65,7 @@ class TestConnectivity:
         res = connectivity_bruteforce(3, FaultMode.structure(1))
         assert res.kappa == 2
         assert res.witness.patterns() == ["00*", "11*"]
-        assert res.families_scanned == 15
+        assert res.families_scanned == 6
 
     def test_q3_substructure_same_cut(self):
         res = connectivity_bruteforce(3, FaultMode.substructure())
@@ -42,7 +79,7 @@ class TestConnectivity:
         res = connectivity_bruteforce(4, FaultMode.structure(1))
         assert res.kappa == 3
         assert res.witness.patterns() == ["000*", "011*", "101*"]
-        assert res.families_scanned == 473
+        assert res.families_scanned == 109
 
     def test_q4_subcube(self):
         res = connectivity_bruteforce(4, FaultMode.subcube(2))
@@ -71,7 +108,7 @@ class TestFaultDiameterExhaustive:
         res = fault_diameter_bruteforce(3, FaultMode.structure(1), 1)
         assert res.value == 3
         assert res.witness.patterns() == []
-        assert res.families_scanned == 13
+        assert res.families_scanned == 4
 
     def test_q3_substructure(self):
         assert fault_diameter_bruteforce(3, FaultMode.substructure(), 1).value == 3
@@ -93,7 +130,7 @@ class TestFaultDiameterExhaustive:
         res = fault_diameter_bruteforce(4, FaultMode.structure(0), 3)
         assert res.value == 5
         assert res.witness.patterns() == ["0000", "0011", "0101"]
-        assert res.families_scanned == 697
+        assert res.families_scanned == 122
 
     def test_witness_attains_the_value(self):
         res = fault_diameter_bruteforce(4, FaultMode.structure(1), 2)
@@ -108,8 +145,8 @@ class TestFaultDiameterExhaustive:
         # from the max, counted, and the value matches the safe budget
         res = fault_diameter_bruteforce(3, FaultMode.structure(1), 2)
         assert res.value == 3
-        assert res.disconnected_skipped == 6
-        assert res.families_scanned == 55
+        assert res.disconnected_skipped == 3
+        assert res.families_scanned == 19
 
     def test_jobs_do_not_change_the_answer(self):
         a = fault_diameter_bruteforce(4, FaultMode.subcube(2), 1, jobs=1)
@@ -186,31 +223,57 @@ def starts_at_vertex_0(witness) -> bool:
     return not witness.elements or witness.elements[0].base == 0
 
 
+class TestReference:
+    """The plain reference scans, pinned; the oracle's own counts,
+    pinned in the classes above, are those of the scan up to
+    translation."""
+
+    def test_connectivity(self):
+        kappa, witness, scanned = reference_connectivity(3, "structure:1")
+        assert (kappa, witness.patterns(), scanned) == (2, ["00*", "11*"], 15)
+        kappa, witness, scanned = reference_connectivity(4, "structure:1")
+        assert (kappa, witness.patterns(), scanned) == (3, ["000*", "011*", "101*"], 473)
+
+    @pytest.mark.parametrize(
+        "n,label,budget,value,patterns,scanned,skipped",
+        [
+            (3, "structure:1", 1, 3, [], 13, 0),
+            (4, "structure:0", 3, 5, ["0000", "0011", "0101"], 697, 0),
+            (4, "structure:1", 0, 4, [], 1, 0),
+            (3, "structure:1", 2, 3, [], 55, 6),
+        ],
+    )
+    def test_fault_diameter(self, n, label, budget, value, patterns, scanned, skipped):
+        got = reference_fault_diameter(n, label, budget)
+        assert (got[0], got[1].patterns(), got[2], got[3]) == (value, patterns, scanned, skipped)
+
+
 class TestTranslationReduction:
-    """up_to_translation=True reports the plain scan's values and
-    witnesses from a subset of its families."""
+    """The oracle scans only families whose first element contains
+    vertex 0, and reports the plain reference scan's values and
+    witnesses."""
 
     @staticmethod
     def check_connectivity(n, mode, jobs):
-        plain = connectivity_bruteforce(n, mode, jobs=jobs)
-        reduced = connectivity_bruteforce(n, mode, jobs=jobs, up_to_translation=True)
-        assert (reduced.kappa, reduced.witness) == (plain.kappa, plain.witness)
-        assert starts_at_vertex_0(reduced.witness)
+        kappa, witness, scanned = reference_connectivity(n, mode.label)
+        res = connectivity_bruteforce(n, mode, jobs=jobs)
+        assert (res.kappa, res.witness) == (kappa, witness)
+        assert starts_at_vertex_0(res.witness)
         if jobs == 1:
             # with several chunks each stops at its own hit, so only the
-            # single-chunk scans are nested
-            assert reduced.families_scanned <= plain.families_scanned
-        return plain.kappa
+            # single-chunk scan walks a subset of the reference's families
+            assert res.families_scanned <= scanned
+        return kappa
 
     @staticmethod
     def check_diameter(n, mode, budget, jobs):
-        plain = fault_diameter_bruteforce(n, mode, budget, jobs=jobs)
-        reduced = fault_diameter_bruteforce(n, mode, budget, jobs=jobs, up_to_translation=True)
-        assert (reduced.value, reduced.witness) == (plain.value, plain.witness)
-        assert starts_at_vertex_0(reduced.witness)
-        assert reduced.families_scanned <= plain.families_scanned
-        assert reduced.disconnected_skipped <= plain.disconnected_skipped
-        return reduced
+        value, witness, scanned, skipped = reference_fault_diameter(n, mode.label, budget)
+        res = fault_diameter_bruteforce(n, mode, budget, jobs=jobs)
+        assert (res.value, res.witness) == (value, witness)
+        assert starts_at_vertex_0(res.witness)
+        assert res.families_scanned <= scanned
+        assert res.disconnected_skipped <= skipped
+        return res
 
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("n,label", [(n, m.label) for n in (3, 4) for m in all_modes(n)])
@@ -218,14 +281,20 @@ class TestTranslationReduction:
         mode = FaultMode.from_label(label)
         kappa = self.check_connectivity(n, mode, jobs)
         for budget in range(kappa + 1):
-            reduced = self.check_diameter(n, mode, budget, jobs)
+            res = self.check_diameter(n, mode, budget, jobs)
             # at budget kappa the disconnecting families are skipped
-            assert (reduced.disconnected_skipped > 0) == (budget == kappa)
+            assert (res.disconnected_skipped > 0) == (budget == kappa)
 
-    @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
-    def test_n5(self, label):
+    # the reference walks 531,229 families (about 15 s) to find the
+    # subcube:2 cut at n = 5, so that mode checks the diameter only
+    @pytest.mark.parametrize(
+        "label,cut",
+        [("structure:1", True), ("subcube:2", False)],
+        ids=["structure:1", "subcube:2"],
+    )
+    def test_n5(self, label, cut):
         mode = FaultMode.from_label(label)
-        kappa = self.check_connectivity(5, mode, 1)
+        kappa = self.check_connectivity(5, mode, 1) if cut else mode.kappa(5)
         self.check_diameter(5, mode, kappa - 1, 1)
 
 
