@@ -71,6 +71,8 @@ from .faults import (
     _iter_packings,
     _mask_space,
     _sample_one,
+    _unranker,
+    _vertex_mask,
 )
 from .metrics import (
     _DIAMETER_LIMIT,
@@ -362,8 +364,10 @@ def _fault_diameter_sampled(
     """Seeded random walk over the family space; a lower bound on the max.
 
     Each draw picks a size uniformly in [0, budget], then
-    rejection-samples a family of that size.  Deterministic for a fixed
-    seed and draw count.
+    rejection-samples a family of that size (faults._sample_one, which
+    unranks its draws without building the element space); vertex
+    bitsets are built only for the accepted family's elements.
+    Deterministic for a fixed seed and draw count.
     """
     assert search.seed is not None and search.draws is not None
     if n > _DIAMETER_LIMIT:
@@ -373,15 +377,17 @@ def _fault_diameter_sampled(
             "on chosen vertex pairs instead."
         )
     rng = random.Random(search.seed)
-    elems = _element_space(n, mode.canonical)
-    masks = _mask_space(n, mode.canonical)
+    space = _unranker(n, mode.canonical)
     full = _full_mask(n)
     best = -1
     witness: FaultFamily | None = None
     skipped = 0
     for _ in range(search.draws):
         size = rng.randint(0, budget)
-        family, acc = _sample_one(rng, n, mode, elems, masks, size)
+        family = _sample_one(rng, n, mode, space, size)
+        acc = 0
+        for s in family.elements:
+            acc |= _vertex_mask(s)
         d = _survivor_diameter(n, full & ~acc, budget_safe, mode.label, family.elements)
         if d is None:
             skipped += 1

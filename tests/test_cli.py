@@ -148,6 +148,16 @@ class TestOracleCommands:
         assert code == 3
         assert "n <= 7" in err
 
+    def test_sampling_rejection_limit_maps_to_exit_three(self, capsys):
+        # Q_5 holds at most 16 disjoint edges; sizes up to 40 get drawn
+        code, _, err = run(
+            capsys,
+            "fault-diameter", "--n", "5", "--mode", "structure", "--m", "1",
+            "--sampled", "--draws", "3", "--budget", "40", "--jobs", "1",
+        )
+        assert code == 3
+        assert "lower the size" in err
+
 
 class TestDiameterCommand:
     def test_adversary_spec(self, capsys):

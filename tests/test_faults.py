@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,15 @@ from hypothesis import strategies as st
 from cube_faultlab import (
     FaultFamily,
     FaultMode,
+    ResourceLimitError,
+    SearchSpec,
     adversarial_q1_family,
     adversarial_subcube_family,
     classify_along,
     element_space_size,
     enumerate_families,
     enumerate_subcubes,
+    fault_diameter_bruteforce,
     family_from_text,
     family_to_text,
     fault_vertices,
@@ -27,7 +32,14 @@ from cube_faultlab import (
     validate_family,
     write_family,
 )
-from cube_faultlab.faults import _element_space
+from cube_faultlab import faults, oracle
+from cube_faultlab.faults import (
+    _UNRANK_MEMO,
+    SAMPLING_ATTEMPTS,
+    _element_space,
+    _mask_space,
+    _unranker,
+)
 
 
 class TestFaultMode:
@@ -239,10 +251,10 @@ class TestSampling:
     def test_substructure_samples_from_the_subcube_1_space(self):
         # one element space serves both labels; the families keep the
         # caller's mode and the draws are those of a per-label space
-        _element_space.cache_clear()
+        _unranker.cache_clear()
         sub = sample_families(6, FaultMode.substructure(), 3, 4, seed=11)
         one = sample_families(6, FaultMode.subcube(1), 3, 4, seed=11)
-        assert _element_space.cache_info().misses == 1
+        assert _unranker.cache_info().misses == 1
         assert [f.patterns() for f in sub] == [
             ["11110*", "0000*1", "*10011"],
             ["110000", "11111*", "*00100"],
@@ -259,6 +271,100 @@ class TestSampling:
         fam = sample_families(5, FaultMode.substructure(), size, 1, seed=seed)[0]
         assert fam.size == size
         assert validate_family(fam) is None
+
+
+def reference_sample(n: int, mode: FaultMode, size: int, count: int, seed: int):
+    """The sampler over the materialized element space: each attempt
+    indexes `size` uniform picks into _element_space and keeps them when
+    their vertex bitsets do not overlap."""
+    elems = _element_space(n, mode.canonical)
+    masks = _mask_space(n, mode.canonical)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        for _attempt in range(SAMPLING_ATTEMPTS):
+            picks = [rng.randrange(len(elems)) for _ in range(size)]
+            acc = 0
+            for i in picks:
+                if masks[i] & acc:
+                    break
+                acc |= masks[i]
+            else:
+                out.append(FaultFamily(tuple(elems[i] for i in picks), mode, n))
+                break
+        else:
+            raise AssertionError("reference sampler hit the attempt limit")
+    return out
+
+
+def canonical_modes(n: int):
+    yield from (FaultMode.structure(m) for m in range(n + 1))
+    yield from (FaultMode.subcube(m) for m in range(1, n + 1))
+
+
+def refuse_element_space(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sampler built the element space")
+
+    for module in (faults, oracle):
+        monkeypatch.setattr(module, "_element_space", refuse)
+        monkeypatch.setattr(module, "_mask_space", refuse)
+
+
+class TestUnrankedSampling:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_index_unranks_to_the_element_space_entry(self, n):
+        # subcube:m interleaves dimensions across the ascending free masks
+        for mode in canonical_modes(n):
+            space = _unranker(n, mode)
+            elems = _element_space(n, mode)
+            assert space.size == len(elems) == element_space_size(n, mode)
+            assert [space[i] for i in range(space.size)] == list(elems)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_draws_equal_the_reference_sampler(self, n):
+        modes = [m for m in canonical_modes(n) if m.max_element_dim <= n - 2]
+        modes.append(FaultMode.substructure())
+        for mode in modes:
+            for size in range(mode.kappa(n)):
+                for seed in range(30):
+                    got = sample_families(n, mode, size, 2, seed)
+                    assert got == reference_sample(n, mode, size, 2, seed), (mode, size, seed)
+
+    def test_n12_never_builds_the_element_space(self, monkeypatch):
+        refuse_element_space(monkeypatch)
+        mode = FaultMode.structure(3)
+        fams = sample_families(12, mode, 8, 600, seed=4)
+        assert all(f.size == 8 and validate_family(f) is None for f in fams)
+        # over 4,800 picks among 112,640 elements: the memo fills and stops
+        assert len(_unranker(12, mode)._memo) == _UNRANK_MEMO
+        res = fault_diameter_bruteforce(12, mode, 8, search=SearchSpec.sampled(4, 1))
+        assert res.value >= 12 and validate_family(res.witness) is None
+
+    def test_n20_memory_does_not_grow_with_the_space(self, monkeypatch):
+        # 2^17 * C(20, 3) elements; building them would take gigabytes
+        refuse_element_space(monkeypatch)
+        mode = FaultMode.structure(3)
+        tracemalloc.start()
+        try:
+            fams = sample_families(20, mode, mode.kappa(20) - 1, 100, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert all(f.size == 16 and validate_family(f) is None for f in fams)
+
+    def test_a_mode_without_elements_is_named(self):
+        with pytest.raises(ValueError, match="structure:5.*Q_3"):
+            sample_families(3, FaultMode.structure(5), 1, 1, 0)
+        assert sample_families(3, FaultMode.structure(5), 0, 2, 0) == [
+            FaultFamily((), FaultMode.structure(5), 3)
+        ] * 2
+
+    def test_rejection_limit(self):
+        # Q_3 holds at most 4 disjoint edges
+        with pytest.raises(ResourceLimitError, match="lower the size"):
+            sample_families(3, FaultMode.structure(1), 5, 1, 0)
 
 
 class TestFamilyFiles:

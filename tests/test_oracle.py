@@ -196,11 +196,11 @@ class TestFaultDiameterSampled:
             fault_diameter_bruteforce(17, FaultMode.structure(15), 1, search=spec)
 
     def test_substructure_samples_from_the_subcube_1_space(self):
-        oracle._element_space.cache_clear()
+        oracle._unranker.cache_clear()
         spec = SearchSpec.sampled(5, 40)
         sub = fault_diameter_bruteforce(6, FaultMode.substructure(), 4, search=spec)
         one = fault_diameter_bruteforce(6, FaultMode.subcube(1), 4, search=spec)
-        assert oracle._element_space.cache_info().misses == 1
+        assert oracle._unranker.cache_info().misses == 1
         assert sub.value == one.value == 6
         assert sub.witness.patterns() == ["011010", "111001", "10000*", "1111*1"]
         assert one.witness.patterns() == sub.witness.patterns()
