@@ -16,7 +16,6 @@ from cube_faultlab import (
     adversarial_q1_family,
     adversarial_subcube_family,
     bfs_distance,
-    classify_along,
     diameter,
     family_to_text,
     is_connected,
@@ -30,15 +29,11 @@ def main() -> None:
     print("pinned-edge family in the family file format:")
     print(family_to_text(fam))
 
-    cls = classify_along(fam, n)
-    print(f"classified along coordinate {n}: "
-          f"{len(cls.in_zero)} in half 0, {len(cls.in_one)} in half 1, "
-          f"{len(cls.straddling)} straddling")
-
-    half = restrict_along(fam, n, 0)
-    print(f"restricted to half 0 (a Q_{n - 1}): {half.patterns()}")
-    print("  that half alone is connected?",
-          is_connected(SurvivalGraph.from_family(half)))
+    for h in (0, 1):
+        half = restrict_along(fam, n, h)
+        print(f"split along coordinate {n}, half {h} (a Q_{n - 1}): {half.patterns()}")
+        print("  that half alone is connected?",
+              is_connected(SurvivalGraph.from_family(half)))
 
     g = SurvivalGraph.from_family(fam)
     print(f"whole cube minus the family: connected, diameter {diameter(g)}"

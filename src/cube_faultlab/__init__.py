@@ -34,7 +34,6 @@ from .faults import (
     FaultMode,
     adversarial_q1_family,
     adversarial_subcube_family,
-    classify_along,
     element_space_size,
     enumerate_families,
     family_from_text,
@@ -94,7 +93,6 @@ __all__ = [
     "adversarial_subcube_family",
     "bfs_distance",
     "claim_ids",
-    "classify_along",
     "common_neighbors",
     "component_of",
     "connectivity_bruteforce",

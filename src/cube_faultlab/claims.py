@@ -8,7 +8,7 @@ enumeration.  Claim ids follow the package's claim catalog numbering
 (lem/thm prefix plus instance parameters), e.g. "lem2.4(n=5,m=3)" or
 "thm3.3"; the verify CLI subcommand accepts these ids.
 
-Oracle calls are cached per (n, canonical mode, budget, jobs), so
+Oracle calls are cached per (n, canonical mode[, budget]), so
 claims that share a scan (several theorems constrain the same sweep,
 and substructure scans as subcube:1) pay for it once per process.
 Randomized claims draw from seeds fixed by the claim id, so every run
@@ -59,13 +59,13 @@ def _canonical(mode_label: str) -> FaultMode:
 
 
 @lru_cache(maxsize=None)
-def _kappa(n: int, mode: FaultMode, jobs: int):
-    return connectivity_bruteforce(n, mode, jobs=jobs)
+def _kappa(n: int, mode: FaultMode):
+    return connectivity_bruteforce(n, mode)
 
 
 @lru_cache(maxsize=None)
-def _fd(n: int, mode: FaultMode, budget: int, jobs: int):
-    return fault_diameter_bruteforce(n, mode, budget, jobs=jobs)
+def _fd(n: int, mode: FaultMode, budget: int):
+    return fault_diameter_bruteforce(n, mode, budget)
 
 
 @dataclass
@@ -75,7 +75,7 @@ class Claim:
     params: dict
     statement: str
     expected: str
-    run: Callable[[int], tuple[str, bool, list[str]]]  # called with the scans' jobs
+    run: Callable[[], tuple[str, bool, list[str]]]
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,10 @@ class ClaimResult:
 
 
 def _check_two_modes(
-    jobs: int, n: int, expected: int, label_a: str, label_b: str, name_a: str, name_b: str
+    n: int, expected: int, label_a: str, label_b: str, name_a: str, name_b: str
 ):
-    ra = _kappa(n, _canonical(label_a), jobs)
-    rb = _kappa(n, _canonical(label_b), jobs)
+    ra = _kappa(n, _canonical(label_a))
+    rb = _kappa(n, _canonical(label_b))
     ok = ra.kappa == expected and rb.kappa == expected
     computed = (
         str(ra.kappa) if ra.kappa == rb.kappa else f"{name_a}={ra.kappa}, {name_b}={rb.kappa}"
@@ -126,17 +126,15 @@ def _check_two_modes(
     return computed, ok, ra.witness.patterns()
 
 
-def _check_fd(
-    jobs: int, n: int, mode_label: str, budget: int, expected: int, at_most: bool = False
-):
-    r = _fd(n, _canonical(mode_label), budget, jobs)
+def _check_fd(n: int, mode_label: str, budget: int, expected: int, at_most: bool = False):
+    r = _fd(n, _canonical(mode_label), budget)
     ok = r.value <= expected if at_most else r.value == expected
     return str(r.value), ok, r.witness.patterns()
 
 
-def _check_fd_pair(jobs: int, n: int, budget: int, expected: int):
-    rs = _fd(n, _canonical("structure:1"), budget, jobs)
-    rb = _fd(n, _canonical("substructure"), budget, jobs)
+def _check_fd_pair(n: int, budget: int, expected: int):
+    rs = _fd(n, _canonical("structure:1"), budget)
+    rb = _fd(n, _canonical("substructure"), budget)
     ok = rs.value == expected and rb.value == expected
     computed = (
         str(rs.value)
@@ -341,7 +339,7 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"lem2.2(n={n})", n, {"n": n},
             f"vertex fault diameter of Q_{n} (budget {n - 1}) equals {n + 1}",
             str(n + 1),
-            lambda jobs, n=n: _check_fd(jobs, n, "structure:0", n - 1, n + 1),
+            lambda n=n: _check_fd(n, "structure:0", n - 1, n + 1),
         )
 
     for n in (3, 4, 5):
@@ -349,8 +347,8 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"lem2.3(n={n})", n, {"n": n},
             f"edge-structure and substructure connectivity of Q_{n} equal {n - 1}",
             str(n - 1),
-            lambda jobs, n=n: _check_two_modes(
-                jobs, n, n - 1, "structure:1", "substructure", "kappa", "kappa^s"
+            lambda n=n: _check_two_modes(
+                n, n - 1, "structure:1", "substructure", "kappa", "kappa^s"
             ),
         )
 
@@ -359,8 +357,8 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"lem2.4(n={n},m={m})", n, {"n": n, "m": m},
             f"Q_{m}-structure and subcube connectivity of Q_{n} equal {n - m}",
             str(n - m),
-            lambda jobs, n=n, m=m: _check_two_modes(
-                jobs, n, n - m, f"structure:{m}", f"subcube:{m}", "kappa", "kappa^sc"
+            lambda n=n, m=m: _check_two_modes(
+                n, n - m, f"structure:{m}", f"subcube:{m}", "kappa", "kappa^sc"
             ),
         )
 
@@ -370,13 +368,13 @@ def _build_registry() -> dict[str, Claim]:
             f"distinct vertices of Q_{n} have 2 common neighbors at Hamming "
             "distance 2 and none otherwise (exhaustive)",
             "0 violations",
-            lambda jobs, n=n: _check_common_neighbors_exhaustive(n),
+            lambda n=n: _check_common_neighbors_exhaustive(n),
         )
     _add(
         reg, "lem2.5(n=6)", 6, {"n": 6},
         "common-neighbor counts in Q_6 (randomized)",
         "0 violations",
-        lambda jobs: _check_common_neighbors_random(6, _seed("lem2.5(n=6)")),
+        lambda: _check_common_neighbors_random(6, _seed("lem2.5(n=6)")),
     )
 
     for n in (3, 4):
@@ -384,14 +382,14 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"cor2.6(n={n})", n, {"n": n},
             f"subcubes of Q_{n} are closed under common neighbors (exhaustive)",
             "0 violations",
-            lambda jobs, n=n: _check_subcube_closure_exhaustive(n),
+            lambda n=n: _check_subcube_closure_exhaustive(n),
         )
     for n in (5, 6):
         _add(
             reg, f"cor2.6(n={n})", n, {"n": n},
             f"subcubes of Q_{n} are closed under common neighbors (randomized)",
             "0 violations",
-            lambda jobs, n=n: _check_subcube_closure_random(n, _seed(f"cor2.6(n={n})")),
+            lambda n=n: _check_subcube_closure_random(n, _seed(f"cor2.6(n={n})")),
         )
 
     _add(
@@ -399,7 +397,7 @@ def _build_registry() -> dict[str, Claim]:
         "removing fewer than 4 vertices of Q_3 without disconnecting it keeps "
         "the diameter at least 3 (exhaustive)",
         ">= 3",
-        lambda jobs: _check_connected_removal_diameter(3),
+        lambda: _check_connected_removal_diameter(3),
     )
 
     for n in (5, 6):
@@ -408,7 +406,7 @@ def _build_registry() -> dict[str, Claim]:
             f"symmetric pairs of Q_{n} keep a safe crossing coordinate under "
             f"up to {n - 1} faults of dimension <= {n - 3} (randomized)",
             "0 violations",
-            lambda jobs, n=n: _check_crossing_dimension_random(n, _seed(f"lem3.1(n={n})")),
+            lambda n=n: _check_crossing_dimension_random(n, _seed(f"lem3.1(n={n})")),
         )
 
     for n in (3, 4):
@@ -416,14 +414,14 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"lem3.2(n={n})", n, {"n": n},
             f"any <= {n - 2} vertex faults leave Q_{n} with diameter exactly {n}",
             str(n),
-            lambda jobs, n=n: _check_small_removal_diameter(n),
+            lambda n=n: _check_small_removal_diameter(n),
         )
 
     _add(
         reg, "thm3.3", 3, {"n": 3},
         "substructure fault diameter of Q_3 (budget 1) equals 3",
         "3",
-        lambda jobs: _check_fd(jobs, 3, "substructure", 1, 3),
+        lambda: _check_fd(3, "substructure", 1, 3),
     )
 
     for n in range(4, 9):
@@ -432,14 +430,14 @@ def _build_registry() -> dict[str, Claim]:
             f"the pinned-edge family of Q_{n} disconnects one half and raises "
             f"the diameter to {n + 1}",
             str(n + 1),
-            lambda jobs, n=n: _check_pinned_edge_family(n),
+            lambda n=n: _check_pinned_edge_family(n),
         )
 
     _add(
         reg, "lem3.5(n=4)", 4, {"n": 4},
         "substructure fault diameter of Q_4 (budget 2) is at most 5",
         "<= 5",
-        lambda jobs: _check_fd(jobs, 4, "substructure", 2, 5, at_most=True),
+        lambda: _check_fd(4, "substructure", 2, 5, at_most=True),
     )
 
     for n, expected in ((4, 5), (5, 6)):
@@ -447,9 +445,7 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"lem3.6(n={n})", n, {"n": n},
             f"substructure fault diameter of Q_{n} (budget {n - 2}) equals {expected}",
             str(expected),
-            lambda jobs, n=n, expected=expected: _check_fd(
-                jobs, n, "substructure", n - 2, expected
-            ),
+            lambda n=n, expected=expected: _check_fd(n, "substructure", n - 2, expected),
         )
 
     for n in (4, 5):
@@ -457,7 +453,7 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"thm3.7(n={n})", n, {"n": n},
             f"edge-structure and substructure fault diameters of Q_{n} equal {n + 1}",
             str(n + 1),
-            lambda jobs, n=n: _check_fd_pair(jobs, n, n - 2, n + 1),
+            lambda n=n: _check_fd_pair(n, n - 2, n + 1),
         )
 
     for m in (1, 2, 3):
@@ -466,7 +462,7 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"thm3.20(m={m})", n, {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under one Q_<= {m} fault equals {n}",
             str(n),
-            lambda jobs, n=n, m=m: _check_fd(jobs, n, f"subcube:{m}", 1, n),
+            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", 1, n),
         )
 
     for m in (1, 2):
@@ -475,7 +471,7 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"lem3.21(m={m})", n, {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under <= 2 Q_<= {m} faults is at most {n + 1}",
             f"<= {n + 1}",
-            lambda jobs, n=n, m=m: _check_fd(jobs, n, f"subcube:{m}", 2, n + 1, at_most=True),
+            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", 2, n + 1, at_most=True),
         )
 
     for n, m in ((4, 1), (5, 1), (5, 2)):
@@ -483,7 +479,7 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"lem3.22(n={n},m={m})", n, {"n": n, "m": m},
             f"at most {n - m - 2} Q_<= {m} faults keep the diameter of Q_{n} at most {n}",
             f"<= {n}",
-            lambda jobs, n=n, m=m: _check_fd(jobs, n, f"subcube:{m}", n - m - 2, n, at_most=True),
+            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 2, n, at_most=True),
         )
 
     for n, m in ((4, 1), (5, 2)):
@@ -492,9 +488,7 @@ def _build_registry() -> dict[str, Claim]:
             f"subcube fault diameter of Q_{n} under <= {n - m - 1} Q_<= {m} "
             f"faults is at most {n + 1}",
             f"<= {n + 1}",
-            lambda jobs, n=n, m=m: _check_fd(
-                jobs, n, f"subcube:{m}", n - m - 1, n + 1, at_most=True
-            ),
+            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 1, n + 1, at_most=True),
         )
 
     for n, m in ((4, 1), (5, 1), (5, 2), (6, 2), (6, 3)):
@@ -503,7 +497,7 @@ def _build_registry() -> dict[str, Claim]:
             f"the blocking family of {n - m - 1} Q_{m}'s in Q_{n} disconnects "
             f"one half and forces a route of length >= {n + 1}",
             f">= {n + 1}",
-            lambda jobs, n=n, m=m: _check_blocking_subcube_family(n, m),
+            lambda n=n, m=m: _check_blocking_subcube_family(n, m),
         )
 
     for n, m in ((4, 1), (5, 2)):
@@ -511,7 +505,7 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"thm3.25(n={n},m={m})", n, {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} over Q_<= {m} faults equals {n + 1}",
             str(n + 1),
-            lambda jobs, n=n, m=m: _check_fd(jobs, n, f"subcube:{m}", n - m - 1, n + 1),
+            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 1, n + 1),
         )
 
     for n, m, expected in (
@@ -526,8 +520,8 @@ def _build_registry() -> dict[str, Claim]:
             reg, f"thm3.26(n={n},m={m})", n, {"n": n, "m": m},
             f"Q_{m}-structure fault diameter of Q_{n} equals {expected}",
             str(expected),
-            lambda jobs, n=n, m=m, expected=expected: _check_fd(
-                jobs, n, f"structure:{m}", n - m - 1, expected
+            lambda n=n, m=m, expected=expected: _check_fd(
+                n, f"structure:{m}", n - m - 1, expected
             ),
         )
 
@@ -552,8 +546,8 @@ def verify_claims(
     """Run the claim catalog and report pass/fail per claim.
 
     `claims` selects ids (None means all); `max_n` keeps only claims
-    whose largest ambient dimension is within reach; `jobs` is passed to
-    the brute-force scans.  Unknown ids raise ValueError.
+    whose largest ambient dimension is within reach; `jobs` is accepted
+    and ignored.  Unknown ids raise ValueError.
     """
     reg = _registry()
     if claims is None:
@@ -568,7 +562,7 @@ def verify_claims(
     out = []
     for claim in selected:
         t0 = time.perf_counter()
-        computed, ok, witness = claim.run(jobs)
+        computed, ok, witness = claim.run()
         out.append(
             ClaimResult(
                 claim.claim_id,

@@ -8,7 +8,7 @@ counts fault families.  Reports go to stdout (or --output) as a text
 table by default, as canonical JSON, or as CSV.
 
 Exit codes: 0 success, 1 claim mismatch, 2 usage error, 3 resource
-limit.  The CUBE_FAULTLAB_JOBS environment variable overrides --jobs.
+limit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 import time
@@ -76,24 +75,6 @@ def _render(report: _Report, fmt: str) -> str:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     lines.extend(report.footer)
     return "\n".join(lines) + "\n"
-
-
-def _resolve_jobs(flag: int | None) -> int:
-    env = os.environ.get("CUBE_FAULTLAB_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(
-                f"CUBE_FAULTLAB_JOBS must be an integer, got {env!r}"
-            ) from None
-    elif flag is not None:
-        jobs = flag
-    else:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def _mode_from_args(mode: str | None, m: int | None) -> FaultMode | None:
@@ -166,14 +147,14 @@ def _parse_faults(spec: str | None, n: int, mode: FaultMode | None) -> FaultFami
 # subcommand handlers
 
 
-def _cmd_verify(args, jobs: int) -> tuple[_Report, int]:
+def _cmd_verify(args) -> tuple[_Report, int]:
     ids = None
     if args.claims not in (None, "all"):
         # claim ids carry commas of their own, as in lem2.4(n=4,m=2)
         parts = re.split(r",(?![^()]*\))", args.claims)
         ids = [c.strip() for c in parts if c.strip()]
     t0 = time.perf_counter()
-    results = verify_claims(ids, max_n=args.max_n, jobs=jobs)
+    results = verify_claims(ids, max_n=args.max_n)
     failed = sum(1 for r in results if not r.passed)
     payload = {
         "command": "verify",
@@ -191,12 +172,12 @@ def _cmd_verify(args, jobs: int) -> tuple[_Report, int]:
     return _Report(payload, headers, rows), (1 if failed else 0)
 
 
-def _cmd_connectivity(args, jobs: int) -> tuple[_Report, int]:
+def _cmd_connectivity(args) -> tuple[_Report, int]:
     mode = _mode_from_args(args.mode, args.m)
     if mode is None:
         raise ValueError("connectivity needs --mode")
     t0 = time.perf_counter()
-    res = connectivity_bruteforce(args.n, mode, jobs=jobs)
+    res = connectivity_bruteforce(args.n, mode)
     payload = {
         "command": "connectivity",
         "n": args.n,
@@ -214,7 +195,7 @@ def _cmd_connectivity(args, jobs: int) -> tuple[_Report, int]:
     return _Report(payload, headers, rows), 0
 
 
-def _cmd_fault_diameter(args, jobs: int) -> tuple[_Report, int]:
+def _cmd_fault_diameter(args) -> tuple[_Report, int]:
     mode = _mode_from_args(args.mode, args.m)
     if mode is None:
         raise ValueError("fault-diameter needs --mode")
@@ -229,7 +210,7 @@ def _cmd_fault_diameter(args, jobs: int) -> tuple[_Report, int]:
             raise ValueError("--seed and --draws need --sampled")
         search = SearchSpec.exhaustive()
     t0 = time.perf_counter()
-    res = fault_diameter_bruteforce(args.n, mode, budget, search=search, jobs=jobs)
+    res = fault_diameter_bruteforce(args.n, mode, budget, search=search)
     payload = {
         "command": "fault-diameter",
         "n": args.n,
@@ -250,7 +231,7 @@ def _cmd_fault_diameter(args, jobs: int) -> tuple[_Report, int]:
     return _Report(payload, headers, rows), 0
 
 
-def _cmd_diameter(args, jobs: int) -> tuple[_Report, int]:
+def _cmd_diameter(args) -> tuple[_Report, int]:
     mode = _mode_from_args(args.mode, args.m)
     family = _parse_faults(args.faults, args.n, mode)
     g = SurvivalGraph.from_family(family)
@@ -272,7 +253,7 @@ def _cmd_diameter(args, jobs: int) -> tuple[_Report, int]:
     return _Report(payload, headers, rows), 0
 
 
-def _cmd_route(args, jobs: int) -> tuple[_Report, int]:
+def _cmd_route(args) -> tuple[_Report, int]:
     mode = _mode_from_args(args.mode, args.m)
     family = _parse_faults(args.faults, args.n, mode)
     u = Vertex.from_pattern(args.src)
@@ -301,7 +282,7 @@ def _cmd_route(args, jobs: int) -> tuple[_Report, int]:
     return _Report(payload, headers, rows, text=text), 0
 
 
-def _cmd_adversary(args, jobs: int) -> tuple[_Report, int]:
+def _cmd_adversary(args) -> tuple[_Report, int]:
     if args.kind == "q1":
         if args.m not in (None, 1):
             raise ValueError("adversary q1 has no element dimension to choose")
@@ -325,7 +306,7 @@ def _cmd_adversary(args, jobs: int) -> tuple[_Report, int]:
     return _Report(payload, headers, rows, text=text), 0
 
 
-def _cmd_enumerate(args, jobs: int) -> tuple[_Report, int]:
+def _cmd_enumerate(args) -> tuple[_Report, int]:
     mode = _mode_from_args(args.mode, args.m)
     if mode is None:
         raise ValueError("enumerate needs --mode")
@@ -373,11 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: table)",
     )
     common.add_argument("--output", metavar="FILE", help="write the report to FILE")
-    common.add_argument(
-        "--jobs", type=int, metavar="N",
-        help="worker processes for oracle scans "
-        "(default: available parallelism; CUBE_FAULTLAB_JOBS overrides)",
-    )
 
     mode_common = argparse.ArgumentParser(add_help=False)
     mode_common.add_argument(
@@ -478,8 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        jobs = _resolve_jobs(args.jobs)
-        report, code = _DISPATCH[args.command](args, jobs)
+        report, code = _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -229,38 +229,29 @@ def fault_vertices(family: FaultFamily) -> set[Vertex]:
     return {Vertex(b, n) for b in fault_bits(family)}
 
 
-@dataclass(frozen=True)
-class SplitClassification:
-    """Family elements sorted against the two halves of a coordinate split.
+def _half_faults(
+    faults: list[tuple[int, int]], p: int, side: int
+) -> list[tuple[int, int]]:
+    """Elements meeting the half with bit p == side, straddlers projected.
 
-    An element straddles the split iff the split coordinate is free in
-    it; then each half sees a face of one lower dimension.  Otherwise
-    the element lies entirely in the half matching its fixed value.
+    Elements are (free_mask, base) pairs; one with bit p free straddles
+    the split and becomes its face in the half, one with bit p fixed is
+    kept when it lies in the half.  The result is in ascending order.
     """
-
-    split_dim: int
-    in_zero: tuple[Subcube, ...]
-    in_one: tuple[Subcube, ...]
-    straddling: tuple[Subcube, ...]
-
-
-def classify_along(family: FaultFamily, d: int) -> SplitClassification:
-    """Partition the family's elements against the split along x_d."""
-    bit = coord_bit(family.ambient, d)
-    zero, one, both = [], [], []
-    for s in family.elements:
-        if s.free_mask & bit:
-            both.append(s)
-        elif s.base & bit:
-            one.append(s)
-        else:
-            zero.append(s)
-    return SplitClassification(d, tuple(zero), tuple(one), tuple(both))
+    bit = 1 << p
+    half = bit if side else 0
+    keep = []
+    for fr, ba in faults:
+        if fr & bit:
+            keep.append((fr ^ bit, ba | half))
+        elif ba & bit == half:
+            keep.append((fr, ba))
+    keep.sort()
+    return keep
 
 
-def _drop_coordinate(mask: int, n: int, d: int) -> int:
-    """Remove coordinate x_d from an n-bit mask, closing the gap."""
-    p = n - d
+def _drop_coordinate(mask: int, p: int) -> int:
+    """Remove bit position p from a mask, closing the gap."""
     low = mask & ((1 << p) - 1)
     high = mask >> (p + 1)
     return high << p | low
@@ -281,15 +272,12 @@ def restrict_along(family: FaultFamily, d: int, h: int) -> FaultFamily:
     n = family.ambient
     if n < 2:
         raise ValueError("cannot restrict a 1-dimensional cube")
-    bit = coord_bit(n, d)
-    cls = classify_along(family, d)
-    keep = list(cls.in_zero if h == 0 else cls.in_one)
-    keep.extend(cls.straddling)
-    elems = []
-    for s in keep:
-        free = _drop_coordinate(s.free_mask & ~bit, n, d)
-        base = _drop_coordinate(s.base & ~bit, n, d)
-        elems.append(Subcube(free, base, n - 1))
+    p = coord_bit(n, d).bit_length() - 1  # validates d
+    pairs = [(s.free_mask, s.base) for s in family.elements]
+    elems = [
+        Subcube(_drop_coordinate(fr, p), _drop_coordinate(ba, p), n - 1)
+        for fr, ba in _half_faults(pairs, p, h)
+    ]
     mode = family.mode
     if mode.kind == "structure" and any(s.dim != mode.m for s in elems):
         mode = FaultMode.subcube(mode.m)
@@ -356,10 +344,7 @@ def _mask_space(n: int, mode: FaultMode) -> tuple[int, ...]:
 
 def element_space_size(n: int, mode: FaultMode) -> int:
     """Number of admissible elements, sum of C(n,k) * 2^(n-k) over admitted k."""
-    _check_ambient(n)
-    return sum(
-        comb(n, k) * (1 << (n - k)) for k in range(n + 1) if mode.admits(k)
-    )
+    return _unranker(n, mode.canonical).size
 
 
 def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFamily]:

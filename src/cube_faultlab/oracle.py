@@ -42,22 +42,16 @@ the kappa, value and witness of a scan over every family;
 families_scanned and disconnected_skipped count the families actually
 walked.
 
-Scans can be split across processes; chunks partition the sequence of
-allowed first element indices, and chunk results are reduced in
-canonical order, so the answer is identical for any worker count.  The
-split depends on `jobs` alone; one pool of at most min(jobs, cpu count,
-chunks) workers serves every family size of a call.  Exhaustive
-requests beyond desk scale are refused with a resource error instead
-of running for days; the sampled search is the escape hatch for bigger
-instances.
+Scans run in the calling process.  The `jobs` keyword of
+connectivity_bruteforce and fault_diameter_bruteforce is accepted and
+ignored.  Exhaustive requests beyond desk scale are refused with a
+resource error instead of running for days; the sampled search is the
+escape hatch for bigger instances.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -83,8 +77,6 @@ from .metrics import (
 )
 
 _CONNECTIVITY_MAX_N = 7
-
-_MAX_CHUNKS_PER_JOB = 3
 
 
 @dataclass(frozen=True)
@@ -147,18 +139,19 @@ class FaultDiameterResult:
     disconnected_skipped: int
 
 
-def _kappa_chunk(args: tuple[int, str, int, Sequence[int]]) -> tuple[tuple[int, ...] | None, int]:
-    """Scan one chunk for a disconnecting family; stop at the first hit.
+def _kappa_scan(
+    n: int, mode: FaultMode, size: int, firsts: Sequence[int]
+) -> tuple[tuple[int, ...] | None, int]:
+    """Scan the families of `size` elements whose first index is in
+    `firsts` for a disconnecting one; stop at the first hit.
 
     Consecutive families go _rows_per_int(n) at a time through one
     batched BFS, one survivor set per row.  A hit in row r of a batch
     counts the families of the earlier batches plus r + 1, exactly what
     a one-family-at-a-time scan reports.
     """
-    n, mode_label, size, firsts = args
-    masks = _mask_space(n, FaultMode.from_label(mode_label))
     full = _full_mask(n)
-    packings = _iter_packings(masks, size, firsts)
+    packings = _iter_packings(_mask_space(n, mode), size, firsts)
     scanned = 0
     while batch := list(islice(packings, _rows_per_int(n))):
         # a family that leaves no survivors does not disconnect; its row
@@ -168,30 +161,6 @@ def _kappa_chunk(args: tuple[int, str, int, Sequence[int]]) -> tuple[tuple[int, 
             return batch[row][0], scanned + row + 1
         scanned += len(batch)
     return None, scanned
-
-
-def _diameter_chunk(
-    args: tuple[int, str, int, Sequence[int], bool],
-) -> tuple[int, tuple[int, ...] | None, int, int]:
-    """Max survivor diameter over one chunk; ties keep the earliest family."""
-    n, mode_label, size, firsts, budget_safe = args
-    mode = FaultMode.from_label(mode_label)
-    elems = _element_space(n, mode)
-    masks = _mask_space(n, mode)
-    full = _full_mask(n)
-    best = -1
-    best_idx: tuple[int, ...] | None = None
-    scanned = 0
-    skipped = 0
-    for idx, acc in _iter_packings(masks, size, firsts):
-        scanned += 1
-        family = (elems[i] for i in idx)
-        d = _survivor_diameter(n, full & ~acc, budget_safe, mode_label, family)
-        if d is None:
-            skipped += 1
-        elif d > best:
-            best, best_idx = d, idx
-    return best, best_idx, scanned, skipped
 
 
 def _survivor_diameter(
@@ -211,36 +180,10 @@ def _survivor_diameter(
     return d
 
 
-def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    if jobs <= 1 or total <= 1:
-        return [(0, total)]
-    parts = min(total, jobs * _MAX_CHUNKS_PER_JOB)
-    step = -(-total // parts)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _first_chunks(n: int, mode: FaultMode, jobs: int) -> list[Sequence[int]]:
-    """The allowed first element indices of a scan, split into chunks:
-    the elements containing vertex 0 (bit 0 of their vertex mask)."""
-    firsts = tuple(i for i, m in enumerate(_mask_space(n, mode)) if m & 1)
-    return [firsts[lo:hi] for lo, hi in _chunk_ranges(len(firsts), jobs)]
-
-
-@contextmanager
-def _chunk_runner(jobs: int, chunks: int):
-    """Yield run(worker, argses), returning the results in order.
-
-    Work runs on one process pool of min(jobs, cpu count, chunks)
-    workers that serves the whole oracle call, or inline when that is
-    a single worker.  The chunk split is the caller's, made from `jobs`
-    alone, so results never depend on the machine.
-    """
-    workers = min(jobs, os.cpu_count() or 1, chunks)
-    if workers <= 1:
-        yield lambda worker, argses: [worker(a) for a in argses]
-        return
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        yield lambda worker, argses: list(ex.map(worker, argses))
+def _first_indices(n: int, mode: FaultMode) -> tuple[int, ...]:
+    """The allowed first element indices of a scan: the elements
+    containing vertex 0 (bit 0 of their vertex mask)."""
+    return tuple(i for i, m in enumerate(_mask_space(n, mode)) if m & 1)
 
 
 def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
@@ -253,37 +196,26 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
 
     Only families whose first element contains vertex 0 are walked; by
     translation symmetry that gives the kappa and witness of a scan
-    over every family (see the module docstring).  kappa and the
-    witness do not depend on `jobs`; families_scanned counts work
-    actually done, so with several workers it can exceed the single-job
-    count (each chunk stops at its own first hit).
+    over every family (see the module docstring).  `jobs` is accepted
+    and ignored.
     """
     mode.kappa(n)  # validates the (n, mode) pairing
     if n > _CONNECTIVITY_MAX_N:
         raise ResourceLimitError(
             f"exhaustive connectivity is supported for n <= {_CONNECTIVITY_MAX_N}, got n={n}"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     canon = mode.canonical
-    elems = _element_space(n, canon)
-    chunks = _first_chunks(n, canon, jobs)
+    firsts = _first_indices(n, canon)
     total_scanned = 0
-    with _chunk_runner(jobs, len(chunks)) as run:
-        for size in range(1, (1 << n) + 1):
-            results = run(_kappa_chunk, [(n, canon.label, size, c) for c in chunks])
-            size_scanned = 0
-            witness_idx = None
-            for idx, scanned in results:
-                size_scanned += scanned
-                if idx is not None and witness_idx is None:
-                    witness_idx = idx
-            total_scanned += size_scanned
-            if witness_idx is not None:
-                witness = FaultFamily(tuple(elems[i] for i in witness_idx), mode, n)
-                return ConnectivityResult(n, mode, size, witness, total_scanned)
-            if size_scanned == 0:
-                break
+    for size in range(1, (1 << n) + 1):
+        witness_idx, scanned = _kappa_scan(n, canon, size, firsts)
+        total_scanned += scanned
+        if witness_idx is not None:
+            elems = _element_space(n, canon)
+            witness = FaultFamily(tuple(elems[i] for i in witness_idx), mode, n)
+            return ConnectivityResult(n, mode, size, witness, total_scanned)
+        if scanned == 0:
+            break
     raise InvariantViolation(
         f"no disconnecting family of any size exists in Q_{n} under mode {mode.label}"
     )
@@ -318,13 +250,11 @@ def fault_diameter_bruteforce(
     contains vertex 0; by translation symmetry the value and witness
     are those of a scan over every family (see the module docstring),
     and families_scanned and disconnected_skipped count the families
-    walked.
+    walked.  `jobs` is accepted and ignored.
     """
     kappa = mode.kappa(n)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if search is None:
         search = SearchSpec.exhaustive()
     budget_safe = budget <= kappa - 1
@@ -333,22 +263,23 @@ def fault_diameter_bruteforce(
     _check_exhaustive_feasible(n, budget)
     canon = mode.canonical
     elems = _element_space(n, canon)
-    chunks = _first_chunks(n, canon, jobs)
+    masks = _mask_space(n, canon)
+    firsts = _first_indices(n, canon)
+    full = _full_mask(n)
     best = -1
     best_idx: tuple[int, ...] | None = None
     scanned = 0
     skipped = 0
-    with _chunk_runner(jobs, len(chunks) if budget else 1) as run:
-        for size in range(budget + 1):
-            # the empty family has no first element: one chunk yields it
-            argses = [
-                (n, canon.label, size, c, budget_safe) for c in (chunks if size else chunks[:1])
-            ]
-            for value, idx, chunk_scanned, chunk_skipped in run(_diameter_chunk, argses):
-                scanned += chunk_scanned
-                skipped += chunk_skipped
-                if idx is not None and value > best:
-                    best, best_idx = value, idx
+    # sizes ascending, families in canonical order: ties keep the earliest
+    for size in range(budget + 1):
+        for idx, acc in _iter_packings(masks, size, firsts):
+            scanned += 1
+            family = (elems[i] for i in idx)
+            d = _survivor_diameter(n, full & ~acc, budget_safe, canon.label, family)
+            if d is None:
+                skipped += 1
+            elif d > best:
+                best, best_idx = d, idx
     if best_idx is None:
         raise InvariantViolation(
             f"every family within budget {budget} disconnected Q_{n}; "

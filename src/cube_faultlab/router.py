@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .core import Path, Vertex
 from .errors import InvariantViolation
-from .faults import FaultFamily, FaultMode, require_valid
+from .faults import FaultFamily, FaultMode, _half_faults, require_valid
 from .metrics import _bfs_parents
 
 _BFS_BASE_DIM = 4
@@ -142,22 +142,6 @@ def _bfs_route(
         out.append(parent[out[-1]])
     out.reverse()
     return out
-
-
-def _half_faults(
-    faults: list[tuple[int, int]], p: int, side: int
-) -> list[tuple[int, int]]:
-    """Elements meeting the half with bit p == side, straddlers projected."""
-    bit = 1 << p
-    half = bit if side else 0
-    keep = []
-    for fr, ba in faults:
-        if fr & bit:
-            keep.append((fr ^ bit, ba | half))
-        elif ba & bit == half:
-            keep.append((fr, ba))
-    keep.sort()
-    return keep
 
 
 def _safe_crossing(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cube_faultlab import claim_ids, claims, verify_claims
+from cube_faultlab import FaultMode, claim_ids, claims, connectivity_bruteforce, verify_claims
 
 CATALOG_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_reference.json"
 
@@ -78,20 +78,19 @@ def test_substructure_shares_the_subcube_1_scan(monkeypatch):
     assert len(calls) == 2
 
 
-def test_jobs_reach_the_scans(monkeypatch):
-    seen = []
-    scan = claims.connectivity_bruteforce
+def test_jobs_keyword_is_accepted_and_ignored():
+    """Scans run in-process; the public jobs= keyword changes nothing,
+    families_scanned included."""
 
-    def recorded(*args, **kwargs):
-        seen.append(kwargs.get("jobs"))
-        return scan(*args, **kwargs)
+    def records(jobs):
+        out = [r.to_record() for r in verify_claims(["lem2.3(n=4)", "thm3.7(n=4)"], jobs=jobs)]
+        for rec in out:
+            del rec["seconds"]
+        return out
 
-    claims._kappa.cache_clear()
-    claims._fd.cache_clear()
-    monkeypatch.setattr(claims, "connectivity_bruteforce", recorded)
-    result, = verify_claims(["lem2.3(n=4)"], jobs=3)
-    assert result.status == "pass"
-    assert seen == [3, 3]  # structure:1 and substructure (as subcube:1)
+    assert records(2) == records(1)
+    mode = FaultMode.structure(1)
+    assert connectivity_bruteforce(4, mode, jobs=2) == connectivity_bruteforce(4, mode, jobs=1)
 
 
 def test_frozen_catalog_slice():

@@ -105,7 +105,7 @@ class TestOracleCommands:
         code, out, _ = run(
             capsys,
             "connectivity", "--n", "5", "--mode", "substructure",
-            "--format", "json", "--jobs", "1",
+            "--format", "json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -117,7 +117,7 @@ class TestOracleCommands:
         code, out, _ = run(
             capsys,
             "fault-diameter", "--n", "4", "--mode", "structure", "--m", "0",
-            "--budget", "3", "--format", "json", "--jobs", "1",
+            "--budget", "3", "--format", "json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -153,7 +153,7 @@ class TestOracleCommands:
         code, _, err = run(
             capsys,
             "fault-diameter", "--n", "5", "--mode", "structure", "--m", "1",
-            "--sampled", "--draws", "3", "--budget", "40", "--jobs", "1",
+            "--sampled", "--draws", "3", "--budget", "40",
         )
         assert code == 3
         assert "lower the size" in err
@@ -326,16 +326,12 @@ class TestPlumbing:
         assert out == ""
         assert json.loads(target.read_text())["patterns"] == ["*010", "*100"]
 
-    def test_env_var_overrides_jobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBE_FAULTLAB_JOBS", "not-a-number")
-        code, _, err = run(capsys, "enumerate", "--n", "3", "--mode", "structure:1", "--size", "0")
-        assert code == 2
-        assert "CUBE_FAULTLAB_JOBS" in err
-
-    def test_env_var_zero_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBE_FAULTLAB_JOBS", "0")
-        code, _, err = run(capsys, "enumerate", "--n", "3", "--mode", "structure:1", "--size", "0")
-        assert code == 2
+    def test_jobs_flag_is_gone(self, capsys):
+        # every command runs in-process; --jobs is an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--claims", "thm3.3", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_bad_subcommand_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,6 @@ from cube_faultlab import (
     SearchSpec,
     adversarial_q1_family,
     adversarial_subcube_family,
-    classify_along,
     element_space_size,
     enumerate_families,
     enumerate_subcubes,
@@ -134,14 +133,11 @@ class TestSplitClassification:
         fam = FaultFamily.from_patterns(
             ["0*1", "11*", "010"], FaultMode.subcube(1), 3
         )
-        cls = classify_along(fam, 3)
-        assert [s.pattern for s in cls.in_zero] == ["010"]
-        assert [s.pattern for s in cls.in_one] == ["0*1"]
-        assert [s.pattern for s in cls.straddling] == ["11*"]
-        cls1 = classify_along(fam, 1)
-        assert [s.pattern for s in cls1.in_zero] == ["010", "0*1"]
-        assert [s.pattern for s in cls1.in_one] == ["11*"]
-        assert cls1.straddling == ()
+        # 11* straddles x_3, so both halves keep its face 11
+        assert restrict_along(fam, 3, 0).patterns() == ["01", "11"]
+        assert restrict_along(fam, 3, 1).patterns() == ["11", "0*"]
+        assert restrict_along(fam, 1, 0).patterns() == ["10", "*1"]
+        assert restrict_along(fam, 1, 1).patterns() == ["1*"]
 
     def test_restriction_drops_the_split_coordinate(self):
         fam = adversarial_subcube_family(5, 2)
@@ -402,11 +398,9 @@ def test_classification_is_a_partition(n, data):
     size = data.draw(st.integers(min_value=0, max_value=n - 1))
     fam = sample_families(n, mode, size, 1, seed=seed)[0]
     d = data.draw(st.integers(min_value=1, max_value=n))
-    cls = classify_along(fam, d)
-    rebuilt = sorted(
-        cls.in_zero + cls.in_one + cls.straddling,
-        key=lambda s: (s.free_mask, s.base),
-    )
-    assert tuple(rebuilt) == fam.elements
-    for s in cls.straddling:
-        assert s.free_mask & (1 << (n - d))
+    # an element free in x_d shows up in both halves, any other element
+    # in exactly the half its x_d matches; each half drops x_d
+    for h in (0, 1):
+        want = [s.pattern for s in fam.elements if s.pattern[d - 1] in ("*", str(h))]
+        got = restrict_along(fam, d, h).patterns()
+        assert sorted(got) == sorted(p[: d - 1] + p[d:] for p in want)

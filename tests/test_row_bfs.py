@@ -1,7 +1,7 @@
 """The row-packed bitset BFS against plain one-BFS-at-a-time references.
 
 metrics._diameter_mask runs many BFS sources per big integer, and
-oracle._kappa_chunk checks a batch of candidate families per BFS.  Both
+oracle._kappa_scan checks a batch of candidate families per BFS.  Both
 must give exactly what a per-source diameter scan and a per-family
 connectivity scan give: the same diameters and None cases, the same
 witness indices and the same families-scanned counts.  The references
@@ -19,7 +19,7 @@ import pytest
 from cube_faultlab import FaultMode, sample_families
 from cube_faultlab import metrics
 from cube_faultlab.faults import _mask_space, fault_bits
-from cube_faultlab.oracle import _chunk_ranges, _iter_packings, _kappa_chunk
+from cube_faultlab.oracle import _first_indices, _iter_packings, _kappa_scan
 
 
 @lru_cache(maxsize=None)
@@ -62,12 +62,12 @@ def ref_connected(n: int, allowed: int) -> bool:
     return ref_bfs(n, allowed, low)[0] == allowed
 
 
-def ref_kappa_chunk(n: int, label: str, size: int, lo: int, hi: int):
+def ref_kappa_scan(n: int, label: str, size: int, firsts):
     """(witness indices, families scanned), one family at a time."""
     masks = _mask_space(n, FaultMode.from_label(label))
     full = (1 << (1 << n)) - 1
     scanned = 0
-    for idx, acc in _iter_packings(masks, size, range(lo, hi)):
+    for idx, acc in _iter_packings(masks, size, firsts):
         scanned += 1
         surv = full & ~acc
         if surv and not ref_connected(n, surv):
@@ -75,10 +75,10 @@ def ref_kappa_chunk(n: int, label: str, size: int, lo: int, hi: int):
     return None, scanned
 
 
-def packings(n: int, label: str, size: int, lo: int, hi: int) -> list[int]:
-    """Union bitset of every family in the chunk."""
+def packings(n: int, label: str, size: int, firsts) -> list[int]:
+    """Union bitset of every family whose first index is in `firsts`."""
     masks = _mask_space(n, FaultMode.from_label(label))
-    return [acc for _, acc in _iter_packings(masks, size, range(lo, hi))]
+    return [acc for _, acc in _iter_packings(masks, size, firsts)]
 
 
 def modes(n: int):
@@ -159,15 +159,17 @@ def test_diameter_when_the_lowest_survivor_is_past_block_zero(n):
 # connectivity batches
 
 
-def chunk_cases(n: int, label: str):
-    """(size, lo, hi) for every size up to the first disconnecting one,
-    over the single-job range and the two-job chunk split."""
-    count = len(_mask_space(n, FaultMode.from_label(label)))
-    ranges = [(0, count)] + _chunk_ranges(count, 2)
+def scan_cases(n: int, label: str):
+    """(size, firsts) for every size up to the first disconnecting one,
+    over the full index range and the base-0 first indices that
+    connectivity_bruteforce passes."""
+    mode = FaultMode.from_label(label)
+    count = len(_mask_space(n, mode))
+    firstses = [range(count), _first_indices(n, mode)]
     for size in range(1, (1 << n) + 1):
-        for lo, hi in ranges:
-            yield size, lo, hi
-        if ref_kappa_chunk(n, label, size, 0, count)[0] is not None:
+        for firsts in firstses:
+            yield size, firsts
+        if ref_kappa_scan(n, label, size, range(count))[0] is not None:
             return
 
 
@@ -175,17 +177,19 @@ def chunk_cases(n: int, label: str):
     "n,label", [(n, mode.label) for n in (2, 3, 4) for mode in modes(n)]
 )
 def test_kappa_chunk_matches_the_per_family_scan(n, label):
-    for size, lo, hi in chunk_cases(n, label):
-        want = ref_kappa_chunk(n, label, size, lo, hi)
-        assert _kappa_chunk((n, label, size, range(lo, hi))) == want, (size, lo, hi)
+    mode = FaultMode.from_label(label)
+    for size, firsts in scan_cases(n, label):
+        want = ref_kappa_scan(n, label, size, firsts)
+        assert _kappa_scan(n, mode, size, firsts) == want, (size, firsts)
 
 
 @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
 def test_kappa_chunk_matches_the_per_family_scan_at_n5(label):
-    count = len(_mask_space(5, FaultMode.from_label(label)))
+    mode = FaultMode.from_label(label)
+    count = len(_mask_space(5, mode))
     for size in range(1, 5):
-        hit, scanned = ref_kappa_chunk(5, label, size, 0, count)
-        assert _kappa_chunk((5, label, size, range(count))) == (hit, scanned)
+        hit, scanned = ref_kappa_scan(5, label, size, range(count))
+        assert _kappa_scan(5, mode, size, range(count)) == (hit, scanned)
         if hit is not None:
             break
     assert hit is not None
@@ -195,16 +199,18 @@ def test_kappa_chunk_matches_the_per_family_scan_at_n5(label):
 def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
     """Shrink the batches so the hit lands in every row position, in the
     last row of a full batch and in a short final batch."""
-    count = len(_mask_space(n, FaultMode.from_label(label)))
-    lo = ref_kappa_chunk(n, label, size, 0, count)[0][0]
-    # the chunk of families whose first element is the witness's
-    hit, scanned = ref_kappa_chunk(n, label, size, lo, lo + 1)
-    total = len(packings(n, label, size, lo, lo + 1))
+    mode = FaultMode.from_label(label)
+    count = len(_mask_space(n, mode))
+    lo = ref_kappa_scan(n, label, size, range(count))[0][0]
+    # the families whose first element is the witness's
+    firsts = range(lo, lo + 1)
+    hit, scanned = ref_kappa_scan(n, label, size, firsts)
+    total = len(packings(n, label, size, firsts))
     assert hit is not None
     last_row = short_final = False
     for rows in range(1, total + 2):
         monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
-        assert _kappa_chunk((n, label, size, range(lo, lo + 1))) == (hit, scanned), rows
+        assert _kappa_scan(n, mode, size, firsts) == (hit, scanned), rows
         batch_end = -(-scanned // rows) * rows
         last_row |= batch_end == scanned
         short_final |= batch_end > total
@@ -215,11 +221,12 @@ def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
 def test_kappa_chunk_on_every_size(n, label):
     """Past kappa too, where some families remove every vertex: those
     never count as disconnecting, also when they share a batch with a hit."""
-    count = len(_mask_space(n, FaultMode.from_label(label)))
+    mode = FaultMode.from_label(label)
+    everything = range(len(_mask_space(n, mode)))
     full = (1 << (1 << n)) - 1
     emptied = 0
     for size in range(1, (1 << n) + 1):
-        want = ref_kappa_chunk(n, label, size, 0, count)
-        assert _kappa_chunk((n, label, size, range(count))) == want, size
-        emptied += packings(n, label, size, 0, count).count(full)
+        want = ref_kappa_scan(n, label, size, everything)
+        assert _kappa_scan(n, mode, size, everything) == want, size
+        emptied += packings(n, label, size, everything).count(full)
     assert emptied
