@@ -78,6 +78,24 @@ def test_substructure_shares_the_subcube_1_scan(monkeypatch):
     assert len(calls) == 2
 
 
+def test_jobs_reach_the_scans(monkeypatch):
+    """verify_claims(jobs=3) reaches both scans of lem2.3, which run
+    in-process: the claims call them without a jobs argument."""
+    seen = []
+    scan = claims.connectivity_bruteforce
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs.get("jobs"))
+        return scan(*args, **kwargs)
+
+    claims._kappa.cache_clear()
+    claims._fd.cache_clear()
+    monkeypatch.setattr(claims, "connectivity_bruteforce", recorded)
+    result, = verify_claims(["lem2.3(n=4)"], jobs=3)
+    assert result.status == "pass"
+    assert seen == [None, None]  # structure:1 and substructure (as subcube:1)
+
+
 def test_jobs_keyword_is_accepted_and_ignored():
     """Scans run in-process; the public jobs= keyword changes nothing,
     families_scanned included."""

@@ -93,6 +93,11 @@ class TestConnectivity:
         res = connectivity_bruteforce(4, FaultMode.structure(1))
         assert not is_connected(SurvivalGraph.from_family(res.witness))
 
+    def test_jobs_do_not_change_the_answer(self):
+        a = connectivity_bruteforce(4, FaultMode.structure(1), jobs=1)
+        b = connectivity_bruteforce(4, FaultMode.structure(1), jobs=2)
+        assert (a.kappa, a.witness) == (b.kappa, b.witness)
+
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError):
             connectivity_bruteforce(9, FaultMode.structure(1))
@@ -142,6 +147,11 @@ class TestFaultDiameterExhaustive:
         assert res.value == 3
         assert res.disconnected_skipped == 3
         assert res.families_scanned == 19
+
+    def test_jobs_do_not_change_the_answer(self):
+        a = fault_diameter_bruteforce(4, FaultMode.subcube(2), 1, jobs=1)
+        b = fault_diameter_bruteforce(4, FaultMode.subcube(2), 1, jobs=2)
+        assert a == b
 
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError):
