@@ -7,9 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from cube_faultlab import FaultMode, claim_ids, claims, connectivity_bruteforce, verify_claims
+from cube_faultlab import FaultMode, Vertex, claim_ids, claims, connectivity_bruteforce, verify_claims
+from cube_faultlab.cli import main
 
 CATALOG_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_reference.json"
+VERIFY_ALL = Path(__file__).resolve().parent / "data" / "verify_all.json"
+
+
+def without_seconds(obj):
+    if isinstance(obj, dict):
+        return {k: without_seconds(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [without_seconds(v) for v in obj]
+    return obj
 
 
 def test_catalog_is_nonempty_and_ordered():
@@ -143,3 +153,36 @@ def test_claims_outside_the_frozen_slice():
     got = [(r.claim_id, r.computed, list(r.witness)) for r in results]
     assert got == want
     assert all(r.passed for r in results)
+
+
+def test_verify_all_matches_the_golden_records(capsys):
+    """`verify --claims all --format json` without its `seconds` fields:
+    every claim's params, statement, expected value, verdict and witness,
+    byte for byte."""
+    assert main(["verify", "--claims", "all", "--format", "json"]) == 0
+    payload = without_seconds(json.loads(capsys.readouterr().out))
+    got = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert got == VERIFY_ALL.read_text()
+
+
+def test_common_neighbor_checks_report_each_failure(monkeypatch):
+    """With common_neighbors broken (it returns the antipode alone), the
+    exhaustive and randomized instances count one violation per vertex
+    pair (lem2.5) and per subcube or sampled case (cor2.6), and name the
+    first failing case."""
+    monkeypatch.setattr(
+        claims, "common_neighbors", lambda u, v: {Vertex(u.bits ^ ((1 << u.dim) - 1), u.dim)}
+    )
+    want = [
+        ("lem2.5(n=3)", "28 violations", ["000", "001"]),
+        ("lem2.5(n=4)", "120 violations", ["0000", "0001"]),
+        ("lem2.5(n=5)", "496 violations", ["00000", "00001"]),
+        ("lem2.5(n=6)", "9870 violations", ["011110", "101000"]),
+        ("cor2.6(n=3)", "18 violations", ["00*", "000", "001"]),
+        ("cor2.6(n=4)", "64 violations", ["000*", "0000", "0001"]),
+        ("cor2.6(n=5)", "8009 violations", ["*001*", "00010", "10011"]),
+        ("cor2.6(n=6)", "8334 violations", ["**0**0", "010000", "100100"]),
+    ]
+    results = verify_claims([claim for claim, _, _ in want])
+    assert [(r.claim_id, r.computed, list(r.witness)) for r in results] == want
+    assert all(r.status == "fail" for r in results)

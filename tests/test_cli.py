@@ -341,3 +341,60 @@ class TestPlumbing:
     def test_bad_mode_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "4", "--mode", "edgy")
         assert code == 2
+
+
+class TestPinnedOutput:
+    """Table and CSV output of one request per single-row command, byte
+    for byte; the CSV writer ends rows with CRLF."""
+
+    CASES = [
+        (
+            ("connectivity", "--n", "4", "--mode", "structure:1"),
+            "n  mode         kappa  witness         families_scanned\n"
+            "-  -----------  -----  --------------  ----------------\n"
+            "4  structure:1  3      000*,011*,101*  109\n",
+            "n,mode,kappa,witness,families_scanned\r\n"
+            '4,structure:1,3,"000*,011*,101*",109\r\n',
+        ),
+        (
+            ("fault-diameter", "--n", "4", "--mode", "structure:1", "--budget", "2"),
+            "n  mode         budget  search      value  witness\n"
+            "-  -----------  ------  ----------  -----  ---------\n"
+            "4  structure:1  2       exhaustive  5      000*,011*\n",
+            "n,mode,budget,search,value,witness\r\n"
+            '4,structure:1,2,exhaustive,5,"000*,011*"\r\n',
+        ),
+        (
+            ("enumerate", "--n", "4", "--mode", "structure:1", "--size", "2"),
+            "n  mode         size  element_space  families\n"
+            "-  -----------  ----  -------------  --------\n"
+            "4  structure:1  2     32             400\n",
+            "n,mode,size,element_space,families\r\n"
+            "4,structure:1,2,32,400\r\n",
+        ),
+        (
+            ("diameter", "--n", "3", "--faults", "0*1,110"),
+            "n  mode          faults   survivors  diameter\n"
+            "-  ------------  -------  ---------  --------\n"
+            "3  substructure  110,0*1  5          4\n",
+            "n,mode,faults,survivors,diameter\r\n"
+            '3,substructure,"110,0*1",5,4\r\n',
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, table, rows", CASES, ids=[c[0][0] for c in CASES])
+    def test_table_and_csv(self, capsys, argv, table, rows):
+        assert run(capsys, *argv) == (0, table, "")
+        assert run(capsys, *argv, "--format", "csv") == (0, rows, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("connectivity", "--n", "4"),
+            ("fault-diameter", "--n", "4"),
+            ("enumerate", "--n", "4", "--size", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_mode_is_a_usage_error(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", f"error: {argv[0]} needs --mode\n")
