@@ -23,22 +23,17 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (
-    Subcube,
-    Vertex,
-    common_neighbors,
-    enumerate_subcubes,
-    hamming,
-    subcube_vertices,
-)
+from .core import Subcube, Vertex, common_neighbors, enumerate_subcubes, hamming
 from .errors import InvariantViolation
 from .faults import (
+    FaultFamily,
     FaultMode,
     adversarial_q1_family,
     adversarial_subcube_family,
     enumerate_families,
+    fault_bits,
     restrict_along,
     sample_families,
     validate_family,
@@ -71,7 +66,6 @@ def _fd(n: int, mode: FaultMode, budget: int):
 @dataclass
 class Claim:
     claim_id: str
-    max_n: int
     params: dict
     statement: str
     expected: str
@@ -114,16 +108,21 @@ class ClaimResult:
 # individual checks
 
 
-def _check_two_modes(
-    n: int, expected: int, label_a: str, label_b: str, name_a: str, name_b: str
+def _check_two_scans(
+    n: int, expected: int, labels: tuple[str, str], names: tuple[str, str],
+    budget: int | None = None,
 ):
-    ra = _kappa(n, _canonical(label_a))
-    rb = _kappa(n, _canonical(label_b))
-    ok = ra.kappa == expected and rb.kappa == expected
-    computed = (
-        str(ra.kappa) if ra.kappa == rb.kappa else f"{name_a}={ra.kappa}, {name_b}={rb.kappa}"
-    )
-    return computed, ok, ra.witness.patterns()
+    """The connectivity scans of Q_n under two modes, or with a budget
+    their fault-diameter scans, agree and equal `expected`.  The witness
+    is the first mode's."""
+    if budget is None:
+        ra, rb = (_kappa(n, _canonical(label)) for label in labels)
+        a, b = ra.kappa, rb.kappa
+    else:
+        ra, rb = (_fd(n, _canonical(label), budget) for label in labels)
+        a, b = ra.value, rb.value
+    computed = str(a) if a == b else f"{names[0]}={a}, {names[1]}={b}"
+    return computed, a == b == expected, ra.witness.patterns()
 
 
 def _check_fd(n: int, mode_label: str, budget: int, expected: int, at_most: bool = False):
@@ -132,93 +131,59 @@ def _check_fd(n: int, mode_label: str, budget: int, expected: int, at_most: bool
     return str(r.value), ok, r.witness.patterns()
 
 
-def _check_fd_pair(n: int, budget: int, expected: int):
-    rs = _fd(n, _canonical("structure:1"), budget)
-    rb = _fd(n, _canonical("substructure"), budget)
-    ok = rs.value == expected and rb.value == expected
-    computed = (
-        str(rs.value)
-        if rs.value == rb.value
-        else f"structure={rs.value}, substructure={rb.value}"
-    )
-    return computed, ok, rb.witness.patterns()
-
-
-def _check_common_neighbors_exhaustive(n: int):
+def _check_common_neighbors(n: int, pairs: Iterable[tuple[int, int]]):
+    """Distinct vertices have 2 common neighbors at Hamming distance 2
+    and none otherwise; one violation per failing pair of labels."""
     bad = 0
     witness: list[str] = []
-    for ub in range(1 << n):
-        u = Vertex(ub, n)
-        for vb in range(ub + 1, 1 << n):
-            v = Vertex(vb, n)
-            got = len(common_neighbors(u, v))
-            want = 2 if hamming(u, v) == 2 else 0
-            if got != want:
-                bad += 1
-                if not witness:
-                    witness = [u.pattern, v.pattern]
-    return f"{bad} violations", bad == 0, witness
-
-
-def _check_common_neighbors_random(n: int, seed: int):
-    rng = random.Random(seed)
-    bad = 0
-    witness: list[str] = []
-    for _ in range(RANDOM_CASES):
-        ub = rng.randrange(1 << n)
-        vb = rng.randrange(1 << n)
-        if ub == vb:
-            continue
+    for ub, vb in pairs:
         u, v = Vertex(ub, n), Vertex(vb, n)
-        got = len(common_neighbors(u, v))
         want = 2 if hamming(u, v) == 2 else 0
-        if got != want:
+        if len(common_neighbors(u, v)) != want:
             bad += 1
-            if not witness:
-                witness = [u.pattern, v.pattern]
+            witness = witness or [u.pattern, v.pattern]
     return f"{bad} violations", bad == 0, witness
 
 
-def _subcube_closed_under_common_neighbors(s: Subcube) -> tuple[bool, list[str]]:
-    verts = sorted(subcube_vertices(s), key=lambda x: x.bits)
-    inside = set(verts)
-    for u, v in combinations(verts, 2):
-        if not common_neighbors(u, v) <= inside:
-            return False, [s.pattern, u.pattern, v.pattern]
-    return True, []
+def _random_pairs(n: int, seed: int) -> Iterator[tuple[int, int]]:
+    """RANDOM_CASES seeded draws of two labels; equal draws are dropped."""
+    rng = random.Random(seed)
+    for _ in range(RANDOM_CASES):
+        ub, vb = rng.randrange(1 << n), rng.randrange(1 << n)
+        if ub != vb:
+            yield ub, vb
 
 
-def _check_subcube_closure_exhaustive(n: int):
+def _check_subcube_closure(n: int, cases: Iterable[tuple[Subcube, Iterable[tuple[int, int]]]]):
+    """Common neighbors of two vertices of a subcube lie in the subcube.
+    A case is a subcube and vertex pairs in it; one violation per
+    failing case, witnessed by its first failing pair."""
     bad = 0
     witness: list[str] = []
+    for s, pairs in cases:
+        for ub, vb in pairs:
+            u, v = Vertex(ub, n), Vertex(vb, n)
+            if not all(s.contains(w) for w in common_neighbors(u, v)):
+                bad += 1
+                witness = witness or [s.pattern, u.pattern, v.pattern]
+                break
+    return f"{bad} violations", bad == 0, witness
+
+
+def _every_subcube(n: int) -> Iterator[tuple[Subcube, Iterable[tuple[int, int]]]]:
+    """Every subcube of dimension >= 1 with every pair of its vertices."""
     for k in range(1, n + 1):
         for s in enumerate_subcubes(n, k):
-            ok, w = _subcube_closed_under_common_neighbors(s)
-            if not ok:
-                bad += 1
-                witness = witness or w
-    return f"{bad} violations", bad == 0, witness
+            yield s, combinations(s.vertex_bits(), 2)
 
 
-def _check_subcube_closure_random(n: int, seed: int):
+def _random_subcubes(n: int, seed: int) -> Iterator[tuple[Subcube, Iterable[tuple[int, int]]]]:
+    """RANDOM_CASES seeded subcubes of dimension >= 1, one vertex pair each."""
     rng = random.Random(seed)
-    bad = 0
-    witness: list[str] = []
-    size = 1 << n
     for _ in range(RANDOM_CASES):
-        k = rng.randint(1, n)
-        free = 0
-        for p in rng.sample(range(n), k):
-            free |= 1 << p
-        base = rng.randrange(size) & ~free
-        s = Subcube(free, base, n)
-        vs = sorted(s.vertex_bits())
-        ub, vb = rng.sample(vs, 2)
-        u, v = Vertex(ub, n), Vertex(vb, n)
-        if not all(s.contains(w) for w in common_neighbors(u, v)):
-            bad += 1
-            witness = witness or [s.pattern, u.pattern, v.pattern]
-    return f"{bad} violations", bad == 0, witness
+        free = sum(1 << p for p in rng.sample(range(n), rng.randint(1, n)))
+        s = Subcube(free, rng.randrange(1 << n) & ~free, n)
+        yield s, [rng.sample(list(s.vertex_bits()), 2)]
 
 
 def _check_connected_removal_diameter(n: int):
@@ -257,7 +222,7 @@ def _check_small_removal_diameter(n: int):
     return computed, lo == hi == n, witness
 
 
-def _check_crossing_dimension_random(n: int, seed: int):
+def _check_crossing_dimension(n: int, seed: int):
     """Symmetric pairs keep a safe crossing coordinate under n-1 small faults."""
     rng = random.Random(seed)
     mode = FaultMode.subcube(n - 3)
@@ -268,7 +233,7 @@ def _check_crossing_dimension_random(n: int, seed: int):
     while cases < RANDOM_CASES:
         size = rng.randint(0, n - 1)
         fam = sample_families(n, mode, size, 1, rng.randrange(1 << 30))[0]
-        removed = {b for s in fam.elements for b in s.vertex_bits()}
+        removed = fault_bits(fam)
         ub = rng.randrange(1 << n)
         if ub in removed or (ub ^ full) in removed:
             continue
@@ -282,61 +247,63 @@ def _check_crossing_dimension_random(n: int, seed: int):
     return f"{bad} violations", bad == 0, witness
 
 
+def _extremal_graphs(fam: FaultFamily, size: int):
+    """Checks both extremal families share: the family is valid with
+    `size` elements, cuts the x_n = 0 half and leaves the whole cube
+    connected.  Returns (failure or None, half graph, whole graph)."""
+    if validate_family(fam) is not None or fam.size != size:
+        return "invalid family", None, None
+    half = SurvivalGraph.from_family(restrict_along(fam, fam.ambient, 0))
+    if is_connected(half):
+        return "half stays connected", None, None
+    g = SurvivalGraph.from_family(fam)
+    if not is_connected(g):
+        return "whole cube disconnected", None, None
+    return None, half, g
+
+
 def _check_pinned_edge_family(n: int):
     """The n-2 parallel edges disconnect one half but only stretch the cube."""
     fam = adversarial_q1_family(n)
-    witness = fam.patterns()
-    if validate_family(fam) is not None or fam.size != n - 2:
-        return "invalid family", False, witness
-    half = restrict_along(fam, n, 0)
-    gh = SurvivalGraph.from_family(half)
-    if is_connected(gh):
-        return "half stays connected", False, witness
-    comp = component_of(gh, Vertex(0, n - 1))
-    if {x.bits for x in comp} != {0, 1 << (n - 2)}:
-        return "pinned component is not the expected edge", False, witness
-    g = SurvivalGraph.from_family(fam)
-    if not is_connected(g):
-        return "whole cube disconnected", False, witness
+    failure, half, g = _extremal_graphs(fam, n - 2)
+    if failure is None:
+        pinned = {x.bits for x in component_of(half, Vertex(0, n - 1))}
+        if pinned != {0, 1 << (n - 2)}:
+            failure = "pinned component is not the expected edge"
+    if failure is not None:
+        return failure, False, fam.patterns()
     d = diameter(g)
-    return str(d), d == n + 1, witness
+    return str(d), d == n + 1, fam.patterns()
 
 
 def _check_blocking_subcube_family(n: int, m: int):
     """The n-m-1 disjoint m-cubes force an n+1 step route between far corners."""
     fam = adversarial_subcube_family(n, m)
-    witness = fam.patterns()
-    if validate_family(fam) is not None or fam.size != n - m - 1:
-        return "invalid family", False, witness
-    half = restrict_along(fam, n, 0)
-    if is_connected(SurvivalGraph.from_family(half)):
-        return "half stays connected", False, witness
-    g = SurvivalGraph.from_family(fam)
-    if not is_connected(g):
-        return "whole cube disconnected", False, witness
-    x = Vertex(0, n)
-    y = Vertex(((1 << n) - 1) ^ 1, n)
-    d = bfs_distance(g, x, y)
-    return str(d), d is not None and d >= n + 1, witness
+    failure, _, g = _extremal_graphs(fam, n - m - 1)
+    if failure is not None:
+        return failure, False, fam.patterns()
+    d = bfs_distance(g, Vertex(0, n), Vertex(((1 << n) - 1) ^ 1, n))
+    return str(d), d is not None and d >= n + 1, fam.patterns()
 
 
 # ---------------------------------------------------------------------------
 # the registry
 
 
-def _add(reg: dict[str, Claim], claim_id: str, max_n: int, params: dict,
+def _add(reg: dict[str, Claim], claim_id: str, params: dict,
          statement: str, expected: str, run) -> None:
     if claim_id in reg:
         raise ValueError(f"duplicate claim id {claim_id}")
-    reg[claim_id] = Claim(claim_id, max_n, params, statement, expected, run)
+    reg[claim_id] = Claim(claim_id, params, statement, expected, run)
 
 
-def _build_registry() -> dict[str, Claim]:
+@lru_cache(maxsize=1)
+def _registry() -> dict[str, Claim]:
     reg: dict[str, Claim] = {}
 
     for n in (3, 4):
         _add(
-            reg, f"lem2.2(n={n})", n, {"n": n},
+            reg, f"lem2.2(n={n})", {"n": n},
             f"vertex fault diameter of Q_{n} (budget {n - 1}) equals {n + 1}",
             str(n + 1),
             lambda n=n: _check_fd(n, "structure:0", n - 1, n + 1),
@@ -344,56 +311,56 @@ def _build_registry() -> dict[str, Claim]:
 
     for n in (3, 4, 5):
         _add(
-            reg, f"lem2.3(n={n})", n, {"n": n},
+            reg, f"lem2.3(n={n})", {"n": n},
             f"edge-structure and substructure connectivity of Q_{n} equal {n - 1}",
             str(n - 1),
-            lambda n=n: _check_two_modes(
-                n, n - 1, "structure:1", "substructure", "kappa", "kappa^s"
+            lambda n=n: _check_two_scans(
+                n, n - 1, ("structure:1", "substructure"), ("kappa", "kappa^s")
             ),
         )
 
     for n, m in ((3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3)):
         _add(
-            reg, f"lem2.4(n={n},m={m})", n, {"n": n, "m": m},
+            reg, f"lem2.4(n={n},m={m})", {"n": n, "m": m},
             f"Q_{m}-structure and subcube connectivity of Q_{n} equal {n - m}",
             str(n - m),
-            lambda n=n, m=m: _check_two_modes(
-                n, n - m, f"structure:{m}", f"subcube:{m}", "kappa", "kappa^sc"
+            lambda n=n, m=m: _check_two_scans(
+                n, n - m, (f"structure:{m}", f"subcube:{m}"), ("kappa", "kappa^sc")
             ),
         )
 
     for n in (3, 4, 5):
         _add(
-            reg, f"lem2.5(n={n})", n, {"n": n},
+            reg, f"lem2.5(n={n})", {"n": n},
             f"distinct vertices of Q_{n} have 2 common neighbors at Hamming "
             "distance 2 and none otherwise (exhaustive)",
             "0 violations",
-            lambda n=n: _check_common_neighbors_exhaustive(n),
+            lambda n=n: _check_common_neighbors(n, combinations(range(1 << n), 2)),
         )
     _add(
-        reg, "lem2.5(n=6)", 6, {"n": 6},
+        reg, "lem2.5(n=6)", {"n": 6},
         "common-neighbor counts in Q_6 (randomized)",
         "0 violations",
-        lambda: _check_common_neighbors_random(6, _seed("lem2.5(n=6)")),
+        lambda: _check_common_neighbors(6, _random_pairs(6, _seed("lem2.5(n=6)"))),
     )
 
     for n in (3, 4):
         _add(
-            reg, f"cor2.6(n={n})", n, {"n": n},
+            reg, f"cor2.6(n={n})", {"n": n},
             f"subcubes of Q_{n} are closed under common neighbors (exhaustive)",
             "0 violations",
-            lambda n=n: _check_subcube_closure_exhaustive(n),
+            lambda n=n: _check_subcube_closure(n, _every_subcube(n)),
         )
     for n in (5, 6):
         _add(
-            reg, f"cor2.6(n={n})", n, {"n": n},
+            reg, f"cor2.6(n={n})", {"n": n},
             f"subcubes of Q_{n} are closed under common neighbors (randomized)",
             "0 violations",
-            lambda n=n: _check_subcube_closure_random(n, _seed(f"cor2.6(n={n})")),
+            lambda n=n: _check_subcube_closure(n, _random_subcubes(n, _seed(f"cor2.6(n={n})"))),
         )
 
     _add(
-        reg, "lem2.7(n=3)", 3, {"n": 3},
+        reg, "lem2.7(n=3)", {"n": 3},
         "removing fewer than 4 vertices of Q_3 without disconnecting it keeps "
         "the diameter at least 3 (exhaustive)",
         ">= 3",
@@ -402,23 +369,23 @@ def _build_registry() -> dict[str, Claim]:
 
     for n in (5, 6):
         _add(
-            reg, f"lem3.1(n={n})", n, {"n": n},
+            reg, f"lem3.1(n={n})", {"n": n},
             f"symmetric pairs of Q_{n} keep a safe crossing coordinate under "
             f"up to {n - 1} faults of dimension <= {n - 3} (randomized)",
             "0 violations",
-            lambda n=n: _check_crossing_dimension_random(n, _seed(f"lem3.1(n={n})")),
+            lambda n=n: _check_crossing_dimension(n, _seed(f"lem3.1(n={n})")),
         )
 
     for n in (3, 4):
         _add(
-            reg, f"lem3.2(n={n})", n, {"n": n},
+            reg, f"lem3.2(n={n})", {"n": n},
             f"any <= {n - 2} vertex faults leave Q_{n} with diameter exactly {n}",
             str(n),
             lambda n=n: _check_small_removal_diameter(n),
         )
 
     _add(
-        reg, "thm3.3", 3, {"n": 3},
+        reg, "thm3.3", {"n": 3},
         "substructure fault diameter of Q_3 (budget 1) equals 3",
         "3",
         lambda: _check_fd(3, "substructure", 1, 3),
@@ -426,7 +393,7 @@ def _build_registry() -> dict[str, Claim]:
 
     for n in range(4, 9):
         _add(
-            reg, f"lem3.4(n={n})", n, {"n": n},
+            reg, f"lem3.4(n={n})", {"n": n},
             f"the pinned-edge family of Q_{n} disconnects one half and raises "
             f"the diameter to {n + 1}",
             str(n + 1),
@@ -434,7 +401,7 @@ def _build_registry() -> dict[str, Claim]:
         )
 
     _add(
-        reg, "lem3.5(n=4)", 4, {"n": 4},
+        reg, "lem3.5(n=4)", {"n": 4},
         "substructure fault diameter of Q_4 (budget 2) is at most 5",
         "<= 5",
         lambda: _check_fd(4, "substructure", 2, 5, at_most=True),
@@ -442,7 +409,7 @@ def _build_registry() -> dict[str, Claim]:
 
     for n, expected in ((4, 5), (5, 6)):
         _add(
-            reg, f"lem3.6(n={n})", n, {"n": n},
+            reg, f"lem3.6(n={n})", {"n": n},
             f"substructure fault diameter of Q_{n} (budget {n - 2}) equals {expected}",
             str(expected),
             lambda n=n, expected=expected: _check_fd(n, "substructure", n - 2, expected),
@@ -450,16 +417,18 @@ def _build_registry() -> dict[str, Claim]:
 
     for n in (4, 5):
         _add(
-            reg, f"thm3.7(n={n})", n, {"n": n},
+            reg, f"thm3.7(n={n})", {"n": n},
             f"edge-structure and substructure fault diameters of Q_{n} equal {n + 1}",
             str(n + 1),
-            lambda n=n: _check_fd_pair(n, n - 2, n + 1),
+            lambda n=n: _check_two_scans(
+                n, n + 1, ("structure:1", "substructure"), ("structure", "substructure"), n - 2
+            ),
         )
 
     for m in (1, 2, 3):
         n = m + 2
         _add(
-            reg, f"thm3.20(m={m})", n, {"n": n, "m": m},
+            reg, f"thm3.20(m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under one Q_<= {m} fault equals {n}",
             str(n),
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", 1, n),
@@ -468,7 +437,7 @@ def _build_registry() -> dict[str, Claim]:
     for m in (1, 2):
         n = m + 3
         _add(
-            reg, f"lem3.21(m={m})", n, {"n": n, "m": m},
+            reg, f"lem3.21(m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under <= 2 Q_<= {m} faults is at most {n + 1}",
             f"<= {n + 1}",
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", 2, n + 1, at_most=True),
@@ -476,7 +445,7 @@ def _build_registry() -> dict[str, Claim]:
 
     for n, m in ((4, 1), (5, 1), (5, 2)):
         _add(
-            reg, f"lem3.22(n={n},m={m})", n, {"n": n, "m": m},
+            reg, f"lem3.22(n={n},m={m})", {"n": n, "m": m},
             f"at most {n - m - 2} Q_<= {m} faults keep the diameter of Q_{n} at most {n}",
             f"<= {n}",
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 2, n, at_most=True),
@@ -484,7 +453,7 @@ def _build_registry() -> dict[str, Claim]:
 
     for n, m in ((4, 1), (5, 2)):
         _add(
-            reg, f"lem3.23(n={n},m={m})", n, {"n": n, "m": m},
+            reg, f"lem3.23(n={n},m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under <= {n - m - 1} Q_<= {m} "
             f"faults is at most {n + 1}",
             f"<= {n + 1}",
@@ -493,7 +462,7 @@ def _build_registry() -> dict[str, Claim]:
 
     for n, m in ((4, 1), (5, 1), (5, 2), (6, 2), (6, 3)):
         _add(
-            reg, f"lem3.24(n={n},m={m})", n, {"n": n, "m": m},
+            reg, f"lem3.24(n={n},m={m})", {"n": n, "m": m},
             f"the blocking family of {n - m - 1} Q_{m}'s in Q_{n} disconnects "
             f"one half and forces a route of length >= {n + 1}",
             f">= {n + 1}",
@@ -502,7 +471,7 @@ def _build_registry() -> dict[str, Claim]:
 
     for n, m in ((4, 1), (5, 2)):
         _add(
-            reg, f"thm3.25(n={n},m={m})", n, {"n": n, "m": m},
+            reg, f"thm3.25(n={n},m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} over Q_<= {m} faults equals {n + 1}",
             str(n + 1),
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 1, n + 1),
@@ -517,7 +486,7 @@ def _build_registry() -> dict[str, Claim]:
         (5, 3, 5),
     ):
         _add(
-            reg, f"thm3.26(n={n},m={m})", n, {"n": n, "m": m},
+            reg, f"thm3.26(n={n},m={m})", {"n": n, "m": m},
             f"Q_{m}-structure fault diameter of Q_{n} equals {expected}",
             str(expected),
             lambda n=n, m=m, expected=expected: _check_fd(
@@ -526,11 +495,6 @@ def _build_registry() -> dict[str, Claim]:
         )
 
     return reg
-
-
-@lru_cache(maxsize=1)
-def _registry() -> dict[str, Claim]:
-    return _build_registry()
 
 
 def claim_ids() -> list[str]:
@@ -546,8 +510,8 @@ def verify_claims(
     """Run the claim catalog and report pass/fail per claim.
 
     `claims` selects ids (None means all); `max_n` keeps only claims
-    whose largest ambient dimension is within reach; `jobs` is accepted
-    and ignored.  Unknown ids raise ValueError.
+    whose ambient dimension params["n"] is at most max_n; `jobs` is
+    accepted and ignored.  Unknown ids raise ValueError.
     """
     reg = _registry()
     if claims is None:
@@ -558,7 +522,7 @@ def verify_claims(
             raise ValueError(f"unknown claim ids: {', '.join(missing)}")
         selected = [reg[c] for c in claims]
     if max_n is not None:
-        selected = [c for c in selected if c.max_n <= max_n]
+        selected = [c for c in selected if c.params["n"] <= max_n]
     out = []
     for claim in selected:
         t0 = time.perf_counter()

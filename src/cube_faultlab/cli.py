@@ -92,6 +92,23 @@ def _mode_from_args(mode: str | None, m: int | None) -> FaultMode | None:
     return FaultMode.from_label(f"{mode}:{m}")
 
 
+def _required_mode(args) -> FaultMode:
+    mode = _mode_from_args(args.mode, args.m)
+    if mode is None:
+        raise ValueError(f"{args.command} needs --mode")
+    return mode
+
+
+def _single_row(payload: dict, headers: list[str], footer: list[str] | None = None) -> _Report:
+    """A one-row report whose cells are the payload's values under the
+    header names; a list cell is joined with commas."""
+    row = [
+        ",".join(v) if isinstance(v, list) else str(v)
+        for v in (payload[h] for h in headers)
+    ]
+    return _Report(payload, headers, [row], footer=footer or [])
+
+
 def _infer_mode(dims: list[int]) -> FaultMode:
     """Classify inline patterns: uniform dims are a structure family,
     dims within {0, 1} a substructure, anything else a subcube family."""
@@ -104,7 +121,7 @@ def _infer_mode(dims: list[int]) -> FaultMode:
     return FaultMode.subcube(max(dims))
 
 
-def _parse_faults(spec: str | None, n: int, mode: FaultMode | None) -> FaultFamily:
+def _parse_faults(args) -> FaultFamily:
     """Build the fault family named by --faults.
 
     Accepts `none` (or nothing), `adversary:q1`, `adversary:subcube:<m>`,
@@ -112,6 +129,7 @@ def _parse_faults(spec: str | None, n: int, mode: FaultMode | None) -> FaultFami
     patterns.  An explicit --mode re-tags the family, subject to the
     usual conformity check.
     """
+    spec, n, mode = args.faults, args.n, _mode_from_args(args.mode, args.m)
     if spec is None or spec in ("", "none"):
         family = FaultFamily((), mode or FaultMode.structure(0), n)
     elif spec == "adversary:q1":
@@ -157,7 +175,6 @@ def _cmd_verify(args) -> tuple[_Report, int]:
     results = verify_claims(ids, max_n=args.max_n)
     failed = sum(1 for r in results if not r.passed)
     payload = {
-        "command": "verify",
         "claims": [r.to_record() for r in results],
         "total": len(results),
         "passed": len(results) - failed,
@@ -173,13 +190,10 @@ def _cmd_verify(args) -> tuple[_Report, int]:
 
 
 def _cmd_connectivity(args) -> tuple[_Report, int]:
-    mode = _mode_from_args(args.mode, args.m)
-    if mode is None:
-        raise ValueError("connectivity needs --mode")
+    mode = _required_mode(args)
     t0 = time.perf_counter()
     res = connectivity_bruteforce(args.n, mode)
     payload = {
-        "command": "connectivity",
         "n": args.n,
         "mode": mode.label,
         "kappa": res.kappa,
@@ -187,18 +201,11 @@ def _cmd_connectivity(args) -> tuple[_Report, int]:
         "families_scanned": res.families_scanned,
         "seconds": round(time.perf_counter() - t0, 3),
     }
-    headers = ["n", "mode", "kappa", "witness", "families_scanned"]
-    rows = [[
-        str(args.n), mode.label, str(res.kappa),
-        ",".join(res.witness.patterns()), str(res.families_scanned),
-    ]]
-    return _Report(payload, headers, rows), 0
+    return _single_row(payload, ["n", "mode", "kappa", "witness", "families_scanned"]), 0
 
 
 def _cmd_fault_diameter(args) -> tuple[_Report, int]:
-    mode = _mode_from_args(args.mode, args.m)
-    if mode is None:
-        raise ValueError("fault-diameter needs --mode")
+    mode = _required_mode(args)
     budget = args.budget if args.budget is not None else mode.kappa(args.n) - 1
     if args.sampled:
         search = SearchSpec.sampled(
@@ -212,7 +219,6 @@ def _cmd_fault_diameter(args) -> tuple[_Report, int]:
     t0 = time.perf_counter()
     res = fault_diameter_bruteforce(args.n, mode, budget, search=search)
     payload = {
-        "command": "fault-diameter",
         "n": args.n,
         "mode": mode.label,
         "budget": budget,
@@ -223,21 +229,14 @@ def _cmd_fault_diameter(args) -> tuple[_Report, int]:
         "disconnected_skipped": res.disconnected_skipped,
         "seconds": round(time.perf_counter() - t0, 3),
     }
-    headers = ["n", "mode", "budget", "search", "value", "witness"]
-    rows = [[
-        str(args.n), mode.label, str(budget), res.search.label,
-        str(res.value), ",".join(res.witness.patterns()),
-    ]]
-    return _Report(payload, headers, rows), 0
+    return _single_row(payload, ["n", "mode", "budget", "search", "value", "witness"]), 0
 
 
 def _cmd_diameter(args) -> tuple[_Report, int]:
-    mode = _mode_from_args(args.mode, args.m)
-    family = _parse_faults(args.faults, args.n, mode)
+    family = _parse_faults(args)
     g = SurvivalGraph.from_family(family)
     d = diameter(g)
     payload = {
-        "command": "diameter",
         "n": args.n,
         "mode": family.mode.label,
         "faults": family.patterns(),
@@ -254,15 +253,13 @@ def _cmd_diameter(args) -> tuple[_Report, int]:
 
 
 def _cmd_route(args) -> tuple[_Report, int]:
-    mode = _mode_from_args(args.mode, args.m)
-    family = _parse_faults(args.faults, args.n, mode)
+    family = _parse_faults(args)
     u = Vertex.from_pattern(args.src)
     v = Vertex.from_pattern(args.dst)
     if u.dim != args.n or v.dim != args.n:
         raise ValueError(f"--from/--to must be {args.n}-bit patterns")
     report = route_with_report(u, v, family)
     payload = {
-        "command": "route",
         "n": args.n,
         "mode": family.mode.label,
         "faults": family.patterns(),
@@ -293,7 +290,6 @@ def _cmd_adversary(args) -> tuple[_Report, int]:
         family = adversarial_subcube_family(args.n, args.m)
     text = family_to_text(family)
     payload = {
-        "command": "adversary",
         "kind": args.kind,
         "n": args.n,
         "mode": family.mode.label,
@@ -307,9 +303,7 @@ def _cmd_adversary(args) -> tuple[_Report, int]:
 
 
 def _cmd_enumerate(args) -> tuple[_Report, int]:
-    mode = _mode_from_args(args.mode, args.m)
-    if mode is None:
-        raise ValueError("enumerate needs --mode")
+    mode = _required_mode(args)
     if args.size < 0:
         raise ValueError(f"--size must be >= 0, got {args.size}")
     shown: list[str] = []
@@ -319,7 +313,6 @@ def _cmd_enumerate(args) -> tuple[_Report, int]:
             shown.append(",".join(fam.patterns()))
         count += 1
     payload = {
-        "command": "enumerate",
         "n": args.n,
         "mode": mode.label,
         "size": args.size,
@@ -328,12 +321,7 @@ def _cmd_enumerate(args) -> tuple[_Report, int]:
     }
     if args.show:
         payload["shown"] = shown
-    headers = ["n", "mode", "size", "element_space", "families"]
-    rows = [[
-        str(args.n), mode.label, str(args.size),
-        str(payload["element_space"]), str(count),
-    ]]
-    return _Report(payload, headers, rows, footer=shown), 0
+    return _single_row(payload, ["n", "mode", "size", "element_space", "families"], shown), 0
 
 
 _DISPATCH = {
@@ -455,6 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = _DISPATCH[args.command](args)
+        report.payload["command"] = args.command
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

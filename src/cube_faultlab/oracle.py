@@ -23,6 +23,9 @@ family's survivor set is one 2^n-bit row of a single integer, and one
 row-packed BFS (metrics._first_disconnected) tests the whole batch.  The
 first row left incomplete is the hit, so the witness and the
 families-scanned count are exactly those of a one-family-at-a-time scan.
+Both fault-diameter searches run one loop (_max_diameter) over (key,
+fault bitset) pairs: index tuples for the exhaustive scan, drawn
+families for the sampled one.  Only the winning key becomes a witness.
 
 Translation reduction.  XOR by a vertex b is an automorphism of Q_n; it
 maps an element (free, base) to (free, base ^ (b & ~free)), so it keeps
@@ -53,8 +56,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import Subcube
 from .errors import InvariantViolation, ResourceLimitError
@@ -163,23 +167,6 @@ def _kappa_scan(
     return None, scanned
 
 
-def _survivor_diameter(
-    n: int, surv: int, budget_safe: bool, mode_label: str, elements: Iterable[Subcube]
-) -> int | None:
-    """Diameter of the survivor set `surv`; None when it is disconnected or empty.
-
-    Within the connectivity budget (`budget_safe`) a disconnection
-    contradicts kappa and raises, naming the family's `elements`.
-    """
-    d = _diameter_mask(n, surv) if surv else None
-    if d is None and budget_safe:
-        pats = ", ".join(s.pattern for s in elements)
-        raise InvariantViolation(
-            f"family within the connectivity budget disconnected Q_{n} (mode {mode_label}): {pats}"
-        )
-    return d
-
-
 def _first_indices(n: int, mode: FaultMode) -> tuple[int, ...]:
     """The allowed first element indices of a scan: the elements
     containing vertex 0 (bit 0 of their vertex mask)."""
@@ -252,46 +239,42 @@ def fault_diameter_bruteforce(
     and families_scanned and disconnected_skipped count the families
     walked.  `jobs` is accepted and ignored.
     """
-    kappa = mode.kappa(n)
+    mode.kappa(n)  # validates the (n, mode) pairing
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if search is None:
         search = SearchSpec.exhaustive()
-    budget_safe = budget <= kappa - 1
     if search.kind == "sampled":
-        return _fault_diameter_sampled(n, mode, budget, search, budget_safe)
-    _check_exhaustive_feasible(n, budget)
-    canon = mode.canonical
-    elems = _element_space(n, canon)
-    masks = _mask_space(n, canon)
-    firsts = _first_indices(n, canon)
-    full = _full_mask(n)
-    best = -1
-    best_idx: tuple[int, ...] | None = None
-    scanned = 0
-    skipped = 0
-    # sizes ascending, families in canonical order: ties keep the earliest
-    for size in range(budget + 1):
-        for idx, acc in _iter_packings(masks, size, firsts):
-            scanned += 1
-            family = (elems[i] for i in idx)
-            d = _survivor_diameter(n, full & ~acc, budget_safe, canon.label, family)
-            if d is None:
-                skipped += 1
-            elif d > best:
-                best, best_idx = d, idx
-    if best_idx is None:
-        raise InvariantViolation(
-            f"every family within budget {budget} disconnected Q_{n}; "
-            "no diameter is defined"
+        if n > _DIAMETER_LIMIT:
+            raise ResourceLimitError(
+                f"sampled fault-diameter search needs exact survivor diameters, "
+                f"supported for n <= {_DIAMETER_LIMIT}; got n={n}. Use bfs_distance "
+                "on chosen vertex pairs instead."
+            )
+        families = _sampled_families(n, mode, budget, search)
+        elements = attrgetter("elements")
+    else:
+        _check_exhaustive_feasible(n, budget)
+        canon = mode.canonical
+        elems = _element_space(n, canon)
+        masks = _mask_space(n, canon)
+        firsts = _first_indices(n, canon)
+        # sizes ascending, families in canonical order: ties keep the earliest
+        families = chain.from_iterable(
+            _iter_packings(masks, size, firsts) for size in range(budget + 1)
         )
-    witness = FaultFamily(tuple(elems[i] for i in best_idx), mode, n)
-    return FaultDiameterResult(n, mode, budget, best, witness, search, scanned, skipped)
+
+        def elements(idx):
+            return (elems[i] for i in idx)
+
+    value, key, scanned, skipped = _max_diameter(n, mode, budget, families, elements)
+    witness = FaultFamily(tuple(elements(key)), mode, n)
+    return FaultDiameterResult(n, mode, budget, value, witness, search, scanned, skipped)
 
 
-def _fault_diameter_sampled(
-    n: int, mode: FaultMode, budget: int, search: SearchSpec, budget_safe: bool
-) -> FaultDiameterResult:
+def _sampled_families(
+    n: int, mode: FaultMode, budget: int, search: SearchSpec
+) -> Iterator[tuple[FaultFamily, int]]:
     """Seeded random walk over the family space; a lower bound on the max.
 
     Each draw picks a size uniformly in [0, budget], then
@@ -300,32 +283,50 @@ def _fault_diameter_sampled(
     bitsets are built only for the accepted family's elements.
     Deterministic for a fixed seed and draw count.
     """
-    assert search.seed is not None and search.draws is not None
-    if n > _DIAMETER_LIMIT:
-        raise ResourceLimitError(
-            f"sampled fault-diameter search needs exact survivor diameters, "
-            f"supported for n <= {_DIAMETER_LIMIT}; got n={n}. Use bfs_distance "
-            "on chosen vertex pairs instead."
-        )
     rng = random.Random(search.seed)
     space = _unranker(n, mode.canonical)
+    for _ in range(search.draws):
+        family = _sample_one(rng, n, mode, space, rng.randint(0, budget))
+        faults = 0
+        for s in family.elements:
+            faults |= _vertex_mask(s)
+        yield family, faults
+
+
+def _max_diameter(
+    n: int, mode: FaultMode, budget: int, families: Iterable[tuple[Any, int]],
+    elements: Callable[[Any], Iterable[Subcube]],
+) -> tuple[int, Any, int, int]:
+    """The one diameter-scan loop, over (key, fault bitset) pairs.
+
+    Returns (value, first key attaining it, families walked, families
+    skipped).  A family whose survivor set is disconnected or empty is
+    skipped; within the connectivity budget that contradicts kappa and
+    raises, naming the family's elements(key).  Errors name the
+    caller's mode.
+    """
+    budget_safe = budget < mode.kappa(n)
     full = _full_mask(n)
     best = -1
-    witness: FaultFamily | None = None
-    skipped = 0
-    for _ in range(search.draws):
-        size = rng.randint(0, budget)
-        family = _sample_one(rng, n, mode, space, size)
-        acc = 0
-        for s in family.elements:
-            acc |= _vertex_mask(s)
-        d = _survivor_diameter(n, full & ~acc, budget_safe, mode.label, family.elements)
+    best_key = None
+    walked = skipped = 0
+    for key, faults in families:
+        walked += 1
+        surv = full & ~faults
+        d = _diameter_mask(n, surv) if surv else None
         if d is None:
+            if budget_safe:
+                pats = ", ".join(s.pattern for s in elements(key))
+                raise InvariantViolation(
+                    f"family within the connectivity budget disconnected Q_{n} "
+                    f"(mode {mode.label}): {pats}"
+                )
             skipped += 1
         elif d > best:
-            best, witness = d, family
-    if witness is None:
+            best, best_key = d, key
+    if best_key is None:
         raise InvariantViolation(
-            f"every sampled family within budget {budget} disconnected Q_{n}"
+            f"every family within budget {budget} disconnected Q_{n} "
+            f"(mode {mode.label}); no diameter is defined"
         )
-    return FaultDiameterResult(n, mode, budget, best, witness, search, search.draws, skipped)
+    return best, best_key, walked, skipped

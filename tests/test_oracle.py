@@ -14,6 +14,7 @@ import pytest
 
 from cube_faultlab import (
     FaultMode,
+    InvariantViolation,
     ResourceLimitError,
     SearchSpec,
     SurvivalGraph,
@@ -304,3 +305,28 @@ class TestArgumentChecks:
     def test_mode_must_fit_the_cube(self):
         with pytest.raises(ValueError):
             connectivity_bruteforce(4, FaultMode.structure(3))
+
+
+class TestInvariantErrors:
+    """With every survivor set reported disconnected, the exhaustive scan
+    and the sampled search fail the same way and name the caller's mode."""
+
+    SEARCHES = [SearchSpec.exhaustive(), SearchSpec.sampled(0, 10)]
+
+    def errors(self, monkeypatch, budget):
+        monkeypatch.setattr(oracle, "_diameter_mask", lambda n, surv: None)
+        messages = []
+        for search in self.SEARCHES:
+            with pytest.raises(InvariantViolation) as exc:
+                fault_diameter_bruteforce(4, FaultMode.substructure(), budget, search=search)
+            messages.append(str(exc.value))
+        return messages
+
+    def test_disconnection_within_the_connectivity_budget(self, monkeypatch):
+        for message in self.errors(monkeypatch, 2):
+            assert "(mode substructure)" in message
+
+    def test_every_family_disconnected(self, monkeypatch):
+        exhaustive, sampled = self.errors(monkeypatch, 3)
+        assert exhaustive == sampled
+        assert exhaustive.startswith("every family within budget 3 disconnected Q_4")
