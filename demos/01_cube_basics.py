@@ -5,15 +5,7 @@ Run: python3 demos/01_cube_basics.py
 
 from __future__ import annotations
 
-from cube_faultlab import (
-    Subcube,
-    Vertex,
-    common_neighbors,
-    hamming,
-    neighbor,
-    split,
-    subcube_vertices,
-)
+from cube_faultlab import Subcube, Vertex, common_neighbors, hamming, neighbor
 
 
 def main() -> None:
@@ -33,15 +25,16 @@ def main() -> None:
     print("(exactly two at distance 2, none for any other distinct pair)")
 
     s = Subcube.from_pattern("0**1")
-    print(f"\nsubcube {s.pattern}: dimension {s.dim}, {s.vertex_count} vertices:")
-    print("  ", sorted(x.pattern for x in subcube_vertices(s)))
+    print(f"\nsubcube {s.pattern}: dimension {s.dim}, {1 << s.dim} vertices:")
+    print("  ", [Vertex(b, n).pattern for b in s.vertex_bits()])
     t = Subcube.from_pattern("1**1")
     print(f"disjoint from {t.pattern}?", s.disjoint_from(t))
 
-    hs = split(n, 1)
+    # the halves fix coordinate 1; each crossing edge flips it
+    half_zero, half_one = Subcube.from_pattern("0***"), Subcube.from_pattern("1***")
     print(f"\nsplitting Q_{n} along coordinate 1:")
-    print(f"  half 0 = {hs.half_zero.pattern}, half 1 = {hs.half_one.pattern}")
-    edges = list(hs.crossing_edges())
+    print(f"  half 0 = {half_zero.pattern}, half 1 = {half_one.pattern}")
+    edges = [(Vertex(b, n), neighbor(Vertex(b, n), 1)) for b in half_zero.vertex_bits()]
     print(f"  {len(edges)} crossing edges form a perfect matching, e.g.",
           f"{edges[0][0]} -- {edges[0][1]}")
 

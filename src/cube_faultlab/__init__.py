@@ -15,17 +15,13 @@ from __future__ import annotations
 from .claims import ClaimResult, claim_ids, verify_claims
 from .core import (
     MAX_DIM,
-    HalfSplit,
     Path,
     Subcube,
     Vertex,
     common_neighbors,
     enumerate_subcubes,
     hamming,
-    is_symmetric_pair,
     neighbor,
-    split,
-    subcube_vertices,
 )
 from .errors import FaultLabError, InvariantViolation, ResourceLimitError
 from .faults import (
@@ -38,7 +34,6 @@ from .faults import (
     enumerate_families,
     family_from_text,
     family_to_text,
-    fault_vertices,
     read_family,
     restrict_along,
     sample_families,
@@ -79,7 +74,6 @@ __all__ = [
     "FaultFamily",
     "FaultLabError",
     "FaultMode",
-    "HalfSplit",
     "InvariantViolation",
     "Path",
     "ResourceLimitError",
@@ -103,11 +97,9 @@ __all__ = [
     "family_from_text",
     "family_to_text",
     "fault_diameter_bruteforce",
-    "fault_vertices",
     "guided_route",
     "hamming",
     "is_connected",
-    "is_symmetric_pair",
     "neighbor",
     "pick_crossing_dimension",
     "read_family",
@@ -115,8 +107,6 @@ __all__ = [
     "route_bound",
     "route_with_report",
     "sample_families",
-    "split",
-    "subcube_vertices",
     "validate_family",
     "verify_claims",
     "write_family",

@@ -65,11 +65,13 @@ def _fd(n: int, mode: FaultMode, budget: int):
 
 @dataclass
 class Claim:
+    """A catalog entry.  run() recomputes it and returns (expected,
+    computed, ok, witness): each check states the value it expects."""
+
     claim_id: str
     params: dict
     statement: str
-    expected: str
-    run: Callable[[], tuple[str, bool, list[str]]]
+    run: Callable[[], tuple[str, str, bool, list[str]]]
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,19 @@ def _check_two_scans(
         ra, rb = (_fd(n, _canonical(label), budget) for label in labels)
         a, b = ra.value, rb.value
     computed = str(a) if a == b else f"{names[0]}={a}, {names[1]}={b}"
-    return computed, a == b == expected, ra.witness.patterns()
+    return str(expected), computed, a == b == expected, ra.witness.patterns()
 
 
 def _check_fd(n: int, mode_label: str, budget: int, expected: int, at_most: bool = False):
     r = _fd(n, _canonical(mode_label), budget)
-    ok = r.value <= expected if at_most else r.value == expected
-    return str(r.value), ok, r.witness.patterns()
+    if at_most:
+        return f"<= {expected}", str(r.value), r.value <= expected, r.witness.patterns()
+    return str(expected), str(r.value), r.value == expected, r.witness.patterns()
+
+
+def _violations(bad: int, witness: list[str]):
+    """The verdict of a counting check, which expects no violations."""
+    return "0 violations", f"{bad} violations", bad == 0, witness
 
 
 def _check_common_neighbors(n: int, pairs: Iterable[tuple[int, int]]):
@@ -142,7 +150,7 @@ def _check_common_neighbors(n: int, pairs: Iterable[tuple[int, int]]):
         if len(common_neighbors(u, v)) != want:
             bad += 1
             witness = witness or [u.pattern, v.pattern]
-    return f"{bad} violations", bad == 0, witness
+    return _violations(bad, witness)
 
 
 def _random_pairs(n: int, seed: int) -> Iterator[tuple[int, int]]:
@@ -167,7 +175,7 @@ def _check_subcube_closure(n: int, cases: Iterable[tuple[Subcube, Iterable[tuple
                 bad += 1
                 witness = witness or [s.pattern, u.pattern, v.pattern]
                 break
-    return f"{bad} violations", bad == 0, witness
+    return _violations(bad, witness)
 
 
 def _every_subcube(n: int) -> Iterator[tuple[Subcube, Iterable[tuple[int, int]]]]:
@@ -201,7 +209,7 @@ def _check_connected_removal_diameter(n: int):
                 worst = d
                 witness = [Vertex(w, n).pattern for w in removed]
     assert worst is not None
-    return str(worst), worst >= n, witness
+    return f">= {n}", str(worst), worst >= n, witness
 
 
 def _check_small_removal_diameter(n: int):
@@ -213,13 +221,13 @@ def _check_small_removal_diameter(n: int):
             g = SurvivalGraph.from_family(fam)
             d = diameter(g)
             if d is None:
-                return "disconnected", False, fam.patterns()
+                return str(n), "disconnected", False, fam.patterns()
             if hi is None or d > hi:
                 hi = d
                 witness = fam.patterns()
             lo = d if lo is None else min(lo, d)
     computed = str(lo) if lo == hi else f"min={lo}, max={hi}"
-    return computed, lo == hi == n, witness
+    return str(n), computed, lo == hi == n, witness
 
 
 def _check_crossing_dimension(n: int, seed: int):
@@ -244,7 +252,7 @@ def _check_crossing_dimension(n: int, seed: int):
         except InvariantViolation:
             bad += 1
             witness = witness or [u.pattern, *fam.patterns()]
-    return f"{bad} violations", bad == 0, witness
+    return _violations(bad, witness)
 
 
 def _extremal_graphs(fam: FaultFamily, size: int):
@@ -271,9 +279,9 @@ def _check_pinned_edge_family(n: int):
         if pinned != {0, 1 << (n - 2)}:
             failure = "pinned component is not the expected edge"
     if failure is not None:
-        return failure, False, fam.patterns()
+        return str(n + 1), failure, False, fam.patterns()
     d = diameter(g)
-    return str(d), d == n + 1, fam.patterns()
+    return str(n + 1), str(d), d == n + 1, fam.patterns()
 
 
 def _check_blocking_subcube_family(n: int, m: int):
@@ -281,20 +289,19 @@ def _check_blocking_subcube_family(n: int, m: int):
     fam = adversarial_subcube_family(n, m)
     failure, _, g = _extremal_graphs(fam, n - m - 1)
     if failure is not None:
-        return failure, False, fam.patterns()
+        return f">= {n + 1}", failure, False, fam.patterns()
     d = bfs_distance(g, Vertex(0, n), Vertex(((1 << n) - 1) ^ 1, n))
-    return str(d), d is not None and d >= n + 1, fam.patterns()
+    return f">= {n + 1}", str(d), d is not None and d >= n + 1, fam.patterns()
 
 
 # ---------------------------------------------------------------------------
 # the registry
 
 
-def _add(reg: dict[str, Claim], claim_id: str, params: dict,
-         statement: str, expected: str, run) -> None:
+def _add(reg: dict[str, Claim], claim_id: str, params: dict, statement: str, run) -> None:
     if claim_id in reg:
         raise ValueError(f"duplicate claim id {claim_id}")
-    reg[claim_id] = Claim(claim_id, params, statement, expected, run)
+    reg[claim_id] = Claim(claim_id, params, statement, run)
 
 
 @lru_cache(maxsize=1)
@@ -305,7 +312,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem2.2(n={n})", {"n": n},
             f"vertex fault diameter of Q_{n} (budget {n - 1}) equals {n + 1}",
-            str(n + 1),
             lambda n=n: _check_fd(n, "structure:0", n - 1, n + 1),
         )
 
@@ -313,7 +319,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem2.3(n={n})", {"n": n},
             f"edge-structure and substructure connectivity of Q_{n} equal {n - 1}",
-            str(n - 1),
             lambda n=n: _check_two_scans(
                 n, n - 1, ("structure:1", "substructure"), ("kappa", "kappa^s")
             ),
@@ -323,7 +328,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem2.4(n={n},m={m})", {"n": n, "m": m},
             f"Q_{m}-structure and subcube connectivity of Q_{n} equal {n - m}",
-            str(n - m),
             lambda n=n, m=m: _check_two_scans(
                 n, n - m, (f"structure:{m}", f"subcube:{m}"), ("kappa", "kappa^sc")
             ),
@@ -334,13 +338,11 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem2.5(n={n})", {"n": n},
             f"distinct vertices of Q_{n} have 2 common neighbors at Hamming "
             "distance 2 and none otherwise (exhaustive)",
-            "0 violations",
             lambda n=n: _check_common_neighbors(n, combinations(range(1 << n), 2)),
         )
     _add(
         reg, "lem2.5(n=6)", {"n": 6},
         "common-neighbor counts in Q_6 (randomized)",
-        "0 violations",
         lambda: _check_common_neighbors(6, _random_pairs(6, _seed("lem2.5(n=6)"))),
     )
 
@@ -348,14 +350,12 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"cor2.6(n={n})", {"n": n},
             f"subcubes of Q_{n} are closed under common neighbors (exhaustive)",
-            "0 violations",
             lambda n=n: _check_subcube_closure(n, _every_subcube(n)),
         )
     for n in (5, 6):
         _add(
             reg, f"cor2.6(n={n})", {"n": n},
             f"subcubes of Q_{n} are closed under common neighbors (randomized)",
-            "0 violations",
             lambda n=n: _check_subcube_closure(n, _random_subcubes(n, _seed(f"cor2.6(n={n})"))),
         )
 
@@ -363,7 +363,6 @@ def _registry() -> dict[str, Claim]:
         reg, "lem2.7(n=3)", {"n": 3},
         "removing fewer than 4 vertices of Q_3 without disconnecting it keeps "
         "the diameter at least 3 (exhaustive)",
-        ">= 3",
         lambda: _check_connected_removal_diameter(3),
     )
 
@@ -372,7 +371,6 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem3.1(n={n})", {"n": n},
             f"symmetric pairs of Q_{n} keep a safe crossing coordinate under "
             f"up to {n - 1} faults of dimension <= {n - 3} (randomized)",
-            "0 violations",
             lambda n=n: _check_crossing_dimension(n, _seed(f"lem3.1(n={n})")),
         )
 
@@ -380,14 +378,12 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem3.2(n={n})", {"n": n},
             f"any <= {n - 2} vertex faults leave Q_{n} with diameter exactly {n}",
-            str(n),
             lambda n=n: _check_small_removal_diameter(n),
         )
 
     _add(
         reg, "thm3.3", {"n": 3},
         "substructure fault diameter of Q_3 (budget 1) equals 3",
-        "3",
         lambda: _check_fd(3, "substructure", 1, 3),
     )
 
@@ -396,14 +392,12 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem3.4(n={n})", {"n": n},
             f"the pinned-edge family of Q_{n} disconnects one half and raises "
             f"the diameter to {n + 1}",
-            str(n + 1),
             lambda n=n: _check_pinned_edge_family(n),
         )
 
     _add(
         reg, "lem3.5(n=4)", {"n": 4},
         "substructure fault diameter of Q_4 (budget 2) is at most 5",
-        "<= 5",
         lambda: _check_fd(4, "substructure", 2, 5, at_most=True),
     )
 
@@ -411,7 +405,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem3.6(n={n})", {"n": n},
             f"substructure fault diameter of Q_{n} (budget {n - 2}) equals {expected}",
-            str(expected),
             lambda n=n, expected=expected: _check_fd(n, "substructure", n - 2, expected),
         )
 
@@ -419,7 +412,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"thm3.7(n={n})", {"n": n},
             f"edge-structure and substructure fault diameters of Q_{n} equal {n + 1}",
-            str(n + 1),
             lambda n=n: _check_two_scans(
                 n, n + 1, ("structure:1", "substructure"), ("structure", "substructure"), n - 2
             ),
@@ -430,7 +422,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"thm3.20(m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under one Q_<= {m} fault equals {n}",
-            str(n),
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", 1, n),
         )
 
@@ -439,7 +430,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem3.21(m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under <= 2 Q_<= {m} faults is at most {n + 1}",
-            f"<= {n + 1}",
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", 2, n + 1, at_most=True),
         )
 
@@ -447,7 +437,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem3.22(n={n},m={m})", {"n": n, "m": m},
             f"at most {n - m - 2} Q_<= {m} faults keep the diameter of Q_{n} at most {n}",
-            f"<= {n}",
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 2, n, at_most=True),
         )
 
@@ -456,7 +445,6 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem3.23(n={n},m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under <= {n - m - 1} Q_<= {m} "
             f"faults is at most {n + 1}",
-            f"<= {n + 1}",
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 1, n + 1, at_most=True),
         )
 
@@ -465,7 +453,6 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem3.24(n={n},m={m})", {"n": n, "m": m},
             f"the blocking family of {n - m - 1} Q_{m}'s in Q_{n} disconnects "
             f"one half and forces a route of length >= {n + 1}",
-            f">= {n + 1}",
             lambda n=n, m=m: _check_blocking_subcube_family(n, m),
         )
 
@@ -473,7 +460,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"thm3.25(n={n},m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} over Q_<= {m} faults equals {n + 1}",
-            str(n + 1),
             lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 1, n + 1),
         )
 
@@ -488,7 +474,6 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"thm3.26(n={n},m={m})", {"n": n, "m": m},
             f"Q_{m}-structure fault diameter of Q_{n} equals {expected}",
-            str(expected),
             lambda n=n, m=m, expected=expected: _check_fd(
                 n, f"structure:{m}", n - m - 1, expected
             ),
@@ -526,13 +511,13 @@ def verify_claims(
     out = []
     for claim in selected:
         t0 = time.perf_counter()
-        computed, ok, witness = claim.run()
+        expected, computed, ok, witness = claim.run()
         out.append(
             ClaimResult(
                 claim.claim_id,
                 claim.params,
                 claim.statement,
-                claim.expected,
+                expected,
                 computed,
                 "pass" if ok else "fail",
                 tuple(witness),

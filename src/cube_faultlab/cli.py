@@ -7,8 +7,8 @@ queries, `adversary` emits the extremal families, and `enumerate`
 counts fault families.  Reports go to stdout (or --output) as a text
 table by default, as canonical JSON, or as CSV.
 
-Exit codes: 0 success, 1 claim mismatch, 2 usage error, 3 resource
-limit.
+Exit codes: 0 success, 1 claim mismatch, 2 usage error (a family file
+or --output path that cannot be opened included), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -444,17 +444,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report, code = _DISPATCH[args.command](args)
         report.payload["command"] = args.command
-    except ValueError as exc:
+        rendered = _render(report, args.format)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(rendered)
+    except (ValueError, OSError) as exc:
+        # OSError: a --faults @file or --output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    rendered = _render(report, args.format)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(rendered)
-    else:
+    if not args.output:
         sys.stdout.write(rendered)
     return code
 

@@ -16,6 +16,12 @@ coordinates, '*' for free ones, so "0*1" in Q_3 is the edge {001, 011}.
 A 0-dimensional subcube is a single vertex, which lets vertex faults
 and subcube faults share one representation.
 
+An element space is the list of subcubes of Q_n whose dimensions are
+admitted, in canonical order: ascending free_mask, then ascending
+base.  _ElementSpace indexes it without building it; every subcube
+enumeration, fault-family enumeration, sampler and exhaustive scan of
+the package walks it.
+
 Ambient dimension is capped at 30 so every vertex set fits comfortably
 in native integers.
 """
@@ -23,7 +29,11 @@ in native integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import cached_property, lru_cache
+from math import comb
+from typing import Iterator
+
+from .errors import ResourceLimitError
 
 MAX_DIM = 30
 
@@ -117,11 +127,6 @@ def hamming(u: Vertex, v: Vertex) -> int:
     return (u.bits ^ v.bits).bit_count()
 
 
-def is_symmetric_pair(u: Vertex, v: Vertex) -> bool:
-    """True when u and v differ in every coordinate (antipodal pair)."""
-    return hamming(u, v) == u.dim
-
-
 def common_neighbors(u: Vertex, v: Vertex) -> set[Vertex]:
     """Vertices adjacent to both u and v.
 
@@ -169,17 +174,9 @@ class Subcube:
         free, base, n = _parse_pattern(text)
         return cls(free, base, n)
 
-    @classmethod
-    def point(cls, v: Vertex) -> "Subcube":
-        return cls(0, v.bits, v.dim)
-
     @property
     def dim(self) -> int:
         return self.free_mask.bit_count()
-
-    @property
-    def vertex_count(self) -> int:
-        return 1 << self.dim
 
     @property
     def pattern(self) -> str:
@@ -215,11 +212,6 @@ class Subcube:
         return self.pattern
 
 
-def subcube_vertices(s: Subcube) -> set[Vertex]:
-    """The subcube's vertex set, as full-width vertices of the ambient cube."""
-    return {Vertex(b, s.dim_ambient) for b in s.vertex_bits()}
-
-
 def enumerate_subcubes(n: int, k: int) -> Iterator[Subcube]:
     """All k-dimensional subcubes of Q_n in canonical order.
 
@@ -230,60 +222,102 @@ def enumerate_subcubes(n: int, k: int) -> Iterator[Subcube]:
     _check_ambient(n)
     if not 0 <= k <= n:
         raise ValueError(f"subcube dimension must be in [0, {n}], got {k}")
-    yield from _subcubes(n, k.__eq__)
+    yield from _element_space(n, (k,))
 
 
-def _subcubes(n: int, admits: Callable[[int], bool]) -> Iterator[Subcube]:
-    """Subcubes of Q_n whose dimension passes `admits`, in canonical order.
+def _vertex_mask(free: int, base: int) -> int:
+    """Bitset of the subcube (free, base): bit w set iff vertex w is inside.
+    Each free bit doubles the set by a shifted copy; base adds as an OR."""
+    mask = 1
+    while free:
+        low = free & -free
+        mask |= mask << low
+        free ^= low
+    return mask << base
 
-    The dimension is tested per free mask, before any Subcube is built.
+
+_UNRANK_MEMO = 1 << 12
+_MASK_TABLE_BITS = 1 << 30
+
+
+class _ElementSpace:
+    """The subcubes of Q_n whose dimension is in `dims`, in canonical order.
+
+    This is the one definition of canonical order (ascending free mask,
+    then ascending base): subcube and family enumeration, the samplers
+    and the exhaustive scans all index it.  Index i maps to its element
+    arithmetically, so the space is never built.  Free masks come in
+    ascending order, so the walk over bit positions p = n-1..0 sets bit
+    p exactly when i is past the elements whose mask agrees with the
+    bits chosen so far and has bit p clear.  _counts[p][c] is that count
+    when c bits are set above p: sum over j of C(p, j) * 2^(n-c-j), for
+    admitted dimensions c + j.  The rest of i is the base's rank among
+    the 2^(n-k) bases of the mask, so its bits are deposited into the
+    fixed coordinates in ascending order.
+
+    Elements built once are kept in a memo of at most _UNRANK_MEMO
+    entries, so repeated small-space draws cost a dict lookup.  The
+    vertex-bitset table `masks`, which the exhaustive scans need, is
+    built on first use.
     """
-    full = (1 << n) - 1
-    for free in range(1 << n):
-        if not admits(free.bit_count()):
-            continue
-        rest = full ^ free
+
+    def __init__(self, n: int, dims: tuple[int, ...]) -> None:
+        self.n = n
+        self._counts = tuple(
+            tuple(
+                sum(comb(p, j) << (n - c - j) for j in range(p + 1) if c + j in dims)
+                for c in range(n - p + 1)
+            )
+            for p in range(n + 1)
+        )
+        self.size = self._counts[n][0]
+        self._memo: dict[int, Subcube] = {}
+
+    def __getitem__(self, i: int) -> Subcube:
+        s = self._memo.get(i)
+        if s is None:
+            if not 0 <= i < self.size:
+                raise IndexError(i)  # also ends `for s in space` (no __iter__)
+            s = Subcube(*self._free_and_base(i), self.n)
+            if len(self._memo) < _UNRANK_MEMO:
+                self._memo[i] = s
+        return s
+
+    def _free_and_base(self, i: int) -> tuple[int, int]:
+        counts = self._counts
+        free = c = 0
+        for p in range(self.n - 1, -1, -1):
+            below = counts[p][c]
+            if i >= below:
+                i -= below
+                free |= 1 << p
+                c += 1
         base = 0
-        while True:
-            yield Subcube(free, base, n)
-            if base == rest:
-                break
-            base = (base - rest) & rest
+        rest = ((1 << self.n) - 1) ^ free
+        while i:
+            low = rest & -rest
+            if i & 1:
+                base |= low
+            i >>= 1
+            rest ^= low
+        return free, base
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The vertex bitset of every element, by index: size * 2^n bits,
+        refused above _MASK_TABLE_BITS before anything is allocated."""
+        if self.size << self.n > _MASK_TABLE_BITS:
+            raise ResourceLimitError(
+                f"the vertex bitsets of {self.size} elements of Q_{self.n} exceed "
+                f"{_MASK_TABLE_BITS} bits; use a smaller n, or sample_families"
+            )
+        return tuple(_vertex_mask(*self._free_and_base(i)) for i in range(self.size))
 
 
-@dataclass(frozen=True)
-class HalfSplit:
-    """The two halves of Q_n obtained by fixing one coordinate.
-
-    half_zero and half_one are the (n-1)-dimensional subcubes with the
-    split coordinate fixed to 0 and 1; the crossing edges pair each
-    vertex of one half with its flip in the other, 2^(n-1) edges total.
-    """
-
-    split_dim: int
-    half_zero: Subcube
-    half_one: Subcube
-
-    @property
-    def ambient(self) -> int:
-        return self.half_zero.dim_ambient
-
-    def crossing_edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        n = self.ambient
-        d = coord_bit(n, self.split_dim)
-        for b in self.half_zero.vertex_bits():
-            yield Vertex(b, n), Vertex(b | d, n)
-
-    def side_of(self, v: Vertex | int) -> int:
-        bits = v.bits if isinstance(v, Vertex) else v
-        return 1 if bits & coord_bit(self.ambient, self.split_dim) else 0
-
-
-def split(n: int, d: int) -> HalfSplit:
-    """Split Q_n along coordinate x_d into its two (n-1)-dimensional halves."""
-    bit = coord_bit(n, d)
-    free = ((1 << n) - 1) ^ bit
-    return HalfSplit(d, Subcube(free, 0, n), Subcube(free, bit, n))
+@lru_cache(maxsize=64)
+def _element_space(n: int, dims: tuple[int, ...]) -> _ElementSpace:
+    """The cached element space of Q_n for the admitted dimensions `dims`."""
+    return _ElementSpace(n, dims)
 
 
 @dataclass(frozen=True)

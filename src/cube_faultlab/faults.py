@@ -12,12 +12,12 @@ cover the regimes of interest:
                 structure).
 
 Substructure admits exactly the elements of subcube:1, so it computes
-as subcube:1: FaultMode.canonical maps it there, the oracles scan the
-canonical mode's cached element space, the samplers draw uniform
-indices of that space and unrank them without building it, and the
-claim catalog caches the canonical mode.  The label is kept for
-parsing, files and reports, which read better with the intended regime
-spelled out.
+as subcube:1: element spaces (core._ElementSpace) are cached per
+admitted dimension set, so the oracles and samplers of both labels
+index one space, and the claim catalog caches FaultMode.canonical,
+which maps substructure to subcube:1.  The label is kept for parsing,
+files and reports, which read better with the intended regime spelled
+out.
 
 The module also builds the two extremal families that make the known
 fault-diameter bounds tight: a family of n-2 parallel edges that pins
@@ -36,10 +36,9 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Iterable, Iterator
 
-from .core import MAX_DIM, Subcube, Vertex, _check_ambient, _subcubes, coord_bit
+from .core import MAX_DIM, Subcube, _check_ambient, _element_space, _ElementSpace, coord_bit
 from .errors import ResourceLimitError
 
 _MODE_KINDS = ("structure", "substructure", "subcube")
@@ -103,7 +102,7 @@ class FaultMode:
 
     @property
     def canonical(self) -> "FaultMode":
-        """The mode computations run under: subcube:1 for substructure."""
+        """subcube:1 for substructure (the same elements), else the mode itself."""
         return FaultMode.subcube(1) if self.kind == "substructure" else self
 
     @property
@@ -222,13 +221,6 @@ def fault_bits(family: FaultFamily) -> set[int]:
     return out
 
 
-def fault_vertices(family: FaultFamily) -> set[Vertex]:
-    """All faulty vertices of the family (union of its elements)."""
-    require_valid(family)
-    n = family.ambient
-    return {Vertex(b, n) for b in fault_bits(family)}
-
-
 def _half_faults(
     faults: list[tuple[int, int]], p: int, side: int
 ) -> list[tuple[int, int]]:
@@ -329,22 +321,21 @@ def adversarial_subcube_family(n: int, m: int) -> FaultFamily:
 # element spaces, enumeration, sampling
 
 
-@lru_cache(maxsize=64)
-def _element_space(n: int, mode: FaultMode) -> tuple[Subcube, ...]:
-    """All admissible elements in canonical (free_mask, base) order."""
+@lru_cache(maxsize=None)
+def _admitted(n: int, mode: FaultMode) -> tuple[int, ...]:
+    """The element dimensions the mode admits in Q_n: its element-space key."""
     _check_ambient(n)
-    return tuple(_subcubes(n, mode.admits))
+    return tuple(k for k in range(n + 1) if mode.admits(k))
 
 
-@lru_cache(maxsize=64)
-def _mask_space(n: int, mode: FaultMode) -> tuple[int, ...]:
-    """Vertex bitsets matching _element_space, cached for reuse."""
-    return tuple(_vertex_mask(s) for s in _element_space(n, mode))
+def _space(n: int, mode: FaultMode) -> _ElementSpace:
+    """The mode's element space in Q_n; substructure and subcube:1 share it."""
+    return _element_space(n, _admitted(n, mode))
 
 
 def element_space_size(n: int, mode: FaultMode) -> int:
     """Number of admissible elements, sum of C(n,k) * 2^(n-k) over admitted k."""
-    return _unranker(n, mode.canonical).size
+    return _space(n, mode).size
 
 
 def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFamily]:
@@ -356,9 +347,9 @@ def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFami
     """
     if size < 0:
         raise ValueError(f"family size must be >= 0, got {size}")
-    elems = _element_space(n, mode)
-    for idx, _ in _iter_packings(_mask_space(n, mode), size, range(len(elems))):
-        yield FaultFamily(tuple(elems[i] for i in idx), mode, n)
+    space = _space(n, mode)
+    for idx, _ in _iter_packings(space.masks, size, range(space.size)):
+        yield FaultFamily(tuple(space[i] for i in idx), mode, n)
 
 
 def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
@@ -391,84 +382,8 @@ def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
         yield from rec(1, i + 1, masks[i])
 
 
-def _vertex_mask(s: Subcube) -> int:
-    """Bitset of the subcube's vertices (bit w set iff vertex w inside)."""
-    mask = 0
-    for b in s.vertex_bits():
-        mask |= 1 << b
-    return mask
-
-
-_UNRANK_MEMO = 1 << 12
-
-
-class _ElementUnranker:
-    """The canonical element space of (n, mode), by index, without building it.
-
-    Index i of the space maps to its element arithmetically.  Free masks
-    come in ascending order, so the walk over bit positions p = n-1..0
-    sets bit p exactly when i is past the elements whose mask agrees
-    with the bits chosen so far and has bit p clear.  _counts[p][c] is
-    that count when c bits are set above p:
-    sum over j of C(p, j) * 2^(n-c-j), for admitted dimensions c + j.
-    The rest of i is the base's rank among the 2^(n-k) bases of the
-    mask, so its bits are deposited into the fixed coordinates in
-    ascending order, exactly as core._subcubes walks them.
-
-    Elements built once are kept in a memo of at most _UNRANK_MEMO
-    entries, so repeated small-space draws cost a dict lookup.
-    """
-
-    def __init__(self, n: int, mode: FaultMode) -> None:
-        admitted = [mode.admits(k) for k in range(n + 1)]
-        self.n = n
-        self._counts = tuple(
-            tuple(
-                sum(comb(p, j) << (n - c - j) for j in range(p + 1) if admitted[c + j])
-                for c in range(n - p + 1)
-            )
-            for p in range(n + 1)
-        )
-        self.size = self._counts[n][0]
-        self._memo: dict[int, Subcube] = {}
-
-    def __getitem__(self, i: int) -> Subcube:
-        s = self._memo.get(i)
-        if s is None:
-            s = Subcube(*self._free_and_base(i), self.n)
-            if len(self._memo) < _UNRANK_MEMO:
-                self._memo[i] = s
-        return s
-
-    def _free_and_base(self, i: int) -> tuple[int, int]:
-        counts = self._counts
-        free = c = 0
-        for p in range(self.n - 1, -1, -1):
-            below = counts[p][c]
-            if i >= below:
-                i -= below
-                free |= 1 << p
-                c += 1
-        base = 0
-        rest = ((1 << self.n) - 1) ^ free
-        while i:
-            low = rest & -rest
-            if i & 1:
-                base |= low
-            i >>= 1
-            rest ^= low
-        return free, base
-
-
-@lru_cache(maxsize=64)
-def _unranker(n: int, mode: FaultMode) -> _ElementUnranker:
-    """The cached unranker of (n, mode); callers pass mode.canonical."""
-    _check_ambient(n)
-    return _ElementUnranker(n, mode)
-
-
 def _sample_one(
-    rng: random.Random, n: int, mode: FaultMode, space: _ElementUnranker, size: int
+    rng: random.Random, n: int, mode: FaultMode, space: _ElementSpace, size: int
 ) -> FaultFamily:
     """One rejection-sampled family.
 
@@ -487,7 +402,7 @@ def _sample_one(
     )
 
 
-def _disjoint_elements(space: _ElementUnranker, picks: list[int]) -> list[Subcube] | None:
+def _disjoint_elements(space: _ElementSpace, picks: list[int]) -> list[Subcube] | None:
     """The picked elements when they are pairwise disjoint, else None.
 
     The test is Subcube.disjoint_from's, inlined: calling the method per
@@ -513,7 +428,7 @@ def sample_families(
     Rejection sampling from a seeded generator: each attempt draws
     `size` indices uniformly from the canonical element space and keeps
     the draw when the elements are pairwise disjoint.  Indices are
-    unranked arithmetically (_ElementUnranker), so neither the element
+    unranked arithmetically (core._ElementSpace), so neither the element
     space nor any vertex bitset is built and memory does not grow with
     n.  More than SAMPLING_ATTEMPTS rejections for a single family means
     the size is too close to the packing limit, and the caller gets a
@@ -522,7 +437,7 @@ def sample_families(
     """
     if size < 0 or count < 0:
         raise ValueError("size and count must be >= 0")
-    space = _unranker(n, mode.canonical)
+    space = _space(n, mode)
     if size and not space.size:
         raise ValueError(f"mode {mode.label} admits no element of Q_{n}")
     rng = random.Random(seed)

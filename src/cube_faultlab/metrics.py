@@ -102,14 +102,6 @@ def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -
     return allowed ^ left, levels
 
 
-def _connected_mask(n: int, allowed: int) -> bool:
-    if not allowed:
-        raise ValueError("empty vertex set has no connectivity")
-    start = allowed & -allowed
-    visited, _ = _bfs_cover(n, allowed, start)
-    return visited == allowed
-
-
 def _first_disconnected(n: int, sets: list[int]) -> int | None:
     """Index of the first vertex set in `sets` whose induced subgraph is
     disconnected, None when all are connected.
@@ -240,10 +232,6 @@ class SurvivalGraph:
     def survivor_count(self) -> int:
         return (1 << self.ambient) - len(self.removed)
 
-    def is_survivor(self, v: Vertex | int) -> bool:
-        bits = v.bits if isinstance(v, Vertex) else v
-        return bits not in self.removed
-
     def _check_endpoint(self, v: Vertex, name: str) -> int:
         if v.dim != self.ambient:
             raise ValueError(f"{name} lives in Q_{v.dim}, graph in Q_{self.ambient}")
@@ -282,7 +270,8 @@ def is_connected(g: SurvivalGraph) -> bool:
     if g.survivor_count == 0:
         raise ValueError("empty survivor set has no connectivity")
     if g.ambient <= _BITSET_LIMIT:
-        return _connected_mask(g.ambient, g.survivor_mask)
+        allowed = g.survivor_mask
+        return _bfs_cover(g.ambient, allowed, allowed & -allowed)[0] == allowed
     start = next(w for w in range(1 << g.ambient) if w not in g.removed)
     return len(g._parents(start)) == g.survivor_count
 

@@ -14,9 +14,9 @@ canonical element space, sizes ascending), so the reported witnesses
 are reproducible: the connectivity witness is the first disconnecting
 family encountered, the diameter witness the first family attaining
 the maximum.  The families come from faults._iter_packings, the same
-enumerator that faults.enumerate_families iterates.  Exhaustive scans
-run under mode.canonical (substructure scans as subcube:1, the same
-element space); results and witnesses carry the caller's mode.
+enumerator that faults.enumerate_families iterates, over the same
+cached element space (substructure and subcube:1 share one); results
+and witnesses carry the caller's mode.
 
 The connectivity scan checks consecutive families in batches: each
 family's survivor set is one 2^n-bit row of a single integer, and one
@@ -60,18 +60,9 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import Subcube
+from .core import Subcube, _vertex_mask
 from .errors import InvariantViolation, ResourceLimitError
-from .faults import (
-    FaultFamily,
-    FaultMode,
-    _element_space,
-    _iter_packings,
-    _mask_space,
-    _sample_one,
-    _unranker,
-    _vertex_mask,
-)
+from .faults import FaultFamily, FaultMode, _iter_packings, _sample_one, _space
 from .metrics import (
     _DIAMETER_LIMIT,
     _diameter_mask,
@@ -155,7 +146,7 @@ def _kappa_scan(
     a one-family-at-a-time scan reports.
     """
     full = _full_mask(n)
-    packings = _iter_packings(_mask_space(n, mode), size, firsts)
+    packings = _iter_packings(_space(n, mode).masks, size, firsts)
     scanned = 0
     while batch := list(islice(packings, _rows_per_int(n))):
         # a family that leaves no survivors does not disconnect; its row
@@ -170,7 +161,7 @@ def _kappa_scan(
 def _first_indices(n: int, mode: FaultMode) -> tuple[int, ...]:
     """The allowed first element indices of a scan: the elements
     containing vertex 0 (bit 0 of their vertex mask)."""
-    return tuple(i for i, m in enumerate(_mask_space(n, mode)) if m & 1)
+    return tuple(i for i, m in enumerate(_space(n, mode).masks) if m & 1)
 
 
 def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
@@ -191,15 +182,14 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
         raise ResourceLimitError(
             f"exhaustive connectivity is supported for n <= {_CONNECTIVITY_MAX_N}, got n={n}"
         )
-    canon = mode.canonical
-    firsts = _first_indices(n, canon)
+    space = _space(n, mode)
+    firsts = _first_indices(n, mode)
     total_scanned = 0
     for size in range(1, (1 << n) + 1):
-        witness_idx, scanned = _kappa_scan(n, canon, size, firsts)
+        witness_idx, scanned = _kappa_scan(n, mode, size, firsts)
         total_scanned += scanned
         if witness_idx is not None:
-            elems = _element_space(n, canon)
-            witness = FaultFamily(tuple(elems[i] for i in witness_idx), mode, n)
+            witness = FaultFamily(tuple(space[i] for i in witness_idx), mode, n)
             return ConnectivityResult(n, mode, size, witness, total_scanned)
         if scanned == 0:
             break
@@ -255,17 +245,15 @@ def fault_diameter_bruteforce(
         elements = attrgetter("elements")
     else:
         _check_exhaustive_feasible(n, budget)
-        canon = mode.canonical
-        elems = _element_space(n, canon)
-        masks = _mask_space(n, canon)
-        firsts = _first_indices(n, canon)
+        space = _space(n, mode)
+        firsts = _first_indices(n, mode)
         # sizes ascending, families in canonical order: ties keep the earliest
         families = chain.from_iterable(
-            _iter_packings(masks, size, firsts) for size in range(budget + 1)
+            _iter_packings(space.masks, size, firsts) for size in range(budget + 1)
         )
 
         def elements(idx):
-            return (elems[i] for i in idx)
+            return (space[i] for i in idx)
 
     value, key, scanned, skipped = _max_diameter(n, mode, budget, families, elements)
     witness = FaultFamily(tuple(elements(key)), mode, n)
@@ -284,12 +272,12 @@ def _sampled_families(
     Deterministic for a fixed seed and draw count.
     """
     rng = random.Random(search.seed)
-    space = _unranker(n, mode.canonical)
+    space = _space(n, mode)
     for _ in range(search.draws):
         family = _sample_one(rng, n, mode, space, rng.randint(0, budget))
         faults = 0
         for s in family.elements:
-            faults |= _vertex_mask(s)
+            faults |= _vertex_mask(s.free_mask, s.base)
         yield family, faults
 
 

@@ -68,10 +68,6 @@ class RouteBound:
     mode: FaultMode
     bound: int
 
-    @classmethod
-    def compute(cls, n: int, mode: FaultMode) -> "RouteBound":
-        return cls(n, mode, route_bound(n, mode))
-
 
 @dataclass(frozen=True)
 class RouteReport:
@@ -314,7 +310,7 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
     """
     faults = _check_routing_args(u, v, family)
     n = family.ambient
-    bound = RouteBound.compute(n, family.mode)
+    bound = RouteBound(n, family.mode, route_bound(n, family.mode))
     if family.size > family.mode.kappa(n) - 1:
         raise ValueError(
             f"family size {family.size} exceeds the routing budget "

@@ -15,7 +15,6 @@ def test_public_names_are_pinned_and_resolve():
         "FaultFamily",
         "FaultLabError",
         "FaultMode",
-        "HalfSplit",
         "InvariantViolation",
         "MAX_DIM",
         "Path",
@@ -41,11 +40,9 @@ def test_public_names_are_pinned_and_resolve():
         "family_from_text",
         "family_to_text",
         "fault_diameter_bruteforce",
-        "fault_vertices",
         "guided_route",
         "hamming",
         "is_connected",
-        "is_symmetric_pair",
         "neighbor",
         "pick_crossing_dimension",
         "read_family",
@@ -53,8 +50,6 @@ def test_public_names_are_pinned_and_resolve():
         "route_bound",
         "route_with_report",
         "sample_families",
-        "split",
-        "subcube_vertices",
         "validate_family",
         "verify_claims",
         "write_family",

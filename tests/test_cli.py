@@ -326,6 +326,14 @@ class TestPlumbing:
         assert out == ""
         assert json.loads(target.read_text())["patterns"] == ["*010", "*100"]
 
+    @pytest.mark.parametrize("option", ["--faults", "--output"])
+    def test_a_path_that_cannot_be_opened_is_a_usage_error(self, capsys, tmp_path, option):
+        path = tmp_path / "no" / "such.txt"
+        value = f"@{path}" if option == "--faults" else str(path)
+        code, out, err = run(capsys, "diameter", "--n", "3", option, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
     def test_jobs_flag_is_gone(self, capsys):
         # every command runs in-process; --jobs is an unknown option
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""Bit-level cube model: vertices, subcubes, splits, paths."""
+"""Bit-level cube model: vertices, subcubes, paths."""
 
 from __future__ import annotations
 
@@ -9,17 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cube_faultlab import (
-    HalfSplit,
     Path,
     Subcube,
     Vertex,
     common_neighbors,
     enumerate_subcubes,
     hamming,
-    is_symmetric_pair,
     neighbor,
-    split,
-    subcube_vertices,
 )
 
 dims = st.integers(min_value=1, max_value=10)
@@ -87,9 +83,10 @@ class TestAdjacency:
         assert (hamming(u, v) == 0) == (u == v)
 
     def test_symmetric_pair_is_complement(self):
+        # a symmetric pair differs in every coordinate
         u = Vertex.from_pattern("0101")
-        assert is_symmetric_pair(u, Vertex.from_pattern("1010"))
-        assert not is_symmetric_pair(u, Vertex.from_pattern("1011"))
+        assert hamming(u, Vertex.from_pattern("1010")) == u.dim
+        assert hamming(u, Vertex.from_pattern("1011")) < u.dim
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_pair_count(self, n):
@@ -97,7 +94,7 @@ class TestAdjacency:
             1
             for a in range(1 << n)
             for b in range(a + 1, 1 << n)
-            if is_symmetric_pair(Vertex(a, n), Vertex(b, n))
+            if hamming(Vertex(a, n), Vertex(b, n)) == n
         )
         assert pairs == 1 << (n - 1)
 
@@ -125,7 +122,7 @@ class TestSubcube:
         s = Subcube.from_pattern("0*1")
         assert s.dim == 1 and s.dim_ambient == 3
         assert s.pattern == "0*1"
-        assert {v.pattern for v in subcube_vertices(s)} == {"001", "011"}
+        assert set(s.vertex_bits()) == {0b001, 0b011}
 
     def test_base_must_avoid_free_positions(self):
         with pytest.raises(ValueError):
@@ -135,11 +132,12 @@ class TestSubcube:
         s = Subcube.from_pattern("0**1")
         assert s.contains(Vertex.from_pattern("0101"))
         assert not s.contains(Vertex.from_pattern("1101"))
-        assert s.vertex_count == 4
 
     def test_point_subcube(self):
-        s = Subcube.point(Vertex.from_pattern("101"))
+        # a pattern without '*' is a 0-dimensional subcube: one vertex
+        s = Subcube.from_pattern("101")
         assert s.dim == 0 and s.pattern == "101"
+        assert list(s.vertex_bits()) == [0b101]
 
     def test_disjointness(self):
         a = Subcube.from_pattern("0*1")
@@ -149,7 +147,7 @@ class TestSubcube:
     @given(subcubes())
     def test_vertex_count_matches_enumeration(self, s):
         vs = set(s.vertex_bits())
-        assert len(vs) == s.vertex_count == 1 << s.dim
+        assert len(vs) == 1 << s.dim
 
     @given(subcubes(), subcubes())
     def test_disjoint_from_agrees_with_vertex_sets(self, a, b):
@@ -184,24 +182,6 @@ class TestSubcube:
                     seen.add(w)
                     frontier.append(w)
         assert seen == set(inside)
-
-
-class TestHalfSplit:
-    def test_split_halves(self):
-        hs = split(3, 1)
-        assert isinstance(hs, HalfSplit)
-        assert hs.half_zero.pattern == "0**"
-        assert hs.half_one.pattern == "1**"
-        assert hs.side_of(Vertex.from_pattern("101")) == 1
-        assert hs.side_of(Vertex.from_pattern("001")) == 0
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_crossing_edges_form_a_perfect_matching(self, n):
-        hs = split(n, 2)
-        edges = list(hs.crossing_edges())
-        assert len(edges) == 1 << (n - 1)
-        touched = {v for e in edges for v in e}
-        assert len(touched) == 1 << n
 
 
 class TestPath:

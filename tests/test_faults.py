@@ -15,6 +15,8 @@ from cube_faultlab import (
     FaultMode,
     ResourceLimitError,
     SearchSpec,
+    Subcube,
+    SurvivalGraph,
     adversarial_q1_family,
     adversarial_subcube_family,
     element_space_size,
@@ -23,7 +25,6 @@ from cube_faultlab import (
     fault_diameter_bruteforce,
     family_from_text,
     family_to_text,
-    fault_vertices,
     read_family,
     restrict_along,
     route_bound,
@@ -31,14 +32,30 @@ from cube_faultlab import (
     validate_family,
     write_family,
 )
-from cube_faultlab import faults, oracle
-from cube_faultlab.faults import (
-    _UNRANK_MEMO,
-    SAMPLING_ATTEMPTS,
-    _element_space,
-    _mask_space,
-    _unranker,
-)
+from cube_faultlab import core
+from cube_faultlab.core import _UNRANK_MEMO
+from cube_faultlab.faults import SAMPLING_ATTEMPTS, _space
+
+
+def reference_subcubes(n: int, admits) -> list[Subcube]:
+    """The canonical element order, walked plainly: free masks
+    ascending, and under each admitted one every base that avoids it,
+    ascending."""
+    return [
+        Subcube(free, base, n)
+        for free in range(1 << n)
+        if admits(free.bit_count())
+        for base in range(1 << n)
+        if not base & free
+    ]
+
+
+def reference_space(n: int, mode: FaultMode) -> list[Subcube]:
+    return reference_subcubes(n, mode.admits)
+
+
+def reference_masks(elements: list[Subcube]) -> tuple[int, ...]:
+    return tuple(sum(1 << b for b in s.vertex_bits()) for s in elements)
 
 
 class TestFaultMode:
@@ -92,7 +109,7 @@ class TestFaultMode:
             assert sub.kappa(n) == one.kappa(n)
             assert route_bound(n, sub) == route_bound(n, one)
         for n in range(3, 11):
-            assert _element_space(n, sub) == _element_space(n, one)
+            assert _space(n, sub) is _space(n, one)
         for n in (1, 2):
             for mode in (sub, one):
                 with pytest.raises(ValueError):
@@ -123,8 +140,7 @@ class TestValidation:
 
     def test_fault_vertices(self):
         fam = FaultFamily.from_patterns(["0*1", "110"], FaultMode.substructure(), 3)
-        got = {v.pattern for v in fault_vertices(fam)}
-        assert got == {"001", "011", "110"}
+        assert SurvivalGraph.from_family(fam).removed == {0b001, 0b011, 0b110}
         assert fam.size == 2
 
 
@@ -198,7 +214,7 @@ class TestEnumeration:
     def test_element_space_size_matches(self):
         for n, label in ((3, "substructure"), (4, "structure:1"), (5, "subcube:2")):
             mode = FaultMode.from_label(label)
-            assert element_space_size(n, mode) == len(_element_space(n, mode))
+            assert element_space_size(n, mode) == len(reference_space(n, mode))
 
     def test_element_space_is_the_admitted_subcubes(self):
         for n, label in ((4, "structure:2"), (5, "subcube:2"), (5, "substructure")):
@@ -207,11 +223,11 @@ class TestEnumeration:
                 (s for k in range(n + 1) if mode.admits(k) for s in enumerate_subcubes(n, k)),
                 key=lambda s: (s.free_mask, s.base),
             )
-            assert list(_element_space(n, mode)) == want
+            assert list(_space(n, mode)) == want
 
     def test_pairs_match_a_double_loop(self):
         mode = FaultMode.structure(1)
-        space = _element_space(4, mode)
+        space = reference_space(4, mode)
         brute = {
             (a.pattern, b.pattern)
             for a, b in itertools.combinations(space, 2)
@@ -227,6 +243,17 @@ class TestEnumeration:
     def test_size_zero_is_the_empty_family(self):
         fams = list(enumerate_families(3, FaultMode.structure(1), 0))
         assert len(fams) == 1 and fams[0].size == 0
+
+    def test_the_bitset_table_is_refused_before_it_is_built(self, monkeypatch):
+        # 16 * 2^15 edges of 2^16 bits each would take 4 GiB
+        refuse_element_space(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="smaller n, or sample_families"):
+            next(enumerate_families(16, FaultMode.structure(1), 1))
+        # the largest tables still accepted: every mode at n = 7, and
+        # structure:1 at n = 13 (about 54 MB)
+        for mode in canonical_modes(7):
+            assert _space(7, mode).size << 7 <= core._MASK_TABLE_BITS
+        assert _space(13, FaultMode.structure(1)).size << 13 <= core._MASK_TABLE_BITS
 
 
 class TestSampling:
@@ -247,10 +274,10 @@ class TestSampling:
     def test_substructure_samples_from_the_subcube_1_space(self):
         # one element space serves both labels; the families keep the
         # caller's mode and the draws are those of a per-label space
-        _unranker.cache_clear()
+        core._element_space.cache_clear()
         sub = sample_families(6, FaultMode.substructure(), 3, 4, seed=11)
         one = sample_families(6, FaultMode.subcube(1), 3, 4, seed=11)
-        assert _unranker.cache_info().misses == 1
+        assert core._element_space.cache_info().misses == 1
         assert [f.patterns() for f in sub] == [
             ["11110*", "0000*1", "*10011"],
             ["110000", "11111*", "*00100"],
@@ -271,10 +298,10 @@ class TestSampling:
 
 def reference_sample(n: int, mode: FaultMode, size: int, count: int, seed: int):
     """The sampler over the materialized element space: each attempt
-    indexes `size` uniform picks into _element_space and keeps them when
-    their vertex bitsets do not overlap."""
-    elems = _element_space(n, mode.canonical)
-    masks = _mask_space(n, mode.canonical)
+    indexes `size` uniform picks into the reference space and keeps them
+    when their vertex bitsets do not overlap."""
+    elems = reference_space(n, mode)
+    masks = reference_masks(elems)
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -299,23 +326,28 @@ def canonical_modes(n: int):
 
 
 def refuse_element_space(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the sampler built the element space")
+    """Fail on any walk of a whole element space or its bitset table."""
 
-    for module in (faults, oracle):
-        monkeypatch.setattr(module, "_element_space", refuse)
-        monkeypatch.setattr(module, "_mask_space", refuse)
+    def refuse(*args):
+        raise AssertionError("the element space or its bitset table was built")
+
+    core._element_space.cache_clear()
+    monkeypatch.setattr(core._ElementSpace, "__iter__", refuse, raising=False)
+    monkeypatch.setattr(core, "_vertex_mask", refuse)
 
 
 class TestUnrankedSampling:
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_every_index_unranks_to_the_element_space_entry(self, n):
         # subcube:m interleaves dimensions across the ascending free masks
         for mode in canonical_modes(n):
-            space = _unranker(n, mode)
-            elems = _element_space(n, mode)
+            space = _space(n, mode)
+            elems = reference_space(n, mode)
             assert space.size == len(elems) == element_space_size(n, mode)
-            assert [space[i] for i in range(space.size)] == list(elems)
+            assert [space[i] for i in range(space.size)] == list(space) == elems
+            assert space.masks == reference_masks(elems)
+        for k in range(n + 1):
+            assert list(enumerate_subcubes(n, k)) == reference_subcubes(n, k.__eq__)
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_draws_equal_the_reference_sampler(self, n):
@@ -333,7 +365,7 @@ class TestUnrankedSampling:
         fams = sample_families(12, mode, 8, 600, seed=4)
         assert all(f.size == 8 and validate_family(f) is None for f in fams)
         # over 4,800 picks among 112,640 elements: the memo fills and stops
-        assert len(_unranker(12, mode)._memo) == _UNRANK_MEMO
+        assert len(_space(12, mode)._memo) == _UNRANK_MEMO
         res = fault_diameter_bruteforce(12, mode, 8, search=SearchSpec.sampled(4, 1))
         assert res.value >= 12 and validate_family(res.witness) is None
 

@@ -24,7 +24,7 @@ from cube_faultlab import (
     fault_diameter_bruteforce,
     is_connected,
 )
-from cube_faultlab import oracle
+from cube_faultlab import core, oracle
 
 
 @lru_cache(maxsize=None)
@@ -191,17 +191,17 @@ class TestFaultDiameterSampled:
         def built(*args):
             raise AssertionError("sampler set up before the size check")
 
-        monkeypatch.setattr(oracle, "_unranker", built)
+        monkeypatch.setattr(oracle, "_space", built)
         spec = SearchSpec.sampled(3, 50)
         with pytest.raises(ResourceLimitError):
             fault_diameter_bruteforce(17, FaultMode.structure(15), 1, search=spec)
 
     def test_substructure_samples_from_the_subcube_1_space(self):
-        oracle._unranker.cache_clear()
+        core._element_space.cache_clear()
         spec = SearchSpec.sampled(5, 40)
         sub = fault_diameter_bruteforce(6, FaultMode.substructure(), 4, search=spec)
         one = fault_diameter_bruteforce(6, FaultMode.subcube(1), 4, search=spec)
-        assert oracle._unranker.cache_info().misses == 1
+        assert core._element_space.cache_info().misses == 1
         assert sub.value == one.value == 6
         assert sub.witness.patterns() == ["011010", "111001", "10000*", "1111*1"]
         assert one.witness.patterns() == sub.witness.patterns()

@@ -15,7 +15,6 @@ from cube_faultlab import (
     adversarial_q1_family,
     adversarial_subcube_family,
     bfs_distance,
-    fault_vertices,
     guided_route,
     pick_crossing_dimension,
     route_bound,
@@ -66,8 +65,9 @@ class TestPickCrossingDimension:
         fam = FaultFamily.from_patterns(elems[: n - 1], FaultMode.structure(0), n)
         j = pick_crossing_dimension(u, v, fam)
         assert j >= 2
+        removed = SurvivalGraph.from_family(fam).removed
         for w in (u.bits ^ (1 << (n - j)), v.bits ^ (1 << (n - j))):
-            assert Vertex(w, n) not in fault_vertices(fam)
+            assert w not in removed
 
     def test_requires_a_symmetric_pair(self):
         fam = FaultFamily((), FaultMode.structure(0), 4)
@@ -93,10 +93,9 @@ class TestPickCrossingDimension:
 def assert_route_ok(u, v, fam, bound):
     path = guided_route(u, v, fam)
     assert path.vertices[0] == u and path.vertices[-1] == v
-    bad = fault_vertices(fam)
-    assert not any(w in bad for w in path.vertices)
-    assert path.length <= bound
     g = SurvivalGraph.from_family(fam)
+    assert not any(w.bits in g.removed for w in path.vertices)
+    assert path.length <= bound
     assert path.length >= bfs_distance(g, u, v)
     return path
 
@@ -127,7 +126,7 @@ class TestGuidedRoute:
         # one Q_2 fault in Q_4: every survivor pair routes in <= 4 steps
         fam = FaultFamily.from_patterns(["1**0"], FaultMode.structure(2), 4)
         g = SurvivalGraph.from_family(fam)
-        survivors = [Vertex(b, 4) for b in range(16) if g.is_survivor(Vertex(b, 4))]
+        survivors = [Vertex(b, 4) for b in range(16) if b not in g.removed]
         for u, v in itertools.combinations(survivors, 2):
             path = assert_route_ok(u, v, fam, 4)
 
@@ -173,8 +172,6 @@ def test_randomized_sweep_meets_bounds(n):
         bound = route_bound(n, mode)
         for fam in sample_families(n, mode, budget, 40, seed=rng.randrange(1 << 30)):
             g = SurvivalGraph.from_family(fam)
-            survivors = [
-                Vertex(b, n) for b in range(1 << n) if g.is_survivor(Vertex(b, n))
-            ]
+            survivors = [Vertex(b, n) for b in range(1 << n) if b not in g.removed]
             u, v = rng.sample(survivors, 2)
             assert_route_ok(u, v, fam, bound)

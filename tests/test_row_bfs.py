@@ -18,7 +18,7 @@ import pytest
 
 from cube_faultlab import FaultMode, sample_families
 from cube_faultlab import metrics
-from cube_faultlab.faults import _mask_space, fault_bits
+from cube_faultlab.faults import _space, fault_bits
 from cube_faultlab.oracle import _first_indices, _iter_packings, _kappa_scan
 
 
@@ -64,7 +64,7 @@ def ref_connected(n: int, allowed: int) -> bool:
 
 def ref_kappa_scan(n: int, label: str, size: int, firsts):
     """(witness indices, families scanned), one family at a time."""
-    masks = _mask_space(n, FaultMode.from_label(label))
+    masks = _space(n, FaultMode.from_label(label)).masks
     full = (1 << (1 << n)) - 1
     scanned = 0
     for idx, acc in _iter_packings(masks, size, firsts):
@@ -77,7 +77,7 @@ def ref_kappa_scan(n: int, label: str, size: int, firsts):
 
 def packings(n: int, label: str, size: int, firsts) -> list[int]:
     """Union bitset of every family whose first index is in `firsts`."""
-    masks = _mask_space(n, FaultMode.from_label(label))
+    masks = _space(n, FaultMode.from_label(label)).masks
     return [acc for _, acc in _iter_packings(masks, size, firsts)]
 
 
@@ -164,7 +164,7 @@ def scan_cases(n: int, label: str):
     over the full index range and the base-0 first indices that
     connectivity_bruteforce passes."""
     mode = FaultMode.from_label(label)
-    count = len(_mask_space(n, mode))
+    count = _space(n, mode).size
     firstses = [range(count), _first_indices(n, mode)]
     for size in range(1, (1 << n) + 1):
         for firsts in firstses:
@@ -186,7 +186,7 @@ def test_kappa_chunk_matches_the_per_family_scan(n, label):
 @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
 def test_kappa_chunk_matches_the_per_family_scan_at_n5(label):
     mode = FaultMode.from_label(label)
-    count = len(_mask_space(5, mode))
+    count = _space(5, mode).size
     for size in range(1, 5):
         hit, scanned = ref_kappa_scan(5, label, size, range(count))
         assert _kappa_scan(5, mode, size, range(count)) == (hit, scanned)
@@ -200,7 +200,7 @@ def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
     """Shrink the batches so the hit lands in every row position, in the
     last row of a full batch and in a short final batch."""
     mode = FaultMode.from_label(label)
-    count = len(_mask_space(n, mode))
+    count = _space(n, mode).size
     lo = ref_kappa_scan(n, label, size, range(count))[0][0]
     # the families whose first element is the witness's
     firsts = range(lo, lo + 1)
@@ -222,7 +222,7 @@ def test_kappa_chunk_on_every_size(n, label):
     """Past kappa too, where some families remove every vertex: those
     never count as disconnecting, also when they share a batch with a hit."""
     mode = FaultMode.from_label(label)
-    everything = range(len(_mask_space(n, mode)))
+    everything = range(_space(n, mode).size)
     full = (1 << (1 << n)) - 1
     emptied = 0
     for size in range(1, (1 << n) + 1):
