@@ -25,6 +25,15 @@ two adjacent vertices into a corner of one half, and a family of
 n-m-1 disjoint Q_m's that forces every route between two chosen
 vertices to take n+1 steps.
 
+A family's validity verdict (validate_family, require_valid) is
+computed once per FaultFamily instance, on the (free_mask, base) ints
+of its elements, and kept there: the router and
+SurvivalGraph.from_family ask again on every call.  The memo is sound
+because FaultFamily and Subcube are frozen and __post_init__ orders the
+elements before anything reads them; dataclasses.replace gives a new
+instance and a fresh verdict.  _first_meeting is the one disjointness
+loop of the verdict and the sampler.
+
 Text format: a family file starts with ``n=<n> mode=<label>`` and lists
 one subcube pattern per line.  Blank lines and lines starting with '#'
 are ignored.
@@ -36,7 +45,8 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .core import MAX_DIM, Subcube, _check_ambient, _element_space, _ElementSpace, coord_bit
 from .errors import ResourceLimitError
@@ -134,6 +144,24 @@ class FaultMode:
         return self.label
 
 
+_element_key = attrgetter("free_mask", "base")  # canonical order; the int form
+
+
+class _memo:
+    """A per-instance memo: functools.cached_property without the lock
+    that Python 3.11 takes on every first access."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class FaultFamily:
     """A tuple of subcube faults in Q_ambient, stored in canonical order.
@@ -141,7 +169,8 @@ class FaultFamily:
     Canonical order is ascending (free_mask, base).  Construction does
     not enforce disjointness or mode admissibility; validate_family
     reports violations so that invalid input can be described rather
-    than rejected blind.
+    than rejected blind.  The integer form and the verdict are computed
+    on first use and kept on the instance.
     """
 
     elements: tuple[Subcube, ...]
@@ -155,7 +184,7 @@ class FaultFamily:
                 raise ValueError(
                     f"element {s.pattern} lives in Q_{s.dim_ambient}, family in Q_{self.ambient}"
                 )
-        ordered = tuple(sorted(self.elements, key=lambda s: (s.free_mask, s.base)))
+        ordered = tuple(sorted(self.elements, key=_element_key))
         object.__setattr__(self, "elements", ordered)
 
     @classmethod
@@ -175,6 +204,29 @@ class FaultFamily:
     def patterns(self) -> list[str]:
         return [s.pattern for s in self.elements]
 
+    @_memo
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        """(free_mask, base) of every element, in canonical order."""
+        return tuple(map(_element_key, self.elements))
+
+    @_memo
+    def _verdict(self) -> FamilyViolation | None:
+        """validate_family's answer, computed once on the integer pairs."""
+        pairs, elems = self._pairs, self.elements
+        dims = _admitted(self.ambient, self.mode)
+        for i, (fr, _) in enumerate(pairs):
+            if fr.bit_count() not in dims:
+                return FamilyViolation(
+                    f"element of dimension {elems[i].dim} not admitted by mode {self.mode.label}",
+                    (elems[i],),
+                )
+        for i, (fr, ba) in enumerate(pairs):
+            hit = _first_meeting(pairs[i + 1:], fr, ba)
+            if hit is not None:
+                j = pairs.index(hit, i + 1)  # an equal pair before hit would have met first
+                return FamilyViolation("elements intersect", (elems[i], elems[j]))
+        return None
+
 
 @dataclass(frozen=True)
 class FamilyViolation:
@@ -188,27 +240,33 @@ class FamilyViolation:
         return f"{self.reason}: {pats}"
 
 
+def _first_meeting(pairs: Iterable[tuple[int, int]], free: int, base: int) -> tuple[int, int] | None:
+    """The first pair whose subcube meets the subcube (free, base), else None.
+
+    Subcube.disjoint_from's test on (free_mask, base) ints: two subcubes
+    meet iff their bases agree wherever both are fixed, that is iff
+    (b1 ^ b2) & ~(f1 | f2) == 0.
+    """
+    for pair in pairs:
+        f, b = pair
+        if not (base ^ b) & ~(free | f):
+            return pair
+    return None
+
+
 def validate_family(family: FaultFamily) -> FamilyViolation | None:
     """Check mode admissibility and pairwise disjointness.
 
     Returns None when the family is valid, otherwise a report naming the
-    first offending element or pair (in canonical order).
+    first offending element (in canonical order), or else the first
+    intersecting pair (i, j) with i < j.  The verdict is computed once
+    per family instance; later calls return the same object.
     """
-    for s in family.elements:
-        if not family.mode.admits(s.dim):
-            return FamilyViolation(
-                f"element of dimension {s.dim} not admitted by mode {family.mode.label}", (s,)
-            )
-    elems = family.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if not elems[i].disjoint_from(elems[j]):
-                return FamilyViolation("elements intersect", (elems[i], elems[j]))
-    return None
+    return family._verdict
 
 
 def require_valid(family: FaultFamily) -> None:
-    issue = validate_family(family)
+    issue = family._verdict
     if issue is not None:
         raise ValueError(f"invalid fault family, {issue}")
 
@@ -222,7 +280,7 @@ def fault_bits(family: FaultFamily) -> set[int]:
 
 
 def _half_faults(
-    faults: list[tuple[int, int]], p: int, side: int
+    faults: Sequence[tuple[int, int]], p: int, side: int
 ) -> list[tuple[int, int]]:
     """Elements meeting the half with bit p == side, straddlers projected.
 
@@ -265,10 +323,9 @@ def restrict_along(family: FaultFamily, d: int, h: int) -> FaultFamily:
     if n < 2:
         raise ValueError("cannot restrict a 1-dimensional cube")
     p = coord_bit(n, d).bit_length() - 1  # validates d
-    pairs = [(s.free_mask, s.base) for s in family.elements]
     elems = [
         Subcube(_drop_coordinate(fr, p), _drop_coordinate(ba, p), n - 1)
-        for fr, ba in _half_faults(pairs, p, h)
+        for fr, ba in _half_faults(family._pairs, p, h)
     ]
     mode = family.mode
     if mode.kind == "structure" and any(s.dim != mode.m for s in elems):
@@ -358,7 +415,9 @@ def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
     The first index runs over `firsts` (ascending), later ones over the
     rest of the space; yields (indices, union bitset).  Lexicographic
     order of the tuples is exactly the canonical family order.  Size 0
-    yields the empty family once, whatever `firsts` is.
+    yields the empty family once, whatever `firsts` is.  A prefix stops
+    where too few indices remain to complete it, so the walk visits at
+    most `size` prefixes per C(len(masks), size) candidate.
     """
     if size == 0:
         yield (), 0
@@ -370,7 +429,7 @@ def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
         if depth == size:
             yield tuple(idx), acc
             return
-        for i in range(start, count):
+        for i in range(start, count - size + depth + 1):
             mi = masks[i]
             if mi & acc:
                 continue
@@ -405,18 +464,18 @@ def _sample_one(
 def _disjoint_elements(space: _ElementSpace, picks: list[int]) -> list[Subcube] | None:
     """The picked elements when they are pairwise disjoint, else None.
 
-    The test is Subcube.disjoint_from's, inlined: calling the method per
-    pair made the lem3.1 claims, which draw 27,650 small families, about
-    15% slower (2 vCPUs, Python 3.11.7).
+    Each pick is tested against the ones before it with the family
+    verdict's own loop, _first_meeting, so a draw is dropped at its
+    first clash.
     """
     elems: list[Subcube] = []
+    pairs: list[tuple[int, int]] = []
     for i in picks:
         s = space[i]
-        free, base = s.free_mask, s.base
-        for t in elems:
-            if not (base ^ t.base) & ~(free | t.free_mask):
-                return None
+        if _first_meeting(pairs, s.free_mask, s.base) is not None:
+            return None
         elems.append(s)
+        pairs.append((s.free_mask, s.base))
     return elems
 
 

@@ -10,9 +10,12 @@ whose remaining budget still affords the target length.
 
 The recursion tracks an internal length target per context: a context
 of dimension k with t faults of maximum element dimension md is within
-budget when t <= k - md - 1, and the reachable target is k when the
-family is small (t <= 1 or t <= k - md - 2) and k + 1 at full budget.
-Case analysis per level:
+budget when md <= k - 2 and t <= k - md - 1, and the reachable target
+is k when the family is small (t <= 1 or t <= k - md - 2) and k + 1 at
+full budget.  One helper, _affords, answers both questions for a child
+context from a single pass over its faults: is it within budget, and
+does its target plus the edges spent crossing into it stay within the
+parent's target.  Case analysis per level:
 
 * no faults: fix differing coordinates in ascending order (length =
   Hamming distance, the optimum);
@@ -32,11 +35,17 @@ implementation does not assume), the router falls back to BFS in the
 full context and counts the event; route_with_report exposes the
 counter, and a produced path longer than the mode bound raises
 InvariantViolation rather than returning quietly.
+
+The router reads the family's (free_mask, base) pairs and its validity
+verdict from the FaultFamily instance, where both are computed once
+(see faults), so routing many pairs around one family validates it
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Path, Vertex
 from .errors import InvariantViolation
@@ -82,30 +91,33 @@ class RouteReport:
         return self.path.length
 
 
-def _hit(x: int, faults: list[tuple[int, int]]) -> bool:
+_Faults = Sequence[tuple[int, int]]  # (free_mask, base) pairs, ascending
+
+
+def _hit(x: int, faults: _Faults) -> bool:
     for fr, ba in faults:
         if x & ~fr == ba:
             return True
     return False
 
 
-def _max_dim(faults: list[tuple[int, int]]) -> int:
-    return max(fr.bit_count() for fr, _ in faults)
-
-
-def _in_budget(k: int, faults: list[tuple[int, int]]) -> bool:
+def _target(k: int, faults: _Faults) -> int | None:
+    """Reachable route length in a dim-k context, None when the faults are
+    over its budget.  Every context the router enters is within budget."""
     if not faults:
-        return True
-    md = _max_dim(faults)
-    return md <= k - 2 and len(faults) <= k - md - 1
-
-
-def _target(k: int, faults: list[tuple[int, int]]) -> int:
-    """Reachable route length in a dim-k context under an in-budget family."""
-    t = len(faults)
-    if t <= 1 or t <= k - _max_dim(faults) - 2:
         return k
-    return k + 1
+    t = len(faults)
+    md = max(fr.bit_count() for fr, _ in faults)
+    if md > k - 2 or t > k - md - 1:
+        return None
+    return k if t <= 1 or t <= k - md - 2 else k + 1
+
+
+def _affords(k: int, faults: _Faults, extra: int, tgt: int) -> bool:
+    """A dim-k child context is within budget and its target plus `extra`
+    crossing edges stays within the parent's target tgt."""
+    target = _target(k, faults)
+    return target is not None and target + extra <= tgt
 
 
 def _positions(ctx_free: int, n: int) -> list[int]:
@@ -126,7 +138,7 @@ def _greedy(u: int, v: int, n: int) -> list[int]:
 
 
 def _bfs_route(
-    n: int, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
+    n: int, ctx_free: int, u: int, v: int, faults: _Faults
 ) -> list[int] | None:
     """Shortest fault-free path inside the context, deterministic ties."""
     flips = [1 << p for p in _positions(ctx_free, n)]
@@ -141,7 +153,7 @@ def _bfs_route(
 
 
 def _safe_crossing(
-    ctx_free: int, n: int, u: int, v: int, faults: list[tuple[int, int]]
+    ctx_free: int, n: int, u: int, v: int, faults: _Faults
 ) -> int | None:
     """First free bit position (ascending coordinate) whose flip keeps both
     endpoints off the faults, None when there is none."""
@@ -158,7 +170,7 @@ class _Router:
         self.n = n
         self.fallbacks = 0
 
-    def route(self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]) -> list[int]:
+    def route(self, ctx_free: int, u: int, v: int, faults: _Faults) -> list[int]:
         n = self.n
         if u == v:
             return [u]
@@ -174,7 +186,7 @@ class _Router:
         return self._route_unsymmetric(ctx_free, u, v, faults)
 
     def _bfs_or_die(
-        self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
+        self, ctx_free: int, u: int, v: int, faults: _Faults
     ) -> list[int]:
         got = _bfs_route(self.n, ctx_free, u, v, faults)
         if got is None:
@@ -185,13 +197,13 @@ class _Router:
         return got
 
     def _fallback(
-        self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
+        self, ctx_free: int, u: int, v: int, faults: _Faults
     ) -> list[int]:
         self.fallbacks += 1
         return self._bfs_or_die(ctx_free, u, v, faults)
 
     def _route_single(
-        self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
+        self, ctx_free: int, u: int, v: int, faults: _Faults
     ) -> list[int]:
         """One fault element: at most one crossing into the clean half."""
         fr, ba = faults[0]
@@ -212,7 +224,7 @@ class _Router:
         return _greedy(u, v ^ bit, self.n) + [v]
 
     def _route_symmetric(
-        self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
+        self, ctx_free: int, u: int, v: int, faults: _Faults
     ) -> list[int]:
         """Endpoints differ in every free coordinate: cross next to one of them."""
         p = _safe_crossing(ctx_free, self.n, u, v, faults)
@@ -227,15 +239,15 @@ class _Router:
         k1 = child_free.bit_count()
         u_side = 1 if u & bit else 0
         f_u = _half_faults(faults, p, u_side)
-        if _in_budget(k1, f_u) and _target(k1, f_u) + 1 <= tgt:
+        if _affords(k1, f_u, 1, tgt):
             return self.route(child_free, u, v ^ bit, f_u) + [v]
         f_v = _half_faults(faults, p, 1 - u_side)
-        if _in_budget(k1, f_v) and _target(k1, f_v) + 1 <= tgt:
+        if _affords(k1, f_v, 1, tgt):
             return [u] + self.route(child_free, u ^ bit, v, f_v)
         return self._fallback(ctx_free, u, v, faults)
 
     def _route_unsymmetric(
-        self, ctx_free: int, u: int, v: int, faults: list[tuple[int, int]]
+        self, ctx_free: int, u: int, v: int, faults: _Faults
     ) -> list[int]:
         """Split along the smallest coordinate where the endpoints agree."""
         agree = ~(u ^ v) & ctx_free
@@ -246,28 +258,25 @@ class _Router:
         child_free = ctx_free ^ bit
         k1 = child_free.bit_count()
         f_same = _half_faults(faults, p, side)
-        if _in_budget(k1, f_same) and _target(k1, f_same) <= tgt:
+        if _affords(k1, f_same, 0, tgt):
             return self.route(child_free, u, v, f_same)
         f_other = _half_faults(faults, p, 1 - side)
         u2, v2 = u ^ bit, v ^ bit
-        if (
-            not _hit(u2, faults)
-            and not _hit(v2, faults)
-            and _in_budget(k1, f_other)
-            and _target(k1, f_other) + 2 <= tgt
-        ):
+        if not _hit(u2, faults) and not _hit(v2, faults) and _affords(k1, f_other, 2, tgt):
             return [u] + self.route(child_free, u2, v2, f_other) + [v]
         return self._fallback(ctx_free, u, v, faults)
 
 
-def _check_routing_args(u: Vertex, v: Vertex, family: FaultFamily) -> list[tuple[int, int]]:
+def _check_routing_args(u: Vertex, v: Vertex, family: FaultFamily) -> _Faults:
+    """The family's memoised (free_mask, base) pairs, after the family,
+    endpoint-cube and faulty-endpoint checks."""
     require_valid(family)
     n = family.ambient
     if u.dim != n or v.dim != n:
         raise ValueError(
             f"endpoints live in Q_{u.dim}/Q_{v.dim}, family in Q_{n}"
         )
-    faults = sorted((s.free_mask, s.base) for s in family.elements)
+    faults = family._pairs
     if _hit(u.bits, faults):
         raise ValueError(f"endpoint {u.pattern} is a faulty vertex")
     if _hit(v.bits, faults):

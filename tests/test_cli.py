@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from cube_faultlab import ClaimResult, adversarial_q1_family, family_to_text
+from cube_faultlab import ClaimResult, adversarial_q1_family, cli, family_to_text
 from cube_faultlab.cli import main
 
 
@@ -298,6 +299,50 @@ class TestEnumerateCommand:
         )
         tail = out.strip().splitlines()[-2:]
         assert tail == ["00*,01*", "00*,10*"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--n", "6", "--mode", "structure:0", "--size", "6"),
+                "enumerate would walk C(64, 6) = 74,974,368 candidate structure:0 "
+                "families of Q_6, above the limit of 2,000,000 (about 10 s); "
+                "use --size 4 or --n 5",
+            ),
+            (
+                ("--n", "5", "--mode", "subcube:2", "--size", "4"),
+                "enumerate would walk C(192, 4) = 54,870,480 candidate subcube:2 "
+                "families of Q_5, above the limit of 2,000,000 (about 10 s); "
+                "use --size 3 or --n 4",
+            ),
+            (
+                ("--n", "30", "--mode", "subcube:28", "--size", "1000000000"),
+                "enumerate would walk C(205891132094588, 1000000000) = about "
+                "10^5747931064 candidate subcube:28 families of Q_30, above the "
+                "limit of 2,000,000 (about 10 s); use --size 0",
+            ),
+        ],
+        ids=["structure:0", "subcube:2", "huge-size"],
+    )
+    def test_an_oversized_walk_is_refused_before_it_starts(self, capsys, monkeypatch, argv, message):
+        def walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(cli, "enumerate_families", walk)
+        start = time.perf_counter()
+        assert run(capsys, "enumerate", *argv) == (3, "", f"resource limit: {message}\n")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("size, families", [(30, 496), (32, 1), (33, 0)])
+    def test_sizes_next_to_the_space_finish(self, capsys, size, families):
+        """Q_5 has 32 vertices: the walk stops prefixes that cannot be
+        completed, so it does not visit every vertex subset."""
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "5", "--mode", "structure:0",
+            "--size", str(size), "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["families"] == families
 
 
 class TestPlumbing:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cube_faultlab import (
+    FamilyViolation,
     FaultFamily,
     FaultMode,
     ResourceLimitError,
     SearchSpec,
     Subcube,
     SurvivalGraph,
+    Vertex,
     adversarial_q1_family,
     adversarial_subcube_family,
     element_space_size,
@@ -28,6 +31,7 @@ from cube_faultlab import (
     read_family,
     restrict_along,
     route_bound,
+    route_with_report,
     sample_families,
     validate_family,
     write_family,
@@ -118,6 +122,28 @@ class TestFaultMode:
                     route_bound(n, mode)
 
 
+VALIDATION_MODES = (
+    "structure:0", "structure:1", "structure:2", "structure:3",
+    "substructure", "subcube:1", "subcube:2", "subcube:3",
+)
+
+
+def reference_violation(family: FaultFamily) -> FamilyViolation | None:
+    """The per-pair check: first inadmissible element, else the first
+    pair (i, j), i < j, that Subcube.disjoint_from rejects."""
+    for s in family.elements:
+        if not family.mode.admits(s.dim):
+            return FamilyViolation(
+                f"element of dimension {s.dim} not admitted by mode {family.mode.label}", (s,)
+            )
+    elems = family.elements
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            if not elems[i].disjoint_from(elems[j]):
+                return FamilyViolation("elements intersect", (elems[i], elems[j]))
+    return None
+
+
 class TestValidation:
     def test_disjoint_edges_are_ok(self):
         fam = FaultFamily.from_patterns(["0*1", "1*0"], FaultMode.structure(1), 3)
@@ -142,6 +168,57 @@ class TestValidation:
         fam = FaultFamily.from_patterns(["0*1", "110"], FaultMode.substructure(), 3)
         assert SurvivalGraph.from_family(fam).removed == {0b001, 0b011, 0b110}
         assert fam.size == 2
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])
+    def test_int_verdict_matches_the_per_pair_reference(self, size):
+        """Every multiset of `size` subcubes of Q_3 (any dimension, so
+        intersecting, repeated and inadmissible elements included) under
+        every mode: the same reason and members as the reference.  Four
+        elements, under the mode that admits them all, are the smallest
+        case where the pair order matters: (0, 3) comes before (1, 2)."""
+        labels = VALIDATION_MODES if size <= 3 else ("subcube:3",)
+        modes = [FaultMode.from_label(m) for m in labels]
+        cubes = reference_subcubes(3, lambda k: True)
+        invalid = 0
+        for elems in itertools.combinations_with_replacement(cubes, size):
+            for mode in modes:
+                fam = FaultFamily(elems, mode, 3)
+                want = reference_violation(fam)
+                assert validate_family(fam) == want, (mode.label, fam.patterns())
+                invalid += want is not None
+        assert invalid > 0 or size == 0
+
+    def test_the_verdict_is_computed_once_per_family(self):
+        fam = FaultFamily.from_patterns(["0**", "001"], FaultMode.subcube(2), 3)
+        first = validate_family(fam)
+        assert first == FamilyViolation(
+            "elements intersect", (Subcube.from_pattern("001"), Subcube.from_pattern("0**"))
+        )
+        assert validate_family(fam) is first
+        valid = FaultFamily.from_patterns(["0*1", "1*0"], FaultMode.structure(1), 3)
+        assert validate_family(valid) is None and validate_family(valid) is None
+
+    def test_an_invalid_family_raises_on_every_call(self):
+        fam = FaultFamily.from_patterns(["000*", "00*0"], FaultMode.structure(1), 4)
+        u, v = Vertex.from_pattern("1111"), Vertex.from_pattern("0111")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="elements intersect: 000\\*, 00\\*0"):
+                route_with_report(u, v, fam)
+            with pytest.raises(ValueError, match="elements intersect"):
+                SurvivalGraph.from_family(fam)
+
+    def test_replace_gives_a_fresh_verdict(self):
+        fam = FaultFamily.from_patterns(["0*1", "1*0"], FaultMode.structure(1), 3)
+        assert validate_family(fam) is None
+        narrowed = dataclasses.replace(fam, mode=FaultMode.structure(0))
+        assert validate_family(narrowed) == FamilyViolation(
+            "element of dimension 1 not admitted by mode structure:0", (Subcube.from_pattern("0*1"),)
+        )
+        overlapping = dataclasses.replace(fam, elements=fam.elements + (Subcube.from_pattern("01*"),))
+        assert validate_family(overlapping) == FamilyViolation(
+            "elements intersect", (Subcube.from_pattern("01*"), Subcube.from_pattern("0*1"))
+        )
+        assert validate_family(fam) is None
 
 
 class TestSplitClassification:

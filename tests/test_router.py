@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +177,87 @@ def test_randomized_sweep_meets_bounds(n):
             survivors = [Vertex(b, n) for b in range(1 << n) if b not in g.removed]
             u, v = rng.sample(survivors, 2)
             assert_route_ok(u, v, fam, bound)
+
+
+ROUTES = Path(__file__).resolve().parent / "data" / "routes.json"
+PINNED_DIMS = (6, 10, 16, 30)
+PINNED_FAMILIES = 2  # sampled families per (n, mode)
+PINNED_PAIRS = 2  # uniform and antipodal pairs per family, each
+
+
+def pinned_families():
+    """(n, source, family, extremal) for the pinned route records: sampled
+    families at full budget for five modes per n, then both extremal
+    families."""
+    for n in PINNED_DIMS:
+        for label in ("structure:0", "structure:1", "substructure", "subcube:2", f"structure:{n - 3}"):
+            mode = FaultMode.from_label(label)
+            for fam in sample_families(n, mode, mode.kappa(n) - 1, PINNED_FAMILIES, seed=700 + n):
+                yield n, label, fam, False
+        yield n, "adversarial:q1", adversarial_q1_family(n), True
+        yield n, "adversarial:subcube:2", adversarial_subcube_family(n, 2), True
+
+
+def pinned_pairs(fam, extremal, rng):
+    """Seeded survivor pairs of one family: uniform, then antipodal, then
+    (extremal families only) the far corners 0...0 and 1...10 both ways."""
+    n = fam.ambient
+    full = (1 << n) - 1
+
+    def survivor():
+        while True:
+            x = rng.getrandbits(n)
+            if not any(s.contains(x) for s in fam.elements):
+                return x
+
+    pairs = []
+    while len(pairs) < PINNED_PAIRS:
+        u, v = survivor(), survivor()
+        if u != v:
+            pairs.append(("uniform", u, v))
+    while len(pairs) < 2 * PINNED_PAIRS:
+        u = survivor()
+        if not any(s.contains(u ^ full) for s in fam.elements):
+            pairs.append(("antipodal", u, u ^ full))
+    if extremal:
+        pairs += [("far", 0, full ^ 1), ("far", full ^ 1, 0)]
+    return pairs
+
+
+def route_records():
+    """One record per pinned route: family, pair, routed labels, fallbacks."""
+    rng = random.Random(2024)
+    records = []
+    for n, source, fam, extremal in pinned_families():
+        for kind, u, v in pinned_pairs(fam, extremal, rng):
+            rep = route_with_report(Vertex(u, n), Vertex(v, n), fam)
+            records.append({
+                "n": n,
+                "source": source,
+                "family": fam.patterns(),
+                "kind": kind,
+                "u": u,
+                "v": v,
+                "labels": [x.bits for x in rep.path.vertices],
+                "fallbacks": rep.fallbacks,
+            })
+    return records
+
+
+def routes_text(records):
+    """The records as JSON, one record per line."""
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n]\n"
+
+
+def test_routes_match_the_pinned_records():
+    """The sampled families, their seeded survivor pairs, every routed label
+    and the fallback count, as recorded in tests/data/routes.json.  After a
+    deliberate router change, regenerate it with
+    `PYTHONPATH=src python tests/test_router.py`."""
+    records = route_records()
+    assert len(records) == 4 * (5 * PINNED_FAMILIES + 2) * 2 * PINNED_PAIRS + 4 * 2 * 2
+    assert routes_text(records) == ROUTES.read_text()
+
+
+if __name__ == "__main__":
+    ROUTES.write_text(routes_text(route_records()))
