@@ -306,8 +306,8 @@ def _cmd_adversary(args) -> tuple[_Report, int]:
 
 
 # Candidate families C(element space, size) that `enumerate` may walk:
-# about 10 s at the ~200,000 families/s measured for structure:0 at
-# n = 6, size 4 (2 vCPUs, Python 3.11.7).
+# 4 to 10 s at the 200,000 to 450,000 families/s measured for
+# structure:0 at n = 6, size 4 (2 vCPUs, Python 3.11.7, by host load).
 _ENUMERATE_LIMIT = 2_000_000
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -147,21 +147,6 @@ class FaultMode:
 _element_key = attrgetter("free_mask", "base")  # canonical order; the int form
 
 
-class _memo:
-    """A per-instance memo: functools.cached_property without the lock
-    that Python 3.11 takes on every first access."""
-
-    def __init__(self, func) -> None:
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class FaultFamily:
     """A tuple of subcube faults in Q_ambient, stored in canonical order.
@@ -204,12 +189,12 @@ class FaultFamily:
     def patterns(self) -> list[str]:
         return [s.pattern for s in self.elements]
 
-    @_memo
+    @cached_property
     def _pairs(self) -> tuple[tuple[int, int], ...]:
         """(free_mask, base) of every element, in canonical order."""
         return tuple(map(_element_key, self.elements))
 
-    @_memo
+    @cached_property
     def _verdict(self) -> FamilyViolation | None:
         """validate_family's answer, computed once on the integer pairs."""
         pairs, elems = self._pairs, self.elements
@@ -417,28 +402,45 @@ def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
     order of the tuples is exactly the canonical family order.  Size 0
     yields the empty family once, whatever `firsts` is.  A prefix stops
     where too few indices remain to complete it, so the walk visits at
-    most `size` prefixes per C(len(masks), size) candidate.
+    most `size` prefixes per C(len(masks), size) candidate, and a size
+    above len(masks) yields nothing at once.
+
+    The walk keeps one index iterator per depth instead of recursing, so
+    its depth is not bounded by the interpreter's recursion limit.
     """
     if size == 0:
         yield (), 0
         return
-    count = len(masks)
+    top = len(masks) - size  # index at depth d runs up to top + d
+    if top < 0:
+        return
+    last = size - 1
     idx = [0] * size
-
-    def rec(depth: int, start: int, acc: int):
-        if depth == size:
-            yield tuple(idx), acc
-            return
-        for i in range(start, count - size + depth + 1):
-            mi = masks[i]
-            if mi & acc:
+    accs = [0] * size  # accs[d]: union of the elements idx[0..d]
+    its = [iter(())] * size
+    for first in firsts:
+        if first > top:
+            continue
+        if last == 0:
+            yield (first,), masks[first]
+            continue
+        idx[0], accs[0] = first, masks[first]
+        depth, its[1] = 1, iter(range(first + 1, top + 2))
+        while depth:
+            acc = accs[depth - 1]
+            for i in its[depth]:
+                if not masks[i] & acc:
+                    break
+            else:
+                depth -= 1
                 continue
             idx[depth] = i
-            yield from rec(depth + 1, i + 1, acc | mi)
-
-    for i in firsts:
-        idx[0] = i
-        yield from rec(1, i + 1, masks[i])
+            if depth == last:
+                yield tuple(idx), acc | masks[i]
+            else:
+                accs[depth] = acc | masks[i]
+                depth += 1
+                its[depth] = iter(range(i + 1, top + depth + 1))
 
 
 def _sample_one(
