@@ -11,42 +11,28 @@ enumeration.  Claim ids follow the package's claim catalog numbering
 Oracle calls are cached per (n, canonical mode[, budget]), so
 claims that share a scan (several theorems constrain the same sweep,
 and substructure scans as subcube:1) pay for it once per process.
-Randomized claims draw from seeds fixed by the claim id, so every run
-checks the identical case list.
 """
 
 from __future__ import annotations
 
-import random
 import time
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .core import Subcube, Vertex, common_neighbors, enumerate_subcubes, hamming
-from .errors import InvariantViolation
+from .core import Vertex, common_neighbors, enumerate_subcubes, hamming
 from .faults import (
     FaultFamily,
     FaultMode,
     adversarial_q1_family,
     adversarial_subcube_family,
     enumerate_families,
-    fault_bits,
     restrict_along,
-    sample_families,
     validate_family,
 )
 from .metrics import SurvivalGraph, bfs_distance, component_of, diameter, is_connected
 from .oracle import connectivity_bruteforce, fault_diameter_bruteforce
-from .router import pick_crossing_dimension
-
-RANDOM_CASES = 10_000
-
-
-def _seed(claim_id: str) -> int:
-    return zlib.crc32(claim_id.encode())
 
 
 def _canonical(mode_label: str) -> FaultMode:
@@ -139,12 +125,12 @@ def _violations(bad: int, witness: list[str]):
     return "0 violations", f"{bad} violations", bad == 0, witness
 
 
-def _check_common_neighbors(n: int, pairs: Iterable[tuple[int, int]]):
+def _check_common_neighbors(n: int):
     """Distinct vertices have 2 common neighbors at Hamming distance 2
     and none otherwise; one violation per failing pair of labels."""
     bad = 0
     witness: list[str] = []
-    for ub, vb in pairs:
+    for ub, vb in combinations(range(1 << n), 2):
         u, v = Vertex(ub, n), Vertex(vb, n)
         want = 2 if hamming(u, v) == 2 else 0
         if len(common_neighbors(u, v)) != want:
@@ -153,45 +139,21 @@ def _check_common_neighbors(n: int, pairs: Iterable[tuple[int, int]]):
     return _violations(bad, witness)
 
 
-def _random_pairs(n: int, seed: int) -> Iterator[tuple[int, int]]:
-    """RANDOM_CASES seeded draws of two labels; equal draws are dropped."""
-    rng = random.Random(seed)
-    for _ in range(RANDOM_CASES):
-        ub, vb = rng.randrange(1 << n), rng.randrange(1 << n)
-        if ub != vb:
-            yield ub, vb
-
-
-def _check_subcube_closure(n: int, cases: Iterable[tuple[Subcube, Iterable[tuple[int, int]]]]):
+def _check_subcube_closure(n: int):
     """Common neighbors of two vertices of a subcube lie in the subcube.
-    A case is a subcube and vertex pairs in it; one violation per
-    failing case, witnessed by its first failing pair."""
+    Every subcube of dimension >= 1 and every pair of its vertices; one
+    violation per failing subcube, witnessed by its first failing pair."""
     bad = 0
     witness: list[str] = []
-    for s, pairs in cases:
-        for ub, vb in pairs:
-            u, v = Vertex(ub, n), Vertex(vb, n)
-            if not all(s.contains(w) for w in common_neighbors(u, v)):
-                bad += 1
-                witness = witness or [s.pattern, u.pattern, v.pattern]
-                break
-    return _violations(bad, witness)
-
-
-def _every_subcube(n: int) -> Iterator[tuple[Subcube, Iterable[tuple[int, int]]]]:
-    """Every subcube of dimension >= 1 with every pair of its vertices."""
     for k in range(1, n + 1):
         for s in enumerate_subcubes(n, k):
-            yield s, combinations(s.vertex_bits(), 2)
-
-
-def _random_subcubes(n: int, seed: int) -> Iterator[tuple[Subcube, Iterable[tuple[int, int]]]]:
-    """RANDOM_CASES seeded subcubes of dimension >= 1, one vertex pair each."""
-    rng = random.Random(seed)
-    for _ in range(RANDOM_CASES):
-        free = sum(1 << p for p in rng.sample(range(n), rng.randint(1, n)))
-        s = Subcube(free, rng.randrange(1 << n) & ~free, n)
-        yield s, [rng.sample(list(s.vertex_bits()), 2)]
+            for ub, vb in combinations(s.vertex_bits(), 2):
+                u, v = Vertex(ub, n), Vertex(vb, n)
+                if not all(s.contains(w) for w in common_neighbors(u, v)):
+                    bad += 1
+                    witness = witness or [s.pattern, u.pattern, v.pattern]
+                    break
+    return _violations(bad, witness)
 
 
 def _check_connected_removal_diameter(n: int):
@@ -230,28 +192,26 @@ def _check_small_removal_diameter(n: int):
     return str(n), computed, lo == hi == n, witness
 
 
-def _check_crossing_dimension(n: int, seed: int):
-    """Symmetric pairs keep a safe crossing coordinate under n-1 small faults."""
-    rng = random.Random(seed)
-    mode = FaultMode.subcube(n - 3)
+def _check_crossing_dimension(n: int, max_dim: int):
+    """Symmetric pairs keep a safe crossing coordinate under n-1 faults of
+    dimension <= max_dim.  Translating u to 0 makes the pair (0, 1^n),
+    whose coordinate j is blocked when e_j or 1^n ^ e_j is faulty.  Every
+    element that misses both endpoints is walked: if each blocks at most
+    one coordinate, n-1 of them leave one free (pigeonhole).  One
+    violation per element blocking two or more, witnessed by the first."""
+    full = (1 << n) - 1
     bad = 0
     witness: list[str] = []
-    full = (1 << n) - 1
-    cases = 0
-    while cases < RANDOM_CASES:
-        size = rng.randint(0, n - 1)
-        fam = sample_families(n, mode, size, 1, rng.randrange(1 << 30))[0]
-        removed = fault_bits(fam)
-        ub = rng.randrange(1 << n)
-        if ub in removed or (ub ^ full) in removed:
-            continue
-        cases += 1
-        u, v = Vertex(ub, n), Vertex(ub ^ full, n)
-        try:
-            pick_crossing_dimension(u, v, fam)
-        except InvariantViolation:
-            bad += 1
-            witness = witness or [u.pattern, *fam.patterns()]
+    for k in range(max_dim + 1):
+        for s in enumerate_subcubes(n, k):
+            if s.contains(0) or s.contains(full):
+                continue
+            blocked = sum(
+                s.contains(1 << p) or s.contains(full ^ (1 << p)) for p in range(n)
+            )
+            if blocked > 1:
+                bad += 1
+                witness = witness or [s.pattern]
     return _violations(bad, witness)
 
 
@@ -333,30 +293,19 @@ def _registry() -> dict[str, Claim]:
             ),
         )
 
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         _add(
             reg, f"lem2.5(n={n})", {"n": n},
             f"distinct vertices of Q_{n} have 2 common neighbors at Hamming "
             "distance 2 and none otherwise (exhaustive)",
-            lambda n=n: _check_common_neighbors(n, combinations(range(1 << n), 2)),
+            lambda n=n: _check_common_neighbors(n),
         )
-    _add(
-        reg, "lem2.5(n=6)", {"n": 6},
-        "common-neighbor counts in Q_6 (randomized)",
-        lambda: _check_common_neighbors(6, _random_pairs(6, _seed("lem2.5(n=6)"))),
-    )
 
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         _add(
             reg, f"cor2.6(n={n})", {"n": n},
             f"subcubes of Q_{n} are closed under common neighbors (exhaustive)",
-            lambda n=n: _check_subcube_closure(n, _every_subcube(n)),
-        )
-    for n in (5, 6):
-        _add(
-            reg, f"cor2.6(n={n})", {"n": n},
-            f"subcubes of Q_{n} are closed under common neighbors (randomized)",
-            lambda n=n: _check_subcube_closure(n, _random_subcubes(n, _seed(f"cor2.6(n={n})"))),
+            lambda n=n: _check_subcube_closure(n),
         )
 
     _add(
@@ -370,8 +319,8 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem3.1(n={n})", {"n": n},
             f"symmetric pairs of Q_{n} keep a safe crossing coordinate under "
-            f"up to {n - 1} faults of dimension <= {n - 3} (randomized)",
-            lambda n=n: _check_crossing_dimension(n, _seed(f"lem3.1(n={n})")),
+            f"up to {n - 1} faults of dimension <= {n - 3} (exhaustive)",
+            lambda n=n: _check_crossing_dimension(n, n - 3),
         )
 
     for n in (3, 4):

@@ -194,8 +194,7 @@ def test_criterion_6_router_property_suite(criterion):
 
 def test_criterion_7_structural_lemma_suite(criterion):
     """Common-neighbor counts, subcube closure, and the safe crossing
-    coordinate: exhaustive for n <= 4, randomized at 10^4 cases for
-    n = 5, 6, zero violations allowed."""
+    coordinate: exhaustive at every n, zero violations allowed."""
     ids = [
         "lem2.5(n=3)", "lem2.5(n=4)", "lem2.5(n=5)", "lem2.5(n=6)",
         "cor2.6(n=3)", "cor2.6(n=4)", "cor2.6(n=5)", "cor2.6(n=6)",
@@ -205,6 +204,6 @@ def test_criterion_7_structural_lemma_suite(criterion):
     criterion(
         "7. structural lemma suite",
         not failed,
-        detail or "0 violations across exhaustive and randomized sweeps",
+        detail or "0 violations across exhaustive sweeps",
     )
     assert not failed, detail

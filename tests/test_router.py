@@ -17,12 +17,14 @@ from cube_faultlab import (
     adversarial_q1_family,
     adversarial_subcube_family,
     bfs_distance,
+    enumerate_subcubes,
     guided_route,
     pick_crossing_dimension,
     route_bound,
     route_with_report,
     sample_families,
 )
+from cube_faultlab.core import coord_bit
 
 
 class TestRouteBound:
@@ -90,6 +92,27 @@ class TestPickCrossingDimension:
             pick_crossing_dimension(
                 Vertex.from_pattern("00001"), Vertex.from_pattern("11110"), big
             )
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_every_single_element_picks_the_first_unblocked_coordinate(self, n):
+        # the elements lem3.1's certificate walks: dimension <= n-3,
+        # missing both 0 and 1^n
+        full = (1 << n) - 1
+        mode = FaultMode.subcube(n - 3)
+        calls = 0
+        for k in range(n - 2):
+            for s in enumerate_subcubes(n, k):
+                if s.contains(0) or s.contains(full):
+                    continue
+                want = next(
+                    j for j in range(1, n + 1)
+                    if not s.contains(coord_bit(n, j))
+                    and not s.contains(full ^ coord_bit(n, j))
+                )
+                fam = FaultFamily((s,), mode, n)
+                assert pick_crossing_dimension(Vertex(0, n), Vertex(full, n), fam) == want
+                calls += 1
+        assert calls == {5: 160, 6: 572}[n]
 
 
 def assert_route_ok(u, v, fam, bound):
