@@ -262,23 +262,21 @@ def _cmd_route(args) -> tuple[_Report, int]:
     if u.dim != args.n or v.dim != args.n:
         raise ValueError(f"--from/--to must be {args.n}-bit patterns")
     report = route_with_report(u, v, family)
+    path = report.path.patterns()
     payload = {
         "n": args.n,
         "mode": family.mode.label,
         "faults": family.patterns(),
         "from": u.pattern,
         "to": v.pattern,
-        "path": report.path.patterns(),
+        "path": path,
         "length": report.length,
         "bound": report.bound.bound,
         "fallbacks": report.fallbacks,
     }
     headers = ["step", "vertex"]
-    rows = [[str(i), p] for i, p in enumerate(report.path.patterns())]
-    text = (
-        " -> ".join(report.path.patterns())
-        + f"\nlength {report.length} (bound {report.bound.bound})\n"
-    )
+    rows = [[str(i), p] for i, p in enumerate(path)]
+    text = " -> ".join(path) + f"\nlength {report.length} (bound {report.bound.bound})\n"
     return _Report(payload, headers, rows, text=text), 0
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import comb
 from typing import Iterator
 
@@ -69,13 +70,8 @@ def _parse_pattern(text: str) -> tuple[int, int, int]:
 
 
 def _format_pattern(free_mask: int, base: int, n: int) -> str:
-    chars = []
-    for p in range(n - 1, -1, -1):
-        if free_mask >> p & 1:
-            chars.append("*")
-        else:
-            chars.append("1" if base >> p & 1 else "0")
-    return "".join(chars)
+    # base is 0 on free coordinates, so a free one indexes "*"
+    return "".join("01*"[(base >> p & 1) + 2 * (free_mask >> p & 1)] for p in range(n - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -324,33 +320,37 @@ def _element_space(n: int, dims: tuple[int, ...]) -> _ElementSpace:
 class Path:
     """A walk in Q_n whose consecutive labels differ in exactly one bit.
 
-    length is the number of edges.  A single vertex is a valid path of
-    length 0.
+    The int labels are validated; `vertices` is built on first access.
+    length is the number of edges; a single vertex has length 0.
     """
 
-    vertices: tuple[Vertex, ...]
+    labels: tuple[int, ...]
+    n: int
 
     def __post_init__(self) -> None:
-        if not self.vertices:
+        labels, n = self.labels, self.n
+        _check_ambient(n)
+        if not labels:
             raise ValueError("a path needs at least one vertex")
-        n = self.vertices[0].dim
-        prev = None
-        for v in self.vertices:
-            if v.dim != n:
-                raise ValueError("path vertices live in different cubes")
-            if prev is not None and (prev.bits ^ v.bits).bit_count() != 1:
-                raise ValueError(
-                    f"consecutive path vertices must be adjacent: {prev} -> {v}"
-                )
-            prev = v
+        if not all(map(isinstance, labels, repeat(int))) or min(labels) < 0 or max(labels) >> n:
+            bad = next(b for b in labels if not isinstance(b, int) or not 0 <= b < 1 << n)
+            raise ValueError(f"vertex label {bad!r} out of range for Q_{n}")
+        for a, b in zip(labels, labels[1:]):
+            if (a ^ b).bit_count() != 1:
+                raise ValueError(f"consecutive path vertices must be adjacent: "
+                                 f"{a:0{n}b} -> {b:0{n}b}")
 
     @classmethod
     def from_bits(cls, labels: list[int] | tuple[int, ...], n: int) -> "Path":
-        return cls(tuple(Vertex(b, n) for b in labels))
+        return cls(tuple(labels), n)
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(Vertex(b, self.n) for b in self.labels)
 
     @property
     def length(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.labels) - 1
 
     def patterns(self) -> list[str]:
-        return [v.pattern for v in self.vertices]
+        return [f"{b:0{self.n}b}" for b in self.labels]

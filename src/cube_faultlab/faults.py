@@ -27,12 +27,12 @@ vertices to take n+1 steps.
 
 A family's validity verdict (validate_family, require_valid) is
 computed once per FaultFamily instance, on the (free_mask, base) ints
-of its elements, and kept there: the router and
-SurvivalGraph.from_family ask again on every call.  The memo is sound
-because FaultFamily and Subcube are frozen and __post_init__ orders the
-elements before anything reads them; dataclasses.replace gives a new
-instance and a fresh verdict.  _first_meeting is the one disjointness
-loop of the verdict and the sampler.
+of its elements, and kept there with the router's faulty-label table:
+the router and SurvivalGraph.from_family ask again on every call.  The
+memos are sound because FaultFamily and Subcube are frozen and
+__post_init__ orders the elements before anything reads them;
+dataclasses.replace gives a new instance and a fresh verdict.
+_first_meeting is the one disjointness loop of the verdict and sampler.
 
 Text format: a family file starts with ``n=<n> mode=<label>`` and lists
 one subcube pattern per line.  Blank lines and lines starting with '#'
@@ -193,6 +193,18 @@ class FaultFamily:
     def _pairs(self) -> tuple[tuple[int, int], ...]:
         """(free_mask, base) of every element, in canonical order."""
         return tuple(map(_element_key, self.elements))
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[int, frozenset[int]], ...]:
+        """Label x is faulty iff x & ~free is in bases for some (free, bases).
+        Elements of at most n vertices join free mask 0 as their vertices."""
+        groups: dict[int, set[int]] = {}
+        for s in self.elements:
+            if 1 << s.dim <= self.ambient:
+                groups.setdefault(0, set()).update(s.vertex_bits())
+            else:
+                groups.setdefault(s.free_mask, set()).add(s.base)
+        return tuple((fr, frozenset(bases)) for fr, bases in groups.items())
 
     @cached_property
     def _verdict(self) -> FamilyViolation | None:

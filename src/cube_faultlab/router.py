@@ -36,10 +36,10 @@ full context and counts the event; route_with_report exposes the
 counter, and a produced path longer than the mode bound raises
 InvariantViolation rather than returning quietly.
 
-The router reads the family's (free_mask, base) pairs and its validity
-verdict from the FaultFamily instance, where both are computed once
-(see faults), so routing many pairs around one family validates it
-once.
+The router reads the family's (free_mask, base) pairs, its
+faulty-label table and its validity verdict from the FaultFamily
+instance, where each is computed once (see faults), so routing many
+pairs around one family validates it once.
 """
 
 from __future__ import annotations
@@ -63,10 +63,11 @@ def route_bound(n: int, mode: FaultMode) -> int:
     n + 1 everywhere else.
     """
     mode.kappa(n)  # validates the pairing
-    m = mode.max_element_dim
-    if m == 0:
-        return n + 1 if n >= 3 else n
-    return n if n == m + 2 else n + 1
+    return _bound(n, mode.max_element_dim)
+
+
+def _bound(n: int, m: int) -> int:
+    return n + 1 if (n >= 3 if m == 0 else n != m + 2) else n
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,14 @@ def _hit(x: int, faults: _Faults) -> bool:
     return False
 
 
+def _first_faulty(labels: Sequence[int], groups) -> int | None:
+    """The first label inside a fault element, given FaultFamily._groups."""
+    for fr, bases in groups:
+        if not bases.isdisjoint(map((~fr).__and__, labels)):
+            return next(x for x in labels if any(x & ~f in b for f, b in groups))
+    return None
+
+
 def _target(k: int, faults: _Faults) -> int | None:
     """Reachable route length in a dim-k context, None when the faults are
     over its budget.  Every context the router enters is within budget."""
@@ -127,9 +136,7 @@ def _positions(ctx_free: int, n: int) -> list[int]:
 
 def _greedy(u: int, v: int, n: int) -> list[int]:
     """Fix differing coordinates in ascending coordinate order."""
-    path = [u]
-    cur = u
-    diff = u ^ v
+    path, cur, diff = [u], u, u ^ v
     for p in range(n - 1, -1, -1):
         if diff >> p & 1:
             cur ^= 1 << p
@@ -273,15 +280,11 @@ def _check_routing_args(u: Vertex, v: Vertex, family: FaultFamily) -> _Faults:
     require_valid(family)
     n = family.ambient
     if u.dim != n or v.dim != n:
-        raise ValueError(
-            f"endpoints live in Q_{u.dim}/Q_{v.dim}, family in Q_{n}"
-        )
-    faults = family._pairs
-    if _hit(u.bits, faults):
-        raise ValueError(f"endpoint {u.pattern} is a faulty vertex")
-    if _hit(v.bits, faults):
-        raise ValueError(f"endpoint {v.pattern} is a faulty vertex")
-    return faults
+        raise ValueError(f"endpoints live in Q_{u.dim}/Q_{v.dim}, family in Q_{n}")
+    bad = _first_faulty((u.bits, v.bits), family._groups)
+    if bad is not None:
+        raise ValueError(f"endpoint {(u if bad == u.bits else v).pattern} is a faulty vertex")
+    return family._pairs
 
 
 def pick_crossing_dimension(u: Vertex, v: Vertex, family: FaultFamily) -> int:
@@ -318,27 +321,24 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
     InvariantViolation instead of being returned.
     """
     faults = _check_routing_args(u, v, family)
-    n = family.ambient
-    bound = RouteBound(n, family.mode, route_bound(n, family.mode))
-    if family.size > family.mode.kappa(n) - 1:
-        raise ValueError(
-            f"family size {family.size} exceeds the routing budget "
-            f"{family.mode.kappa(n) - 1} for mode {family.mode.label} in Q_{n}"
-        )
+    n, mode = family.ambient, family.mode
+    budget = mode.kappa(n) - 1  # validates the pairing, as route_bound does
+    bound = RouteBound(n, mode, _bound(n, mode.max_element_dim))
+    if family.size > budget:
+        raise ValueError(f"family size {family.size} exceeds the routing budget {budget} "
+                         f"for mode {mode.label} in Q_{n}")
     runner = _Router(n)
     labels = runner.route((1 << n) - 1, u.bits, v.bits, faults)
     if labels[0] != u.bits or labels[-1] != v.bits:
         raise InvariantViolation("routed path does not connect the requested endpoints")
-    path = Path.from_bits(labels, n)
-    for x in labels:
-        if _hit(x, faults):
-            raise InvariantViolation(
-                f"routed path touches the faulty vertex {Vertex(x, n).pattern}"
-            )
+    path = Path(tuple(labels), n)
+    bad = _first_faulty(labels, family._groups)
+    if bad is not None:
+        raise InvariantViolation(f"routed path touches the faulty vertex {Vertex(bad, n).pattern}")
     if path.length > bound.bound:
         raise InvariantViolation(
             f"routed path has length {path.length}, above the bound {bound.bound} "
-            f"for mode {family.mode.label} in Q_{n}"
+            f"for mode {mode.label} in Q_{n}"
         )
     return RouteReport(path, bound, runner.fallbacks)
 

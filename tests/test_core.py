@@ -197,6 +197,49 @@ class TestPath:
     def test_single_vertex_path(self):
         assert Path.from_bits([5], 3).length == 0
 
+    @pytest.mark.parametrize(
+        "labels,n",
+        [
+            ([0, 1.0], 2),  # not an int
+            (["0"], 2),
+            ([0, None], 2),
+            ([3, 4], 2),  # out of range
+            ([-1, 0], 2),
+            ([], 2),  # empty
+            ([0, 1], 0),  # bad ambient dimension
+            ([0, 1], 31),
+            ([0, 1], "2"),
+        ],
+    )
+    def test_bad_labels_and_dimensions_rejected(self, labels, n):
+        with pytest.raises(ValueError):
+            Path.from_bits(labels, n)
+
+    def test_out_of_range_label_named_before_adjacency(self):
+        with pytest.raises(ValueError, match="vertex label 8 out of range"):
+            Path.from_bits([0, 3, 8], 3)
+
+    def test_vertices_are_the_labels_as_vertices(self):
+        p = Path.from_bits([6, 7, 5, 1], 3)
+        assert p.labels == (6, 7, 5, 1)
+        assert p.vertices == tuple(Vertex(b, 3) for b in p.labels)
+        assert p.vertices is p.vertices  # built once
+
+    def test_equal_labels_give_equal_paths(self):
+        a, b = Path.from_bits([0, 1, 3], 4), Path((0, 1, 3), 4)
+        a.vertices  # a built vertex tuple takes no part in equality
+        assert a == b and hash(a) == hash(b)
+        assert a != Path.from_bits([0, 1, 3], 5)
+        assert a != Path.from_bits([0, 2, 3], 4)
+
+    def test_from_bits_accepts_a_list_and_a_tuple(self):
+        assert Path.from_bits([2, 3], 2) == Path.from_bits((2, 3), 2)
+        assert Path.from_bits([2, 3], 2).labels == (2, 3)
+
+    @given(vertices())
+    def test_patterns_read_like_vertex_patterns(self, v):
+        assert Path.from_bits([v.bits], v.dim).patterns() == [v.pattern]
+
 
 def test_bfs_distance_equals_hamming_in_the_intact_cube():
     # spot check against the closed form; the metrics module has the BFS

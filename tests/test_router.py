@@ -12,6 +12,7 @@ import pytest
 from cube_faultlab import (
     FaultFamily,
     FaultMode,
+    InvariantViolation,
     SurvivalGraph,
     Vertex,
     adversarial_q1_family,
@@ -24,6 +25,7 @@ from cube_faultlab import (
     route_with_report,
     sample_families,
 )
+from cube_faultlab import core, router
 from cube_faultlab.core import coord_bit
 
 
@@ -181,6 +183,86 @@ class TestGuidedRoute:
             guided_route(Vertex.from_pattern("000"), Vertex.from_pattern("1111"), fam)
 
 
+class TestPostRouteChecks:
+    """route_with_report certifies what the recursion returns: each test
+    makes _Router.route return labels that break exactly one check."""
+
+    # one faulty vertex 00011 in Q_5; route 00000 -> 00111, bound 6
+    FAMILY = FaultFamily.from_patterns(["00011"], FaultMode.structure(0), 5)
+    U, V = Vertex.from_pattern("00000"), Vertex.from_pattern("00111")
+
+    def route(self, monkeypatch, labels):
+        monkeypatch.setattr(router._Router, "route", lambda self, *args: list(labels))
+        return route_with_report(self.U, self.V, self.FAMILY)
+
+    def test_the_family_allows_a_clean_route(self, monkeypatch):
+        rep = self.route(monkeypatch, [0b00000, 0b00001, 0b00101, 0b00111])
+        assert rep.path.labels == (0, 1, 5, 7) and rep.bound.bound == 6
+
+    def test_wrong_endpoint(self, monkeypatch):
+        with pytest.raises(InvariantViolation, match="does not connect"):
+            self.route(monkeypatch, [0b00000, 0b00001])
+
+    def test_faulty_label(self, monkeypatch):
+        with pytest.raises(InvariantViolation, match="touches the faulty vertex 00011$"):
+            self.route(monkeypatch, [0b00000, 0b00001, 0b00011, 0b00111])
+
+    def test_longer_than_the_bound(self, monkeypatch):
+        walk = [0b00000, 0b10000] * 3 + [0b00000, 0b00001, 0b00101, 0b00111]
+        with pytest.raises(InvariantViolation, match="length 9, above the bound 6"):
+            self.route(monkeypatch, walk)
+
+    def test_non_adjacent_pair(self, monkeypatch):
+        with pytest.raises(ValueError, match="must be adjacent: 00000 -> 00111"):
+            self.route(monkeypatch, [0b00000, 0b00111])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_faulty_label_table_matches_the_elements(n):
+    """FaultFamily._groups, as the router reads it, marks exactly the
+    labels inside some element, on both sides of the vertex-expansion
+    threshold (elements of at most n vertices)."""
+    rng = random.Random(n)
+    labels = range(1 << n)
+    for mode in mode_sweep(n):
+        for size in {1, mode.kappa(n) - 1}:
+            for fam in sample_families(n, mode, size, 5, seed=rng.randrange(1 << 30)):
+                faulty = [x for x in labels if any(s.contains(x) for s in fam.elements)]
+                clean = sorted(set(labels) - set(faulty))
+                got = [x for x in labels if router._first_faulty((x,), fam._groups) is not None]
+                assert got == faulty
+                assert router._first_faulty(clean, fam._groups) is None
+                if faulty:
+                    walk = clean[:3] + faulty[::-1]
+                    assert router._first_faulty(walk, fam._groups) == faulty[-1]
+
+
+def test_routing_builds_no_vertex(monkeypatch):
+    """route_with_report certifies on int labels; Path.vertices is built
+    only on access."""
+    n = 30
+    fams = [adversarial_q1_family(n), adversarial_subcube_family(n, 2)]
+    fams += sample_families(n, FaultMode.structure(1), n - 2, 2, seed=5)
+    far = Vertex(((1 << n) - 1) ^ 1, n)
+    pairs = [(Vertex(0, n), far), (far, Vertex(0, n)), (Vertex(1 << 20, n), Vertex(7, n))]
+    built = []
+    post_init = core.Vertex.__post_init__
+
+    def counting(self):
+        built.append(self.bits)
+        post_init(self)
+
+    monkeypatch.setattr(core.Vertex, "__post_init__", counting)
+    reports = []
+    for fam in fams:
+        for u, v in pairs:
+            if not any(s.contains(u) or s.contains(v) for s in fam.elements):
+                reports.append(route_with_report(u, v, fam))
+    assert len(reports) >= 6 and built == []
+    path = reports[0].path
+    assert [v.bits for v in path.vertices] == list(path.labels) == built  # the patch counts
+
+
 def mode_sweep(n):
     yield FaultMode.substructure()
     for m in range(0, n - 1):
@@ -261,7 +343,7 @@ def route_records():
                 "kind": kind,
                 "u": u,
                 "v": v,
-                "labels": [x.bits for x in rep.path.vertices],
+                "labels": list(rep.path.labels),
                 "fallbacks": rep.fallbacks,
             })
     return records
