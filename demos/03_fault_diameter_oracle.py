@@ -2,7 +2,8 @@
 
 Exhaustive scans over every valid fault family, up to translation,
 establish the connectivity and fault-diameter values exactly; a seeded
-sampled search covers configurations the exhaustive guard refuses.
+sampled search covers configurations whose exhaustive scan the cost
+model refuses (more than a minute predicted).
 
 Run: python3 demos/03_fault_diameter_oracle.py
 """
@@ -44,7 +45,7 @@ def main() -> None:
     print(f"  D_f(Q_5; Q_1) = {res.value} after {res.families_scanned} families "
           f"in {time.time() - t0:.1f}s")
 
-    print("\nbeyond the exhaustive guard, sample instead:")
+    print("\nwhere the exhaustive scan is refused, sample instead:")
     spec = SearchSpec.sampled(seed=42, draws=2000)
     res = fault_diameter_bruteforce(7, FaultMode.structure(1), 5, search=spec)
     print(f"  sampled lower bound for Q_7 under Q_1 faults: {res.value} "

@@ -8,9 +8,8 @@ counts fault families.  Reports go to stdout (or --output) as a text
 table by default, as canonical JSON, or as CSV.
 
 Exit codes: 0 success, 1 claim mismatch, 2 usage error (a family file
-or --output path that cannot be opened included), 3 resource limit.
-`enumerate` exits 3 before walking when the candidate count C(element
-space, size) exceeds _ENUMERATE_LIMIT, about 10 s of walking.
+or --output path that cannot be opened included), 3 resource limit: a
+request predicted above metrics._LIMIT_S, refused before it starts.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from math import comb, lgamma, log
 
 from .claims import verify_claims
 from .core import Vertex
@@ -31,6 +29,7 @@ from .errors import ResourceLimitError
 from .faults import (
     FaultFamily,
     FaultMode,
+    _count_packings,
     adversarial_q1_family,
     adversarial_subcube_family,
     element_space_size,
@@ -39,7 +38,7 @@ from .faults import (
     read_family,
     require_valid,
 )
-from .metrics import SurvivalGraph, diameter
+from .metrics import _ENUMERATE_US, SurvivalGraph, _check_time, diameter
 from .oracle import SearchSpec, connectivity_bruteforce, fault_diameter_bruteforce
 from .router import route_with_report
 
@@ -303,53 +302,19 @@ def _cmd_adversary(args) -> tuple[_Report, int]:
     return _Report(payload, headers, rows, text=text), 0
 
 
-# Candidate families C(element space, size) that `enumerate` may walk:
-# 4 to 10 s at the 200,000 to 450,000 families/s measured for
-# structure:0 at n = 6, size 4 (2 vCPUs, Python 3.11.7, by host load).
-_ENUMERATE_LIMIT = 2_000_000
-
-
-def _walk_allowed(space: int, size: int) -> bool:
-    """C(space, size) <= _ENUMERATE_LIMIT, stopping at the first partial
-    binomial C(space, i) above it (they grow with i up to space / 2)."""
-    count = 1
-    for i in range(min(size, space - size)):
-        count = count * (space - i) // (i + 1)
-        if count > _ENUMERATE_LIMIT:
-            return False
-    return True
-
-
-def _check_enumerate_feasible(n: int, mode: FaultMode, size: int) -> None:
-    """Refuse a walk over more than _ENUMERATE_LIMIT candidate families,
-    naming the count, the largest smaller size and the largest smaller n
-    that fit."""
-    space = element_space_size(n, mode)
-    if _walk_allowed(space, size):
-        return
-    digits = (lgamma(space + 1) - lgamma(size + 1) - lgamma(space - size + 1)) / log(10)
-    count = f"{comb(space, size):,}" if digits < 15 else f"about 10^{digits:.0f}"
-    fits = 0
-    while _walk_allowed(space, fits + 1):
-        fits += 1
-    hint = f"--size {fits}"
-    for m in range(n - 1, 0, -1):
-        smaller = element_space_size(m, mode)
-        if size <= smaller and _walk_allowed(smaller, size):
-            hint += f" or --n {m}"
-            break
-    raise ResourceLimitError(
-        f"enumerate would walk C({space}, {size}) = {count} candidate {mode.label} "
-        f"families of Q_{n}, above the limit of {_ENUMERATE_LIMIT:,} (about 10 s); "
-        f"use {hint}"
-    )
-
-
 def _cmd_enumerate(args) -> tuple[_Report, int]:
     mode = _required_mode(args)
     if args.size < 0:
         raise ValueError(f"--size must be >= 0, got {args.size}")
-    _check_enumerate_feasible(args.n, mode, args.size)
+    if args.show is not None and args.show < 0:
+        raise ValueError(f"--show must be >= 0, got {args.show}")
+    every = range(element_space_size(args.n, mode))
+    _check_time(
+        f"enumerate of {mode.label} families of size {args.size} in Q_{args.n}",
+        lambda _: _ENUMERATE_US,
+        lambda s, cap: _count_packings(args.n, mode, range(s, s + 1), every, cap),
+        args.size, "--size",
+    )
     shown: list[str] = []
     count = 0
     for fam in enumerate_families(args.n, mode, args.size):
@@ -360,7 +325,7 @@ def _cmd_enumerate(args) -> tuple[_Report, int]:
         "n": args.n,
         "mode": mode.label,
         "size": args.size,
-        "element_space": element_space_size(args.n, mode),
+        "element_space": len(every),
         "families": count,
     }
     if args.show:

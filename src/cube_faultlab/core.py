@@ -40,7 +40,7 @@ MAX_DIM = 30
 
 
 def _check_ambient(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_DIM:
+    if type(n) is not int or not 1 <= n <= MAX_DIM:
         raise ValueError(f"ambient dimension must be an int in [1, {MAX_DIM}], got {n!r}")
 
 

@@ -15,10 +15,11 @@ class FaultLabError(Exception):
 
 
 class ResourceLimitError(FaultLabError):
-    """The requested computation exceeds the supported exhaustive scale.
+    """The request is predicted to take longer than the one time limit,
+    or its tables to need more memory than the package allows.
 
-    The message suggests a feasible alternative (smaller n, a sampled
-    search, or a tighter budget).
+    The message names an alternative that fits (a smaller n, budget,
+    size or draw count, or bfs_distance on chosen vertex pairs).
     """
 
 

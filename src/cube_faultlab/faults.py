@@ -43,8 +43,11 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from math import comb
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -54,6 +57,7 @@ from .errors import ResourceLimitError
 _MODE_KINDS = ("structure", "substructure", "subcube")
 
 SAMPLING_ATTEMPTS = 10_000
+_PROBES, _PROBE_WORK = 200, 1 << 27  # Knuth probes; their most size x E tests x 2^n mask bits
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class FaultMode:
             if self.m is not None:
                 raise ValueError("substructure mode takes no element dimension")
         else:
-            if not isinstance(self.m, int) or not 0 <= self.m <= MAX_DIM:
+            if type(self.m) is not int or not 0 <= self.m <= MAX_DIM:
                 raise ValueError(f"element dimension must be an int in [0, {MAX_DIM}], got {self.m!r}")
             if self.kind == "subcube" and self.m < 1:
                 raise ValueError("subcube mode needs m >= 1; use structure:0 for vertex faults")
@@ -455,6 +459,58 @@ def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
                 its[depth] = iter(range(i + 1, top + depth + 1))
 
 
+def _max_family_size(n: int, mode: FaultMode) -> int:
+    """2^n over the vertices of the smallest admitted element: no family is larger."""
+    dims = _admitted(n, mode)
+    return (1 << n) >> dims[0] if dims else 0
+
+
+def _count_packings(n: int, mode: FaultMode, sizes: range, firsts: Sequence[int], cap: int) -> int:
+    """The families _iter_packings yields over `sizes` (up to
+    _max_family_size) and `firsts`, or some count above `cap`.
+
+    A bound sums C(E - 1 - first, s - 1), or C(E, s) when all E indices
+    come first, and stops above `cap`; above it _estimate_packings
+    decides, unless its probes would cost over _PROBE_WORK.
+    """
+    space, total = _space(n, mode), 0
+    sizes = range(sizes.start, min(sizes.stop, _max_family_size(n, mode) + 1))
+    for s in reversed(sizes):  # the largest layer first, so a cut comes soonest
+        every = len(firsts) == space.size or not s
+        for a, k in [(space.size, s)] if every else [(space.size - 1 - f, s - 1) for f in firsts]:
+            j = min(k, a - k)  # terms stop at 2^64 > cap: C(a, k) >= 2^64 once j >= 64
+            total += 0 if j < 0 else 1 << 64 if j >= 64 else min(comb(a, j), 1 << 64)
+            if total > cap:
+                break
+        if total > cap:
+            break
+    if total <= cap or _PROBES * sizes[-1] * space.size << n > _PROBE_WORK:
+        return total
+    return _estimate_packings(space.masks, sizes, firsts)
+
+
+def _estimate_packings(masks: tuple[int, ...], sizes: range, firsts: Sequence[int]) -> int:
+    """Knuth's estimate of the families _iter_packings yields over `sizes`
+    ("Estimating the efficiency of backtrack programs", Math. Comp. 29,
+    1975).  A probe draws each child with p proportional to (later
+    indices + 1)^(depth left); the product of the 1/p to depth s counts
+    size s without bias.  The seed is fixed, so the verdict repeats."""
+    rng, top, total = random.Random(0), sizes[-1], 0.0
+    for _ in range(_PROBES):
+        weight, acc, children = 1.0, 0, firsts
+        for depth in range(1, top + 1):
+            if not children:
+                break
+            cum = list(accumulate((len(masks) - j) ** (top - depth) for j in children))
+            k = bisect(cum, rng.random() * cum[-1])
+            weight *= cum[-1] / (cum[k] - (cum[k - 1] if k else 0))
+            if depth in sizes:
+                total += weight
+            acc |= masks[children[k]]
+            children = [j for j in range(children[k] + 1, len(masks)) if not masks[j] & acc]
+    return round(min(total / _PROBES, 2.0**64)) + (0 in sizes)
+
+
 def _sample_one(
     rng: random.Random, n: int, mode: FaultMode, space: _ElementSpace, size: int
 ) -> FaultFamily:
@@ -462,8 +518,12 @@ def _sample_one(
 
     Every attempt draws `size` uniform indices of the canonical element
     space first, then keeps the draw when the elements are pairwise
-    disjoint.
+    disjoint.  A size no family reaches is refused before any draw.
     """
+    if size > _max_family_size(n, mode):
+        raise ResourceLimitError(
+            f"no family of {size} {mode.label} elements fits in Q_{n}; lower the size"
+        )
     for _attempt in range(SAMPLING_ATTEMPTS):
         picks = [rng.randrange(space.size) for _ in range(size)]
         elems = _disjoint_elements(space, picks)

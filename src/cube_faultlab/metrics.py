@@ -16,15 +16,17 @@ shift crosses a row boundary, and one loop (_bfs_cover) advances all k
 searches with the same big-int operations.  Rows go max(1, 2^16 >> n)
 to an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds
 one row per source vertex; the connectivity oracle seeds one row per
-candidate family.  At desk scale (n <= 8) a full diameter scan runs in
-microseconds per family, which is what makes the brute-force oracles
-feasible.
+candidate family.
 
 For ambient dimensions past the bitset range (n = 27..30) the one dict
 BFS, _bfs_parents, answers single-pair distance, connectivity and
 component queries; the router runs the same helper inside its routing
-contexts.  Full diameter scans are refused above _DIAMETER_LIMIT rather
-than left to run for hours.
+contexts.
+
+The one cost model lives here too: _check_time prices every diameter,
+exhaustive or sampled scan and `enumerate` walk as the families it
+walks or draws times its kernel's µs per family, and refuses it above
+_LIMIT_S before the work starts, naming a request that fits.
 """
 
 from __future__ import annotations
@@ -39,8 +41,42 @@ from .errors import ResourceLimitError
 from .faults import FaultFamily, fault_bits, require_valid
 
 _BITSET_LIMIT = 26
-_DIAMETER_LIMIT = 16
 _ROW_BITS = 1 << 16
+
+_LIMIT_S = 60  # the one predicted-time limit of every request
+_CONNECTIVITY_US = 1.0  # per connectivity-scan family: 0.88-1.16 µs measured at n = 5, 6
+_ENUMERATE_US = 5.0  # per `enumerate` family: 2.2-5 µs measured
+
+
+def _diameter_us(n: int) -> float:
+    """µs of one exact survivor diameter of Q_n, 0.002·n·4^n: fitted to
+    _diameter_mask on Q_n (11 µs at n = 5, 89 ms at n = 11) and to
+    sampled draws (0.44 / 1.82 / 6.67 s at n = 12 / 13 / 14)."""
+    return 0.002 * n * 4.0**n
+
+
+def _check_time(request: str, us: Callable[[int], float], count: Callable[[int, int], int],
+                value: int, flag: str | None = None, lo: int = 0) -> None:
+    """Refuse `request` when its count(value, cap) families of us(value)
+    µs each are over cap, the families that fit in _LIMIT_S.  The message
+    names the largest `flag` value in [lo, value) that fits (by
+    bisection), else bfs_distance."""
+
+    def over(v: int) -> int:  # the predicted families when over the cap, else 0
+        cap = int(_LIMIT_S * 1e6 / us(v))
+        return families if (families := count(v, cap)) > cap else 0
+
+    if not (families := over(value)):
+        return
+    fit, bad = lo - 1, value
+    while flag and bad - fit > 1:
+        mid = (fit + bad) // 2
+        fit, bad = (fit, mid) if over(mid) else (mid, bad)
+    use = f"{flag} {fit}" if flag and fit >= lo else "bfs_distance on chosen vertex pairs"
+    raise ResourceLimitError(
+        f"{request} is predicted at {families * us(value) / 1e6:,.0f} s ({families:,} x "
+        f"{us(value):,.1f} us per family), above the limit of {_LIMIT_S} s; use {use}"
+    )
 
 
 def _full_mask(n: int) -> int:
@@ -280,12 +316,9 @@ def diameter(g: SurvivalGraph) -> int | None:
     """Largest survivor distance, None when the graph is disconnected."""
     if g.survivor_count == 0:
         raise ValueError("empty survivor set has no diameter")
-    if g.ambient > _DIAMETER_LIMIT:
-        raise ResourceLimitError(
-            f"exact diameter scans are supported for n <= {_DIAMETER_LIMIT}; "
-            f"got n={g.ambient}. Use bfs_distance on chosen vertex pairs instead."
-        )
-    return _diameter_mask(g.ambient, g.survivor_mask)
+    n = g.ambient
+    _check_time(f"an exact diameter of Q_{n}", lambda _: _diameter_us(n), lambda v, cap: v, 1)
+    return _diameter_mask(n, g.survivor_mask)
 
 
 def component_of(g: SurvivalGraph, v: Vertex) -> set[Vertex]:

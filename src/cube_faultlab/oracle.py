@@ -47,9 +47,9 @@ walked.
 
 Scans run in the calling process.  The `jobs` keyword of
 connectivity_bruteforce and fault_diameter_bruteforce is accepted and
-ignored.  Exhaustive requests beyond desk scale are refused with a
-resource error instead of running for days; the sampled search is the
-escape hatch for bigger instances.
+ignored.  Each search is priced first (metrics._check_time): the
+families of sizes 1..kappa, of sizes 0..budget, or the draws, each at
+one survivor BFS or diameter, and is refused above one time limit.
 """
 
 from __future__ import annotations
@@ -61,17 +61,14 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import Subcube, _vertex_mask
-from .errors import InvariantViolation, ResourceLimitError
-from .faults import FaultFamily, FaultMode, _iter_packings, _sample_one, _space
+from .errors import InvariantViolation
+from .faults import (
+    FaultFamily, FaultMode, _count_packings, _iter_packings, _max_family_size, _sample_one, _space,
+)
 from .metrics import (
-    _DIAMETER_LIMIT,
-    _diameter_mask,
-    _first_disconnected,
-    _full_mask,
+    _CONNECTIVITY_US, _check_time, _diameter_mask, _diameter_us, _first_disconnected, _full_mask,
     _rows_per_int,
 )
-
-_CONNECTIVITY_MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -177,33 +174,26 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
     over every family (see the module docstring).  `jobs` is accepted
     and ignored.
     """
-    mode.kappa(n)  # validates the (n, mode) pairing
-    if n > _CONNECTIVITY_MAX_N:
-        raise ResourceLimitError(
-            f"exhaustive connectivity is supported for n <= {_CONNECTIVITY_MAX_N}, got n={n}"
-        )
+    kappa = mode.kappa(n)  # also validates the (n, mode) pairing
+    _check_time(  # a family costs at least one BFS, 2^-n of a diameter
+        f"connectivity of Q_{n} under {mode.label}",
+        lambda m: max(_CONNECTIVITY_US, _diameter_us(m) / (1 << m)),
+        lambda m, cap: _count_packings(
+            m, mode, range(1, mode.kappa(m) + 1), _first_indices(m, mode), cap
+        ),
+        n, "--n", mode.max_element_dim + 2,
+    )
     space = _space(n, mode)
     firsts = _first_indices(n, mode)
     total_scanned = 0
-    for size in range(1, (1 << n) + 1):
+    for size in range(1, kappa + 1):
         witness_idx, scanned = _kappa_scan(n, mode, size, firsts)
         total_scanned += scanned
         if witness_idx is not None:
             witness = FaultFamily(tuple(space[i] for i in witness_idx), mode, n)
             return ConnectivityResult(n, mode, size, witness, total_scanned)
-        if scanned == 0:
-            break
     raise InvariantViolation(
-        f"no disconnecting family of any size exists in Q_{n} under mode {mode.label}"
-    )
-
-
-def _check_exhaustive_feasible(n: int, budget: int) -> None:
-    if n <= 5 or (n == 6 and budget <= 2) or (n == 7 and budget <= 1):
-        return
-    raise ResourceLimitError(
-        f"exhaustive fault-diameter search for n={n}, budget={budget} is beyond "
-        "desk scale; use a sampled search (SearchSpec.sampled) or shrink n"
+        f"no family of at most kappa = {kappa} elements disconnects Q_{n} under mode {mode.label}"
     )
 
 
@@ -235,21 +225,24 @@ def fault_diameter_bruteforce(
     if search is None:
         search = SearchSpec.exhaustive()
     if search.kind == "sampled":
-        if n > _DIAMETER_LIMIT:
-            raise ResourceLimitError(
-                f"sampled fault-diameter search needs exact survivor diameters, "
-                f"supported for n <= {_DIAMETER_LIMIT}; got n={n}. Use bfs_distance "
-                "on chosen vertex pairs instead."
-            )
+        _check_time(
+            f"a sampled fault-diameter search of Q_{n} ({search.draws} draws)",
+            lambda _: _diameter_us(n), lambda d, cap: d, search.draws, "--draws", 1,
+        )
         families = _sampled_families(n, mode, budget, search)
         elements = attrgetter("elements")
     else:
-        _check_exhaustive_feasible(n, budget)
         space = _space(n, mode)
         firsts = _first_indices(n, mode)
+        _check_time(
+            f"an exhaustive fault-diameter search of Q_{n} under {mode.label} "
+            f"at budget {budget}", lambda _: _diameter_us(n),
+            lambda b, cap: _count_packings(n, mode, range(b + 1), firsts, cap), budget, "--budget",
+        )
         # sizes ascending, families in canonical order: ties keep the earliest
         families = chain.from_iterable(
-            _iter_packings(space.masks, size, firsts) for size in range(budget + 1)
+            _iter_packings(space.masks, size, firsts)
+            for size in range(min(budget, _max_family_size(n, mode)) + 1)
         )
 
         def elements(idx):

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from cube_faultlab import ClaimResult, adversarial_q1_family, cli, family_to_text
+from cube_faultlab import ClaimResult, adversarial_q1_family, cli, family_to_text, faults
 from cube_faultlab.cli import main
 
 
@@ -146,7 +146,7 @@ class TestOracleCommands:
     def test_resource_guard_maps_to_exit_three(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "9", "--mode", "structure:1")
         assert code == 3
-        assert "n <= 7" in err
+        assert "use --n 6" in err
 
     def test_sampling_rejection_limit_maps_to_exit_three(self, capsys):
         # Q_5 holds at most 16 disjoint edges; sizes up to 40 get drawn
@@ -157,6 +157,31 @@ class TestOracleCommands:
         )
         assert code == 3
         assert "lower the size" in err
+
+    def test_a_size_no_family_reaches_is_refused_before_any_draw(self, capsys, monkeypatch):
+        # seed 0 draws size 6311, where Q_5 holds at most 16 disjoint edges
+        def attempt(*args):
+            raise AssertionError("the sampler drew a family")
+
+        monkeypatch.setattr(faults, "_disjoint_elements", attempt)
+        code, _, err = run(
+            capsys,
+            "fault-diameter", "--n", "5", "--mode", "structure:1",
+            "--sampled", "--draws", "1", "--budget", "10000",
+        )
+        assert code == 3
+        assert "lower the size" in err
+
+    def test_a_budget_past_every_family_walks_no_empty_layer(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "fault-diameter", "--n", "3", "--mode", "structure:0",
+            "--budget", "10000000", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value"], payload["witness"]) == (4, ["000", "011"])
+        assert (payload["families_scanned"], payload["disconnected_skipped"]) == (129, 52)
 
 
 class TestDiameterCommand:
@@ -299,26 +324,31 @@ class TestEnumerateCommand:
         tail = out.strip().splitlines()[-2:]
         assert tail == ["00*,01*", "00*,10*"]
 
+    def test_a_negative_show_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "--n", "3", "--mode", "structure:1", "--size", "1", "--show", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert "--show must be >= 0" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
             (
                 ("--n", "6", "--mode", "structure:0", "--size", "6"),
-                "enumerate would walk C(64, 6) = 74,974,368 candidate structure:0 "
-                "families of Q_6, above the limit of 2,000,000 (about 10 s); "
-                "use --size 4 or --n 5",
+                "enumerate of structure:0 families of size 6 in Q_6 is predicted at 371 s "
+                "(74,287,493 x 5.0 us per family), above the limit of 60 s; use --size 5",
             ),
             (
                 ("--n", "5", "--mode", "subcube:2", "--size", "4"),
-                "enumerate would walk C(192, 4) = 54,870,480 candidate subcube:2 "
-                "families of Q_5, above the limit of 2,000,000 (about 10 s); "
-                "use --size 3 or --n 4",
+                "enumerate of subcube:2 families of size 4 in Q_5 is predicted at 93 s "
+                "(18,614,185 x 5.0 us per family), above the limit of 60 s; use --size 3",
             ),
             (
                 ("--n", "30", "--mode", "subcube:28", "--size", "1000000000"),
-                "enumerate would walk C(205891132094588, 1000000000) = about "
-                "10^5747931064 candidate subcube:28 families of Q_30, above the "
-                "limit of 2,000,000 (about 10 s); use --size 0",
+                "enumerate of subcube:28 families of size 1000000000 in Q_30 is predicted at "
+                "92,233,720,368,548 s (18,446,744,073,709,551,616 x 5.0 us per family), above "
+                "the limit of 60 s; use --size 0",
             ),
         ],
         ids=["structure:0", "subcube:2", "huge-size"],

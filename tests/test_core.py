@@ -60,6 +60,10 @@ class TestVertex:
         with pytest.raises(ValueError):
             Vertex(8, 3)
 
+    def test_a_bool_is_not_an_ambient_dimension(self):
+        with pytest.raises(ValueError, match="ambient dimension must be an int"):
+            Vertex(0, True)
+
     @given(vertices())
     def test_pattern_round_trip(self, v):
         assert Vertex.from_pattern(v.pattern) == v

@@ -1,0 +1,182 @@
+"""The one cost model: families x µs per family, refused above one limit.
+
+Every request here runs with the scan kernels patched to raise Started,
+so an accepted request shows itself by starting its scan and a refused
+one by raising ResourceLimitError first; no scan runs.
+"""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+
+from cube_faultlab import (
+    FaultMode,
+    ResourceLimitError,
+    SearchSpec,
+    SurvivalGraph,
+    connectivity_bruteforce,
+    diameter,
+    fault_diameter_bruteforce,
+    verify_claims,
+)
+from cube_faultlab import claims, cli, faults, metrics, oracle
+
+
+class Started(Exception):
+    """A scan kernel was reached: the request was accepted."""
+
+
+@pytest.fixture
+def no_scans(monkeypatch):
+    def start(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(oracle, "_iter_packings", start)
+    monkeypatch.setattr(oracle, "_diameter_mask", start)
+    monkeypatch.setattr(metrics, "_diameter_mask", start)
+    monkeypatch.setattr(cli, "enumerate_families", start)
+
+
+def connectivity(n, label):
+    return ["connectivity", "--n", str(n), "--mode", label]
+
+
+def exhaustive(n, label, budget):
+    return ["fault-diameter", "--n", str(n), "--mode", label, "--budget", str(budget)]
+
+
+def sampled(n, label, draws, budget=None):
+    budget = FaultMode.from_label(label).kappa(n) - 1 if budget is None else budget
+    return exhaustive(n, label, budget) + ["--sampled", "--draws", str(draws)]
+
+
+def enumerate_(n, label, size):
+    return ["enumerate", "--n", str(n), "--mode", label, "--size", str(size)]
+
+
+REFUSED = [
+    connectivity(7, "structure:0"),
+    connectivity(6, "subcube:1"),
+    connectivity(9, "structure:1"),
+    exhaustive(5, "structure:0", 10),
+    exhaustive(7, "structure:1", 3),
+    sampled(12, "structure:3", 1000),
+    enumerate_(6, "structure:0", 6),
+    enumerate_(30, "subcube:28", 10**9),
+    enumerate_(30, "subcube:28", 63),  # C(E, 63) is far past a float
+    ["diameter", "--n", "17"],
+]
+
+ACCEPTED = [
+    connectivity(6, "structure:1"),
+    connectivity(6, "structure:0"),
+    exhaustive(6, "structure:2", 3),
+    exhaustive(6, "subcube:2", 3),
+    exhaustive(7, "structure:1", 2),
+    sampled(8, "structure:1", 80),  # the sampled-large benchmark cases
+    sampled(10, "structure:3", 12),
+    sampled(12, "structure:3", 1),
+    sampled(7, "structure:1", 2000, budget=5),  # demo 03
+    # every enumerate of the tests, the demos and the README
+    enumerate_(3, "structure:1", 1),
+    enumerate_(3, "structure:1", 2),
+    enumerate_(4, "structure:1", 1),
+    enumerate_(4, "structure:1", 2),
+    enumerate_(5, "structure:0", 30),
+    enumerate_(5, "structure:0", 32),
+    enumerate_(5, "structure:0", 33),
+    enumerate_(3, "structure:0", 10**9),
+    enumerate_(10, "structure:0", 1024),
+    enumerate_(10, "structure:0", 1023),
+]
+
+
+def verdict(argv):
+    """'refused' (exit 3), 'accepted' (a scan started) or the exit code."""
+    try:
+        code = cli.main(argv)
+    except Started:
+        return "accepted"
+    return "refused" if code == 3 else code
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_refused_before_any_scan(no_scans, capsys, argv):
+    t0 = time.perf_counter()
+    assert verdict(argv) == "refused"
+    seconds = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and "above the limit of 60 s; use " in err
+    print(f"{' '.join(argv)}: refused in {seconds:.3f} s")
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_accepted(no_scans, argv):
+    assert verdict(argv) == "accepted"
+
+
+def test_the_library_calls_refuse_too(no_scans):
+    with pytest.raises(ResourceLimitError, match="use --n 6"):
+        connectivity_bruteforce(7, FaultMode.structure(0))
+    with pytest.raises(ResourceLimitError, match="use --budget 8"):
+        fault_diameter_bruteforce(5, FaultMode.structure(0), 10)
+    with pytest.raises(ResourceLimitError, match="use --draws 149"):
+        fault_diameter_bruteforce(12, FaultMode.structure(3), 8, SearchSpec.sampled(0, 1000))
+    with pytest.raises(ResourceLimitError, match="use bfs_distance"):
+        diameter(SurvivalGraph(17, frozenset()))
+    with pytest.raises(Started):
+        diameter(SurvivalGraph(15, frozenset()))
+
+
+def test_the_catalog_never_probes(monkeypatch):
+    def probe(*args):
+        raise AssertionError("the catalog ran Knuth probes")
+
+    monkeypatch.setattr(faults, "_estimate_packings", probe)
+    claims._kappa.cache_clear()
+    claims._fd.cache_clear()
+    try:
+        results = verify_claims()
+    finally:
+        claims._kappa.cache_clear()
+        claims._fd.cache_clear()
+    assert all(r.passed for r in results)
+
+
+def exact_count(n, mode, sizes, firsts):
+    masks = faults._space(n, mode).masks
+    return sum(sum(1 for _ in faults._iter_packings(masks, s, firsts)) for s in sizes)
+
+
+@pytest.mark.parametrize(
+    "n, label, sizes, base0",
+    [
+        (5, "structure:0", range(8), True),
+        (5, "structure:1", range(5), True),
+        (5, "subcube:1", range(1, 5), True),
+        (4, "subcube:2", range(4, 5), False),
+        (5, "structure:2", range(3, 4), False),
+    ],
+)
+def test_estimate_is_within_five_percent_of_the_walk(n, label, sizes, base0):
+    mode = FaultMode.from_label(label)
+    space = faults._space(n, mode)
+    firsts = oracle._first_indices(n, mode) if base0 else range(space.size)
+    exact = exact_count(n, mode, sizes, firsts)
+    assert abs(faults._estimate_packings(space.masks, sizes, firsts) - exact) <= 0.05 * exact
+
+
+def test_the_bound_is_exact_on_disjoint_elements_and_cut_above_the_cap():
+    mode = FaultMode.structure(0)
+    firsts = oracle._first_indices(5, mode)
+    assert faults._count_packings(5, mode, range(6), firsts, 10**9) == exact_count(
+        5, mode, range(6), firsts
+    )
+    # C(32, 5) candidate families of every first; sizes past 2^5 hold none
+    assert faults._count_packings(5, mode, range(5, 6), range(32), 10**9) == 201_376
+    assert faults._count_packings(5, mode, range(33, 10**9), range(32), 0) == 0
+    # a huge size is cut at once, without probes
+    huge = faults._count_packings(30, FaultMode.subcube(28), range(10**9, 10**9 + 1), range(1), 0)
+    assert huge == 1 << 64

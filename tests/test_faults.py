@@ -72,6 +72,12 @@ class TestFaultMode:
             with pytest.raises(ValueError):
                 FaultMode.from_label(label)
 
+    def test_a_bool_is_not_a_dimension(self):
+        # True == 1 and hashes alike, but would label itself structure:True
+        for make in (FaultMode.structure, FaultMode.subcube):
+            with pytest.raises(ValueError, match="element dimension must be an int"):
+                make(True)
+
     def test_admissible_dimensions(self):
         assert FaultMode.structure(2).admits(2)
         assert not FaultMode.structure(2).admits(1)

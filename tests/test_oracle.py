@@ -155,10 +155,11 @@ class TestFaultDiameterExhaustive:
         assert a == b
 
     def test_size_guard(self):
+        # predicted at 46x and 111x the limit
         with pytest.raises(ResourceLimitError):
-            fault_diameter_bruteforce(6, FaultMode.structure(1), 4)
+            fault_diameter_bruteforce(6, FaultMode.structure(1), 5)
         with pytest.raises(ResourceLimitError):
-            fault_diameter_bruteforce(7, FaultMode.structure(1), 2)
+            fault_diameter_bruteforce(7, FaultMode.structure(1), 4)
 
 
 class TestFaultDiameterSampled:
@@ -180,7 +181,9 @@ class TestFaultDiameterSampled:
             )
             assert sampled.value <= exact.value
 
-    def test_sampling_has_no_size_guard(self):
+    def test_sampling_covers_a_refused_exhaustive_scan(self):
+        with pytest.raises(ResourceLimitError, match="use --budget 2"):
+            fault_diameter_bruteforce(7, FaultMode.structure(1), 3)
         spec = SearchSpec.sampled(3, 50)
         res = fault_diameter_bruteforce(7, FaultMode.structure(1), 3, search=spec)
         assert res.value >= 7

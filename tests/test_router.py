@@ -13,11 +13,13 @@ from cube_faultlab import (
     FaultFamily,
     FaultMode,
     InvariantViolation,
+    Subcube,
     SurvivalGraph,
     Vertex,
     adversarial_q1_family,
     adversarial_subcube_family,
     bfs_distance,
+    enumerate_families,
     enumerate_subcubes,
     guided_route,
     pick_crossing_dimension,
@@ -282,6 +284,44 @@ def test_randomized_sweep_meets_bounds(n):
             survivors = [Vertex(b, n) for b in range(1 << n) if b not in g.removed]
             u, v = rng.sample(survivors, 2)
             assert_route_ok(u, v, fam, bound)
+
+
+def translated(fam, b):
+    """The family moved by XOR with b, an automorphism of Q_n."""
+    n = fam.ambient
+    elems = tuple(Subcube(s.free_mask, s.base ^ (b & ~s.free_mask), n) for s in fam.elements)
+    return FaultFamily(elems, fam.mode, n)
+
+
+def equivariance_families():
+    """Every in-budget family at n = 5 under structure:2 and structure:3,
+    then seeded full-budget families of every mode at n = 6 and 8."""
+    for label in ("structure:2", "structure:3"):
+        mode = FaultMode.from_label(label)
+        for size in range(mode.kappa(5)):
+            yield from enumerate_families(5, mode, size)
+    for n in (6, 8):
+        for mode in mode_sweep(n):
+            yield from sample_families(n, mode, mode.kappa(n) - 1, 10, seed=900 + n)
+
+
+def test_routing_is_translation_equivariant():
+    """route(u^b, v^b, F^b) is route(u, v, F) with every label XOR b, with
+    the same fallbacks: the router breaks ties by coordinate, never by
+    label value."""
+    rng = random.Random(77)
+    checked = 0
+    for fam in equivariance_families():
+        n = fam.ambient
+        removed = SurvivalGraph.from_family(fam).removed
+        u, v = rng.sample([x for x in range(1 << n) if x not in removed], 2)
+        b = rng.getrandbits(n)
+        rep = route_with_report(Vertex(u, n), Vertex(v, n), fam)
+        moved = route_with_report(Vertex(u ^ b, n), Vertex(v ^ b, n), translated(fam, b))
+        assert moved.path.labels == tuple(x ^ b for x in rep.path.labels), (fam.patterns(), u, v, b)
+        assert moved.fallbacks == rep.fallbacks
+        checked += 1
+    assert checked == 2562
 
 
 ROUTES = Path(__file__).resolve().parent / "data" / "routes.json"
