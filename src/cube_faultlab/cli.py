@@ -308,11 +308,10 @@ def _cmd_enumerate(args) -> tuple[_Report, int]:
         raise ValueError(f"--size must be >= 0, got {args.size}")
     if args.show is not None and args.show < 0:
         raise ValueError(f"--show must be >= 0, got {args.show}")
-    every = range(element_space_size(args.n, mode))
     _check_time(
         f"enumerate of {mode.label} families of size {args.size} in Q_{args.n}",
         lambda _: _ENUMERATE_US,
-        lambda s, cap: _count_packings(args.n, mode, range(s, s + 1), every, cap),
+        lambda s, cap: _count_packings(args.n, mode, range(s, s + 1), cap, base0=False),
         args.size, "--size",
     )
     shown: list[str] = []
@@ -325,7 +324,7 @@ def _cmd_enumerate(args) -> tuple[_Report, int]:
         "n": args.n,
         "mode": mode.label,
         "size": args.size,
-        "element_space": len(every),
+        "element_space": element_space_size(args.n, mode),
         "families": count,
     }
     if args.show:

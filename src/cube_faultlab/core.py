@@ -18,9 +18,9 @@ and subcube faults share one representation.
 
 An element space is the list of subcubes of Q_n whose dimensions are
 admitted, in canonical order: ascending free_mask, then ascending
-base.  _ElementSpace indexes it without building it; every subcube
-enumeration, fault-family enumeration, sampler and exhaustive scan of
-the package walks it.
+base.  _ElementSpace indexes it by counting arithmetic alone and keeps
+no per-index state; every enumeration, sampler and exhaustive scan of
+the package walks it, and _element_space is its one cache.
 
 Ambient dimension is capped at 30 so every vertex set fits comfortably
 in native integers.
@@ -232,7 +232,6 @@ def _vertex_mask(free: int, base: int) -> int:
     return mask << base
 
 
-_UNRANK_MEMO = 1 << 12
 _MASK_TABLE_BITS = 1 << 30
 
 
@@ -241,20 +240,18 @@ class _ElementSpace:
 
     This is the one definition of canonical order (ascending free mask,
     then ascending base): subcube and family enumeration, the samplers
-    and the exhaustive scans all index it.  Index i maps to its element
-    arithmetically, so the space is never built.  Free masks come in
+    and the exhaustive scans all index it.  The size, the element at an
+    index and the base-0 indices come from counting arithmetic alone,
+    so the space is never built.  Free masks come in
     ascending order, so the walk over bit positions p = n-1..0 sets bit
     p exactly when i is past the elements whose mask agrees with the
     bits chosen so far and has bit p clear.  _counts[p][c] is that count
     when c bits are set above p: sum over j of C(p, j) * 2^(n-c-j), for
     admitted dimensions c + j.  The rest of i is the base's rank among
     the 2^(n-k) bases of the mask, so its bits are deposited into the
-    fixed coordinates in ascending order.
-
-    Elements built once are kept in a memo of at most _UNRANK_MEMO
-    entries, so repeated small-space draws cost a dict lookup.  The
-    vertex-bitset table `masks`, which the exhaustive scans need, is
-    built on first use.
+    fixed coordinates in ascending order.  The vertex-bitset table
+    `masks`, which the exhaustive scans need, is built on first use,
+    after a size check on the arithmetic alone.
     """
 
     def __init__(self, n: int, dims: tuple[int, ...]) -> None:
@@ -267,17 +264,11 @@ class _ElementSpace:
             for p in range(n + 1)
         )
         self.size = self._counts[n][0]
-        self._memo: dict[int, Subcube] = {}
 
     def __getitem__(self, i: int) -> Subcube:
-        s = self._memo.get(i)
-        if s is None:
-            if not 0 <= i < self.size:
-                raise IndexError(i)  # also ends `for s in space` (no __iter__)
-            s = Subcube(*self._free_and_base(i), self.n)
-            if len(self._memo) < _UNRANK_MEMO:
-                self._memo[i] = s
-        return s
+        if not 0 <= i < self.size:
+            raise IndexError(i)  # also ends `for s in space` (no __iter__)
+        return Subcube(*self._free_and_base(i), self.n)
 
     def _free_and_base(self, i: int) -> tuple[int, int]:
         counts = self._counts
@@ -297,6 +288,22 @@ class _ElementSpace:
             i >>= 1
             rest ^= low
         return free, base
+
+    def base0_indices(self) -> Iterator[int]:
+        """The indices of the elements containing vertex 0, ascending and
+        lazily, so a caller that stops early lists few of them.  A free
+        mask of dimension k owns 2^(n-k) consecutive indices, its base-0
+        element first.  The walk sets mask bits clear before set: a
+        prefix with c bits set above p holds _counts[p][c] elements, so
+        setting the next bit skips _counts[p - 1][c] of them."""
+        counts, stack = self._counts, [(self.n, 0, 0)]
+        while stack:
+            p, c, at = stack.pop()  # a mask prefix above p, its set bits, its first index
+            if counts[p][c]:
+                if p:
+                    stack += (p - 1, c + 1, at + counts[p - 1][c]), (p - 1, c, at)
+                else:
+                    yield at
 
     @cached_property
     def masks(self) -> tuple[int, ...]:

@@ -12,12 +12,12 @@ cover the regimes of interest:
                 structure).
 
 Substructure admits exactly the elements of subcube:1, so it computes
-as subcube:1: element spaces (core._ElementSpace) are cached per
-admitted dimension set, so the oracles and samplers of both labels
-index one space, and the claim catalog caches FaultMode.canonical,
-which maps substructure to subcube:1.  The label is kept for parsing,
-files and reports, which read better with the intended regime spelled
-out.
+as subcube:1: core._element_space, the one element-space cache, is
+keyed by the admitted dimension set, so the oracles and samplers of
+both labels index one space, and the claim catalog caches
+FaultMode.canonical, which maps substructure to subcube:1.  The label
+is kept for parsing, files and reports, which read better with the
+intended regime spelled out.
 
 The module also builds the two extremal families that make the known
 fault-diameter bounds tight: a family of n-2 parallel edges that pins
@@ -45,7 +45,7 @@ import os
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import attrgetter
@@ -57,7 +57,7 @@ from .errors import ResourceLimitError
 _MODE_KINDS = ("structure", "substructure", "subcube")
 
 SAMPLING_ATTEMPTS = 10_000
-_PROBES, _PROBE_WORK = 200, 1 << 27  # Knuth probes; their most size x E tests x 2^n mask bits
+_PROBES, _PROBE_WORK = 200, 1 << 27  # Knuth probes; the most probes x size x E x 2^n run
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,6 @@ class FaultMode:
         m = self.max_element_dim
         if m > n - 2:
             raise ValueError(f"mode {self.label} needs element dimension <= n-2 = {n - 2}")
-        if self.kind == "structure" and m == 0:
-            return n
         return n - m
 
     def __str__(self) -> str:
@@ -214,9 +212,8 @@ class FaultFamily:
     def _verdict(self) -> FamilyViolation | None:
         """validate_family's answer, computed once on the integer pairs."""
         pairs, elems = self._pairs, self.elements
-        dims = _admitted(self.ambient, self.mode)
         for i, (fr, _) in enumerate(pairs):
-            if fr.bit_count() not in dims:
+            if not self.mode.admits(fr.bit_count()):
                 return FamilyViolation(
                     f"element of dimension {elems[i].dim} not admitted by mode {self.mode.label}",
                     (elems[i],),
@@ -379,7 +376,6 @@ def adversarial_subcube_family(n: int, m: int) -> FaultFamily:
 # element spaces, enumeration, sampling
 
 
-@lru_cache(maxsize=None)
 def _admitted(n: int, mode: FaultMode) -> tuple[int, ...]:
     """The element dimensions the mode admits in Q_n: its element-space key."""
     _check_ambient(n)
@@ -401,13 +397,16 @@ def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFami
 
     Families are ascending index tuples into the canonical element
     space, emitted lexicographically; every emitted family is pairwise
-    disjoint and mode-admissible by construction.
+    disjoint and mode-admissible by construction.  Each element is
+    unranked once per call.
     """
     if size < 0:
         raise ValueError(f"family size must be >= 0, got {size}")
     space = _space(n, mode)
-    for idx, _ in _iter_packings(space.masks, size, range(space.size)):
-        yield FaultFamily(tuple(space[i] for i in idx), mode, n)
+    masks = space.masks  # refused before anything is built when too large
+    elems = tuple(map(space.__getitem__, range(space.size)))
+    for idx, _ in _iter_packings(masks, size, range(space.size)):
+        yield FaultFamily(tuple(map(elems.__getitem__, idx)), mode, n)
 
 
 def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
@@ -465,49 +464,57 @@ def _max_family_size(n: int, mode: FaultMode) -> int:
     return (1 << n) >> dims[0] if dims else 0
 
 
-def _count_packings(n: int, mode: FaultMode, sizes: range, firsts: Sequence[int], cap: int) -> int:
+def _count_packings(n: int, mode: FaultMode, sizes: range, cap: int, base0: bool = True) -> int:
     """The families _iter_packings yields over `sizes` (up to
-    _max_family_size) and `firsts`, or some count above `cap`.
+    _max_family_size) from the base-0 first indices, or from every
+    index when not `base0`, or some count above `cap`.
 
-    A bound sums C(E - 1 - first, s - 1), or C(E, s) when all E indices
-    come first, and stops above `cap`; above it _estimate_packings
-    decides, unless its probes would cost over _PROBE_WORK.
-    """
+    A bound sums C(E - 1 - first, s - 1) over the base-0 firsts, listed
+    lazily, or C(E, s) when all E indices come first, and stops above
+    `cap`; above it _estimate_packings decides, unless the sizes are {0}
+    (one empty family) or its probes would cost over _PROBE_WORK."""
     space, total = _space(n, mode), 0
     sizes = range(sizes.start, min(sizes.stop, _max_family_size(n, mode) + 1))
     for s in reversed(sizes):  # the largest layer first, so a cut comes soonest
-        every = len(firsts) == space.size or not s
-        for a, k in [(space.size, s)] if every else [(space.size - 1 - f, s - 1) for f in firsts]:
+        terms = [(space.size, s)]
+        if base0 and s:
+            terms = ((space.size - 1 - f, s - 1) for f in space.base0_indices())
+        for a, k in terms:
             j = min(k, a - k)  # terms stop at 2^64 > cap: C(a, k) >= 2^64 once j >= 64
             total += 0 if j < 0 else 1 << 64 if j >= 64 else min(comb(a, j), 1 << 64)
             if total > cap:
                 break
         if total > cap:
             break
-    if total <= cap or _PROBES * sizes[-1] * space.size << n > _PROBE_WORK:
+    if total <= cap or not sizes[-1] or _PROBES * sizes[-1] * space.size << n > _PROBE_WORK:
         return total
-    return _estimate_packings(space.masks, sizes, firsts)
+    firsts = list(space.base0_indices()) if base0 else range(space.size)
+    return _estimate_packings(space, sizes, firsts)
 
 
-def _estimate_packings(masks: tuple[int, ...], sizes: range, firsts: Sequence[int]) -> int:
+def _estimate_packings(space: _ElementSpace, sizes: range, firsts: Sequence[int]) -> int:
     """Knuth's estimate of the families _iter_packings yields over `sizes`
     ("Estimating the efficiency of backtrack programs", Math. Comp. 29,
     1975).  A probe draws each child with p proportional to (later
     indices + 1)^(depth left); the product of the 1/p to depth s counts
-    size s without bias.  The seed is fixed, so the verdict repeats."""
-    rng, top, total = random.Random(0), sizes[-1], 0.0
+    size s without bias.  The seed is fixed, so the verdict repeats.
+    A child is a later index whose (free, base) pair misses every draw."""
+    rng, top, total, e = random.Random(0), sizes[-1], 0.0, space.size
+    pairs = [space._free_and_base(j) for j in range(e)]
     for _ in range(_PROBES):
-        weight, acc, children = 1.0, 0, firsts
+        weight, children = 1.0, firsts
         for depth in range(1, top + 1):
             if not children:
                 break
-            cum = list(accumulate((len(masks) - j) ** (top - depth) for j in children))
+            cum = list(accumulate((e - j) ** (top - depth) for j in children))
             k = bisect(cum, rng.random() * cum[-1])
             weight *= cum[-1] / (cum[k] - (cum[k - 1] if k else 0))
             if depth in sizes:
                 total += weight
-            acc |= masks[children[k]]
-            children = [j for j in range(children[k] + 1, len(masks)) if not masks[j] & acc]
+            c = children[k]
+            fr, ba = pairs[c]  # later children already miss the earlier draws
+            later = range(c + 1, e) if depth == 1 else children[k + 1:]
+            children = [j for j in later if (ba ^ pairs[j][1]) & ~(fr | pairs[j][0])]
     return round(min(total / _PROBES, 2.0**64)) + (0 in sizes)
 
 
@@ -537,20 +544,15 @@ def _sample_one(
 
 def _disjoint_elements(space: _ElementSpace, picks: list[int]) -> list[Subcube] | None:
     """The picked elements when they are pairwise disjoint, else None.
-
-    Each pick is tested against the ones before it with the family
-    verdict's own loop, _first_meeting, so a draw is dropped at its
-    first clash.
-    """
-    elems: list[Subcube] = []
+    Each pick's (free, base) pair meets the earlier ones in _first_meeting,
+    the verdict's own loop; only an accepted draw becomes Subcubes."""
     pairs: list[tuple[int, int]] = []
     for i in picks:
-        s = space[i]
-        if _first_meeting(pairs, s.free_mask, s.base) is not None:
+        fr, ba = space._free_and_base(i)
+        if _first_meeting(pairs, fr, ba) is not None:
             return None
-        elems.append(s)
-        pairs.append((s.free_mask, s.base))
-    return elems
+        pairs.append((fr, ba))
+    return [Subcube(fr, ba, space.n) for fr, ba in pairs]
 
 
 def sample_families(

@@ -56,11 +56,12 @@ def _diameter_us(n: int) -> float:
 
 
 def _check_time(request: str, us: Callable[[int], float], count: Callable[[int, int], int],
-                value: int, flag: str | None = None, lo: int = 0) -> None:
+                value: int, flag: str | None = None, lo: int = 0,
+                other: str = "bfs_distance on chosen vertex pairs") -> None:
     """Refuse `request` when its count(value, cap) families of us(value)
     µs each are over cap, the families that fit in _LIMIT_S.  The message
     names the largest `flag` value in [lo, value) that fits (by
-    bisection), else bfs_distance."""
+    bisection), else `other`."""
 
     def over(v: int) -> int:  # the predicted families when over the cap, else 0
         cap = int(_LIMIT_S * 1e6 / us(v))
@@ -72,7 +73,7 @@ def _check_time(request: str, us: Callable[[int], float], count: Callable[[int, 
     while flag and bad - fit > 1:
         mid = (fit + bad) // 2
         fit, bad = (fit, mid) if over(mid) else (mid, bad)
-    use = f"{flag} {fit}" if flag and fit >= lo else "bfs_distance on chosen vertex pairs"
+    use = f"{flag} {fit}" if flag and fit >= lo else other
     raise ResourceLimitError(
         f"{request} is predicted at {families * us(value) / 1e6:,.0f} s ({families:,} x "
         f"{us(value):,.1f} us per family), above the limit of {_LIMIT_S} s; use {use}"
@@ -327,10 +328,7 @@ def component_of(g: SurvivalGraph, v: Vertex) -> set[Vertex]:
     n = g.ambient
     if n <= _BITSET_LIMIT:
         visited, _ = _bfs_cover(n, g.survivor_mask, 1 << vb)
-        out = set()
-        while visited:
-            low = visited & -visited
-            visited ^= low
-            out.add(Vertex(low.bit_length() - 1, n))
-        return out
+        # one linear pass over the binary digits, lowest vertex first
+        bits = f"{visited:b}"[::-1]
+        return {Vertex(w, n) for w, bit in enumerate(bits) if bit == "1"}
     return {Vertex(w, n) for w in g._parents(vb)}

@@ -40,16 +40,17 @@ too, contradicting the choice of F.  So the first qualifying family
 starts with a base-0 element, i.e. one containing vertex 0, and the
 same translation maps any family to one that does, which keeps the
 maximum.  The scans therefore let the first index run only over the
-elements containing vertex 0 (one per admissible free mask) and report
-the kappa, value and witness of a scan over every family;
-families_scanned and disconnected_skipped count the families actually
-walked.
+elements containing vertex 0 (_ElementSpace.base0_indices, one per
+admissible free mask) and report the kappa, value and witness of a
+scan over every family; families_scanned and disconnected_skipped
+count the families actually walked.
 
-Scans run in the calling process.  The `jobs` keyword of
-connectivity_bruteforce and fault_diameter_bruteforce is accepted and
-ignored.  Each search is priced first (metrics._check_time): the
-families of sizes 1..kappa, of sizes 0..budget, or the draws, each at
-one survivor BFS or diameter, and is refused above one time limit.
+Scans run in the calling process; the `jobs` keyword of
+connectivity_bruteforce is accepted and ignored.  Each search is priced
+first (metrics._check_time), from the element space's arithmetic
+alone: the families of sizes 1..kappa, of sizes 0..budget, or the
+draws, each at one survivor BFS or diameter.  Above one time limit it
+is refused before any vertex bitset is built.
 """
 
 from __future__ import annotations
@@ -155,12 +156,6 @@ def _kappa_scan(
     return None, scanned
 
 
-def _first_indices(n: int, mode: FaultMode) -> tuple[int, ...]:
-    """The allowed first element indices of a scan: the elements
-    containing vertex 0 (bit 0 of their vertex mask)."""
-    return tuple(i for i, m in enumerate(_space(n, mode).masks) if m & 1)
-
-
 def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
     """Exact connectivity of Q_n under `mode`, by exhausting family sizes.
 
@@ -178,13 +173,12 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
     _check_time(  # a family costs at least one BFS, 2^-n of a diameter
         f"connectivity of Q_{n} under {mode.label}",
         lambda m: max(_CONNECTIVITY_US, _diameter_us(m) / (1 << m)),
-        lambda m, cap: _count_packings(
-            m, mode, range(1, mode.kappa(m) + 1), _first_indices(m, mode), cap
-        ),
+        lambda m, cap: _count_packings(m, mode, range(1, mode.kappa(m) + 1), cap),
         n, "--n", mode.max_element_dim + 2,
+        f"FaultMode.kappa, the proved closed form kappa = n - m = {kappa}",
     )
     space = _space(n, mode)
-    firsts = _first_indices(n, mode)
+    firsts = list(space.base0_indices())
     total_scanned = 0
     for size in range(1, kappa + 1):
         witness_idx, scanned = _kappa_scan(n, mode, size, firsts)
@@ -202,7 +196,6 @@ def fault_diameter_bruteforce(
     mode: FaultMode,
     budget: int,
     search: SearchSpec | None = None,
-    jobs: int = 1,
 ) -> FaultDiameterResult:
     """Worst diameter of Q_n minus any family of at most `budget` elements.
 
@@ -217,7 +210,7 @@ def fault_diameter_bruteforce(
     contains vertex 0; by translation symmetry the value and witness
     are those of a scan over every family (see the module docstring),
     and families_scanned and disconnected_skipped count the families
-    walked.  `jobs` is accepted and ignored.
+    walked.
     """
     mode.kappa(n)  # validates the (n, mode) pairing
     if budget < 0:
@@ -232,13 +225,13 @@ def fault_diameter_bruteforce(
         families = _sampled_families(n, mode, budget, search)
         elements = attrgetter("elements")
     else:
-        space = _space(n, mode)
-        firsts = _first_indices(n, mode)
         _check_time(
             f"an exhaustive fault-diameter search of Q_{n} under {mode.label} "
             f"at budget {budget}", lambda _: _diameter_us(n),
-            lambda b, cap: _count_packings(n, mode, range(b + 1), firsts, cap), budget, "--budget",
+            lambda b, cap: _count_packings(n, mode, range(b + 1), cap), budget, "--budget",
         )
+        space = _space(n, mode)
+        firsts = list(space.base0_indices())
         # sizes ascending, families in canonical order: ties keep the earliest
         families = chain.from_iterable(
             _iter_packings(space.masks, size, firsts)

@@ -67,7 +67,7 @@ def route_bound(n: int, mode: FaultMode) -> int:
 
 
 def _bound(n: int, m: int) -> int:
-    return n + 1 if (n >= 3 if m == 0 else n != m + 2) else n
+    return n + 1 if n != m + 2 else n
 
 
 @dataclass(frozen=True)

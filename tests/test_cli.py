@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def readme_commands() -> list[str]:
+    """Every `cube-faultlab ...` line of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("cube-faultlab ")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [shlex.split(line, comments=True)[1:] for line in readme_commands()],
+    ids=" ".join,
+)
+def test_every_readme_command_runs(capsys, argv):
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def without_seconds(obj):

@@ -7,6 +7,9 @@ one by raising ResourceLimitError first; no scan runs.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,7 +24,7 @@ from cube_faultlab import (
     fault_diameter_bruteforce,
     verify_claims,
 )
-from cube_faultlab import claims, cli, faults, metrics, oracle
+from cube_faultlab import claims, cli, core, faults, metrics, oracle
 
 
 class Started(Exception):
@@ -67,6 +70,15 @@ REFUSED = [
     enumerate_(30, "subcube:28", 10**9),
     enumerate_(30, "subcube:28", 63),  # C(E, 63) is far past a float
     ["diameter", "--n", "17"],
+]
+
+# connectivity scans with no smaller valid --n: each element space is
+# far too large for its vertex-bitset table, and subcube:28 holds about
+# 2^30 elements containing vertex 0
+NO_SMALLER_N = [
+    connectivity(20, "structure:18"),
+    connectivity(11, "subcube:9"),
+    connectivity(30, "subcube:28"),
 ]
 
 ACCEPTED = [
@@ -117,6 +129,63 @@ def test_accepted(no_scans, argv):
     assert verdict(argv) == "accepted"
 
 
+@pytest.mark.parametrize("argv", NO_SMALLER_N, ids=" ".join)
+def test_a_connectivity_refusal_names_the_closed_form(no_scans, capsys, argv):
+    assert verdict(argv) == "refused"
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("; use FaultMode.kappa, the proved closed form kappa = n - m = 2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [a for a in REFUSED if a[0] in ("connectivity", "fault-diameter")]
+    + NO_SMALLER_N + [exhaustive(20, "subcube:18", 1), exhaustive(30, "subcube:28", 1)],
+    ids=" ".join,
+)
+def test_no_bitset_is_built_before_the_verdict(no_scans, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a vertex bitset was built")
+
+    core._element_space.cache_clear()  # no table built by an earlier test
+    monkeypatch.setattr(core, "_vertex_mask", refuse)
+    assert verdict(argv) == "refused"
+
+
+# VmHWM is the peak RSS of this process alone; ru_maxrss would also count
+# the forking test process
+PEAK = """
+import sys, time
+t0 = time.perf_counter()
+from cube_faultlab import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+with open("/proc/self/status") as fh:
+    kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, time.perf_counter() - t0, kib)
+"""
+
+
+def fresh_run(argv):
+    """(exit code, seconds, peak RSS in KiB) of cli.main in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    return int(out[-3]), float(out[-2]), int(out[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("argv", NO_SMALLER_N, ids=" ".join)
+def test_a_refusal_costs_about_what_help_costs(argv):
+    _, _, help_kib = fresh_run(["--help"])
+    code, seconds, kib = fresh_run(argv)
+    assert code == 3 and seconds < 1
+    assert kib - help_kib < 5 * 1024
+
+
 def test_the_library_calls_refuse_too(no_scans):
     with pytest.raises(ResourceLimitError, match="use --n 6"):
         connectivity_bruteforce(7, FaultMode.structure(0))
@@ -163,20 +232,20 @@ def exact_count(n, mode, sizes, firsts):
 def test_estimate_is_within_five_percent_of_the_walk(n, label, sizes, base0):
     mode = FaultMode.from_label(label)
     space = faults._space(n, mode)
-    firsts = oracle._first_indices(n, mode) if base0 else range(space.size)
+    firsts = list(space.base0_indices()) if base0 else range(space.size)
     exact = exact_count(n, mode, sizes, firsts)
-    assert abs(faults._estimate_packings(space.masks, sizes, firsts) - exact) <= 0.05 * exact
+    assert abs(faults._estimate_packings(space, sizes, firsts) - exact) <= 0.05 * exact
 
 
 def test_the_bound_is_exact_on_disjoint_elements_and_cut_above_the_cap():
     mode = FaultMode.structure(0)
-    firsts = oracle._first_indices(5, mode)
-    assert faults._count_packings(5, mode, range(6), firsts, 10**9) == exact_count(
+    firsts = list(faults._space(5, mode).base0_indices())
+    assert faults._count_packings(5, mode, range(6), 10**9) == exact_count(
         5, mode, range(6), firsts
     )
     # C(32, 5) candidate families of every first; sizes past 2^5 hold none
-    assert faults._count_packings(5, mode, range(5, 6), range(32), 10**9) == 201_376
-    assert faults._count_packings(5, mode, range(33, 10**9), range(32), 0) == 0
+    assert faults._count_packings(5, mode, range(5, 6), 10**9, base0=False) == 201_376
+    assert faults._count_packings(5, mode, range(33, 10**9), 0, base0=False) == 0
     # a huge size is cut at once, without probes
-    huge = faults._count_packings(30, FaultMode.subcube(28), range(10**9, 10**9 + 1), range(1), 0)
+    huge = faults._count_packings(30, FaultMode.subcube(28), range(10**9, 10**9 + 1), 0)
     assert huge == 1 << 64

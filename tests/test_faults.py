@@ -37,7 +37,6 @@ from cube_faultlab import (
     write_family,
 )
 from cube_faultlab import core
-from cube_faultlab.core import _UNRANK_MEMO
 from cube_faultlab.faults import SAMPLING_ATTEMPTS, _space
 
 
@@ -250,6 +249,17 @@ class TestSplitClassification:
         half = restrict_along(fam, 4, 1)
         assert half.patterns() == ["1*0"]
 
+    def test_a_projected_structure_element_widens_the_mode(self):
+        # the edge *000 is free in x_1, so both halves keep the vertex 000,
+        # which structure:1 does not admit
+        fam = FaultFamily.from_patterns(["*000", "0*11"], FaultMode.structure(1), 4)
+        for h in (0, 1):
+            half = restrict_along(fam, 1, h)
+            assert half.mode == FaultMode.subcube(1)
+            assert validate_family(half) is None
+        assert restrict_along(fam, 1, 0).patterns() == ["000", "*11"]
+        assert restrict_along(fam, 4, 1).mode == FaultMode.structure(1)
+
 
 class TestAdversarialFamilies:
     @pytest.mark.parametrize("n", range(4, 11))
@@ -447,8 +457,6 @@ class TestUnrankedSampling:
         mode = FaultMode.structure(3)
         fams = sample_families(12, mode, 8, 600, seed=4)
         assert all(f.size == 8 and validate_family(f) is None for f in fams)
-        # over 4,800 picks among 112,640 elements: the memo fills and stops
-        assert len(_space(12, mode)._memo) == _UNRANK_MEMO
         res = fault_diameter_bruteforce(12, mode, 8, search=SearchSpec.sampled(4, 1))
         assert res.value >= 12 and validate_family(res.witness) is None
 
@@ -464,6 +472,12 @@ class TestUnrankedSampling:
             tracemalloc.stop()
         assert peak < 5 * 2**20
         assert all(f.size == 16 and validate_family(f) is None for f in fams)
+
+    def test_the_attempt_limit_ends_a_hopeless_draw(self):
+        # a perfect matching of Q_5 fits, but uniform draws of 16 of its
+        # 80 edges are almost never disjoint
+        with pytest.raises(ResourceLimitError, match=f"within {SAMPLING_ATTEMPTS} attempts"):
+            sample_families(5, FaultMode.structure(1), 16, 1, 0)
 
     def test_a_mode_without_elements_is_named(self):
         with pytest.raises(ValueError, match="structure:5.*Q_3"):

@@ -110,6 +110,13 @@ class TestConnectivity:
         comp = component_of(g, Vertex.from_pattern("0000"))
         assert len(comp) == 16
 
+    def test_component_of_the_full_q18(self):
+        # the bits are read in one linear pass; one XOR per bit took 5 s here
+        comp = component_of(fault_free(18), Vertex(5, 18))
+        assert len(comp) == 1 << 18
+        assert {v.bits for v in comp} == set(range(1 << 18))
+        assert {v.dim for v in comp} == {18}
+
 
 class TestSurvivalGraph:
     def test_survivor_bookkeeping(self):

@@ -149,11 +149,6 @@ class TestFaultDiameterExhaustive:
         assert res.disconnected_skipped == 3
         assert res.families_scanned == 19
 
-    def test_jobs_do_not_change_the_answer(self):
-        a = fault_diameter_bruteforce(4, FaultMode.subcube(2), 1, jobs=1)
-        b = fault_diameter_bruteforce(4, FaultMode.subcube(2), 1, jobs=2)
-        assert a == b
-
     def test_size_guard(self):
         # predicted at 46x and 111x the limit
         with pytest.raises(ResourceLimitError):
@@ -267,23 +262,24 @@ class TestTranslationReduction:
         return kappa
 
     @staticmethod
-    def check_diameter(n, mode, budget, jobs):
+    def check_diameter(n, mode, budget):
         value, witness, scanned, skipped = reference_fault_diameter(n, mode.label, budget)
-        res = fault_diameter_bruteforce(n, mode, budget, jobs=jobs)
+        res = fault_diameter_bruteforce(n, mode, budget)
         assert (res.value, res.witness) == (value, witness)
         assert starts_at_vertex_0(res.witness)
         assert res.families_scanned <= scanned
         assert res.disconnected_skipped <= skipped
         return res
 
-    # jobs= is accepted and ignored; this parametrization leaves with it
+    # connectivity_bruteforce's jobs= is accepted and ignored; this
+    # parametrization leaves with it
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("n,label", [(n, m.label) for n in (3, 4) for m in all_modes(n)])
     def test_every_mode_and_budget_at_small_n(self, n, label, jobs):
         mode = FaultMode.from_label(label)
         kappa = self.check_connectivity(n, mode, jobs)
         for budget in range(kappa + 1):
-            res = self.check_diameter(n, mode, budget, jobs)
+            res = self.check_diameter(n, mode, budget)
             # at budget kappa the disconnecting families are skipped
             assert (res.disconnected_skipped > 0) == (budget == kappa)
 
@@ -297,7 +293,7 @@ class TestTranslationReduction:
     def test_n5(self, label, cut):
         mode = FaultMode.from_label(label)
         kappa = self.check_connectivity(5, mode, 1) if cut else mode.kappa(5)
-        self.check_diameter(5, mode, kappa - 1, 1)
+        self.check_diameter(5, mode, kappa - 1)
 
 
 class TestArgumentChecks:

@@ -185,6 +185,27 @@ class TestGuidedRoute:
             guided_route(Vertex.from_pattern("000"), Vertex.from_pattern("1111"), fam)
 
 
+class TestSafetyNets:
+    """The paths the bound proofs rule out, reached by patching the router."""
+
+    @pytest.mark.parametrize("to", ["11110", "11111"], ids=["symmetric", "unsymmetric"])
+    def test_the_bfs_fallback_is_shortest_and_counted(self, monkeypatch, to):
+        # no child context affords its target, so both cases fall back
+        monkeypatch.setattr(router, "_affords", lambda *args: False)
+        fam = adversarial_subcube_family(5, 2)
+        u, v = Vertex.from_pattern("00001"), Vertex.from_pattern(to)
+        rep = route_with_report(u, v, fam)
+        assert rep.fallbacks >= 1
+        assert rep.length <= rep.bound.bound
+        assert rep.length == bfs_distance(SurvivalGraph.from_family(fam), u, v)
+
+    def test_a_disconnected_context_raises(self, monkeypatch):
+        monkeypatch.setattr(router, "_bfs_route", lambda *args: None)
+        fam = adversarial_q1_family(4)
+        with pytest.raises(InvariantViolation, match="disconnected a routing context"):
+            guided_route(Vertex.from_pattern("0000"), Vertex.from_pattern("1110"), fam)
+
+
 class TestPostRouteChecks:
     """route_with_report certifies what the recursion returns: each test
     makes _Router.route return labels that break exactly one check."""

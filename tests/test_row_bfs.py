@@ -19,7 +19,7 @@ import pytest
 from cube_faultlab import FaultMode, sample_families
 from cube_faultlab import metrics
 from cube_faultlab.faults import _space, fault_bits
-from cube_faultlab.oracle import _first_indices, _iter_packings, _kappa_scan
+from cube_faultlab.oracle import _iter_packings, _kappa_scan
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +165,7 @@ def scan_cases(n: int, label: str):
     connectivity_bruteforce passes."""
     mode = FaultMode.from_label(label)
     count = _space(n, mode).size
-    firstses = [range(count), _first_indices(n, mode)]
+    firstses = [range(count), list(_space(n, mode).base0_indices())]
     for size in range(1, (1 << n) + 1):
         for firsts in firstses:
             yield size, firsts
