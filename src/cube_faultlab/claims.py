@@ -8,9 +8,10 @@ enumeration.  Claim ids follow the package's claim catalog numbering
 (lem/thm prefix plus instance parameters), e.g. "lem2.4(n=5,m=3)" or
 "thm3.3"; the verify CLI subcommand accepts these ids.
 
-Oracle calls are cached per (n, canonical mode[, budget]), so
-claims that share a scan (several theorems constrain the same sweep,
-and substructure scans as subcube:1) pay for it once per process.
+Each verify_claims call hands one dict of oracle results, keyed by
+(n, canonical mode, budget or None), to every claim's run, so claims
+that share a scan (several theorems constrain the same sweep, and
+substructure scans as subcube:1) pay for it once per call.
 """
 
 from __future__ import annotations
@@ -35,35 +36,33 @@ from .metrics import SurvivalGraph, bfs_distance, component_of, diameter, is_con
 from .oracle import connectivity_bruteforce, fault_diameter_bruteforce
 
 
-def _canonical(mode_label: str) -> FaultMode:
-    return FaultMode.from_label(mode_label).canonical
-
-
-@lru_cache(maxsize=None)
-def _kappa(n: int, mode: FaultMode):
-    return connectivity_bruteforce(n, mode)
-
-
-@lru_cache(maxsize=None)
-def _fd(n: int, mode: FaultMode, budget: int):
-    return fault_diameter_bruteforce(n, mode, budget)
+def _scan(memo: dict, n: int, label: str, budget: int | None = None):
+    """The connectivity of Q_n under the mode, or with a budget its fault
+    diameter, once per memo.  The oracles are looked up in this module at
+    call time, so a wrapper set on it sees every scan."""
+    key = (n, FaultMode.from_label(label).canonical, budget)
+    if key not in memo:
+        memo[key] = (connectivity_bruteforce(*key[:2]) if budget is None
+                     else fault_diameter_bruteforce(*key))
+    return memo[key]
 
 
 @dataclass
 class Claim:
-    """A catalog entry.  run() recomputes it and returns (expected,
-    computed, ok, witness): each check states the value it expects."""
+    """A catalog entry.  run(memo) recomputes it and returns (expected,
+    computed, ok, witness): each check states the value it expects.
+    `memo` holds the oracle results of the current verify_claims call."""
 
     claim_id: str
     params: dict
     statement: str
-    run: Callable[[], tuple[str, str, bool, list[str]]]
+    run: Callable[[dict], tuple[str, str, bool, list[str]]]
 
 
 @dataclass(frozen=True)
 class ClaimResult:
     """One claim's verdict.  `seconds` is the wall time of this claim's
-    own run; a claim whose scans were all cache hits of earlier claims
+    own run; a claim whose scans earlier claims of the same call all ran
     reports about 0 s, so it does not measure the claim's cost."""
 
     claim_id: str
@@ -97,24 +96,20 @@ class ClaimResult:
 
 
 def _check_two_scans(
-    n: int, expected: int, labels: tuple[str, str], names: tuple[str, str],
+    memo: dict, n: int, expected: int, labels: tuple[str, str], names: tuple[str, str],
     budget: int | None = None,
 ):
     """The connectivity scans of Q_n under two modes, or with a budget
     their fault-diameter scans, agree and equal `expected`.  The witness
     is the first mode's."""
-    if budget is None:
-        ra, rb = (_kappa(n, _canonical(label)) for label in labels)
-        a, b = ra.kappa, rb.kappa
-    else:
-        ra, rb = (_fd(n, _canonical(label), budget) for label in labels)
-        a, b = ra.value, rb.value
+    ra, rb = (_scan(memo, n, label, budget) for label in labels)
+    a, b = (ra.kappa, rb.kappa) if budget is None else (ra.value, rb.value)
     computed = str(a) if a == b else f"{names[0]}={a}, {names[1]}={b}"
     return str(expected), computed, a == b == expected, ra.witness.patterns()
 
 
-def _check_fd(n: int, mode_label: str, budget: int, expected: int, at_most: bool = False):
-    r = _fd(n, _canonical(mode_label), budget)
+def _check_fd(memo: dict, n: int, label: str, budget: int, expected: int, at_most: bool = False):
+    r = _scan(memo, n, label, budget)
     if at_most:
         return f"<= {expected}", str(r.value), r.value <= expected, r.witness.patterns()
     return str(expected), str(r.value), r.value == expected, r.witness.patterns()
@@ -272,15 +267,15 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem2.2(n={n})", {"n": n},
             f"vertex fault diameter of Q_{n} (budget {n - 1}) equals {n + 1}",
-            lambda n=n: _check_fd(n, "structure:0", n - 1, n + 1),
+            lambda memo, n=n: _check_fd(memo, n, "structure:0", n - 1, n + 1),
         )
 
     for n in (3, 4, 5):
         _add(
             reg, f"lem2.3(n={n})", {"n": n},
             f"edge-structure and substructure connectivity of Q_{n} equal {n - 1}",
-            lambda n=n: _check_two_scans(
-                n, n - 1, ("structure:1", "substructure"), ("kappa", "kappa^s")
+            lambda memo, n=n: _check_two_scans(
+                memo, n, n - 1, ("structure:1", "substructure"), ("kappa", "kappa^s")
             ),
         )
 
@@ -288,8 +283,8 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem2.4(n={n},m={m})", {"n": n, "m": m},
             f"Q_{m}-structure and subcube connectivity of Q_{n} equal {n - m}",
-            lambda n=n, m=m: _check_two_scans(
-                n, n - m, (f"structure:{m}", f"subcube:{m}"), ("kappa", "kappa^sc")
+            lambda memo, n=n, m=m: _check_two_scans(
+                memo, n, n - m, (f"structure:{m}", f"subcube:{m}"), ("kappa", "kappa^sc")
             ),
         )
 
@@ -298,21 +293,21 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem2.5(n={n})", {"n": n},
             f"distinct vertices of Q_{n} have 2 common neighbors at Hamming "
             "distance 2 and none otherwise (exhaustive)",
-            lambda n=n: _check_common_neighbors(n),
+            lambda _, n=n: _check_common_neighbors(n),
         )
 
     for n in (3, 4, 5, 6):
         _add(
             reg, f"cor2.6(n={n})", {"n": n},
             f"subcubes of Q_{n} are closed under common neighbors (exhaustive)",
-            lambda n=n: _check_subcube_closure(n),
+            lambda _, n=n: _check_subcube_closure(n),
         )
 
     _add(
         reg, "lem2.7(n=3)", {"n": 3},
         "removing fewer than 4 vertices of Q_3 without disconnecting it keeps "
         "the diameter at least 3 (exhaustive)",
-        lambda: _check_connected_removal_diameter(3),
+        lambda _: _check_connected_removal_diameter(3),
     )
 
     for n in (5, 6):
@@ -320,20 +315,20 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem3.1(n={n})", {"n": n},
             f"symmetric pairs of Q_{n} keep a safe crossing coordinate under "
             f"up to {n - 1} faults of dimension <= {n - 3} (exhaustive)",
-            lambda n=n: _check_crossing_dimension(n, n - 3),
+            lambda _, n=n: _check_crossing_dimension(n, n - 3),
         )
 
     for n in (3, 4):
         _add(
             reg, f"lem3.2(n={n})", {"n": n},
             f"any <= {n - 2} vertex faults leave Q_{n} with diameter exactly {n}",
-            lambda n=n: _check_small_removal_diameter(n),
+            lambda _, n=n: _check_small_removal_diameter(n),
         )
 
     _add(
         reg, "thm3.3", {"n": 3},
         "substructure fault diameter of Q_3 (budget 1) equals 3",
-        lambda: _check_fd(3, "substructure", 1, 3),
+        lambda memo: _check_fd(memo, 3, "substructure", 1, 3),
     )
 
     for n in range(4, 9):
@@ -341,28 +336,31 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem3.4(n={n})", {"n": n},
             f"the pinned-edge family of Q_{n} disconnects one half and raises "
             f"the diameter to {n + 1}",
-            lambda n=n: _check_pinned_edge_family(n),
+            lambda _, n=n: _check_pinned_edge_family(n),
         )
 
     _add(
         reg, "lem3.5(n=4)", {"n": 4},
         "substructure fault diameter of Q_4 (budget 2) is at most 5",
-        lambda: _check_fd(4, "substructure", 2, 5, at_most=True),
+        lambda memo: _check_fd(memo, 4, "substructure", 2, 5, at_most=True),
     )
 
     for n, expected in ((4, 5), (5, 6)):
         _add(
             reg, f"lem3.6(n={n})", {"n": n},
             f"substructure fault diameter of Q_{n} (budget {n - 2}) equals {expected}",
-            lambda n=n, expected=expected: _check_fd(n, "substructure", n - 2, expected),
+            lambda memo, n=n, expected=expected: _check_fd(
+                memo, n, "substructure", n - 2, expected
+            ),
         )
 
     for n in (4, 5):
         _add(
             reg, f"thm3.7(n={n})", {"n": n},
             f"edge-structure and substructure fault diameters of Q_{n} equal {n + 1}",
-            lambda n=n: _check_two_scans(
-                n, n + 1, ("structure:1", "substructure"), ("structure", "substructure"), n - 2
+            lambda memo, n=n: _check_two_scans(
+                memo, n, n + 1, ("structure:1", "substructure"), ("structure", "substructure"),
+                n - 2,
             ),
         )
 
@@ -371,7 +369,7 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"thm3.20(m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under one Q_<= {m} fault equals {n}",
-            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", 1, n),
+            lambda memo, n=n, m=m: _check_fd(memo, n, f"subcube:{m}", 1, n),
         )
 
     for m in (1, 2):
@@ -379,14 +377,16 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"lem3.21(m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under <= 2 Q_<= {m} faults is at most {n + 1}",
-            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", 2, n + 1, at_most=True),
+            lambda memo, n=n, m=m: _check_fd(memo, n, f"subcube:{m}", 2, n + 1, at_most=True),
         )
 
     for n, m in ((4, 1), (5, 1), (5, 2)):
         _add(
             reg, f"lem3.22(n={n},m={m})", {"n": n, "m": m},
             f"at most {n - m - 2} Q_<= {m} faults keep the diameter of Q_{n} at most {n}",
-            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 2, n, at_most=True),
+            lambda memo, n=n, m=m: _check_fd(
+                memo, n, f"subcube:{m}", n - m - 2, n, at_most=True
+            ),
         )
 
     for n, m in ((4, 1), (5, 2)):
@@ -394,7 +394,9 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem3.23(n={n},m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} under <= {n - m - 1} Q_<= {m} "
             f"faults is at most {n + 1}",
-            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 1, n + 1, at_most=True),
+            lambda memo, n=n, m=m: _check_fd(
+                memo, n, f"subcube:{m}", n - m - 1, n + 1, at_most=True
+            ),
         )
 
     for n, m in ((4, 1), (5, 1), (5, 2), (6, 2), (6, 3)):
@@ -402,14 +404,14 @@ def _registry() -> dict[str, Claim]:
             reg, f"lem3.24(n={n},m={m})", {"n": n, "m": m},
             f"the blocking family of {n - m - 1} Q_{m}'s in Q_{n} disconnects "
             f"one half and forces a route of length >= {n + 1}",
-            lambda n=n, m=m: _check_blocking_subcube_family(n, m),
+            lambda _, n=n, m=m: _check_blocking_subcube_family(n, m),
         )
 
     for n, m in ((4, 1), (5, 2)):
         _add(
             reg, f"thm3.25(n={n},m={m})", {"n": n, "m": m},
             f"subcube fault diameter of Q_{n} over Q_<= {m} faults equals {n + 1}",
-            lambda n=n, m=m: _check_fd(n, f"subcube:{m}", n - m - 1, n + 1),
+            lambda memo, n=n, m=m: _check_fd(memo, n, f"subcube:{m}", n - m - 1, n + 1),
         )
 
     for n, m, expected in (
@@ -423,8 +425,8 @@ def _registry() -> dict[str, Claim]:
         _add(
             reg, f"thm3.26(n={n},m={m})", {"n": n, "m": m},
             f"Q_{m}-structure fault diameter of Q_{n} equals {expected}",
-            lambda n=n, m=m, expected=expected: _check_fd(
-                n, f"structure:{m}", n - m - 1, expected
+            lambda memo, n=n, m=m, expected=expected: _check_fd(
+                memo, n, f"structure:{m}", n - m - 1, expected
             ),
         )
 
@@ -457,10 +459,10 @@ def verify_claims(
         selected = [reg[c] for c in claims]
     if max_n is not None:
         selected = [c for c in selected if c.params["n"] <= max_n]
-    out = []
+    out, memo = [], {}
     for claim in selected:
         t0 = time.perf_counter()
-        expected, computed, ok, witness = claim.run()
+        expected, computed, ok, witness = claim.run(memo)
         out.append(
             ClaimResult(
                 claim.claim_id,

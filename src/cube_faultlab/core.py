@@ -20,7 +20,8 @@ An element space is the list of subcubes of Q_n whose dimensions are
 admitted, in canonical order: ascending free_mask, then ascending
 base.  _ElementSpace indexes it by counting arithmetic alone and keeps
 no per-index state; every enumeration, sampler and exhaustive scan of
-the package walks it, and _element_space is its one cache.
+the package walks it.  Each call builds its own space, so a vertex
+bitset table lives only as long as the scan that needs it.
 
 Ambient dimension is capped at 30 so every vertex set fits comfortably
 in native integers.
@@ -29,7 +30,7 @@ in native integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from math import comb
 from typing import Iterator
@@ -218,7 +219,7 @@ def enumerate_subcubes(n: int, k: int) -> Iterator[Subcube]:
     _check_ambient(n)
     if not 0 <= k <= n:
         raise ValueError(f"subcube dimension must be in [0, {n}], got {k}")
-    yield from _element_space(n, (k,))
+    yield from _ElementSpace(n, (k,))
 
 
 def _vertex_mask(free: int, base: int) -> int:
@@ -315,12 +316,6 @@ class _ElementSpace:
                 f"{_MASK_TABLE_BITS} bits; use a smaller n, or sample_families"
             )
         return tuple(_vertex_mask(*self._free_and_base(i)) for i in range(self.size))
-
-
-@lru_cache(maxsize=64)
-def _element_space(n: int, dims: tuple[int, ...]) -> _ElementSpace:
-    """The cached element space of Q_n for the admitted dimensions `dims`."""
-    return _ElementSpace(n, dims)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ cover the regimes of interest:
                 structure).
 
 Substructure admits exactly the elements of subcube:1, so it computes
-as subcube:1: core._element_space, the one element-space cache, is
-keyed by the admitted dimension set, so the oracles and samplers of
-both labels index one space, and the claim catalog caches
+as subcube:1: an element space is defined by the admitted dimension
+set (_admitted), so the oracles and samplers of both labels index
+equal spaces, and a verify_claims run keys its scans by
 FaultMode.canonical, which maps substructure to subcube:1.  The label
 is kept for parsing, files and reports, which read better with the
 intended regime spelled out.
@@ -51,7 +51,7 @@ from math import comb
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_DIM, Subcube, _check_ambient, _element_space, _ElementSpace, coord_bit
+from .core import MAX_DIM, Subcube, _check_ambient, _ElementSpace, coord_bit
 from .errors import ResourceLimitError
 
 _MODE_KINDS = ("structure", "substructure", "subcube")
@@ -383,8 +383,8 @@ def _admitted(n: int, mode: FaultMode) -> tuple[int, ...]:
 
 
 def _space(n: int, mode: FaultMode) -> _ElementSpace:
-    """The mode's element space in Q_n; substructure and subcube:1 share it."""
-    return _element_space(n, _admitted(n, mode))
+    """A new element space of the mode in Q_n; substructure's equals subcube:1's."""
+    return _ElementSpace(n, _admitted(n, mode))
 
 
 def element_space_size(n: int, mode: FaultMode) -> int:

@@ -15,8 +15,9 @@ are reproducible: the connectivity witness is the first disconnecting
 family encountered, the diameter witness the first family attaining
 the maximum.  The families come from faults._iter_packings, the same
 enumerator that faults.enumerate_families iterates, over the same
-cached element space (substructure and subcube:1 share one); results
-and witnesses carry the caller's mode.
+element space, built once per public scan and dropped, bitset table
+included, when it returns (substructure's is subcube:1's); results and
+witnesses carry the caller's mode.
 
 The connectivity scan checks consecutive families in batches: each
 family's survivor set is one 2^n-bit row of a single integer, and one
@@ -133,10 +134,10 @@ class FaultDiameterResult:
 
 
 def _kappa_scan(
-    n: int, mode: FaultMode, size: int, firsts: Sequence[int]
+    n: int, masks: tuple[int, ...], size: int, firsts: Sequence[int]
 ) -> tuple[tuple[int, ...] | None, int]:
-    """Scan the families of `size` elements whose first index is in
-    `firsts` for a disconnecting one; stop at the first hit.
+    """Scan the families of `size` elements (vertex bitsets `masks`) whose
+    first index is in `firsts` for a disconnecting one; stop at the first hit.
 
     Consecutive families go _rows_per_int(n) at a time through one
     batched BFS, one survivor set per row.  A hit in row r of a batch
@@ -144,7 +145,7 @@ def _kappa_scan(
     a one-family-at-a-time scan reports.
     """
     full = _full_mask(n)
-    packings = _iter_packings(_space(n, mode).masks, size, firsts)
+    packings = _iter_packings(masks, size, firsts)
     scanned = 0
     while batch := list(islice(packings, _rows_per_int(n))):
         # a family that leaves no survivors does not disconnect; its row
@@ -181,7 +182,7 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
     firsts = list(space.base0_indices())
     total_scanned = 0
     for size in range(1, kappa + 1):
-        witness_idx, scanned = _kappa_scan(n, mode, size, firsts)
+        witness_idx, scanned = _kappa_scan(n, space.masks, size, firsts)
         total_scanned += scanned
         if witness_idx is not None:
             witness = FaultFamily(tuple(space[i] for i in witness_idx), mode, n)

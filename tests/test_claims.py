@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -74,8 +75,6 @@ def test_substructure_shares_the_subcube_1_scan(monkeypatch):
         calls.append(args)
         return scan(*args, **kwargs)
 
-    claims._kappa.cache_clear()
-    claims._fd.cache_clear()
     monkeypatch.setattr(claims, "connectivity_bruteforce", counted)
     results = verify_claims(["lem2.3(n=4)", "lem2.4(n=4,m=1)"])
     assert [r.status for r in results] == ["pass", "pass"]
@@ -92,8 +91,6 @@ def test_jobs_reach_the_scans(monkeypatch):
         seen.append(kwargs.get("jobs"))
         return scan(*args, **kwargs)
 
-    claims._kappa.cache_clear()
-    claims._fd.cache_clear()
     monkeypatch.setattr(claims, "connectivity_bruteforce", recorded)
     result, = verify_claims(["lem2.3(n=4)"], jobs=3)
     assert result.status == "pass"
@@ -179,6 +176,65 @@ def test_common_neighbor_checks_report_each_failure(monkeypatch):
     results = verify_claims([claim for claim, _, _ in want])
     assert [(r.claim_id, r.computed, list(r.witness)) for r in results] == want
     assert all(r.status == "fail" for r in results)
+
+
+def verdicts(ids):
+    return [(r.claim_id, r.expected, r.computed, r.status, list(r.witness))
+            for r in verify_claims(ids)]
+
+
+def test_small_removal_check_reports_a_disconnection(monkeypatch):
+    """With every faulty survivor graph reported disconnected, lem3.2
+    fails on the first vertex fault and names it."""
+    real = claims.diameter
+    monkeypatch.setattr(claims, "diameter", lambda g: None if g.removed else real(g))
+    assert verdicts(["lem3.2(n=3)", "lem3.2(n=4)"]) == [
+        ("lem3.2(n=3)", "3", "disconnected", "fail", ["000"]),
+        ("lem3.2(n=4)", "4", "disconnected", "fail", ["0000"]),
+    ]
+
+
+EXTREMAL = [
+    ("lem3.4(n=5)", "6", ["*0010", "*0100", "*1000"]),
+    ("lem3.24(n=5,m=2)", ">= 6", ["**010", "**100"]),
+]
+
+
+@pytest.mark.parametrize(
+    "connected,failure",
+    [(lambda g: True, "half stays connected"), (lambda g: False, "whole cube disconnected")],
+    ids=["half", "whole"],
+)
+def test_extremal_checks_report_a_connectivity_failure(monkeypatch, connected, failure):
+    monkeypatch.setattr(claims, "is_connected", connected)
+    assert verdicts([c for c, _, _ in EXTREMAL]) == [
+        (claim, expected, failure, "fail", witness) for claim, expected, witness in EXTREMAL
+    ]
+
+
+def test_extremal_checks_report_an_invalid_family(monkeypatch):
+    """Each builder returns its family without the last element."""
+
+    def without_last(build):
+        def built(*args):
+            fam = build(*args)
+            return dataclasses.replace(fam, elements=fam.elements[:-1])
+        return built
+
+    for name in ("adversarial_q1_family", "adversarial_subcube_family"):
+        monkeypatch.setattr(claims, name, without_last(getattr(claims, name)))
+    assert verdicts([c for c, _, _ in EXTREMAL]) == [
+        (claim, expected, "invalid family", "fail", witness[:-1])
+        for claim, expected, witness in EXTREMAL
+    ]
+
+
+def test_pinned_edge_check_reports_the_wrong_component(monkeypatch):
+    monkeypatch.setattr(claims, "component_of", lambda g, v: {v})
+    assert verdicts(["lem3.4(n=5)"]) == [(
+        "lem3.4(n=5)", "6", "pinned component is not the expected edge", "fail",
+        ["*0010", "*0100", "*1000"],
+    )]
 
 
 @pytest.mark.parametrize("n,violations,witness", [(5, 20, "01***"), (6, 30, "01****")])

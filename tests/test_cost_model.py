@@ -24,7 +24,7 @@ from cube_faultlab import (
     fault_diameter_bruteforce,
     verify_claims,
 )
-from cube_faultlab import claims, cli, core, faults, metrics, oracle
+from cube_faultlab import cli, core, faults, metrics, oracle
 
 
 class Started(Exception):
@@ -146,7 +146,6 @@ def test_no_bitset_is_built_before_the_verdict(no_scans, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("a vertex bitset was built")
 
-    core._element_space.cache_clear()  # no table built by an earlier test
     monkeypatch.setattr(core, "_vertex_mask", refuse)
     assert verdict(argv) == "refused"
 
@@ -204,13 +203,7 @@ def test_the_catalog_never_probes(monkeypatch):
         raise AssertionError("the catalog ran Knuth probes")
 
     monkeypatch.setattr(faults, "_estimate_packings", probe)
-    claims._kappa.cache_clear()
-    claims._fd.cache_clear()
-    try:
-        results = verify_claims()
-    finally:
-        claims._kappa.cache_clear()
-        claims._fd.cache_clear()
+    results = verify_claims()
     assert all(r.passed for r in results)
 
 

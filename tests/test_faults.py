@@ -37,7 +37,7 @@ from cube_faultlab import (
     write_family,
 )
 from cube_faultlab import core
-from cube_faultlab.faults import SAMPLING_ATTEMPTS, _space
+from cube_faultlab.faults import SAMPLING_ATTEMPTS, _admitted, _space
 
 
 def reference_subcubes(n: int, admits) -> list[Subcube]:
@@ -118,7 +118,7 @@ class TestFaultMode:
             assert sub.kappa(n) == one.kappa(n)
             assert route_bound(n, sub) == route_bound(n, one)
         for n in range(3, 11):
-            assert _space(n, sub) is _space(n, one)
+            assert _admitted(n, sub) == _admitted(n, one)
         for n in (1, 2):
             for mode in (sub, one):
                 with pytest.raises(ValueError):
@@ -365,12 +365,12 @@ class TestSampling:
             assert validate_family(fam) is None
 
     def test_substructure_samples_from_the_subcube_1_space(self):
-        # one element space serves both labels; the families keep the
-        # caller's mode and the draws are those of a per-label space
-        core._element_space.cache_clear()
-        sub = sample_families(6, FaultMode.substructure(), 3, 4, seed=11)
-        one = sample_families(6, FaultMode.subcube(1), 3, 4, seed=11)
-        assert core._element_space.cache_info().misses == 1
+        # both labels admit the same elements, so they draw from equal
+        # spaces; the families keep the caller's mode
+        sub, one = FaultMode.substructure(), FaultMode.subcube(1)
+        assert _admitted(6, sub) == _admitted(6, one)
+        sub = sample_families(6, sub, 3, 4, seed=11)
+        one = sample_families(6, one, 3, 4, seed=11)
         assert [f.patterns() for f in sub] == [
             ["11110*", "0000*1", "*10011"],
             ["110000", "11111*", "*00100"],
@@ -424,7 +424,6 @@ def refuse_element_space(monkeypatch):
     def refuse(*args):
         raise AssertionError("the element space or its bitset table was built")
 
-    core._element_space.cache_clear()
     monkeypatch.setattr(core._ElementSpace, "__iter__", refuse, raising=False)
     monkeypatch.setattr(core, "_vertex_mask", refuse)
 

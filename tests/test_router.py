@@ -169,6 +169,15 @@ class TestGuidedRoute:
         assert rep.length == 5
         assert rep.fallbacks == 0
 
+    @pytest.mark.parametrize(
+        "fam", [adversarial_q1_family(5), adversarial_subcube_family(5, 2)], ids=["q1", "subcube"]
+    )
+    def test_a_vertex_routes_to_itself(self, fam):
+        u = Vertex.from_pattern("11111")
+        rep = route_with_report(u, u, fam)
+        assert rep.path.labels == (u.bits,)
+        assert rep.length == 0 and rep.fallbacks == 0
+
     def test_over_budget_family_rejected(self):
         fam = FaultFamily.from_patterns(["00*", "11*"], FaultMode.structure(1), 3)
         with pytest.raises(ValueError):

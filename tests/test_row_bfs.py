@@ -155,6 +155,18 @@ def test_diameter_when_the_lowest_survivor_is_past_block_zero(n):
     assert metrics._diameter_mask(n, cut_low) is None
 
 
+def test_diameter_skips_a_source_block_without_survivors():
+    # 128 sources per block at n = 9; removing the Q_7 01******* empties
+    # block 1 (labels 128-255) and leaves the cube connected
+    n = 9
+    rows = metrics._rows_per_int(n)
+    assert rows == 128
+    allowed = (1 << (1 << n)) - 1 & ~(((1 << rows) - 1) << rows)
+    want = ref_diameter(n, allowed)
+    assert want is not None
+    assert metrics._diameter_mask(n, allowed) == want
+
+
 # ---------------------------------------------------------------------------
 # connectivity batches
 
@@ -178,18 +190,20 @@ def scan_cases(n: int, label: str):
 )
 def test_kappa_chunk_matches_the_per_family_scan(n, label):
     mode = FaultMode.from_label(label)
+    masks = _space(n, mode).masks
     for size, firsts in scan_cases(n, label):
         want = ref_kappa_scan(n, label, size, firsts)
-        assert _kappa_scan(n, mode, size, firsts) == want, (size, firsts)
+        assert _kappa_scan(n, masks, size, firsts) == want, (size, firsts)
 
 
 @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
 def test_kappa_chunk_matches_the_per_family_scan_at_n5(label):
     mode = FaultMode.from_label(label)
-    count = _space(5, mode).size
+    masks = _space(5, mode).masks
+    count = len(masks)
     for size in range(1, 5):
         hit, scanned = ref_kappa_scan(5, label, size, range(count))
-        assert _kappa_scan(5, mode, size, range(count)) == (hit, scanned)
+        assert _kappa_scan(5, masks, size, range(count)) == (hit, scanned)
         if hit is not None:
             break
     assert hit is not None
@@ -200,7 +214,8 @@ def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
     """Shrink the batches so the hit lands in every row position, in the
     last row of a full batch and in a short final batch."""
     mode = FaultMode.from_label(label)
-    count = _space(n, mode).size
+    masks = _space(n, mode).masks
+    count = len(masks)
     lo = ref_kappa_scan(n, label, size, range(count))[0][0]
     # the families whose first element is the witness's
     firsts = range(lo, lo + 1)
@@ -210,7 +225,7 @@ def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
     last_row = short_final = False
     for rows in range(1, total + 2):
         monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
-        assert _kappa_scan(n, mode, size, firsts) == (hit, scanned), rows
+        assert _kappa_scan(n, masks, size, firsts) == (hit, scanned), rows
         batch_end = -(-scanned // rows) * rows
         last_row |= batch_end == scanned
         short_final |= batch_end > total
@@ -222,11 +237,12 @@ def test_kappa_chunk_on_every_size(n, label):
     """Past kappa too, where some families remove every vertex: those
     never count as disconnecting, also when they share a batch with a hit."""
     mode = FaultMode.from_label(label)
-    everything = range(_space(n, mode).size)
+    masks = _space(n, mode).masks
+    everything = range(len(masks))
     full = (1 << (1 << n)) - 1
     emptied = 0
     for size in range(1, (1 << n) + 1):
         want = ref_kappa_scan(n, label, size, everything)
-        assert _kappa_scan(n, mode, size, everything) == want, size
+        assert _kappa_scan(n, masks, size, everything) == want, size
         emptied += packings(n, label, size, everything).count(full)
     assert emptied
