@@ -279,23 +279,27 @@ def fault_bits(family: FaultFamily) -> set[int]:
 
 def _half_faults(
     faults: Sequence[tuple[int, int]], p: int, side: int
-) -> list[tuple[int, int]]:
-    """Elements meeting the half with bit p == side, straddlers projected.
+) -> tuple[list[tuple[int, int]], int]:
+    """Elements meeting the half with bit p == side, straddlers projected,
+    and their largest element dimension (0 when none meets it).
 
     Elements are (free_mask, base) pairs; one with bit p free straddles
     the split and becomes its face in the half, one with bit p fixed is
-    kept when it lies in the half.  The result is in ascending order.
+    kept when it lies in the half.  The result keeps the input order.
     """
     bit = 1 << p
     half = bit if side else 0
-    keep = []
+    keep, md = [], 0
     for fr, ba in faults:
         if fr & bit:
-            keep.append((fr ^ bit, ba | half))
-        elif ba & bit == half:
-            keep.append((fr, ba))
-    keep.sort()
-    return keep
+            fr ^= bit
+            ba |= half
+        elif ba & bit != half:
+            continue
+        keep.append((fr, ba))
+        if fr.bit_count() > md:
+            md = fr.bit_count()
+    return keep, md
 
 
 def _drop_coordinate(mask: int, p: int) -> int:
@@ -323,7 +327,7 @@ def restrict_along(family: FaultFamily, d: int, h: int) -> FaultFamily:
     p = coord_bit(n, d).bit_length() - 1  # validates d
     elems = [
         Subcube(_drop_coordinate(fr, p), _drop_coordinate(ba, p), n - 1)
-        for fr, ba in _half_faults(family._pairs, p, h)
+        for fr, ba in _half_faults(family._pairs, p, h)[0]
     ]
     mode = family.mode
     if mode.kind == "structure" and any(s.dim != mode.m for s in elems):
@@ -519,15 +523,16 @@ def _estimate_packings(space: _ElementSpace, sizes: range, firsts: Sequence[int]
 
 
 def _sample_one(
-    rng: random.Random, n: int, mode: FaultMode, space: _ElementSpace, size: int
+    rng: random.Random, n: int, mode: FaultMode, space: _ElementSpace, size: int, limit: int
 ) -> FaultFamily:
     """One rejection-sampled family.
 
     Every attempt draws `size` uniform indices of the canonical element
     space first, then keeps the draw when the elements are pairwise
-    disjoint.  A size no family reaches is refused before any draw.
+    disjoint.  A size above `limit`, the caller's _max_family_size(n,
+    mode), is refused before any draw.
     """
-    if size > _max_family_size(n, mode):
+    if size > limit:
         raise ResourceLimitError(
             f"no family of {size} {mode.label} elements fits in Q_{n}; lower the size"
         )
@@ -576,7 +581,8 @@ def sample_families(
     if size and not space.size:
         raise ValueError(f"mode {mode.label} admits no element of Q_{n}")
     rng = random.Random(seed)
-    return [_sample_one(rng, n, mode, space, size) for _ in range(count)]
+    limit = _max_family_size(n, mode)
+    return [_sample_one(rng, n, mode, space, size, limit) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -259,9 +259,9 @@ def _sampled_families(
     Deterministic for a fixed seed and draw count.
     """
     rng = random.Random(search.seed)
-    space = _space(n, mode)
+    space, limit = _space(n, mode), _max_family_size(n, mode)
     for _ in range(search.draws):
-        family = _sample_one(rng, n, mode, space, rng.randint(0, budget))
+        family = _sample_one(rng, n, mode, space, rng.randint(0, budget), limit)
         faults = 0
         for s in family.elements:
             faults |= _vertex_mask(s.free_mask, s.base)

@@ -12,10 +12,12 @@ The recursion tracks an internal length target per context: a context
 of dimension k with t faults of maximum element dimension md is within
 budget when md <= k - 2 and t <= k - md - 1, and the reachable target
 is k when the family is small (t <= 1 or t <= k - md - 2) and k + 1 at
-full budget.  One helper, _affords, answers both questions for a child
-context from a single pass over its faults: is it within budget, and
-does its target plus the edges spent crossing into it stay within the
-parent's target.  Case analysis per level:
+full budget.  The split (faults._half_faults) makes the one pass over a
+child's faults and returns its maximum element dimension with them;
+_affords is then arithmetic: is the child within budget, and does its
+target plus the edges spent crossing into it stay within the parent's
+target.  The accepted child's target is passed down, so no context
+recomputes its own.  Case analysis per level:
 
 * no faults: fix differing coordinates in ascending order (length =
   Hamming distance, the optimum);
@@ -92,7 +94,7 @@ class RouteReport:
         return self.path.length
 
 
-_Faults = Sequence[tuple[int, int]]  # (free_mask, base) pairs, ascending
+_Faults = Sequence[tuple[int, int]]  # (free_mask, base) pairs, in any order
 
 
 def _hit(x: int, faults: _Faults) -> bool:
@@ -110,37 +112,31 @@ def _first_faulty(labels: Sequence[int], groups) -> int | None:
     return None
 
 
-def _target(k: int, faults: _Faults) -> int | None:
-    """Reachable route length in a dim-k context, None when the faults are
-    over its budget.  Every context the router enters is within budget."""
-    if not faults:
-        return k
-    t = len(faults)
-    md = max(fr.bit_count() for fr, _ in faults)
-    if md > k - 2 or t > k - md - 1:
-        return None
+def _target(k: int, t: int, md: int) -> int:
+    """Reachable route length in a dim-k context holding t faults of maximum
+    element dimension md, 0 when they are over its budget.  Every context
+    the router enters is within budget."""
+    if t and (md > k - 2 or t > k - md - 1):
+        return 0
     return k if t <= 1 or t <= k - md - 2 else k + 1
 
 
-def _affords(k: int, faults: _Faults, extra: int, tgt: int) -> bool:
-    """A dim-k child context is within budget and its target plus `extra`
-    crossing edges stays within the parent's target tgt."""
-    target = _target(k, faults)
-    return target is not None and target + extra <= tgt
+def _affords(k: int, faults: _Faults, md: int, extra: int, tgt: int) -> int:
+    """The target of a dim-k child context when it is within budget and
+    that target plus `extra` crossing edges stays within the parent's
+    target tgt, else 0."""
+    target = _target(k, len(faults), md)
+    return target if target and target + extra <= tgt else 0
 
 
-def _positions(ctx_free: int, n: int) -> list[int]:
-    """Free bit positions in ascending coordinate order (most significant first)."""
-    return [p for p in range(n - 1, -1, -1) if ctx_free >> p & 1]
-
-
-def _greedy(u: int, v: int, n: int) -> list[int]:
+def _greedy(u: int, v: int) -> list[int]:
     """Fix differing coordinates in ascending coordinate order."""
     path, cur, diff = [u], u, u ^ v
-    for p in range(n - 1, -1, -1):
-        if diff >> p & 1:
-            cur ^= 1 << p
-            path.append(cur)
+    while diff:
+        bit = 1 << (diff.bit_length() - 1)
+        cur ^= bit
+        diff ^= bit
+        path.append(cur)
     return path
 
 
@@ -148,7 +144,7 @@ def _bfs_route(
     n: int, ctx_free: int, u: int, v: int, faults: _Faults
 ) -> list[int] | None:
     """Shortest fault-free path inside the context, deterministic ties."""
-    flips = [1 << p for p in _positions(ctx_free, n)]
+    flips = [1 << p for p in range(n - 1, -1, -1) if ctx_free >> p & 1]  # ascending coordinate
     parent = _bfs_parents(u, flips, lambda x: _hit(x, faults), v)
     if v not in parent:
         return None
@@ -159,42 +155,39 @@ def _bfs_route(
     return out
 
 
-def _safe_crossing(
-    ctx_free: int, n: int, u: int, v: int, faults: _Faults
-) -> int | None:
+def _safe_crossing(ctx_free: int, u: int, v: int, faults: _Faults) -> int | None:
     """First free bit position (ascending coordinate) whose flip keeps both
     endpoints off the faults, None when there is none."""
-    for p in _positions(ctx_free, n):
-        if not _hit(u ^ (1 << p), faults) and not _hit(v ^ (1 << p), faults):
-            return p
+    while ctx_free:
+        bit = 1 << (ctx_free.bit_length() - 1)
+        if not _hit(u ^ bit, faults) and not _hit(v ^ bit, faults):
+            return bit.bit_length() - 1
+        ctx_free ^= bit
     return None
 
 
 class _Router:
-    """One routing run: full-width labels, shrinking free-coordinate context."""
+    """One routing run: full-width labels, shrinking free-coordinate context.
+    Each context carries its target tgt, computed once by its parent."""
 
     def __init__(self, n: int):
         self.n = n
         self.fallbacks = 0
 
-    def route(self, ctx_free: int, u: int, v: int, faults: _Faults) -> list[int]:
-        n = self.n
+    def route(self, ctx_free: int, u: int, v: int, faults: _Faults, tgt: int) -> list[int]:
         if u == v:
             return [u]
         if not faults:
-            return _greedy(u, v, n)
-        k = ctx_free.bit_count()
-        if k <= _BFS_BASE_DIM:
+            return _greedy(u, v)
+        if ctx_free.bit_count() <= _BFS_BASE_DIM:
             return self._bfs_or_die(ctx_free, u, v, faults)
         if len(faults) == 1:
-            return self._route_single(ctx_free, u, v, faults)
+            return self._route_single(ctx_free, u, v, faults, tgt)
         if ((u ^ v) & ctx_free) == ctx_free:
-            return self._route_symmetric(ctx_free, u, v, faults)
-        return self._route_unsymmetric(ctx_free, u, v, faults)
+            return self._route_symmetric(ctx_free, u, v, faults, tgt)
+        return self._route_unsymmetric(ctx_free, u, v, faults, tgt)
 
-    def _bfs_or_die(
-        self, ctx_free: int, u: int, v: int, faults: _Faults
-    ) -> list[int]:
+    def _bfs_or_die(self, ctx_free: int, u: int, v: int, faults: _Faults) -> list[int]:
         got = _bfs_route(self.n, ctx_free, u, v, faults)
         if got is None:
             raise InvariantViolation(
@@ -203,15 +196,12 @@ class _Router:
             )
         return got
 
-    def _fallback(
-        self, ctx_free: int, u: int, v: int, faults: _Faults
-    ) -> list[int]:
+    def _fallback(self, ctx_free: int, u: int, v: int, faults: _Faults) -> list[int]:
         self.fallbacks += 1
         return self._bfs_or_die(ctx_free, u, v, faults)
 
-    def _route_single(
-        self, ctx_free: int, u: int, v: int, faults: _Faults
-    ) -> list[int]:
+    def _route_single(self, ctx_free: int, u: int, v: int, faults: _Faults,
+                      tgt: int) -> list[int]:
         """One fault element: at most one crossing into the clean half."""
         fr, ba = faults[0]
         fixed = ctx_free & ~fr
@@ -223,54 +213,55 @@ class _Router:
         u_side = 1 if u & bit else 0
         v_side = 1 if v & bit else 0
         if u_side != dirty and v_side != dirty:
-            return _greedy(u, v, self.n)
+            return _greedy(u, v)
         if u_side == dirty and v_side == dirty:
-            return self.route(ctx_free ^ bit, u, v, faults)
+            # under one fault a context's target is its dimension
+            return self.route(ctx_free ^ bit, u, v, faults, tgt - 1)
         if u_side == dirty:
-            return [u] + _greedy(u ^ bit, v, self.n)
-        return _greedy(u, v ^ bit, self.n) + [v]
+            return [u] + _greedy(u ^ bit, v)
+        return _greedy(u, v ^ bit) + [v]
 
-    def _route_symmetric(
-        self, ctx_free: int, u: int, v: int, faults: _Faults
-    ) -> list[int]:
+    def _route_symmetric(self, ctx_free: int, u: int, v: int, faults: _Faults,
+                         tgt: int) -> list[int]:
         """Endpoints differ in every free coordinate: cross next to one of them."""
-        p = _safe_crossing(ctx_free, self.n, u, v, faults)
+        p = _safe_crossing(ctx_free, u, v, faults)
         if p is None:
             raise InvariantViolation(
                 "no safe crossing coordinate exists for a symmetric pair within "
                 "budget; this contradicts the crossing lemma"
             )
         bit = 1 << p
-        tgt = _target(ctx_free.bit_count(), faults)
         child_free = ctx_free ^ bit
         k1 = child_free.bit_count()
         u_side = 1 if u & bit else 0
-        f_u = _half_faults(faults, p, u_side)
-        if _affords(k1, f_u, 1, tgt):
-            return self.route(child_free, u, v ^ bit, f_u) + [v]
-        f_v = _half_faults(faults, p, 1 - u_side)
-        if _affords(k1, f_v, 1, tgt):
-            return [u] + self.route(child_free, u ^ bit, v, f_v)
+        f_u, md = _half_faults(faults, p, u_side)
+        t1 = _affords(k1, f_u, md, 1, tgt)
+        if t1:
+            return self.route(child_free, u, v ^ bit, f_u, t1) + [v]
+        f_v, md = _half_faults(faults, p, 1 - u_side)
+        t1 = _affords(k1, f_v, md, 1, tgt)
+        if t1:
+            return [u] + self.route(child_free, u ^ bit, v, f_v, t1)
         return self._fallback(ctx_free, u, v, faults)
 
-    def _route_unsymmetric(
-        self, ctx_free: int, u: int, v: int, faults: _Faults
-    ) -> list[int]:
+    def _route_unsymmetric(self, ctx_free: int, u: int, v: int, faults: _Faults,
+                           tgt: int) -> list[int]:
         """Split along the smallest coordinate where the endpoints agree."""
         agree = ~(u ^ v) & ctx_free
         p = agree.bit_length() - 1
         bit = 1 << p
         side = 1 if u & bit else 0
-        tgt = _target(ctx_free.bit_count(), faults)
         child_free = ctx_free ^ bit
         k1 = child_free.bit_count()
-        f_same = _half_faults(faults, p, side)
-        if _affords(k1, f_same, 0, tgt):
-            return self.route(child_free, u, v, f_same)
-        f_other = _half_faults(faults, p, 1 - side)
+        f_same, md = _half_faults(faults, p, side)
+        t1 = _affords(k1, f_same, md, 0, tgt)
+        if t1:
+            return self.route(child_free, u, v, f_same, t1)
+        f_other, md = _half_faults(faults, p, 1 - side)
         u2, v2 = u ^ bit, v ^ bit
-        if not _hit(u2, faults) and not _hit(v2, faults) and _affords(k1, f_other, 2, tgt):
-            return [u] + self.route(child_free, u2, v2, f_other) + [v]
+        t1 = _affords(k1, f_other, md, 2, tgt)
+        if t1 and not _hit(u2, faults) and not _hit(v2, faults):
+            return [u] + self.route(child_free, u2, v2, f_other, t1) + [v]
         return self._fallback(ctx_free, u, v, faults)
 
 
@@ -304,7 +295,7 @@ def pick_crossing_dimension(u: Vertex, v: Vertex, family: FaultFamily) -> int:
     for s in family.elements:
         if s.dim > n - 3:
             raise ValueError("fault elements must have dimension at most n-3")
-    p = _safe_crossing((1 << n) - 1, n, u.bits, v.bits, faults)
+    p = _safe_crossing((1 << n) - 1, u.bits, v.bits, faults)
     if p is None:
         raise InvariantViolation(
             "no safe crossing coordinate exists despite valid preconditions"
@@ -328,7 +319,8 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
         raise ValueError(f"family size {family.size} exceeds the routing budget {budget} "
                          f"for mode {mode.label} in Q_{n}")
     runner = _Router(n)
-    labels = runner.route((1 << n) - 1, u.bits, v.bits, faults)
+    tgt = _target(n, len(faults), max([fr.bit_count() for fr, _ in faults], default=0))
+    labels = runner.route((1 << n) - 1, u.bits, v.bits, faults, tgt)
     if labels[0] != u.bits or labels[-1] != v.bits:
         raise InvariantViolation("routed path does not connect the requested endpoints")
     path = Path(tuple(labels), n)

@@ -36,7 +36,7 @@ from cube_faultlab import (
     validate_family,
     write_family,
 )
-from cube_faultlab import core
+from cube_faultlab import core, faults, oracle
 from cube_faultlab.faults import SAMPLING_ATTEMPTS, _admitted, _space
 
 
@@ -488,6 +488,27 @@ class TestUnrankedSampling:
     def test_rejection_limit(self):
         # Q_3 holds at most 4 disjoint edges
         with pytest.raises(ResourceLimitError, match="lower the size"):
+            sample_families(3, FaultMode.structure(1), 5, 1, 0)
+
+    def test_the_size_limit_is_computed_once_per_call(self, monkeypatch):
+        calls = []
+        real = faults._max_family_size
+
+        def counting(n, mode):
+            calls.append((n, mode.label))
+            return real(n, mode)
+
+        monkeypatch.setattr(faults, "_max_family_size", counting)
+        monkeypatch.setattr(oracle, "_max_family_size", counting)
+        assert len(sample_families(5, FaultMode.structure(1), 3, 40, 0)) == 40
+        assert calls == [(5, "structure:1")]
+        spec = SearchSpec.sampled(7, 50)
+        assert fault_diameter_bruteforce(4, FaultMode.structure(1), 2, search=spec).families_scanned == 50
+        assert calls == [(5, "structure:1"), (4, "structure:1")]
+        # the refusal comes at the first draw, so no draw means no refusal
+        assert sample_families(3, FaultMode.structure(1), 5, 0, 0) == []
+        with pytest.raises(ResourceLimitError, match="^no family of 5 structure:1 elements "
+                           "fits in Q_3; lower the size$"):
             sample_families(3, FaultMode.structure(1), 5, 1, 0)
 
 

@@ -215,6 +215,30 @@ class TestSafetyNets:
             guided_route(Vertex.from_pattern("0000"), Vertex.from_pattern("1110"), fam)
 
 
+class TestUnreachedInvariants:
+    """The router's other InvariantViolations, reached by patching or by a
+    direct call: no in-budget family reaches them."""
+
+    def test_an_element_filling_its_context(self):
+        ctx_free = 0b00111  # the element 11***'s free mask is the whole context
+        with pytest.raises(InvariantViolation, match="^fault element fills its routing context$"):
+            router._Router(5)._route_single(ctx_free, 0b11000, 0b11111, [(ctx_free, 0b11000)], 3)
+
+    def test_no_safe_crossing_for_a_symmetric_pair(self, monkeypatch):
+        monkeypatch.setattr(router, "_safe_crossing", lambda *args: None)
+        fam = adversarial_subcube_family(5, 2)
+        with pytest.raises(InvariantViolation, match="^no safe crossing coordinate exists for "
+                           "a symmetric pair within budget; this contradicts the crossing lemma$"):
+            guided_route(Vertex.from_pattern("00001"), Vertex.from_pattern("11110"), fam)
+
+    def test_no_safe_crossing_despite_the_preconditions(self, monkeypatch):
+        monkeypatch.setattr(router, "_safe_crossing", lambda *args: None)
+        fam = adversarial_subcube_family(5, 2)
+        with pytest.raises(InvariantViolation, match="^no safe crossing coordinate exists "
+                           "despite valid preconditions$"):
+            pick_crossing_dimension(Vertex.from_pattern("00000"), Vertex.from_pattern("11111"), fam)
+
+
 class TestPostRouteChecks:
     """route_with_report certifies what the recursion returns: each test
     makes _Router.route return labels that break exactly one check."""
@@ -314,6 +338,64 @@ def test_randomized_sweep_meets_bounds(n):
             survivors = [Vertex(b, n) for b in range(1 << n) if b not in g.removed]
             u, v = rng.sample(survivors, 2)
             assert_route_ok(u, v, fam, bound)
+
+
+def sorted_split(faults, p, side):
+    """Reference split: the pairs meeting the half, projected, sorted."""
+    bit = 1 << p
+    half = bit if side else 0
+    keep = []
+    for fr, ba in faults:
+        if fr & bit:
+            keep.append((fr ^ bit, ba | half))
+        elif ba & bit == half:
+            keep.append((fr, ba))
+    keep.sort()
+    return keep
+
+
+def pass_target(k, faults):
+    """Reference target: one pass over the faults, None over budget."""
+    if not faults:
+        return k
+    t = len(faults)
+    md = max(fr.bit_count() for fr, _ in faults)
+    if md > k - 2 or t > k - md - 1:
+        return None
+    return k if t <= 1 or t <= k - md - 2 else k + 1
+
+
+def split_families():
+    """Every family of every mode at n <= 4, sizes 0..kappa (one past the
+    budget), then seeded families of every mode at n = 5..10."""
+    for n in (3, 4):
+        for mode in mode_sweep(n):
+            for size in range(mode.kappa(n) + 1):
+                yield from enumerate_families(n, mode, size)
+    for n in range(5, 11):
+        for mode in mode_sweep(n):
+            for size in sorted({1, mode.kappa(n) - 1}):
+                yield from sample_families(n, mode, size, 3, seed=700 + n)
+
+
+def test_the_split_and_the_target_match_their_references():
+    """_half_faults keeps the reference split's pairs, in any order, and
+    returns their largest dimension; _target on those counts is the
+    reference target, with 0 for None."""
+    families = 0
+    for fam in split_families():
+        n, faults = fam.ambient, fam._pairs
+        md = max((fr.bit_count() for fr, _ in faults), default=0)
+        assert router._target(n, len(faults), md) == (pass_target(n, faults) or 0)
+        for p in range(n):
+            for side in (0, 1):
+                kids, kid_md = router._half_faults(faults, p, side)
+                want = sorted_split(faults, p, side)
+                assert sorted(kids) == want
+                assert kid_md == max((fr.bit_count() for fr, _ in want), default=0)
+                assert router._target(n - 1, len(kids), kid_md) == (pass_target(n - 1, want) or 0)
+        families += 1
+    assert families > 30_000
 
 
 def translated(fam, b):
