@@ -19,7 +19,8 @@ class ResourceLimitError(FaultLabError):
     or its tables to need more memory than the package allows.
 
     The message names an alternative that fits (a smaller n, budget,
-    size or draw count, or bfs_distance on chosen vertex pairs).
+    size or draw count, bfs_distance on chosen vertex pairs, or
+    route_with_report, which needs no survival graph).
     """
 
 

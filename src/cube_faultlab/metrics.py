@@ -3,11 +3,12 @@
 The survival graph of Q_n under a fault family is the subgraph induced
 by the non-faulty vertices.  Everything here is exact; nothing samples.
 
-The workhorse is a bitset engine: a vertex set of Q_n is one Python
+The one engine is a bitset BFS: a vertex set of Q_n is one Python
 integer with bit w set iff vertex w is present, and one BFS level for
 all n dimensions at once is n masked shifts.  The masks select, per
 dimension, the vertices whose coordinate is 0; shifting them up by the
-dimension's stride lands each vertex on its neighbor.
+dimension's stride lands each vertex on its neighbor.  The masks build
+in time linear in their size (_lo_masks).
 
 One integer can also hold k rows of 2^n bits, row r at bits r*2^n and
 up, each an independent BFS (multi-source BFS: Then et al., "The More
@@ -18,34 +19,32 @@ to an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds
 one row per source vertex; the connectivity oracle seeds one row per
 candidate family.
 
-For ambient dimensions past the bitset range (n = 27..30) the one dict
-BFS, _bfs_parents, answers single-pair distance, connectivity and
-component queries; the router runs the same helper inside its routing
-contexts.
+A survival graph is refused past n = _BITSET_LIMIT (26) when it is
+built; the router needs none and serves n <= 30 with its own BFS.
 
 The one cost model lives here too: _check_time prices every diameter,
-exhaustive or sampled scan and `enumerate` walk as the families it
-walks or draws times its kernel's µs per family, and refuses it above
+component, scan and `enumerate` walk as the families (or survivors) it
+walks or draws times its kernel's µs each, and refuses it above
 _LIMIT_S before the work starts, naming a request that fits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import Vertex, _check_ambient
 from .errors import ResourceLimitError
 from .faults import FaultFamily, fault_bits, require_valid
 
-_BITSET_LIMIT = 26
+_BITSET_LIMIT = 26  # the largest ambient dimension of a survival graph
 _ROW_BITS = 1 << 16
 
 _LIMIT_S = 60  # the one predicted-time limit of every request
 _CONNECTIVITY_US = 1.0  # per connectivity-scan family: 0.88-1.16 µs measured at n = 5, 6
 _ENUMERATE_US = 5.0  # per `enumerate` family: 2.2-5 µs measured
+_COMPONENT_US = 3.4  # per component_of survivor: one Vertex each, 3.4 µs measured at n = 22
 
 
 def _diameter_us(n: int) -> float:
@@ -99,14 +98,15 @@ def _spaced_ones(count: int, step: int) -> int:
 def _lo_masks(n: int, rows: int = 1) -> tuple[tuple[int, int], ...]:
     # (stride, mask) per dimension; the mask selects vertices whose bit p
     # is 0: blocks of 2^p ones every 2^(p+1) positions, repeated in every
-    # row, so no shift crosses from one row into the next
-    full = _full_mask(n)
-    rep = _spaced_ones(rows, 1 << n)
+    # row, so no shift crosses from one row into the next.  One block is
+    # doubled until it spans every row: linear in rows * 2^n bits
+    total = rows << n
     out = []
     for p in range(n):
-        block = (1 << (1 << p)) - 1
-        period_ones = (1 << (1 << (p + 1))) - 1
-        out.append((1 << p, full // period_ones * block * rep))
+        mask, width = (1 << (1 << p)) - 1, 2 << p
+        while width < total:
+            mask, width = mask | mask << width, width << 1
+        out.append((1 << p, mask & ((1 << total) - 1)))  # cut the overshoot of rows != 2^k
     return tuple(out)
 
 
@@ -205,34 +205,16 @@ def _diameter_mask(n: int, allowed: int) -> int | None:
     return best
 
 
-def _bfs_parents(
-    start: int, flips: Sequence[int], blocked: Callable[[int], bool], target: int | None = None
-) -> dict[int, int]:
-    """Dict BFS from `start`: the BFS-tree parent of every vertex reached.
-
-    A step XORs a vertex with one of `flips`, tried in the given order;
-    vertices with `blocked(x)` true are never entered.  `start` is its
-    own parent.  The search stops as soon as `target` is discovered;
-    its parent chain, fixed at discovery, is a shortest path.
-    """
-    parent = {start: start}
-    queue = deque((start,))
-    while queue:
-        w = queue.popleft()
-        for f in flips:
-            x = w ^ f
-            if x in parent or blocked(x):
-                continue
-            parent[x] = w
-            if x == target:
-                return parent
-            queue.append(x)
-    return parent
+def _check_cap(n: int) -> None:
+    """Refuse a survival graph of Q_n past the bitset engine's range."""
+    if n > _BITSET_LIMIT:
+        raise ResourceLimitError(f"a survival graph of Q_{n} is above the cap of n = "
+                                 f"{_BITSET_LIMIT}; use route_with_report (cube-faultlab route)")
 
 
 @dataclass(frozen=True)
 class SurvivalGraph:
-    """Q_ambient with a set of vertex labels removed.
+    """Q_ambient with a set of vertex labels removed, for ambient <= 26.
 
     Build one from a fault family with from_family, which validates the
     family first, or directly from removed labels for ad-hoc
@@ -244,6 +226,7 @@ class SurvivalGraph:
 
     def __post_init__(self) -> None:
         _check_ambient(self.ambient)
+        _check_cap(self.ambient)
         size = 1 << self.ambient
         for w in self.removed:
             if not isinstance(w, int) or not 0 <= w < size:
@@ -252,14 +235,15 @@ class SurvivalGraph:
     @classmethod
     def from_family(cls, family: FaultFamily) -> "SurvivalGraph":
         require_valid(family)
+        _check_cap(family.ambient)  # before the faulty labels are listed
         return cls(family.ambient, frozenset(fault_bits(family)))
 
     @cached_property
     def removed_mask(self) -> int:
-        mask = 0
+        buf = bytearray(((1 << self.ambient) + 7) >> 3)
         for w in self.removed:
-            mask |= 1 << w
-        return mask
+            buf[w >> 3] |= 1 << (w & 7)
+        return int.from_bytes(buf, "little")
 
     @cached_property
     def survivor_mask(self) -> int:
@@ -276,11 +260,6 @@ class SurvivalGraph:
             raise ValueError(f"{name} {v.pattern} is a removed vertex")
         return v.bits
 
-    def _parents(self, start: int, target: int | None = None) -> dict[int, int]:
-        """Dict BFS over the survivors, for n past _BITSET_LIMIT."""
-        flips = [1 << p for p in range(self.ambient)]
-        return _bfs_parents(start, flips, self.removed.__contains__, target)
-
 
 def bfs_distance(g: SurvivalGraph, u: Vertex, v: Vertex) -> int | None:
     """Exact distance between two survivors, None when unreachable.
@@ -289,28 +268,16 @@ def bfs_distance(g: SurvivalGraph, u: Vertex, v: Vertex) -> int | None:
     """
     ub = g._check_endpoint(u, "u")
     vb = g._check_endpoint(v, "v")
-    if g.ambient <= _BITSET_LIMIT:
-        visited, levels = _bfs_cover(g.ambient, g.survivor_mask, 1 << ub, stop=1 << vb)
-        return levels if visited >> vb & 1 else None
-    parent = g._parents(ub, vb)
-    if vb not in parent:
-        return None
-    d = 0
-    while vb != ub:
-        vb = parent[vb]
-        d += 1
-    return d
+    visited, levels = _bfs_cover(g.ambient, g.survivor_mask, 1 << ub, stop=1 << vb)
+    return levels if visited >> vb & 1 else None
 
 
 def is_connected(g: SurvivalGraph) -> bool:
     """True when the survivors form one connected component."""
     if g.survivor_count == 0:
         raise ValueError("empty survivor set has no connectivity")
-    if g.ambient <= _BITSET_LIMIT:
-        allowed = g.survivor_mask
-        return _bfs_cover(g.ambient, allowed, allowed & -allowed)[0] == allowed
-    start = next(w for w in range(1 << g.ambient) if w not in g.removed)
-    return len(g._parents(start)) == g.survivor_count
+    allowed = g.survivor_mask
+    return _bfs_cover(g.ambient, allowed, allowed & -allowed)[0] == allowed
 
 
 def diameter(g: SurvivalGraph) -> int | None:
@@ -323,12 +290,13 @@ def diameter(g: SurvivalGraph) -> int | None:
 
 
 def component_of(g: SurvivalGraph, v: Vertex) -> set[Vertex]:
-    """All survivors reachable from v, including v itself."""
+    """All survivors reachable from v, including v itself; priced per survivor."""
     vb = g._check_endpoint(v, "v")
     n = g.ambient
-    if n <= _BITSET_LIMIT:
-        visited, _ = _bfs_cover(n, g.survivor_mask, 1 << vb)
-        # one linear pass over the binary digits, lowest vertex first
-        bits = f"{visited:b}"[::-1]
-        return {Vertex(w, n) for w, bit in enumerate(bits) if bit == "1"}
-    return {Vertex(w, n) for w in g._parents(vb)}
+    _check_time(f"component_of over the {g.survivor_count:,} survivors of Q_{n}",
+                lambda _: _COMPONENT_US, lambda c, cap: c, g.survivor_count,
+                other="is_connected or bfs_distance, which build no Vertex per survivor")
+    visited, _ = _bfs_cover(n, g.survivor_mask, 1 << vb)
+    # one linear pass over the binary digits, lowest vertex first
+    bits = f"{visited:b}"[::-1]
+    return {Vertex(w, n) for w, bit in enumerate(bits) if bit == "1"}

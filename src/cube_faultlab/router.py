@@ -32,11 +32,13 @@ recomputes its own.  Case analysis per level:
   both endpoints across and recurse in the other half (+2 edges).
 
 Contexts of dimension <= 4 are routed by plain BFS, which is optimal
-there.  If no case applies (which the bound proofs rule out, but the
-implementation does not assume), the router falls back to BFS in the
-full context and counts the event; route_with_report exposes the
-counter, and a produced path longer than the mode bound raises
-InvariantViolation rather than returning quietly.
+there; that BFS (_bfs_route) is the package's one dict BFS and needs no
+survival graph, so routing serves every n up to 30.  If no case applies
+(which the bound proofs rule out, but the implementation does not
+assume), the router falls back to BFS in the full context and counts
+the event; route_with_report exposes the counter, and a produced path
+longer than the mode bound raises InvariantViolation rather than
+returning quietly.
 
 The router reads the family's (free_mask, base) pairs, its
 faulty-label table and its validity verdict from the FaultFamily
@@ -46,13 +48,13 @@ pairs around one family validates it once.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Path, Vertex
 from .errors import InvariantViolation
 from .faults import FaultFamily, FaultMode, _half_faults, require_valid
-from .metrics import _bfs_parents
 
 _BFS_BASE_DIM = 4
 
@@ -140,12 +142,20 @@ def _greedy(u: int, v: int) -> list[int]:
     return path
 
 
-def _bfs_route(
-    n: int, ctx_free: int, u: int, v: int, faults: _Faults
-) -> list[int] | None:
-    """Shortest fault-free path inside the context, deterministic ties."""
-    flips = [1 << p for p in range(n - 1, -1, -1) if ctx_free >> p & 1]  # ascending coordinate
-    parent = _bfs_parents(u, flips, lambda x: _hit(x, faults), v)
+def _bfs_route(ctx_free: int, u: int, v: int, faults: _Faults) -> list[int] | None:
+    """Shortest fault-free path inside the context, None when v is not
+    reachable.  Ties are deterministic: flips go high bit first (ascending
+    coordinate), and a vertex's parent is fixed when it is discovered."""
+    flips = [1 << p for p in range(ctx_free.bit_length() - 1, -1, -1) if ctx_free >> p & 1]
+    parent = {u: u}
+    queue = deque((u,))
+    while queue and v not in parent:
+        w = queue.popleft()
+        for f in flips:
+            x = w ^ f
+            if x not in parent and not _hit(x, faults):
+                parent[x] = w
+                queue.append(x)
     if v not in parent:
         return None
     out = [v]
@@ -170,8 +180,7 @@ class _Router:
     """One routing run: full-width labels, shrinking free-coordinate context.
     Each context carries its target tgt, computed once by its parent."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self.fallbacks = 0
 
     def route(self, ctx_free: int, u: int, v: int, faults: _Faults, tgt: int) -> list[int]:
@@ -188,7 +197,7 @@ class _Router:
         return self._route_unsymmetric(ctx_free, u, v, faults, tgt)
 
     def _bfs_or_die(self, ctx_free: int, u: int, v: int, faults: _Faults) -> list[int]:
-        got = _bfs_route(self.n, ctx_free, u, v, faults)
+        got = _bfs_route(ctx_free, u, v, faults)
         if got is None:
             raise InvariantViolation(
                 "an in-budget fault family disconnected a routing context; "
@@ -318,7 +327,7 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
     if family.size > budget:
         raise ValueError(f"family size {family.size} exceeds the routing budget {budget} "
                          f"for mode {mode.label} in Q_{n}")
-    runner = _Router(n)
+    runner = _Router()
     tgt = _target(n, len(faults), max([fr.bit_count() for fr, _ in faults], default=0))
     labels = runner.route((1 << n) - 1, u.bits, v.bits, faults, tgt)
     if labels[0] != u.bits or labels[-1] != v.bits:

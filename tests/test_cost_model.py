@@ -150,6 +150,18 @@ def test_no_bitset_is_built_before_the_verdict(no_scans, monkeypatch, argv):
     assert verdict(argv) == "refused"
 
 
+@pytest.mark.parametrize("argv", [
+    ["diameter", "--n", "27"],
+    ["diameter", "--n", "30", "--faults", "adversary:q1"],
+], ids=" ".join)
+def test_a_survival_graph_past_the_cap_is_refused(capsys, argv):
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert "above the cap of n = 26; use route_with_report (cube-faultlab route)" in err
+
+
 # VmHWM is the peak RSS of this process alone; ru_maxrss would also count
 # the forking test process
 PEAK = """

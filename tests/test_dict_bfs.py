@@ -1,15 +1,17 @@
-"""The dict BFS (n past the bitset range, and the router's BFS) against the
-bitset engine.
+"""The bitset engine against a plain dict BFS, and the router's BFS.
 
-No input below n = 27 reaches the dict path on its own, so the metrics
-tests lower metrics._BITSET_LIMIT to 0 and compare the two engines on
-the same survival graphs: every vertex subset at n <= 3, seeded subsets
-(connected and disconnected) at n = 4..8.
+The reference below walks neighbours one flip at a time with a dict of
+distances and shares no code with metrics.  It is compared with
+bfs_distance, is_connected and component_of on the same survival graphs:
+every vertex subset at n <= 3, seeded subsets (connected and
+disconnected) at n = 4..8.  router._bfs_route, the package's one dict
+BFS, is checked for shortest paths against bfs_distance.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -22,7 +24,21 @@ from cube_faultlab import (
     is_connected,
     sample_families,
 )
-from cube_faultlab import metrics, router
+from cube_faultlab import router
+
+
+def ref_distances(n: int, removed: frozenset[int], start: int) -> dict[int, int]:
+    """Distance from `start` to every survivor it reaches."""
+    dist = {start: 0}
+    queue = deque((start,))
+    while queue:
+        w = queue.popleft()
+        for p in range(n):
+            x = w ^ (1 << p)
+            if x not in dist and x not in removed:
+                dist[x] = dist[w] + 1
+                queue.append(x)
+    return dist
 
 
 def answers(g: SurvivalGraph, pairs) -> tuple:
@@ -33,27 +49,26 @@ def answers(g: SurvivalGraph, pairs) -> tuple:
     return is_connected(g), comps, dists
 
 
-def both_engines(g: SurvivalGraph, pairs, monkeypatch) -> tuple[tuple, tuple]:
-    bitset = answers(g, pairs)
-    with monkeypatch.context() as m:
-        m.setattr(metrics, "_BITSET_LIMIT", 0)
-        plain = answers(g, pairs)
-    return bitset, plain
+def reference(g: SurvivalGraph, pairs) -> tuple:
+    n = g.ambient
+    survivors = [w for w in range(1 << n) if w not in g.removed]
+    comps = [frozenset(ref_distances(n, g.removed, w)) for w in survivors]
+    dists = [ref_distances(n, g.removed, u).get(v) for u, v in pairs]
+    return len(comps[0]) == len(survivors), comps, dists
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_every_vertex_subset(n, monkeypatch):
+def test_every_vertex_subset(n):
     size = 1 << n
     for keep in range(1, 1 << size):
         g = SurvivalGraph(n, frozenset(w for w in range(size) if not keep >> w & 1))
         survivors = [w for w in range(size) if keep >> w & 1]
         pairs = [(u, v) for u in survivors for v in survivors]
-        bitset, plain = both_engines(g, pairs, monkeypatch)
-        assert plain == bitset
+        assert answers(g, pairs) == reference(g, pairs)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_seeded_subsets(n, monkeypatch):
+def test_seeded_subsets(n):
     rng = random.Random(n)
     size = 1 << n
     seen = set()
@@ -65,9 +80,9 @@ def test_seeded_subsets(n, monkeypatch):
         g = SurvivalGraph(n, removed)
         survivors = [w for w in range(size) if w not in removed]
         pairs = [(rng.choice(survivors), rng.choice(survivors)) for _ in range(40)]
-        bitset, plain = both_engines(g, pairs, monkeypatch)
-        assert plain == bitset
-        seen.add(bitset[0])
+        want = reference(g, pairs)
+        assert answers(g, pairs) == want
+        seen.add(want[0])
     assert seen == {True, False}
 
 
@@ -86,7 +101,7 @@ def test_router_bfs_is_shortest(n):
                 survivors = [w for w in range(1 << n) if w not in g.removed]
                 for _ in range(10):
                     u, v = rng.choice(survivors), rng.choice(survivors)
-                    path = router._bfs_route(n, (1 << n) - 1, u, v, faults)
+                    path = router._bfs_route((1 << n) - 1, u, v, faults)
                     assert path[0] == u and path[-1] == v
                     assert all((a ^ b).bit_count() == 1 for a, b in zip(path, path[1:]))
                     assert not g.removed & set(path)

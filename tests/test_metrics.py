@@ -15,6 +15,7 @@ from cube_faultlab import (
     SurvivalGraph,
     Vertex,
     adversarial_q1_family,
+    adversarial_subcube_family,
     bfs_distance,
     component_of,
     diameter,
@@ -22,6 +23,7 @@ from cube_faultlab import (
     is_connected,
     sample_families,
 )
+from cube_faultlab import metrics
 
 
 def fault_free(n: int) -> SurvivalGraph:
@@ -131,6 +133,26 @@ class TestSurvivalGraph:
         assert g.survivor_count == 6
         assert is_connected(g)
         assert diameter(g) == 3
+
+    @pytest.mark.parametrize("n", [27, 30])
+    def test_past_the_cap_is_refused(self, n):
+        with pytest.raises(ResourceLimitError, match=f"^a survival graph of Q_{n} is above the cap "
+                           "of n = 26; use route_with_report \\(cube-faultlab route\\)$"):
+            SurvivalGraph(n, frozenset({0, 1}))
+
+    def test_from_family_refuses_before_listing_faulty_labels(self, monkeypatch):
+        def refuse(family):
+            raise AssertionError("faulty labels were listed")
+
+        monkeypatch.setattr(metrics, "fault_bits", refuse)
+        with pytest.raises(ResourceLimitError, match="cap of n = 26"):
+            SurvivalGraph.from_family(adversarial_subcube_family(30, 27))
+
+    def test_component_of_is_priced_per_survivor(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_bfs_cover", None)  # a started search fails differently
+        with pytest.raises(ResourceLimitError, match="^component_of over the 67,108,863 "
+                           "survivors of Q_26 .*; use is_connected or bfs_distance"):
+            component_of(SurvivalGraph(26, frozenset({1})), Vertex(0, 26))
 
 
 def test_distance_cross_check_against_random_faults():

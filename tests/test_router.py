@@ -222,7 +222,7 @@ class TestUnreachedInvariants:
     def test_an_element_filling_its_context(self):
         ctx_free = 0b00111  # the element 11***'s free mask is the whole context
         with pytest.raises(InvariantViolation, match="^fault element fills its routing context$"):
-            router._Router(5)._route_single(ctx_free, 0b11000, 0b11111, [(ctx_free, 0b11000)], 3)
+            router._Router()._route_single(ctx_free, 0b11000, 0b11111, [(ctx_free, 0b11000)], 3)
 
     def test_no_safe_crossing_for_a_symmetric_pair(self, monkeypatch):
         monkeypatch.setattr(router, "_safe_crossing", lambda *args: None)
