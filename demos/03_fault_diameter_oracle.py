@@ -1,9 +1,10 @@
 """Brute-force ground truth at desk scale.
 
 Exhaustive scans over every valid fault family, up to translation,
-establish the connectivity and fault-diameter values exactly; a seeded
-sampled search covers configurations whose exhaustive scan the cost
-model refuses (more than a minute predicted).
+establish the connectivity and fault-diameter values exactly.  Where
+the cost model refuses a scan (more than a minute predicted), the
+paper's extremal family still gives the exact value: one survivor
+diameter attains the proved bound n + 1.
 
 Run: python3 demos/03_fault_diameter_oracle.py
 """
@@ -14,8 +15,10 @@ import time
 
 from cube_faultlab import (
     FaultMode,
-    SearchSpec,
+    SurvivalGraph,
+    adversarial_q1_family,
     connectivity_bruteforce,
+    diameter,
     fault_diameter_bruteforce,
 )
 
@@ -45,11 +48,10 @@ def main() -> None:
     print(f"  D_f(Q_5; Q_1) = {res.value} after {res.families_scanned} families "
           f"in {time.time() - t0:.1f}s")
 
-    print("\nwhere the exhaustive scan is refused, sample instead:")
-    spec = SearchSpec.sampled(seed=42, draws=2000)
-    res = fault_diameter_bruteforce(7, FaultMode.structure(1), 5, search=spec)
-    print(f"  sampled lower bound for Q_7 under Q_1 faults: {res.value} "
-          f"({spec.label})")
+    print("\nwhere the exhaustive scan is refused, the extremal family attains the bound:")
+    fam = adversarial_q1_family(7)
+    print(f"  D_f(Q_7; Q_1) = {diameter(SurvivalGraph.from_family(fam))} = n + 1, "
+          f"attained by {','.join(fam.patterns())}")
 
 
 if __name__ == "__main__":

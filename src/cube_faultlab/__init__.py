@@ -58,7 +58,6 @@ from .router import (
     RouteBound,
     RouteReport,
     guided_route,
-    pick_crossing_dimension,
     route_bound,
     route_with_report,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "hamming",
     "is_connected",
     "neighbor",
-    "pick_crossing_dimension",
     "read_family",
     "restrict_along",
     "route_bound",

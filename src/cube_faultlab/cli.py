@@ -7,6 +7,11 @@ queries, `adversary` emits the extremal families, and `enumerate`
 counts fault families.  Reports go to stdout (or --output) as a text
 table by default, as canonical JSON, or as CSV.
 
+Each request has one spelling: --mode takes a full mode label
+(structure:1, substructure, subcube:2), and fault-diameter always scans
+every in-budget family.  A diameter is priced before its survival graph
+is built, so a refused one lists no faulty label.
+
 Exit codes: 0 success, 1 claim mismatch, 2 usage error (a family file
 or --output path that cannot be opened included), 3 resource limit: a
 request predicted above metrics._LIMIT_S, refused before it starts.
@@ -38,8 +43,8 @@ from .faults import (
     read_family,
     require_valid,
 )
-from .metrics import _ENUMERATE_US, SurvivalGraph, _check_time, diameter
-from .oracle import SearchSpec, connectivity_bruteforce, fault_diameter_bruteforce
+from .metrics import _ENUMERATE_US, SurvivalGraph, _check_diameter, _check_time, diameter
+from .oracle import connectivity_bruteforce, fault_diameter_bruteforce
 from .router import route_with_report
 
 
@@ -79,26 +84,10 @@ def _render(report: _Report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mode_from_args(mode: str | None, m: int | None) -> FaultMode | None:
-    """Combine --mode and --m; accepts full labels like structure:1 too."""
-    if mode is None:
-        if m is not None:
-            raise ValueError("--m needs --mode structure or --mode subcube")
-        return None
-    if ":" in mode or mode == "substructure":
-        if m is not None:
-            raise ValueError(f"--m conflicts with the explicit mode {mode!r}")
-        return FaultMode.from_label(mode)
-    if m is None:
-        raise ValueError(f"--mode {mode} needs --m <element dimension>")
-    return FaultMode.from_label(f"{mode}:{m}")
-
-
 def _required_mode(args) -> FaultMode:
-    mode = _mode_from_args(args.mode, args.m)
-    if mode is None:
+    if args.mode is None:
         raise ValueError(f"{args.command} needs --mode")
-    return mode
+    return FaultMode.from_label(args.mode)
 
 
 def _single_row(payload: dict, headers: list[str], footer: list[str] | None = None) -> _Report:
@@ -131,7 +120,8 @@ def _parse_faults(args) -> FaultFamily:
     patterns.  An explicit --mode re-tags the family, subject to the
     usual conformity check.
     """
-    spec, n, mode = args.faults, args.n, _mode_from_args(args.mode, args.m)
+    spec, n = args.faults, args.n
+    mode = FaultMode.from_label(args.mode) if args.mode is not None else None
     if spec is None or spec in ("", "none"):
         family = FaultFamily((), mode or FaultMode.structure(0), n)
     elif spec == "adversary:q1":
@@ -209,17 +199,8 @@ def _cmd_connectivity(args) -> tuple[_Report, int]:
 def _cmd_fault_diameter(args) -> tuple[_Report, int]:
     mode = _required_mode(args)
     budget = args.budget if args.budget is not None else mode.kappa(args.n) - 1
-    if args.sampled:
-        search = SearchSpec.sampled(
-            args.seed if args.seed is not None else 0,
-            args.draws if args.draws is not None else 1000,
-        )
-    else:
-        if args.seed is not None or args.draws is not None:
-            raise ValueError("--seed and --draws need --sampled")
-        search = SearchSpec.exhaustive()
     t0 = time.perf_counter()
-    res = fault_diameter_bruteforce(args.n, mode, budget, search=search)
+    res = fault_diameter_bruteforce(args.n, mode, budget)
     payload = {
         "n": args.n,
         "mode": mode.label,
@@ -236,6 +217,7 @@ def _cmd_fault_diameter(args) -> tuple[_Report, int]:
 
 def _cmd_diameter(args) -> tuple[_Report, int]:
     family = _parse_faults(args)
+    _check_diameter(args.n)  # before the graph lists every faulty label
     g = SurvivalGraph.from_family(family)
     d = diameter(g)
     payload = {
@@ -354,11 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode_common = argparse.ArgumentParser(add_help=False)
     mode_common.add_argument(
         "--mode", metavar="MODE",
-        help="fault mode: structure, substructure, or subcube "
-        "(or a full label like structure:1)",
-    )
-    mode_common.add_argument(
-        "--m", type=int, metavar="M", help="element dimension for --mode"
+        help="fault mode label: structure:<m>, substructure or subcube:<m>",
     )
 
     parser = argparse.ArgumentParser(
@@ -395,15 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget", type=int,
         help="max family size (default: connectivity - 1)",
     )
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument(
-        "--exhaustive", action="store_true", help="scan every family (default)"
-    )
-    grp.add_argument(
-        "--sampled", action="store_true", help="randomized search instead"
-    )
-    p.add_argument("--seed", type=int, help="seed for --sampled (default 0)")
-    p.add_argument("--draws", type=int, help="draws for --sampled (default 1000)")
 
     p = sub.add_parser(
         "diameter", parents=[common, mode_common],
@@ -442,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--show", type=int, metavar="K", help="also list the first K families"
     )
-
+    for p in sub.choices.values():
+        p.allow_abbrev = False  # one spelling per option: --m is not short for --mode
     return parser
 
 

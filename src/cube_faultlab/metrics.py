@@ -8,7 +8,8 @@ integer with bit w set iff vertex w is present, and one BFS level for
 all n dimensions at once is n masked shifts.  The masks select, per
 dimension, the vertices whose coordinate is 0; shifting them up by the
 dimension's stride lands each vertex on its neighbor.  The masks build
-in time linear in their size (_lo_masks).
+in time linear in their size (_lo_masks); tables of at most 2^16 bits
+are memoised, larger ones are built per BFS.
 
 One integer can also hold k rows of 2^n bits, row r at bits r*2^n and
 up, each an independent BFS (multi-source BFS: Then et al., "The More
@@ -122,7 +123,9 @@ def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -
     end the second is the largest eccentricity of a row's start set
     within its component.
     """
-    masks = _lo_masks(n, rows)
+    # memoise only tables of at most _ROW_BITS bits: a larger one would
+    # outlive the call (Q_26's is 208 MiB)
+    masks = (_lo_masks if rows << n <= _ROW_BITS else _lo_masks.__wrapped__)(n, rows)
     frontier = start
     left = allowed ^ start
     levels = 0
@@ -280,13 +283,19 @@ def is_connected(g: SurvivalGraph) -> bool:
     return _bfs_cover(g.ambient, allowed, allowed & -allowed)[0] == allowed
 
 
+def _check_diameter(n: int) -> None:
+    """Refuse an exact diameter of Q_n past the cap or above _LIMIT_S; the
+    cli asks before it builds the survival graph."""
+    _check_cap(n)
+    _check_time(f"an exact diameter of Q_{n}", lambda _: _diameter_us(n), lambda v, cap: v, 1)
+
+
 def diameter(g: SurvivalGraph) -> int | None:
     """Largest survivor distance, None when the graph is disconnected."""
     if g.survivor_count == 0:
         raise ValueError("empty survivor set has no diameter")
-    n = g.ambient
-    _check_time(f"an exact diameter of Q_{n}", lambda _: _diameter_us(n), lambda v, cap: v, 1)
-    return _diameter_mask(n, g.survivor_mask)
+    _check_diameter(g.ambient)
+    return _diameter_mask(g.ambient, g.survivor_mask)
 
 
 def component_of(g: SurvivalGraph, v: Vertex) -> set[Vertex]:

@@ -27,6 +27,8 @@ families-scanned count are exactly those of a one-family-at-a-time scan.
 Both fault-diameter searches run one loop (_max_diameter) over (key,
 fault bitset) pairs: index tuples for the exhaustive scan, drawn
 families for the sampled one.  Only the winning key becomes a witness.
+The sampled search (SearchSpec.sampled) is a library call only: the
+cli's fault-diameter always runs the exhaustive scan.
 
 Translation reduction.  XOR by a vertex b is an automorphism of Q_n; it
 maps an element (free, base) to (free, base ^ (b & ~free)), so it keeps
@@ -221,7 +223,7 @@ def fault_diameter_bruteforce(
     if search.kind == "sampled":
         _check_time(
             f"a sampled fault-diameter search of Q_{n} ({search.draws} draws)",
-            lambda _: _diameter_us(n), lambda d, cap: d, search.draws, "--draws", 1,
+            lambda _: _diameter_us(n), lambda d, cap: d, search.draws, "draws", 1,
         )
         families = _sampled_families(n, mode, budget, search)
         elements = attrgetter("elements")

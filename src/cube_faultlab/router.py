@@ -274,44 +274,6 @@ class _Router:
         return self._fallback(ctx_free, u, v, faults)
 
 
-def _check_routing_args(u: Vertex, v: Vertex, family: FaultFamily) -> _Faults:
-    """The family's memoised (free_mask, base) pairs, after the family,
-    endpoint-cube and faulty-endpoint checks."""
-    require_valid(family)
-    n = family.ambient
-    if u.dim != n or v.dim != n:
-        raise ValueError(f"endpoints live in Q_{u.dim}/Q_{v.dim}, family in Q_{n}")
-    bad = _first_faulty((u.bits, v.bits), family._groups)
-    if bad is not None:
-        raise ValueError(f"endpoint {(u if bad == u.bits else v).pattern} is a faulty vertex")
-    return family._pairs
-
-
-def pick_crossing_dimension(u: Vertex, v: Vertex, family: FaultFamily) -> int:
-    """Smallest coordinate j such that both endpoints survive a flip of x_j.
-
-    Defined for symmetric pairs under at most n - 1 fault elements of
-    dimension at most n - 3; under those preconditions such a j always
-    exists (each fault element can block flips in at most one
-    coordinate, and there are fewer elements than coordinates).
-    """
-    faults = _check_routing_args(u, v, family)
-    n = family.ambient
-    if (u.bits ^ v.bits).bit_count() != n:
-        raise ValueError("crossing dimensions are defined for symmetric pairs only")
-    if family.size > n - 1:
-        raise ValueError(f"at most n-1 = {n - 1} fault elements are allowed")
-    for s in family.elements:
-        if s.dim > n - 3:
-            raise ValueError("fault elements must have dimension at most n-3")
-    p = _safe_crossing((1 << n) - 1, u.bits, v.bits, faults)
-    if p is None:
-        raise InvariantViolation(
-            "no safe crossing coordinate exists despite valid preconditions"
-        )
-    return n - p
-
-
 def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
     """Route u -> v around the family and certify the length bound.
 
@@ -320,8 +282,14 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
     and has length at most route_bound(n, mode); a longer path raises
     InvariantViolation instead of being returned.
     """
-    faults = _check_routing_args(u, v, family)
+    require_valid(family)
     n, mode = family.ambient, family.mode
+    if u.dim != n or v.dim != n:
+        raise ValueError(f"endpoints live in Q_{u.dim}/Q_{v.dim}, family in Q_{n}")
+    bad = _first_faulty((u.bits, v.bits), family._groups)
+    if bad is not None:
+        raise ValueError(f"endpoint {(u if bad == u.bits else v).pattern} is a faulty vertex")
+    faults = family._pairs  # memoised on the family
     budget = mode.kappa(n) - 1  # validates the pairing, as route_bound does
     bound = RouteBound(n, mode, _bound(n, mode.max_element_dim))
     if family.size > budget:

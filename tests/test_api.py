@@ -44,7 +44,6 @@ def test_public_names_are_pinned_and_resolve():
         "hamming",
         "is_connected",
         "neighbor",
-        "pick_crossing_dimension",
         "read_family",
         "restrict_along",
         "route_bound",

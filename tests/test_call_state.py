@@ -1,8 +1,8 @@
 """Scan state lives exactly as long as the call that needs it.
 
 Only pure constant builders may be memoised process-wide; element
-spaces, their vertex-bitset tables and oracle results are built per
-call and dropped when it returns.
+spaces, their vertex-bitset tables, oracle results and the BFS masks of
+tables past 2^16 bits are built per call and dropped when it returns.
 """
 
 from __future__ import annotations
@@ -13,7 +13,15 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from cube_faultlab import FaultMode, claims, connectivity_bruteforce, enumerate_families, verify_claims
+from cube_faultlab import (
+    FaultMode,
+    SurvivalGraph,
+    claims,
+    connectivity_bruteforce,
+    enumerate_families,
+    is_connected,
+    verify_claims,
+)
 from cube_faultlab.faults import _space
 
 SRC = Path(claims.__file__).resolve().parent
@@ -92,3 +100,9 @@ def test_a_finished_connectivity_scan_holds_no_bitset_table():
     mode = FaultMode.subcube(5)
     held = held_after(lambda: connectivity_bruteforce(7, mode).kappa)
     assert held < table_bytes(7, mode) // 10
+
+
+def test_a_finished_large_bfs_holds_no_mask_table():
+    # Q_20's 20 masks of 2^20 bits are 2.5 MB; 208 MiB at n = 26
+    held = held_after(lambda: is_connected(SurvivalGraph(20, frozenset({1, 2, 3}))))
+    assert held < 512 * 1024

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from cube_faultlab import ClaimResult, adversarial_q1_family, cli, family_to_text, faults
+from cube_faultlab import (
+    ClaimResult,
+    FaultMode,
+    ResourceLimitError,
+    SearchSpec,
+    adversarial_q1_family,
+    cli,
+    fault_diameter_bruteforce,
+    family_to_text,
+    faults,
+)
 from cube_faultlab.cli import main
 
 
@@ -101,7 +112,7 @@ class TestOracleCommands:
     def test_connectivity_json(self, capsys):
         code, out, _ = run(
             capsys,
-            "connectivity", "--n", "4", "--mode", "subcube", "--m", "2",
+            "connectivity", "--n", "4", "--mode", "subcube:2",
             "--format", "json",
         )
         assert code == 0
@@ -112,7 +123,7 @@ class TestOracleCommands:
     def test_fault_diameter_defaults_to_the_full_budget(self, capsys):
         code, out, _ = run(
             capsys,
-            "fault-diameter", "--n", "4", "--mode", "structure", "--m", "1",
+            "fault-diameter", "--n", "4", "--mode", "structure:1",
             "--format", "json",
         )
         assert code == 0
@@ -135,7 +146,7 @@ class TestOracleCommands:
     def test_fault_diameter_counts_the_reduced_scan(self, capsys):
         code, out, _ = run(
             capsys,
-            "fault-diameter", "--n", "4", "--mode", "structure", "--m", "0",
+            "fault-diameter", "--n", "4", "--mode", "structure:0",
             "--budget", "3", "--format", "json",
         )
         assert code == 0
@@ -143,53 +154,31 @@ class TestOracleCommands:
         assert payload["value"] == 5
         assert payload["families_scanned"] == 122
 
-    def test_sampled_search(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "fault-diameter", "--n", "4", "--mode", "structure", "--m", "1",
-            "--sampled", "--seed", "7", "--draws", "100", "--format", "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["search"] == "sampled(seed=7,draws=100)"
+    # the sampled search is a library call only; the cli maps its
+    # ResourceLimitError to exit 3 like every other refusal
 
-    def test_seed_without_sampled_is_a_usage_error(self, capsys):
-        code, _, err = run(
-            capsys,
-            "fault-diameter", "--n", "4", "--mode", "structure", "--m", "1",
-            "--seed", "7",
-        )
-        assert code == 2
-        assert "--sampled" in err
+    def test_sampled_search(self):
+        res = fault_diameter_bruteforce(4, FaultMode.structure(1), 2, SearchSpec.sampled(7, 100))
+        assert res.search.label == "sampled(seed=7,draws=100)"
 
     def test_resource_guard_maps_to_exit_three(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "9", "--mode", "structure:1")
         assert code == 3
         assert "use --n 6" in err
 
-    def test_sampling_rejection_limit_maps_to_exit_three(self, capsys):
+    def test_sampling_rejection_limit_maps_to_exit_three(self):
         # Q_5 holds at most 16 disjoint edges; sizes up to 40 get drawn
-        code, _, err = run(
-            capsys,
-            "fault-diameter", "--n", "5", "--mode", "structure", "--m", "1",
-            "--sampled", "--draws", "3", "--budget", "40",
-        )
-        assert code == 3
-        assert "lower the size" in err
+        with pytest.raises(ResourceLimitError, match="lower the size"):
+            fault_diameter_bruteforce(5, FaultMode.structure(1), 40, SearchSpec.sampled(0, 3))
 
-    def test_a_size_no_family_reaches_is_refused_before_any_draw(self, capsys, monkeypatch):
+    def test_a_size_no_family_reaches_is_refused_before_any_draw(self, monkeypatch):
         # seed 0 draws size 6311, where Q_5 holds at most 16 disjoint edges
         def attempt(*args):
             raise AssertionError("the sampler drew a family")
 
         monkeypatch.setattr(faults, "_disjoint_elements", attempt)
-        code, _, err = run(
-            capsys,
-            "fault-diameter", "--n", "5", "--mode", "structure:1",
-            "--sampled", "--draws", "1", "--budget", "10000",
-        )
-        assert code == 3
-        assert "lower the size" in err
+        with pytest.raises(ResourceLimitError, match="lower the size"):
+            fault_diameter_bruteforce(5, FaultMode.structure(1), 10000, SearchSpec.sampled(0, 1))
 
     def test_a_budget_past_every_family_walks_no_empty_layer(self, capsys):
         code, out, _ = run(
@@ -445,6 +434,42 @@ class TestPlumbing:
     def test_bad_mode_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "4", "--mode", "edgy")
         assert code == 2
+
+    def test_a_mode_kind_without_its_dimension_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "connectivity", "--n", "4", "--mode", "structure")
+        assert (code, err) == (2, "error: bad mode label 'structure'\n")
+
+
+class TestOptionInventory:
+    """Every subcommand's option strings, pinned: a new option shows up
+    here as a test edit.  --mode takes a full label, and --m belongs to
+    adversary alone (the construction's element dimension)."""
+
+    OPTIONS = {
+        "verify": ["--claims", "--format", "--max-n", "--output"],
+        "connectivity": ["--format", "--mode", "--n", "--output"],
+        "fault-diameter": ["--budget", "--format", "--mode", "--n", "--output"],
+        "diameter": ["--faults", "--format", "--mode", "--n", "--output"],
+        "route": ["--faults", "--format", "--from", "--mode", "--n", "--output", "--to"],
+        "adversary": ["--format", "--m", "--n", "--output"],
+        "enumerate": ["--format", "--mode", "--n", "--output", "--show", "--size"],
+    }
+
+    def test_each_subcommand_has_exactly_its_options(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        assert got == self.OPTIONS
+
+    def test_no_option_is_abbreviated(self, capsys):
+        # argparse would otherwise read --m as --mode
+        with pytest.raises(SystemExit) as exc:
+            main(["connectivity", "--n", "4", "--m", "structure:1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --m" in capsys.readouterr().err
 
 
 class TestPinnedOutput:

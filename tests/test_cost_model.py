@@ -50,11 +50,6 @@ def exhaustive(n, label, budget):
     return ["fault-diameter", "--n", str(n), "--mode", label, "--budget", str(budget)]
 
 
-def sampled(n, label, draws, budget=None):
-    budget = FaultMode.from_label(label).kappa(n) - 1 if budget is None else budget
-    return exhaustive(n, label, budget) + ["--sampled", "--draws", str(draws)]
-
-
 def enumerate_(n, label, size):
     return ["enumerate", "--n", str(n), "--mode", label, "--size", str(size)]
 
@@ -65,7 +60,7 @@ REFUSED = [
     connectivity(9, "structure:1"),
     exhaustive(5, "structure:0", 10),
     exhaustive(7, "structure:1", 3),
-    sampled(12, "structure:3", 1000),
+    exhaustive(12, "structure:3", 8),  # the sampled refusal's search, run exhaustively
     enumerate_(6, "structure:0", 6),
     enumerate_(30, "subcube:28", 10**9),
     enumerate_(30, "subcube:28", 63),  # C(E, 63) is far past a float
@@ -87,10 +82,6 @@ ACCEPTED = [
     exhaustive(6, "structure:2", 3),
     exhaustive(6, "subcube:2", 3),
     exhaustive(7, "structure:1", 2),
-    sampled(8, "structure:1", 80),  # the sampled-large benchmark cases
-    sampled(10, "structure:3", 12),
-    sampled(12, "structure:3", 1),
-    sampled(7, "structure:1", 2000, budget=5),  # demo 03
     # every enumerate of the tests, the demos and the README
     enumerate_(3, "structure:1", 1),
     enumerate_(3, "structure:1", 2),
@@ -127,6 +118,50 @@ def test_refused_before_any_scan(no_scans, capsys, argv):
 @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
 def test_accepted(no_scans, argv):
     assert verdict(argv) == "accepted"
+
+
+# sampled searches, a library call only: (n, label, draws, budget), at
+# seed 0 and budget kappa - 1 when None
+SAMPLED_REFUSED = [(12, "structure:3", 1000, None)]
+SAMPLED_ACCEPTED = [
+    (8, "structure:1", 80, None),  # the sampled-large benchmark cases
+    (10, "structure:3", 12, None),
+    (12, "structure:3", 1, None),
+    (7, "structure:1", 2000, 5),
+]
+
+
+def sampled_verdict(n, label, draws, budget):
+    """'refused' (ResourceLimitError) or 'accepted' (a diameter started)."""
+    mode = FaultMode.from_label(label)
+    budget = mode.kappa(n) - 1 if budget is None else budget
+    try:
+        fault_diameter_bruteforce(n, mode, budget, SearchSpec.sampled(0, draws))
+    except Started:
+        return "accepted"
+    except ResourceLimitError as exc:
+        assert "above the limit of 60 s; use " in str(exc)
+        return "refused"
+
+
+def sampled_id(case):
+    n, label, draws, budget = case
+    return f"n={n} {label} draws={draws}" + ("" if budget is None else f" budget={budget}")
+
+
+@pytest.mark.parametrize("case", SAMPLED_REFUSED, ids=sampled_id)
+def test_a_sampled_search_is_refused_before_any_draw(no_scans, monkeypatch, case):
+    def refuse(*args):
+        raise AssertionError("a vertex bitset was built")
+
+    monkeypatch.setattr(core, "_vertex_mask", refuse)
+    monkeypatch.setattr(oracle, "_vertex_mask", refuse)
+    assert sampled_verdict(*case) == "refused"
+
+
+@pytest.mark.parametrize("case", SAMPLED_ACCEPTED, ids=sampled_id)
+def test_a_sampled_search_is_accepted(no_scans, case):
+    assert sampled_verdict(*case) == "accepted"
 
 
 @pytest.mark.parametrize("argv", NO_SMALLER_N, ids=" ".join)
@@ -188,8 +223,16 @@ def fresh_run(argv):
     return int(out[-3]), float(out[-2]), int(out[-1])
 
 
+# a refused diameter builds no survival graph, which at n = 24 would
+# list the 2 x 2^21 faulty labels of the family
+LARGE_DIAMETERS = [
+    ["diameter", "--n", "22", "--faults", "adversary:subcube:19"],
+    ["diameter", "--n", "24", "--faults", "adversary:subcube:21"],
+]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("argv", NO_SMALLER_N, ids=" ".join)
+@pytest.mark.parametrize("argv", NO_SMALLER_N + LARGE_DIAMETERS, ids=" ".join)
 def test_a_refusal_costs_about_what_help_costs(argv):
     _, _, help_kib = fresh_run(["--help"])
     code, seconds, kib = fresh_run(argv)
@@ -202,7 +245,7 @@ def test_the_library_calls_refuse_too(no_scans):
         connectivity_bruteforce(7, FaultMode.structure(0))
     with pytest.raises(ResourceLimitError, match="use --budget 8"):
         fault_diameter_bruteforce(5, FaultMode.structure(0), 10)
-    with pytest.raises(ResourceLimitError, match="use --draws 149"):
+    with pytest.raises(ResourceLimitError, match="use draws 149"):
         fault_diameter_bruteforce(12, FaultMode.structure(3), 8, SearchSpec.sampled(0, 1000))
     with pytest.raises(ResourceLimitError, match="use bfs_distance"):
         diameter(SurvivalGraph(17, frozenset()))

@@ -1,4 +1,4 @@
-"""Guided routing: bounds, crossing dimensions, path validity."""
+"""Guided routing: bounds, crossings, path validity."""
 
 from __future__ import annotations
 
@@ -20,15 +20,12 @@ from cube_faultlab import (
     adversarial_subcube_family,
     bfs_distance,
     enumerate_families,
-    enumerate_subcubes,
     guided_route,
-    pick_crossing_dimension,
     route_bound,
     route_with_report,
     sample_families,
 )
 from cube_faultlab import core, router
-from cube_faultlab.core import coord_bit
 
 
 class TestRouteBound:
@@ -52,71 +49,6 @@ class TestRouteBound:
     )
     def test_closed_forms(self, n, label, bound):
         assert route_bound(n, FaultMode.from_label(label)) == bound
-
-
-class TestPickCrossingDimension:
-    def test_fault_free_picks_the_first_coordinate(self):
-        u = Vertex.from_pattern("0000")
-        v = Vertex.from_pattern("1111")
-        fam = FaultFamily((), FaultMode.structure(0), 4)
-        assert pick_crossing_dimension(u, v, fam) == 1
-
-    def test_blocked_low_coordinates_push_the_choice_up(self):
-        # vertex faults at (u)^i and (v)^i for i = 1..5 force j = 6
-        n = 6
-        u = Vertex(0, n)
-        v = Vertex((1 << n) - 1, n)
-        elems = []
-        for i in range(1, n):
-            elems.append(f"{'0' * (i - 1)}1{'0' * (n - i)}")
-            elems.append(f"{'1' * (i - 1)}0{'1' * (n - i)}")
-        fam = FaultFamily.from_patterns(elems[: n - 1], FaultMode.structure(0), n)
-        j = pick_crossing_dimension(u, v, fam)
-        assert j >= 2
-        removed = SurvivalGraph.from_family(fam).removed
-        for w in (u.bits ^ (1 << (n - j)), v.bits ^ (1 << (n - j))):
-            assert w not in removed
-
-    def test_requires_a_symmetric_pair(self):
-        fam = FaultFamily((), FaultMode.structure(0), 4)
-        with pytest.raises(ValueError):
-            pick_crossing_dimension(
-                Vertex.from_pattern("0000"), Vertex.from_pattern("0111"), fam
-            )
-
-    def test_requires_room_in_the_family(self):
-        fam = adversarial_subcube_family(5, 2)
-        # dim 2 = n-3 and size 2 <= n-1, fine
-        j = pick_crossing_dimension(
-            Vertex.from_pattern("00000"), Vertex.from_pattern("11111"), fam
-        )
-        assert 1 <= j <= 5
-        big = FaultFamily.from_patterns(["0***0"], FaultMode.subcube(3), 5)
-        with pytest.raises(ValueError):
-            pick_crossing_dimension(
-                Vertex.from_pattern("00001"), Vertex.from_pattern("11110"), big
-            )
-
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_every_single_element_picks_the_first_unblocked_coordinate(self, n):
-        # the elements lem3.1's certificate walks: dimension <= n-3,
-        # missing both 0 and 1^n
-        full = (1 << n) - 1
-        mode = FaultMode.subcube(n - 3)
-        calls = 0
-        for k in range(n - 2):
-            for s in enumerate_subcubes(n, k):
-                if s.contains(0) or s.contains(full):
-                    continue
-                want = next(
-                    j for j in range(1, n + 1)
-                    if not s.contains(coord_bit(n, j))
-                    and not s.contains(full ^ coord_bit(n, j))
-                )
-                fam = FaultFamily((s,), mode, n)
-                assert pick_crossing_dimension(Vertex(0, n), Vertex(full, n), fam) == want
-                calls += 1
-        assert calls == {5: 160, 6: 572}[n]
 
 
 def assert_route_ok(u, v, fam, bound):
@@ -230,13 +162,6 @@ class TestUnreachedInvariants:
         with pytest.raises(InvariantViolation, match="^no safe crossing coordinate exists for "
                            "a symmetric pair within budget; this contradicts the crossing lemma$"):
             guided_route(Vertex.from_pattern("00001"), Vertex.from_pattern("11110"), fam)
-
-    def test_no_safe_crossing_despite_the_preconditions(self, monkeypatch):
-        monkeypatch.setattr(router, "_safe_crossing", lambda *args: None)
-        fam = adversarial_subcube_family(5, 2)
-        with pytest.raises(InvariantViolation, match="^no safe crossing coordinate exists "
-                           "despite valid preconditions$"):
-            pick_crossing_dimension(Vertex.from_pattern("00000"), Vertex.from_pattern("11111"), fam)
 
 
 class TestPostRouteChecks:
