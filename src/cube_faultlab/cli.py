@@ -205,7 +205,7 @@ def _cmd_fault_diameter(args) -> tuple[_Report, int]:
         "n": args.n,
         "mode": mode.label,
         "budget": budget,
-        "search": res.search.label,
+        "search": "exhaustive",
         "value": res.value,
         "witness": res.witness.patterns(),
         "families_scanned": res.families_scanned,

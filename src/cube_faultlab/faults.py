@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import comb
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import MAX_DIM, Subcube, _check_ambient, _ElementSpace, coord_bit
@@ -146,9 +145,6 @@ class FaultMode:
         return self.label
 
 
-_element_key = attrgetter("free_mask", "base")  # canonical order; the int form
-
-
 @dataclass(frozen=True)
 class FaultFamily:
     """A tuple of subcube faults in Q_ambient, stored in canonical order.
@@ -171,7 +167,7 @@ class FaultFamily:
                 raise ValueError(
                     f"element {s.pattern} lives in Q_{s.dim_ambient}, family in Q_{self.ambient}"
                 )
-        ordered = tuple(sorted(self.elements, key=_element_key))
+        ordered = tuple(sorted(self.elements, key=lambda s: (s.free_mask, s.base)))
         object.__setattr__(self, "elements", ordered)
 
     @classmethod
@@ -194,7 +190,12 @@ class FaultFamily:
     @cached_property
     def _pairs(self) -> tuple[tuple[int, int], ...]:
         """(free_mask, base) of every element, in canonical order."""
-        return tuple(map(_element_key, self.elements))
+        return tuple((s.free_mask, s.base) for s in self.elements)
+
+    @cached_property
+    def _max_dim(self) -> int:
+        """The largest element dimension, 0 for the empty family."""
+        return max([fr.bit_count() for fr, _ in self._pairs], default=0)
 
     @cached_property
     def _groups(self) -> tuple[tuple[int, frozenset[int]], ...]:
@@ -523,41 +524,41 @@ def _estimate_packings(space: _ElementSpace, sizes: range, firsts: Sequence[int]
 
 
 def _sample_one(
-    rng: random.Random, n: int, mode: FaultMode, space: _ElementSpace, size: int, limit: int
-) -> FaultFamily:
-    """One rejection-sampled family.
+    rng: random.Random, mode: FaultMode, space: _ElementSpace, size: int, limit: int
+) -> tuple[int, ...]:
+    """The ascending indices of one rejection-sampled family of `space`.
 
     Every attempt draws `size` uniform indices of the canonical element
     space first, then keeps the draw when the elements are pairwise
     disjoint.  A size above `limit`, the caller's _max_family_size(n,
     mode), is refused before any draw.
     """
+    n = space.n
     if size > limit:
         raise ResourceLimitError(
             f"no family of {size} {mode.label} elements fits in Q_{n}; lower the size"
         )
     for _attempt in range(SAMPLING_ATTEMPTS):
         picks = [rng.randrange(space.size) for _ in range(size)]
-        elems = _disjoint_elements(space, picks)
-        if elems is not None:
-            return FaultFamily(tuple(elems), mode, n)
+        if _disjoint_elements(space, picks):
+            return tuple(sorted(picks))
     raise ResourceLimitError(
         f"could not draw a disjoint family of {size} {mode.label} elements "
         f"in Q_{n} within {SAMPLING_ATTEMPTS} attempts; lower the size"
     )
 
 
-def _disjoint_elements(space: _ElementSpace, picks: list[int]) -> list[Subcube] | None:
-    """The picked elements when they are pairwise disjoint, else None.
-    Each pick's (free, base) pair meets the earlier ones in _first_meeting,
-    the verdict's own loop; only an accepted draw becomes Subcubes."""
+def _disjoint_elements(space: _ElementSpace, picks: list[int]) -> bool:
+    """True when the picked elements are pairwise disjoint.  Each pick's
+    (free, base) pair meets the earlier ones in _first_meeting, the
+    verdict's own loop."""
     pairs: list[tuple[int, int]] = []
     for i in picks:
         fr, ba = space._free_and_base(i)
         if _first_meeting(pairs, fr, ba) is not None:
-            return None
+            return False
         pairs.append((fr, ba))
-    return [Subcube(fr, ba, space.n) for fr, ba in pairs]
+    return True
 
 
 def sample_families(
@@ -580,9 +581,11 @@ def sample_families(
     space = _space(n, mode)
     if size and not space.size:
         raise ValueError(f"mode {mode.label} admits no element of Q_{n}")
-    rng = random.Random(seed)
-    limit = _max_family_size(n, mode)
-    return [_sample_one(rng, n, mode, space, size, limit) for _ in range(count)]
+    rng, limit = random.Random(seed), _max_family_size(n, mode)
+    built: dict[int, Subcube] = {}  # each drawn element is unranked once per call
+    draws = (_sample_one(rng, mode, space, size, limit) for _ in range(count))
+    return [FaultFamily(tuple(built.get(i) or built.setdefault(i, space[i]) for i in idx), mode, n)
+            for idx in draws]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
-from .core import Vertex, _check_ambient
+from .core import _MASK_TABLE_BITS, Vertex, _check_ambient
 from .errors import ResourceLimitError
 from .faults import FaultFamily, fault_bits, require_valid
 
@@ -46,6 +46,7 @@ _LIMIT_S = 60  # the one predicted-time limit of every request
 _CONNECTIVITY_US = 1.0  # per connectivity-scan family: 0.88-1.16 µs measured at n = 5, 6
 _ENUMERATE_US = 5.0  # per `enumerate` family: 2.2-5 µs measured
 _COMPONENT_US = 3.4  # per component_of survivor: one Vertex each, 3.4 µs measured at n = 22
+_COMPONENT_BYTES = 150  # per component_of survivor: Vertex and set slot, 148-151 B traced at n = 16-20
 
 
 def _diameter_us(n: int) -> float:
@@ -299,12 +300,16 @@ def diameter(g: SurvivalGraph) -> int | None:
 
 
 def component_of(g: SurvivalGraph, v: Vertex) -> set[Vertex]:
-    """All survivors reachable from v, including v itself; priced per survivor."""
+    """All survivors reachable from v, including v itself; priced per
+    survivor in time and in memory."""
     vb = g._check_endpoint(v, "v")
-    n = g.ambient
-    _check_time(f"component_of over the {g.survivor_count:,} survivors of Q_{n}",
-                lambda _: _COMPONENT_US, lambda c, cap: c, g.survivor_count,
-                other="is_connected or bfs_distance, which build no Vertex per survivor")
+    n, count = g.ambient, g.survivor_count
+    request = f"component_of over the {count:,} survivors of Q_{n}"
+    other = "is_connected or bfs_distance, which build no Vertex per survivor"
+    _check_time(request, lambda _: _COMPONENT_US, lambda c, cap: c, count, other=other)
+    if count * _COMPONENT_BYTES << 3 > _MASK_TABLE_BITS:  # the element bitset table's budget
+        raise ResourceLimitError(f"{request} would hold about {count * _COMPONENT_BYTES >> 20:,} "
+                                 f"MiB, above {_MASK_TABLE_BITS >> 23} MiB; use {other}")
     visited, _ = _bfs_cover(n, g.survivor_mask, 1 << vb)
     # one linear pass over the binary digits, lowest vertex first
     bits = f"{visited:b}"[::-1]

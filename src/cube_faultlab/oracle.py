@@ -25,10 +25,11 @@ row-packed BFS (metrics._first_disconnected) tests the whole batch.  The
 first row left incomplete is the hit, so the witness and the
 families-scanned count are exactly those of a one-family-at-a-time scan.
 Both fault-diameter searches run one loop (_max_diameter) over (key,
-fault bitset) pairs: index tuples for the exhaustive scan, drawn
-families for the sampled one.  Only the winning key becomes a witness.
-The sampled search (SearchSpec.sampled) is a library call only: the
-cli's fault-diameter always runs the exhaustive scan.
+fault bitset) pairs, and both key a family by its ascending element
+indices: the exhaustive scan's packings and the sampled search's
+accepted draws alike.  Only the winning key becomes a witness.  The
+sampled search (a SearchSpec passed as `search`) is a library call
+only: the cli's fault-diameter always runs the exhaustive scan.
 
 Translation reduction.  XOR by a vertex b is an automorphism of Q_n; it
 maps an element (free, base) to (free, base ^ (b & ~free)), so it keeps
@@ -61,10 +62,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import Subcube, _vertex_mask
+from .core import _ElementSpace, _vertex_mask
 from .errors import InvariantViolation
 from .faults import (
     FaultFamily, FaultMode, _count_packings, _iter_packings, _max_family_size, _sample_one, _space,
@@ -77,37 +77,20 @@ from .metrics import (
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """How a fault-diameter search walks the family space."""
+    """A sampled fault-diameter search: `draws` seeded random families."""
 
-    kind: str
-    seed: int | None = None
-    draws: int | None = None
+    seed: int
+    draws: int
 
     def __post_init__(self) -> None:
-        if self.kind == "exhaustive":
-            if self.seed is not None or self.draws is not None:
-                raise ValueError("exhaustive search takes no seed or draw count")
-        elif self.kind == "sampled":
-            if not isinstance(self.seed, int) or not isinstance(self.draws, int):
-                raise ValueError("sampled search needs an int seed and draw count")
-            if self.draws < 1:
-                raise ValueError("sampled search needs draws >= 1")
-        else:
-            raise ValueError(f"unknown search kind {self.kind!r}")
-
-    @classmethod
-    def exhaustive(cls) -> "SearchSpec":
-        return cls("exhaustive")
+        if not isinstance(self.seed, int) or not isinstance(self.draws, int):
+            raise ValueError("sampled search needs an int seed and draw count")
+        if self.draws < 1:
+            raise ValueError("sampled search needs draws >= 1")
 
     @classmethod
     def sampled(cls, seed: int, draws: int) -> "SearchSpec":
-        return cls("sampled", seed, draws)
-
-    @property
-    def label(self) -> str:
-        if self.kind == "exhaustive":
-            return "exhaustive"
-        return f"sampled(seed={self.seed},draws={self.draws})"
+        return cls(seed, draws)
 
 
 @dataclass(frozen=True)
@@ -130,7 +113,6 @@ class FaultDiameterResult:
     budget: int
     value: int
     witness: FaultFamily
-    search: SearchSpec
     families_scanned: int
     disconnected_skipped: int
 
@@ -213,20 +195,19 @@ def fault_diameter_bruteforce(
     contains vertex 0; by translation symmetry the value and witness
     are those of a scan over every family (see the module docstring),
     and families_scanned and disconnected_skipped count the families
-    walked.
+    walked.  `search=None` runs that scan; a SearchSpec walks its seeded
+    draws instead, which gives a lower bound.
     """
     mode.kappa(n)  # validates the (n, mode) pairing
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if search is None:
-        search = SearchSpec.exhaustive()
-    if search.kind == "sampled":
+    if search is not None:
         _check_time(
             f"a sampled fault-diameter search of Q_{n} ({search.draws} draws)",
             lambda _: _diameter_us(n), lambda d, cap: d, search.draws, "draws", 1,
         )
-        families = _sampled_families(n, mode, budget, search)
-        elements = attrgetter("elements")
+        space = _space(n, mode)
+        families = _sampled_families(space, mode, budget, search)
     else:
         _check_time(
             f"an exhaustive fault-diameter search of Q_{n} under {mode.label} "
@@ -240,48 +221,45 @@ def fault_diameter_bruteforce(
             _iter_packings(space.masks, size, firsts)
             for size in range(min(budget, _max_family_size(n, mode)) + 1)
         )
-
-        def elements(idx):
-            return (space[i] for i in idx)
-
-    value, key, scanned, skipped = _max_diameter(n, mode, budget, families, elements)
-    witness = FaultFamily(tuple(elements(key)), mode, n)
-    return FaultDiameterResult(n, mode, budget, value, witness, search, scanned, skipped)
+    value, key, scanned, skipped = _max_diameter(space, mode, budget, families)
+    witness = FaultFamily(tuple(map(space.__getitem__, key)), mode, n)
+    return FaultDiameterResult(n, mode, budget, value, witness, scanned, skipped)
 
 
 def _sampled_families(
-    n: int, mode: FaultMode, budget: int, search: SearchSpec
-) -> Iterator[tuple[FaultFamily, int]]:
+    space: _ElementSpace, mode: FaultMode, budget: int, search: SearchSpec
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Seeded random walk over the family space; a lower bound on the max.
 
     Each draw picks a size uniformly in [0, budget], then
     rejection-samples a family of that size (faults._sample_one, which
-    unranks its draws without building the element space); vertex
-    bitsets are built only for the accepted family's elements.
-    Deterministic for a fixed seed and draw count.
+    unranks its draws without building the element space's bitset
+    table) and yields its ascending indices with its fault bitset, as
+    _iter_packings does.  Deterministic for a fixed seed and draw count.
     """
     rng = random.Random(search.seed)
-    space, limit = _space(n, mode), _max_family_size(n, mode)
+    limit = _max_family_size(space.n, mode)
     for _ in range(search.draws):
-        family = _sample_one(rng, n, mode, space, rng.randint(0, budget), limit)
+        idx = _sample_one(rng, mode, space, rng.randint(0, budget), limit)
         faults = 0
-        for s in family.elements:
-            faults |= _vertex_mask(s.free_mask, s.base)
-        yield family, faults
+        for i in idx:
+            faults |= _vertex_mask(*space._free_and_base(i))
+        yield idx, faults
 
 
 def _max_diameter(
-    n: int, mode: FaultMode, budget: int, families: Iterable[tuple[Any, int]],
-    elements: Callable[[Any], Iterable[Subcube]],
-) -> tuple[int, Any, int, int]:
-    """The one diameter-scan loop, over (key, fault bitset) pairs.
+    space: _ElementSpace, mode: FaultMode, budget: int,
+    families: Iterable[tuple[tuple[int, ...], int]],
+) -> tuple[int, tuple[int, ...], int, int]:
+    """The one diameter-scan loop, over (ascending indices, fault bitset)
+    pairs of `space`.
 
     Returns (value, first key attaining it, families walked, families
     skipped).  A family whose survivor set is disconnected or empty is
     skipped; within the connectivity budget that contradicts kappa and
-    raises, naming the family's elements(key).  Errors name the
-    caller's mode.
+    raises, naming the family's elements.  Errors name the caller's mode.
     """
+    n = space.n
     budget_safe = budget < mode.kappa(n)
     full = _full_mask(n)
     best = -1
@@ -293,7 +271,7 @@ def _max_diameter(
         d = _diameter_mask(n, surv) if surv else None
         if d is None:
             if budget_safe:
-                pats = ", ".join(s.pattern for s in elements(key))
+                pats = ", ".join(space[i].pattern for i in key)
                 raise InvariantViolation(
                     f"family within the connectivity budget disconnected Q_{n} "
                     f"(mode {mode.label}): {pats}"

@@ -296,7 +296,7 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
         raise ValueError(f"family size {family.size} exceeds the routing budget {budget} "
                          f"for mode {mode.label} in Q_{n}")
     runner = _Router()
-    tgt = _target(n, len(faults), max([fr.bit_count() for fr, _ in faults], default=0))
+    tgt = _target(n, len(faults), family._max_dim)
     labels = runner.route((1 << n) - 1, u.bits, v.bits, faults, tgt)
     if labels[0] != u.bits or labels[-1] != v.bits:
         raise InvariantViolation("routed path does not connect the requested endpoints")

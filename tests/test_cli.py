@@ -157,10 +157,6 @@ class TestOracleCommands:
     # the sampled search is a library call only; the cli maps its
     # ResourceLimitError to exit 3 like every other refusal
 
-    def test_sampled_search(self):
-        res = fault_diameter_bruteforce(4, FaultMode.structure(1), 2, SearchSpec.sampled(7, 100))
-        assert res.search.label == "sampled(seed=7,draws=100)"
-
     def test_resource_guard_maps_to_exit_three(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "9", "--mode", "structure:1")
         assert code == 3

@@ -225,6 +225,13 @@ class TestValidation:
         )
         assert validate_family(fam) is None
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_max_dim_is_the_largest_element_dimension(self, n):
+        for mode in (FaultMode.structure(n - 3), FaultMode.subcube(n - 3), FaultMode.substructure()):
+            for fam in sample_families(n, mode, mode.kappa(n) - 1, 20, seed=n):
+                assert fam._max_dim == max(s.dim for s in fam.elements)
+        assert FaultFamily((), FaultMode.structure(1), n)._max_dim == 0
+
 
 class TestSplitClassification:
     def test_partition_relative_to_last_coordinate(self):

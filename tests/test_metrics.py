@@ -154,6 +154,15 @@ class TestSurvivalGraph:
                            "survivors of Q_26 .*; use is_connected or bfs_distance"):
             component_of(SurvivalGraph(26, frozenset({1})), Vertex(0, 26))
 
+    @pytest.mark.parametrize("n, mib", [(22, "600"), (24, "2,400")])
+    def test_component_of_is_refused_past_the_memory_budget(self, monkeypatch, n, mib):
+        # both fit the time limit (14 s and 57 s predicted) but not 128 MiB
+        monkeypatch.setattr(metrics, "_bfs_cover", None)
+        with pytest.raises(ResourceLimitError, match=f"^component_of over the {1 << n:,} survivors "
+                           f"of Q_{n} would hold about {mib} MiB, above 128 MiB; use is_connected "
+                           "or bfs_distance"):
+            component_of(fault_free(n), Vertex(0, n))
+
 
 def test_distance_cross_check_against_random_faults():
     # the bitset BFS agrees with a plain dict BFS on random instances

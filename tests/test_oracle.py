@@ -205,10 +205,6 @@ class TestFaultDiameterSampled:
         assert one.witness.patterns() == sub.witness.patterns()
         assert (sub.witness.mode.label, one.witness.mode.label) == ("substructure", "subcube:1")
 
-    def test_search_labels(self):
-        assert SearchSpec.exhaustive().label == "exhaustive"
-        assert SearchSpec.sampled(7, 500).label == "sampled(seed=7,draws=500)"
-
 
 def all_modes(n: int):
     yield FaultMode.structure(0)
@@ -310,7 +306,7 @@ class TestInvariantErrors:
     """With every survivor set reported disconnected, the exhaustive scan
     and the sampled search fail the same way and name the caller's mode."""
 
-    SEARCHES = [SearchSpec.exhaustive(), SearchSpec.sampled(0, 10)]
+    SEARCHES = [None, SearchSpec.sampled(0, 10)]  # the exhaustive scan, then the sampled one
 
     def errors(self, monkeypatch, budget):
         monkeypatch.setattr(oracle, "_diameter_mask", lambda n, surv: None)
