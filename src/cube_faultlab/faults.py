@@ -525,8 +525,9 @@ def _estimate_packings(space: _ElementSpace, sizes: range, firsts: Sequence[int]
 
 def _sample_one(
     rng: random.Random, mode: FaultMode, space: _ElementSpace, size: int, limit: int
-) -> tuple[int, ...]:
-    """The ascending indices of one rejection-sampled family of `space`.
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """One rejection-sampled family of `space`: its ascending indices and
+    its elements' (free, base) pairs, in draw order.
 
     Every attempt draws `size` uniform indices of the canonical element
     space first, then keeps the draw when the elements are pairwise
@@ -540,25 +541,26 @@ def _sample_one(
         )
     for _attempt in range(SAMPLING_ATTEMPTS):
         picks = [rng.randrange(space.size) for _ in range(size)]
-        if _disjoint_elements(space, picks):
-            return tuple(sorted(picks))
+        pairs = _disjoint_elements(space, picks)
+        if pairs is not None:
+            return tuple(sorted(picks)), pairs
     raise ResourceLimitError(
         f"could not draw a disjoint family of {size} {mode.label} elements "
         f"in Q_{n} within {SAMPLING_ATTEMPTS} attempts; lower the size"
     )
 
 
-def _disjoint_elements(space: _ElementSpace, picks: list[int]) -> bool:
-    """True when the picked elements are pairwise disjoint.  Each pick's
-    (free, base) pair meets the earlier ones in _first_meeting, the
-    verdict's own loop."""
+def _disjoint_elements(space: _ElementSpace, picks: list[int]) -> list[tuple[int, int]] | None:
+    """The picked elements' (free, base) pairs when they are pairwise
+    disjoint, else None.  Each pair meets the earlier ones in
+    _first_meeting, the verdict's own loop."""
     pairs: list[tuple[int, int]] = []
     for i in picks:
         fr, ba = space._free_and_base(i)
         if _first_meeting(pairs, fr, ba) is not None:
-            return False
+            return None
         pairs.append((fr, ba))
-    return True
+    return pairs
 
 
 def sample_families(
@@ -582,10 +584,8 @@ def sample_families(
     if size and not space.size:
         raise ValueError(f"mode {mode.label} admits no element of Q_{n}")
     rng, limit = random.Random(seed), _max_family_size(n, mode)
-    built: dict[int, Subcube] = {}  # each drawn element is unranked once per call
-    draws = (_sample_one(rng, mode, space, size, limit) for _ in range(count))
-    return [FaultFamily(tuple(built.get(i) or built.setdefault(i, space[i]) for i in idx), mode, n)
-            for idx in draws]
+    draws = (_sample_one(rng, mode, space, size, limit)[1] for _ in range(count))
+    return [FaultFamily(tuple(Subcube(fr, ba, n) for fr, ba in pairs), mode, n) for pairs in draws]
 
 
 # ---------------------------------------------------------------------------

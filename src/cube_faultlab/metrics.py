@@ -24,9 +24,9 @@ A survival graph is refused past n = _BITSET_LIMIT (26) when it is
 built; the router needs none and serves n <= 30 with its own BFS.
 
 The one cost model lives here too: _check_time prices every diameter,
-component, scan and `enumerate` walk as the families (or survivors) it
-walks or draws times its kernel's µs each, and refuses it above
-_LIMIT_S before the work starts, naming a request that fits.
+scan and `enumerate` walk as the families it walks or draws times its
+kernel's µs each, and refuses it above _LIMIT_S before the work starts,
+naming a request that fits.  component_of is priced in memory instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ _ROW_BITS = 1 << 16
 _LIMIT_S = 60  # the one predicted-time limit of every request
 _CONNECTIVITY_US = 1.0  # per connectivity-scan family: 0.88-1.16 µs measured at n = 5, 6
 _ENUMERATE_US = 5.0  # per `enumerate` family: 2.2-5 µs measured
-_COMPONENT_US = 3.4  # per component_of survivor: one Vertex each, 3.4 µs measured at n = 22
 _COMPONENT_BYTES = 150  # per component_of survivor: Vertex and set slot, 148-151 B traced at n = 16-20
 
 
@@ -300,13 +299,12 @@ def diameter(g: SurvivalGraph) -> int | None:
 
 
 def component_of(g: SurvivalGraph, v: Vertex) -> set[Vertex]:
-    """All survivors reachable from v, including v itself; priced per
-    survivor in time and in memory."""
+    """All survivors reachable from v, including v itself; refused when
+    its survivors, one Vertex each, would pass 128 MiB."""
     vb = g._check_endpoint(v, "v")
     n, count = g.ambient, g.survivor_count
     request = f"component_of over the {count:,} survivors of Q_{n}"
     other = "is_connected or bfs_distance, which build no Vertex per survivor"
-    _check_time(request, lambda _: _COMPONENT_US, lambda c, cap: c, count, other=other)
     if count * _COMPONENT_BYTES << 3 > _MASK_TABLE_BITS:  # the element bitset table's budget
         raise ResourceLimitError(f"{request} would hold about {count * _COMPONENT_BYTES >> 20:,} "
                                  f"MiB, above {_MASK_TABLE_BITS >> 23} MiB; use {other}")

@@ -206,7 +206,7 @@ def fault_diameter_bruteforce(
             f"a sampled fault-diameter search of Q_{n} ({search.draws} draws)",
             lambda _: _diameter_us(n), lambda d, cap: d, search.draws, "draws", 1,
         )
-        space = _space(n, mode)
+        space = _space(n, mode)  # in each branch, after the request is priced
         families = _sampled_families(space, mode, budget, search)
     else:
         _check_time(
@@ -240,10 +240,10 @@ def _sampled_families(
     rng = random.Random(search.seed)
     limit = _max_family_size(space.n, mode)
     for _ in range(search.draws):
-        idx = _sample_one(rng, mode, space, rng.randint(0, budget), limit)
+        idx, pairs = _sample_one(rng, mode, space, rng.randint(0, budget), limit)
         faults = 0
-        for i in idx:
-            faults |= _vertex_mask(*space._free_and_base(i))
+        for fr, ba in pairs:
+            faults |= _vertex_mask(fr, ba)
         yield idx, faults
 
 

@@ -156,7 +156,7 @@ class TestSurvivalGraph:
 
     @pytest.mark.parametrize("n, mib", [(22, "600"), (24, "2,400")])
     def test_component_of_is_refused_past_the_memory_budget(self, monkeypatch, n, mib):
-        # both fit the time limit (14 s and 57 s predicted) but not 128 MiB
+        # 150 B a survivor: 600 MiB and 2.3 GiB, refused before the BFS starts
         monkeypatch.setattr(metrics, "_bfs_cover", None)
         with pytest.raises(ResourceLimitError, match=f"^component_of over the {1 << n:,} survivors "
                            f"of Q_{n} would hold about {mib} MiB, above 128 MiB; use is_connected "
