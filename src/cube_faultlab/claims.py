@@ -9,9 +9,9 @@ enumeration.  Claim ids follow the package's claim catalog numbering
 "thm3.3"; the verify CLI subcommand accepts these ids.
 
 Each verify_claims call hands one dict of oracle results, keyed by
-(n, canonical mode, budget or None), to every claim's run, so claims
-that share a scan (several theorems constrain the same sweep, and
-substructure scans as subcube:1) pay for it once per call.
+(n, admitted element dimensions, budget or None), to every claim's run,
+so claims that share a scan (several theorems constrain the same sweep,
+and substructure admits subcube:1's elements) pay for it once per call.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .core import Vertex, common_neighbors, enumerate_subcubes, hamming
 from .faults import (
     FaultFamily,
     FaultMode,
+    _admitted,
     adversarial_q1_family,
     adversarial_subcube_family,
-    enumerate_families,
     restrict_along,
     validate_family,
 )
@@ -38,12 +38,13 @@ from .oracle import connectivity_bruteforce, fault_diameter_bruteforce
 
 def _scan(memo: dict, n: int, label: str, budget: int | None = None):
     """The connectivity of Q_n under the mode, or with a budget its fault
-    diameter, once per memo.  The oracles are looked up in this module at
-    call time, so a wrapper set on it sees every scan."""
-    key = (n, FaultMode.from_label(label).canonical, budget)
+    diameter, once per memo and element space (faults._admitted).  The
+    oracles are looked up here at call time, so a wrapper sees every scan."""
+    mode = FaultMode.from_label(label)
+    key = (n, _admitted(n, mode), budget)
     if key not in memo:
-        memo[key] = (connectivity_bruteforce(*key[:2]) if budget is None
-                     else fault_diameter_bruteforce(*key))
+        memo[key] = (connectivity_bruteforce(n, mode) if budget is None
+                     else fault_diameter_bruteforce(n, mode, budget))
     return memo[key]
 
 
@@ -151,17 +152,22 @@ def _check_subcube_closure(n: int):
     return _violations(bad, witness)
 
 
+def _removal_diameters(n: int, top: int):
+    """Removals of at most `top` labels of Q_n, sizes ascending, each size in
+    combinations order: their patterns and survivor diameter (None: cut)."""
+    for size in range(top + 1):
+        for removed in combinations(range(1 << n), size):
+            d = diameter(SurvivalGraph(n, frozenset(removed)))
+            yield [Vertex(w, n).pattern for w in removed], d
+
+
 def _check_connected_removal_diameter(n: int):
     """Removals of fewer than half the vertices keep the diameter >= n."""
-    labels = range(1 << n)
     worst = None
     witness: list[str] = []
-    for size in range(0, (1 << (n - 1))):
-        for removed in combinations(labels, size):
-            d = diameter(SurvivalGraph(n, frozenset(removed)))  # None when disconnected
-            if d is not None and (worst is None or d < worst):
-                worst = d
-                witness = [Vertex(w, n).pattern for w in removed]
+    for removed, d in _removal_diameters(n, (1 << (n - 1)) - 1):
+        if d is not None and (worst is None or d < worst):
+            worst, witness = d, removed
     assert worst is not None
     return f">= {n}", str(worst), worst >= n, witness
 
@@ -170,16 +176,12 @@ def _check_small_removal_diameter(n: int):
     """Any <= n-2 vertex faults leave the diameter exactly n."""
     lo, hi = None, None
     witness: list[str] = []
-    for size in range(0, n - 1):
-        for fam in enumerate_families(n, FaultMode.structure(0), size):
-            g = SurvivalGraph.from_family(fam)
-            d = diameter(g)
-            if d is None:
-                return str(n), "disconnected", False, fam.patterns()
-            if hi is None or d > hi:
-                hi = d
-                witness = fam.patterns()
-            lo = d if lo is None else min(lo, d)
+    for removed, d in _removal_diameters(n, n - 2):
+        if d is None:
+            return str(n), "disconnected", False, removed
+        if hi is None or d > hi:
+            hi, witness = d, removed
+        lo = d if lo is None else min(lo, d)
     computed = str(lo) if lo == hi else f"min={lo}, max={hi}"
     return str(n), computed, lo == hi == n, witness
 

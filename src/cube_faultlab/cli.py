@@ -35,6 +35,7 @@ from .faults import (
     FaultFamily,
     FaultMode,
     _count_packings,
+    _decimal,
     adversarial_q1_family,
     adversarial_subcube_family,
     element_space_size,
@@ -127,10 +128,7 @@ def _parse_faults(args) -> FaultFamily:
     elif spec == "adversary:q1":
         family = adversarial_q1_family(n)
     elif spec.startswith("adversary:subcube:"):
-        try:
-            m = int(spec.rsplit(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad adversary spec {spec!r}") from None
+        m = _decimal(spec.rsplit(":", 1)[1], f"bad adversary spec {spec!r}")
         family = adversarial_subcube_family(n, m)
     elif spec.startswith("adversary:"):
         raise ValueError(
@@ -163,6 +161,8 @@ def _cmd_verify(args) -> tuple[_Report, int]:
         # claim ids carry commas of their own, as in lem2.4(n=4,m=2)
         parts = re.split(r",(?![^()]*\))", args.claims)
         ids = [c.strip() for c in parts if c.strip()]
+        if not ids:
+            raise ValueError(f"--claims {args.claims!r} names no claim")
     t0 = time.perf_counter()
     results = verify_claims(ids, max_n=args.max_n)
     failed = sum(1 for r in results if not r.passed)
@@ -240,8 +240,6 @@ def _cmd_route(args) -> tuple[_Report, int]:
     family = _parse_faults(args)
     u = Vertex.from_pattern(args.src)
     v = Vertex.from_pattern(args.dst)
-    if u.dim != args.n or v.dim != args.n:
-        raise ValueError(f"--from/--to must be {args.n}-bit patterns")
     report = route_with_report(u, v, family)
     path = report.path.patterns()
     payload = {
@@ -263,7 +261,7 @@ def _cmd_route(args) -> tuple[_Report, int]:
 
 def _cmd_adversary(args) -> tuple[_Report, int]:
     if args.kind == "q1":
-        if args.m not in (None, 1):
+        if args.m is not None:
             raise ValueError("adversary q1 has no element dimension to choose")
         family = adversarial_q1_family(args.n)
     else:

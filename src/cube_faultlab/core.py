@@ -180,8 +180,11 @@ class Subcube:
         return _format_pattern(self.free_mask, self.base, self.dim_ambient)
 
     def contains(self, v: Vertex | int) -> bool:
-        bits = v.bits if isinstance(v, Vertex) else v
-        return bits & ~self.free_mask == self.base
+        if isinstance(v, Vertex):
+            if v.dim != self.dim_ambient:
+                raise ValueError("vertex and subcube live in different cubes")
+            v = v.bits
+        return v & ~self.free_mask == self.base
 
     def vertex_bits(self) -> Iterator[int]:
         """Labels of the subcube's vertices, ascending."""

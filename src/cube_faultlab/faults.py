@@ -14,16 +14,15 @@ cover the regimes of interest:
 Substructure admits exactly the elements of subcube:1, so it computes
 as subcube:1: an element space is defined by the admitted dimension
 set (_admitted), so the oracles and samplers of both labels index
-equal spaces, and a verify_claims run keys its scans by
-FaultMode.canonical, which maps substructure to subcube:1.  The label
-is kept for parsing, files and reports, which read better with the
-intended regime spelled out.
+equal spaces, and a verify_claims run keys its scans by that set too.
+The label is kept for parsing, files and reports, which read better
+with the intended regime spelled out.
 
-The module also builds the two extremal families that make the known
-fault-diameter bounds tight: a family of n-2 parallel edges that pins
-two adjacent vertices into a corner of one half, and a family of
-n-m-1 disjoint Q_m's that forces every route between two chosen
-vertices to take n+1 steps.
+The module also builds the extremal families that make the known
+fault-diameter bounds tight: a family of n-m-1 disjoint Q_m's that
+forces every route between two chosen vertices to take n+1 steps.  At
+m = 1 it is the Q_1 family of n-2 parallel edges that pins two
+adjacent vertices into a corner of one half, tagged structure:1.
 
 A family's validity verdict (validate_family, require_valid) is
 computed once per FaultFamily instance, on the (free_mask, base) ints
@@ -57,6 +56,15 @@ _MODE_KINDS = ("structure", "substructure", "subcube")
 
 SAMPLING_ATTEMPTS = 10_000
 _PROBES, _PROBE_WORK = 200, 1 << 27  # Knuth probes; the most probes x size x E x 2^n run
+
+
+def _decimal(text: str, error: str) -> int:
+    """int(text) when str() spells it back as `text`, else ValueError(error):
+    '01', '+1', '1_0', ' 1' and non-ASCII digits are second spellings."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()) or str(int(text)) != text:
+        raise ValueError(error)
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -102,21 +110,12 @@ class FaultMode:
         if kind == "substructure" and not sep:
             return cls.substructure()
         if kind in ("structure", "subcube") and sep:
-            try:
-                m = int(rest)
-            except ValueError:
-                raise ValueError(f"bad element dimension in mode label {label!r}") from None
-            return cls(kind, m)
+            return cls(kind, _decimal(rest, f"bad element dimension in mode label {label!r}"))
         raise ValueError(f"bad mode label {label!r}")
 
     @property
     def label(self) -> str:
         return self.kind if self.m is None else f"{self.kind}:{self.m}"
-
-    @property
-    def canonical(self) -> "FaultMode":
-        """subcube:1 for substructure (the same elements), else the mode itself."""
-        return FaultMode.subcube(1) if self.kind == "substructure" else self
 
     @property
     def max_element_dim(self) -> int:
@@ -172,13 +171,7 @@ class FaultFamily:
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[str], mode: FaultMode, n: int) -> "FaultFamily":
-        elems = []
-        for p in patterns:
-            s = Subcube.from_pattern(p)
-            if s.dim_ambient != n:
-                raise ValueError(f"pattern {p!r} has width {s.dim_ambient}, expected {n}")
-            elems.append(s)
-        return cls(tuple(elems), mode, n)
+        return cls(tuple(map(Subcube.from_pattern, patterns)), mode, n)
 
     @property
     def size(self) -> int:
@@ -345,14 +338,13 @@ def adversarial_q1_family(n: int) -> FaultFamily:
     disconnects the half with x_n = 0 (the component of x is exactly
     {x, z}), while Q_n itself stays connected with diameter n + 1: the
     family is one element below the substructure connectivity n - 1, and
-    any route leaving {x, z} must first cross to the other half.
+    any route leaving {x, z} must first cross to the other half.  These
+    are the elements of adversarial_subcube_family(n, 1).
     """
     _check_ambient(n)
     if n < 4:
         raise ValueError("the pinned-edge family needs n >= 4")
-    free = coord_bit(n, 1)
-    elems = tuple(Subcube(free, coord_bit(n, i), n) for i in range(2, n))
-    return FaultFamily(elems, FaultMode.structure(1), n)
+    return FaultFamily(adversarial_subcube_family(n, 1).elements, FaultMode.structure(1), n)
 
 
 def adversarial_subcube_family(n: int, m: int) -> FaultFamily:
@@ -605,14 +597,11 @@ def family_from_text(text: str) -> FaultFamily:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty family text, expected an 'n=... mode=...' header")
-    header = lines[0].split()
-    fields = dict(part.partition("=")[::2] for part in header)
-    if set(fields) != {"n", "mode"}:
+    parts = [part.partition("=")[::2] for part in lines[0].split()]
+    fields = dict(parts)
+    if len(parts) != 2 or set(fields) != {"n", "mode"}:
         raise ValueError(f"bad family header {lines[0]!r}, expected 'n=<n> mode=<label>'")
-    try:
-        n = int(fields["n"])
-    except ValueError:
-        raise ValueError(f"bad ambient dimension {fields['n']!r}") from None
+    n = _decimal(fields["n"], f"bad ambient dimension {fields['n']!r}")
     mode = FaultMode.from_label(fields["mode"])
     return FaultFamily.from_patterns(lines[1:], mode, n)
 

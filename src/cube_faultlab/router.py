@@ -60,18 +60,11 @@ _BFS_BASE_DIM = 4
 
 
 def route_bound(n: int, mode: FaultMode) -> int:
-    """Guaranteed maximum route length for in-budget families of a mode.
-
-    Equals the fault diameter: n in the tight regimes (vertex faults in
-    tiny cubes, substructure faults in Q_3, element dimension n - 2) and
-    n + 1 everywhere else.
-    """
-    mode.kappa(n)  # validates the pairing
-    return _bound(n, mode.max_element_dim)
-
-
-def _bound(n: int, m: int) -> int:
-    return n + 1 if n != m + 2 else n
+    """Guaranteed maximum route length for in-budget families of a mode:
+    the root context's target at the full budget kappa - 1.  It equals the
+    fault diameter: n in the tight regimes (vertex faults in tiny cubes,
+    substructure faults in Q_3, element dimension n - 2), else n + 1."""
+    return _target(n, mode.kappa(n) - 1, mode.max_element_dim)
 
 
 @dataclass(frozen=True)
@@ -291,7 +284,7 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
         raise ValueError(f"endpoint {(u if bad == u.bits else v).pattern} is a faulty vertex")
     faults = family._pairs  # memoised on the family
     budget = mode.kappa(n) - 1  # validates the pairing, as route_bound does
-    bound = RouteBound(n, mode, _bound(n, mode.max_element_dim))
+    bound = RouteBound(n, mode, _target(n, budget, mode.max_element_dim))
     if family.size > budget:
         raise ValueError(f"family size {family.size} exceeds the routing budget {budget} "
                          f"for mode {mode.label} in Q_{n}")

@@ -83,6 +83,12 @@ class TestVerify:
         assert code == 2
         assert "unknown claim" in err
 
+    @pytest.mark.parametrize("ids", ["", ",", " , "])
+    def test_an_empty_claim_list_is_a_usage_error(self, capsys, ids):
+        code, out, err = run(capsys, "verify", "--claims", ids)
+        assert (code, out) == (2, "")
+        assert err == f"error: --claims {ids!r} names no claim\n"
+
     def test_table_has_one_line_per_claim(self, capsys):
         code, out, _ = run(capsys, "verify", "--claims", "lem2.2(n=3),lem2.2(n=4)")
         assert code == 0
@@ -274,6 +280,13 @@ class TestRouteCommand:
         assert "->" in out
         assert "length 4" in out
 
+    def test_endpoints_of_another_cube_are_a_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "route", "--n", "4", "--faults", "adversary:q1",
+            "--from", "000", "--to", "1111",
+        )
+        assert (code, err) == (2, "error: endpoints live in Q_3/Q_4, family in Q_4\n")
+
     def test_removed_endpoint_is_a_usage_error(self, capsys):
         code, _, err = run(
             capsys, "route", "--n", "4", "--faults", "adversary:q1",
@@ -287,6 +300,12 @@ class TestAdversaryCommand:
         code, out, _ = run(capsys, "adversary", "q1", "--n", "4")
         assert code == 0
         assert out == "n=4 mode=structure:1\n*010\n*100\n"
+
+    @pytest.mark.parametrize("m", ["1", "2"])
+    def test_q1_takes_no_m(self, capsys, m):
+        code, out, err = run(capsys, "adversary", "q1", "--n", "4", "--m", m)
+        assert (code, out) == (2, "")
+        assert err == "error: adversary q1 has no element dimension to choose\n"
 
     def test_subcube_needs_m(self, capsys):
         code, _, err = run(capsys, "adversary", "subcube", "--n", "5")
@@ -430,6 +449,16 @@ class TestPlumbing:
     def test_bad_mode_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "4", "--mode", "edgy")
         assert code == 2
+
+    def test_a_second_spelling_of_a_dimension_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "connectivity", "--n", "4", "--mode", "structure:1_0")
+        assert (code, err) == (2, "error: bad element dimension in mode label 'structure:1_0'\n")
+
+    @pytest.mark.parametrize("m", ["01", "+1", "1_0"])
+    def test_an_adversary_dimension_has_one_spelling(self, capsys, m):
+        spec = f"adversary:subcube:{m}"
+        code, _, err = run(capsys, "diameter", "--n", "5", "--faults", spec)
+        assert (code, err) == (2, f"error: bad adversary spec {spec!r}\n")
 
     def test_a_mode_kind_without_its_dimension_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "4", "--mode", "structure")

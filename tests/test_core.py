@@ -137,6 +137,12 @@ class TestSubcube:
         assert s.contains(Vertex.from_pattern("0101"))
         assert not s.contains(Vertex.from_pattern("1101"))
 
+    def test_membership_needs_a_vertex_of_the_same_cube(self):
+        s = Subcube.from_pattern("0*1")
+        with pytest.raises(ValueError, match="different cubes"):
+            s.contains(Vertex(0b00011, 5))
+        assert s.contains(0b011)  # a bare label is read in the subcube's cube
+
     def test_point_subcube(self):
         # a pattern without '*' is a 0-dimensional subcube: one vertex
         s = Subcube.from_pattern("101")

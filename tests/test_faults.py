@@ -71,6 +71,21 @@ class TestFaultMode:
             with pytest.raises(ValueError):
                 FaultMode.from_label(label)
 
+    def test_every_label_round_trips(self):
+        modes = [FaultMode.substructure()]
+        modes += [FaultMode.structure(m) for m in range(31)]
+        modes += [FaultMode.subcube(m) for m in range(1, 31)]
+        for mode in modes:
+            assert FaultMode.from_label(mode.label) == mode
+
+    @pytest.mark.parametrize("label", [
+        "structure:1_0", "structure:+1", "structure: 1", "structure:01",
+        "structure:1 ", "structure:\u0663", "subcube:02", "structure:-0", "structure:",
+    ])
+    def test_a_dimension_has_one_spelling(self, label):
+        with pytest.raises(ValueError, match="bad element dimension in mode label"):
+            FaultMode.from_label(label)
+
     def test_a_bool_is_not_a_dimension(self):
         # True == 1 and hashes alike, but would label itself structure:True
         for make in (FaultMode.structure, FaultMode.subcube):
@@ -112,8 +127,6 @@ class TestFaultMode:
 
     def test_substructure_computes_as_subcube_1(self):
         sub, one = FaultMode.substructure(), FaultMode.subcube(1)
-        assert sub.canonical == one and one.canonical == one
-        assert FaultMode.structure(1).canonical == FaultMode.structure(1)
         for n in range(3, 31):
             assert sub.kappa(n) == one.kappa(n)
             assert route_bound(n, sub) == route_bound(n, one)
@@ -278,6 +291,12 @@ class TestAdversarialFamilies:
 
     def test_pinned_edge_family_q4(self):
         assert adversarial_q1_family(4).patterns() == ["*010", "*100"]
+
+    def test_pinned_edge_family_is_the_m1_blocking_family(self):
+        for n in range(4, 31):
+            fam = adversarial_q1_family(n)
+            assert fam.elements == adversarial_subcube_family(n, 1).elements
+            assert fam.mode == FaultMode.structure(1)
 
     def test_pinned_edge_needs_room(self):
         with pytest.raises(ValueError):
@@ -542,8 +561,20 @@ class TestFamilyFiles:
             family_from_text("*010\n*100\n")
 
     def test_wrong_width_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^element \\*01 lives in Q_3, family in Q_4$"):
             family_from_text("n=4 mode=structure:1\n*01\n")
+
+    @pytest.mark.parametrize("header", [
+        "n=3 n=4 mode=structure:0", "n=4 mode=structure:0 mode=structure:0", "n=4",
+    ])
+    def test_a_header_names_each_key_once(self, header):
+        with pytest.raises(ValueError, match="bad family header"):
+            family_from_text(f"{header}\n0000\n")
+
+    @pytest.mark.parametrize("n", ["04", "+4", "4_0", "\u0664", "4.0", "-0"])
+    def test_the_ambient_dimension_has_one_spelling(self, n):
+        with pytest.raises(ValueError, match="bad ambient dimension"):
+            family_from_text(f"n={n} mode=structure:0\n0000\n")
 
 
 @given(st.integers(min_value=3, max_value=6), st.data())

@@ -50,6 +50,20 @@ class TestRouteBound:
     def test_closed_forms(self, n, label, bound):
         assert route_bound(n, FaultMode.from_label(label)) == bound
 
+    def test_every_valid_pair_up_to_n30(self):
+        """The proved fault diameter, n when the element dimension is
+        n - 2 and n + 1 otherwise, for every mode valid in Q_n."""
+        checked = 0
+        for n in range(2, 31):
+            modes = [FaultMode.structure(m) for m in range(n - 1)]
+            modes += [FaultMode.subcube(m) for m in range(1, n - 1)]
+            modes += [FaultMode.substructure()] if n >= 3 else []
+            for mode in modes:
+                m = mode.max_element_dim
+                assert route_bound(n, mode) == (n if n == m + 2 else n + 1), (n, mode.label)
+                checked += 1
+        assert checked == 435 + 406 + 28  # structure, subcube, substructure
+
 
 def assert_route_ok(u, v, fam, bound):
     path = guided_route(u, v, fam)
@@ -359,6 +373,32 @@ def test_routing_is_translation_equivariant():
         assert moved.fallbacks == rep.fallbacks
         checked += 1
     assert checked == 2562
+
+
+@pytest.mark.parametrize("label,families,routes", [
+    ("structure:2", 1721, 39871),
+    ("structure:3", 31, 721),
+])
+def test_every_route_from_vertex_0_at_n5_meets_the_bound(label, families, routes):
+    """Route (0, v) for every in-budget family that spares vertex 0 and
+    every other survivor v.  Routing is translation-equivariant (see
+    test_routing_is_translation_equivariant), so this covers every pair
+    of every in-budget family of Q_5; the worst length is the bound."""
+    n, mode = 5, FaultMode.from_label(label)
+    seen = routed = worst = fallbacks = 0
+    for size in range(mode.kappa(n)):
+        for fam in enumerate_families(n, mode, size):
+            removed = SurvivalGraph.from_family(fam).removed
+            if 0 in removed:
+                continue
+            seen += 1
+            for v in range(1, 1 << n):
+                if v not in removed:
+                    rep = route_with_report(Vertex(0, n), Vertex(v, n), fam)
+                    routed += 1
+                    worst = max(worst, rep.length)
+                    fallbacks += rep.fallbacks
+    assert (seen, routed, worst, fallbacks) == (families, routes, route_bound(n, mode), 0)
 
 
 ROUTES = Path(__file__).resolve().parent / "data" / "routes.json"
