@@ -57,7 +57,6 @@ from .oracle import (
 from .router import (
     RouteBound,
     RouteReport,
-    guided_route,
     route_bound,
     route_with_report,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "family_from_text",
     "family_to_text",
     "fault_diameter_bruteforce",
-    "guided_route",
     "hamming",
     "is_connected",
     "neighbor",

@@ -17,6 +17,7 @@ and substructure admits subcube:1's elements) pay for it once per call.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -446,7 +447,7 @@ def verify_claims(
 
     `claims` selects ids (None means all); `max_n` keeps only claims
     whose ambient dimension params["n"] is at most max_n; `jobs` is
-    accepted and ignored.  Unknown ids raise ValueError.
+    accepted and ignored.  Unknown or repeated ids raise ValueError.
     """
     reg = _registry()
     if claims is None:
@@ -455,6 +456,9 @@ def verify_claims(
         missing = [c for c in claims if c not in reg]
         if missing:
             raise ValueError(f"unknown claim ids: {', '.join(missing)}")
+        repeated = [c for c, k in Counter(claims).items() if k > 1]
+        if repeated:
+            raise ValueError(f"repeated claim ids: {', '.join(repeated)}")
         selected = [reg[c] for c in claims]
     if max_n is not None:
         selected = [c for c in selected if c.params["n"] <= max_n]

@@ -3,13 +3,14 @@
 Subcommands map one-to-one onto the library's capabilities: `verify`
 runs the claim catalog, `connectivity` and `fault-diameter` drive the
 brute-force oracle, `diameter` and `route` answer ad-hoc survival-graph
-queries, `adversary` emits the extremal families, and `enumerate`
-counts fault families.  Reports go to stdout (or --output) as a text
-table by default, as canonical JSON, or as CSV.
+queries, and `adversary` emits the extremal families.  Reports go to
+stdout (or --output) as a text table by default, as canonical JSON, or
+as CSV.
 
 Each request has one spelling: --mode takes a full mode label
-(structure:1, substructure, subcube:2), and fault-diameter always scans
-every in-budget family.  A diameter is priced before its survival graph
+(structure:1, substructure, subcube:2), an integer option takes plain
+decimal digits (faults._decimal), and fault-diameter always scans every
+in-budget family.  A diameter is priced before its survival graph
 is built, so a refused one lists no faulty label.
 
 Exit codes: 0 success, 1 claim mismatch, 2 usage error (a family file
@@ -26,7 +27,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .claims import verify_claims
 from .core import Vertex
@@ -34,17 +35,14 @@ from .errors import ResourceLimitError
 from .faults import (
     FaultFamily,
     FaultMode,
-    _count_packings,
     _decimal,
     adversarial_q1_family,
     adversarial_subcube_family,
-    element_space_size,
-    enumerate_families,
     family_to_text,
     read_family,
     require_valid,
 )
-from .metrics import _ENUMERATE_US, SurvivalGraph, _check_diameter, _check_time, diameter
+from .metrics import SurvivalGraph, _check_diameter, diameter
 from .oracle import connectivity_bruteforce, fault_diameter_bruteforce
 from .router import route_with_report
 
@@ -55,9 +53,8 @@ class _Report:
 
     payload: dict
     headers: list[str]
-    rows: list[list[str]] = field(default_factory=list)
+    rows: list[list[str]]
     text: str | None = None
-    footer: list[str] = field(default_factory=list)
 
 
 def _render(report: _Report, fmt: str) -> str:
@@ -81,8 +78,15 @@ def _render(report: _Report, fmt: str) -> str:
     ]
     for row in report.rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    lines.extend(report.footer)
     return "\n".join(lines) + "\n"
+
+
+def _integer(text: str) -> int:
+    """An integer option's value: `04`, `+4`, `0_4` and ` 4` are refused."""
+    try:
+        return _decimal(text, f"expected a decimal integer, got {text!r}")
+    except ValueError as exc:  # argparse shows an ArgumentTypeError's own message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _required_mode(args) -> FaultMode:
@@ -91,14 +95,14 @@ def _required_mode(args) -> FaultMode:
     return FaultMode.from_label(args.mode)
 
 
-def _single_row(payload: dict, headers: list[str], footer: list[str] | None = None) -> _Report:
+def _single_row(payload: dict, headers: list[str]) -> _Report:
     """A one-row report whose cells are the payload's values under the
     header names; a list cell is joined with commas."""
     row = [
         ",".join(v) if isinstance(v, list) else str(v)
         for v in (payload[h] for h in headers)
     ]
-    return _Report(payload, headers, [row], footer=footer or [])
+    return _Report(payload, headers, [row])
 
 
 def _infer_mode(dims: list[int]) -> FaultMode:
@@ -282,36 +286,6 @@ def _cmd_adversary(args) -> tuple[_Report, int]:
     return _Report(payload, headers, rows, text=text), 0
 
 
-def _cmd_enumerate(args) -> tuple[_Report, int]:
-    mode = _required_mode(args)
-    if args.size < 0:
-        raise ValueError(f"--size must be >= 0, got {args.size}")
-    if args.show is not None and args.show < 0:
-        raise ValueError(f"--show must be >= 0, got {args.show}")
-    _check_time(
-        f"enumerate of {mode.label} families of size {args.size} in Q_{args.n}",
-        lambda _: _ENUMERATE_US,
-        lambda s, cap: _count_packings(args.n, mode, range(s, s + 1), cap, base0=False),
-        args.size, "--size",
-    )
-    shown: list[str] = []
-    count = 0
-    for fam in enumerate_families(args.n, mode, args.size):
-        if args.show and len(shown) < args.show:
-            shown.append(",".join(fam.patterns()))
-        count += 1
-    payload = {
-        "n": args.n,
-        "mode": mode.label,
-        "size": args.size,
-        "element_space": element_space_size(args.n, mode),
-        "families": count,
-    }
-    if args.show:
-        payload["shown"] = shown
-    return _single_row(payload, ["n", "mode", "size", "element_space", "families"], shown), 0
-
-
 _DISPATCH = {
     "verify": _cmd_verify,
     "connectivity": _cmd_connectivity,
@@ -319,7 +293,6 @@ _DISPATCH = {
     "diameter": _cmd_diameter,
     "route": _cmd_route,
     "adversary": _cmd_adversary,
-    "enumerate": _cmd_enumerate,
 }
 
 
@@ -352,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated claim ids, or 'all' (default)",
     )
     p.add_argument(
-        "--max-n", type=int, metavar="N",
+        "--max-n", type=_integer, metavar="N",
         help="skip claims whose ambient dimension exceeds N",
     )
 
@@ -360,15 +333,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "connectivity", parents=[common, mode_common],
         help="brute-force structure connectivity",
     )
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p.add_argument("--n", type=_integer, required=True, help="ambient dimension")
 
     p = sub.add_parser(
         "fault-diameter", parents=[common, mode_common],
         help="brute-force fault diameter over all in-budget families",
     )
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p.add_argument("--n", type=_integer, required=True, help="ambient dimension")
     p.add_argument(
-        "--budget", type=int,
+        "--budget", type=_integer,
         help="max family size (default: connectivity - 1)",
     )
 
@@ -376,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "diameter", parents=[common, mode_common],
         help="diameter of the cube minus a given fault family",
     )
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p.add_argument("--n", type=_integer, required=True, help="ambient dimension")
     p.add_argument(
         "--faults", metavar="SPEC", default="none",
         help="patterns 'p1,p2,...', '@file', 'adversary:q1', "
@@ -387,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "route", parents=[common, mode_common],
         help="guided fault-avoiding route between two survivors",
     )
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p.add_argument("--n", type=_integer, required=True, help="ambient dimension")
     p.add_argument("--faults", metavar="SPEC", default="none", help="as in diameter")
     p.add_argument("--from", dest="src", required=True, metavar="BITS")
     p.add_argument("--to", dest="dst", required=True, metavar="BITS")
@@ -397,18 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit an extremal family in the family file format",
     )
     p.add_argument("kind", choices=("q1", "subcube"))
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--m", type=int, help="element dimension for kind subcube")
+    p.add_argument("--n", type=_integer, required=True, help="ambient dimension")
+    p.add_argument("--m", type=_integer, help="element dimension for kind subcube")
 
-    p = sub.add_parser(
-        "enumerate", parents=[common, mode_common],
-        help="count valid families of a given size",
-    )
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--size", type=int, required=True, help="family size")
-    p.add_argument(
-        "--show", type=int, metavar="K", help="also list the first K families"
-    )
     for p in sub.choices.values():
         p.allow_abbrev = False  # one spelling per option: --m is not short for --mode
     return parser

@@ -461,43 +461,43 @@ def _max_family_size(n: int, mode: FaultMode) -> int:
     return (1 << n) >> dims[0] if dims else 0
 
 
-def _count_packings(n: int, mode: FaultMode, sizes: range, cap: int, base0: bool = True) -> int:
-    """The families _iter_packings yields over `sizes` (up to
-    _max_family_size) from the base-0 first indices, or from every
-    index when not `base0`, or some count above `cap`.
+def _count_packings(n: int, mode: FaultMode, sizes: range, cap: int) -> int:
+    """The families _iter_packings yields from the base-0 first indices
+    over `sizes` (up to _max_family_size), or some count above `cap`.
 
     A bound sums C(E - 1 - first, s - 1) over the base-0 firsts, listed
-    lazily, or C(E, s) when all E indices come first, and stops above
-    `cap`; above it _estimate_packings decides, unless the sizes are {0}
-    (one empty family) or its probes would cost over _PROBE_WORK."""
+    lazily, and stops above `cap`; above it _estimate_packings decides,
+    unless the sizes are {0} (one empty family) or its probes would cost
+    over _PROBE_WORK."""
     space, total = _space(n, mode), 0
     sizes = range(sizes.start, min(sizes.stop, _max_family_size(n, mode) + 1))
     for s in reversed(sizes):  # the largest layer first, so a cut comes soonest
-        terms = [(space.size, s)]
-        if base0 and s:
-            terms = ((space.size - 1 - f, s - 1) for f in space.base0_indices())
-        for a, k in terms:
+        for f in space.base0_indices() if s else ():
+            a, k = space.size - 1 - f, s - 1
             j = min(k, a - k)  # terms stop at 2^64 > cap: C(a, k) >= 2^64 once j >= 64
             total += 0 if j < 0 else 1 << 64 if j >= 64 else min(comb(a, j), 1 << 64)
             if total > cap:
                 break
         if total > cap:
             break
+    else:
+        total += 0 in sizes  # the one empty family, last in the layer order
     if total <= cap or not sizes[-1] or _PROBES * sizes[-1] * space.size << n > _PROBE_WORK:
         return total
-    firsts = list(space.base0_indices()) if base0 else range(space.size)
-    return _estimate_packings(space, sizes, firsts)
+    return _estimate_packings(space, sizes)
 
 
-def _estimate_packings(space: _ElementSpace, sizes: range, firsts: Sequence[int]) -> int:
+def _estimate_packings(space: _ElementSpace, sizes: range) -> int:
     """Knuth's estimate of the families _iter_packings yields over `sizes`
-    ("Estimating the efficiency of backtrack programs", Math. Comp. 29,
-    1975).  A probe draws each child with p proportional to (later
-    indices + 1)^(depth left); the product of the 1/p to depth s counts
-    size s without bias.  The seed is fixed, so the verdict repeats.
-    A child is a later index whose (free, base) pair misses every draw."""
+    from the base-0 first indices ("Estimating the efficiency of backtrack
+    programs", Math. Comp. 29, 1975).  A probe draws each child with p
+    proportional to (later indices + 1)^(depth left); the product of the
+    1/p to depth s counts size s without bias.  The seed is fixed, so the
+    verdict repeats.  A child is a later index whose (free, base) pair
+    misses every draw."""
     rng, top, total, e = random.Random(0), sizes[-1], 0.0, space.size
     pairs = [space._free_and_base(j) for j in range(e)]
+    firsts = list(space.base0_indices())
     for _ in range(_PROBES):
         weight, children = 1.0, firsts
         for depth in range(1, top + 1):

@@ -23,10 +23,10 @@ candidate family.
 A survival graph is refused past n = _BITSET_LIMIT (26) when it is
 built; the router needs none and serves n <= 30 with its own BFS.
 
-The one cost model lives here too: _check_time prices every diameter,
-scan and `enumerate` walk as the families it walks or draws times its
-kernel's µs each, and refuses it above _LIMIT_S before the work starts,
-naming a request that fits.  component_of is priced in memory instead.
+The one cost model lives here too: _check_time prices every diameter
+and scan as the families it walks or draws times its kernel's µs each,
+and refuses it above _LIMIT_S before the work starts, naming a request
+that fits.  component_of is priced in memory instead.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ _ROW_BITS = 1 << 16
 
 _LIMIT_S = 60  # the one predicted-time limit of every request
 _CONNECTIVITY_US = 1.0  # per connectivity-scan family: 0.88-1.16 µs measured at n = 5, 6
-_ENUMERATE_US = 5.0  # per `enumerate` family: 2.2-5 µs measured
 _COMPONENT_BYTES = 150  # per component_of survivor: Vertex and set slot, 148-151 B traced at n = 16-20
 
 

@@ -1,7 +1,7 @@
 """Fault-avoiding routing with guaranteed length bounds.
 
-guided_route builds a path between two survivors of Q_n minus a fault
-family within the connectivity budget, never longer than the worst-case
+route_with_report joins two survivors of Q_n minus a fault family
+within the connectivity budget by a path no longer than the worst-case
 fault diameter for the family's mode.  It follows the structure of the
 bound proofs instead of searching: split the cube along one coordinate,
 sort the fault elements into the two halves (straddling elements
@@ -36,7 +36,7 @@ there; that BFS (_bfs_route) is the package's one dict BFS and needs no
 survival graph, so routing serves every n up to 30.  If no case applies
 (which the bound proofs rule out, but the implementation does not
 assume), the router falls back to BFS in the full context and counts
-the event; route_with_report exposes the counter, and a produced path
+the event; the report carries the counter, and a produced path
 longer than the mode bound raises InvariantViolation rather than
 returning quietly.
 
@@ -303,8 +303,3 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
             f"for mode {mode.label} in Q_{n}"
         )
     return RouteReport(path, bound, runner.fallbacks)
-
-
-def guided_route(u: Vertex, v: Vertex, family: FaultFamily) -> Path:
-    """The fault-avoiding path alone; see route_with_report for diagnostics."""
-    return route_with_report(u, v, family).path

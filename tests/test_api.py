@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +46,6 @@ def test_public_names_are_pinned_and_resolve():
         "family_from_text",
         "family_to_text",
         "fault_diameter_bruteforce",
-        "guided_route",
         "hamming",
         "is_connected",
         "neighbor",
@@ -60,6 +60,15 @@ def test_public_names_are_pinned_and_resolve():
     ]
     for name in cube_faultlab.__all__:
         assert getattr(cube_faultlab, name) is not None
+
+
+def test_the_readme_quick_start_runs():
+    """The README's "Library quick start" block, run as written: a name
+    it imports must still be public, and each call must still succeed."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
 
 
 class TestLibraryInventory:

@@ -36,6 +36,11 @@ def test_unknown_ids_rejected():
         verify_claims(["nope", "lem2.2(n=3)"])
 
 
+def test_repeated_ids_rejected():
+    with pytest.raises(ValueError, match=r"^repeated claim ids: thm3\.3, lem2\.2\(n=3\)$"):
+        verify_claims(["thm3.3", "lem2.2(n=3)", "thm3.3", "lem2.2(n=3)", "lem2.3(n=3)"])
+
+
 def test_selection_preserves_request_order():
     results = verify_claims(["thm3.3", "lem2.2(n=3)"])
     assert [r.claim_id for r in results] == ["thm3.3", "lem2.2(n=3)"]

@@ -89,6 +89,10 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: --claims {ids!r} names no claim\n"
 
+    def test_a_repeated_claim_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--claims", "thm3.3,lem2.3(n=3),thm3.3")
+        assert (code, out, err) == (2, "", "error: repeated claim ids: thm3.3\n")
+
     def test_table_has_one_line_per_claim(self, capsys):
         code, out, _ = run(capsys, "verify", "--claims", "lem2.2(n=3),lem2.2(n=4)")
         assert code == 0
@@ -258,7 +262,7 @@ class TestDiameterCommand:
 
 
 class TestRouteCommand:
-    def test_guided_route_spec_example(self, capsys):
+    def test_route_spec_example(self, capsys):
         code, out, _ = run(
             capsys,
             "route", "--n", "5", "--faults", "adversary:q1",
@@ -321,85 +325,6 @@ class TestAdversaryCommand:
         assert payload["size"] == 2
 
 
-class TestEnumerateCommand:
-    def test_counts(self, capsys):
-        code, out, _ = run(
-            capsys, "enumerate", "--n", "3", "--mode", "structure:1",
-            "--size", "1", "--format", "json",
-        )
-        payload = json.loads(out)
-        assert payload["families"] == 12
-        assert payload["element_space"] == 12
-
-    def test_show_lists_families(self, capsys):
-        code, out, _ = run(
-            capsys, "enumerate", "--n", "3", "--mode", "structure:1",
-            "--size", "2", "--show", "2", "--format", "json",
-        )
-        payload = json.loads(out)
-        assert len(payload["shown"]) == 2
-
-    def test_show_appends_families_to_the_table(self, capsys):
-        code, out, _ = run(
-            capsys, "enumerate", "--n", "3", "--mode", "structure:1",
-            "--size", "2", "--show", "2",
-        )
-        tail = out.strip().splitlines()[-2:]
-        assert tail == ["00*,01*", "00*,10*"]
-
-    def test_a_negative_show_is_a_usage_error(self, capsys):
-        code, out, err = run(
-            capsys, "enumerate", "--n", "3", "--mode", "structure:1", "--size", "1", "--show", "-1"
-        )
-        assert (code, out) == (2, "")
-        assert "--show must be >= 0" in err
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (
-                ("--n", "6", "--mode", "structure:0", "--size", "6"),
-                "enumerate of structure:0 families of size 6 in Q_6 is predicted at 371 s "
-                "(74,287,493 x 5.0 us per family), above the limit of 60 s; use --size 5",
-            ),
-            (
-                ("--n", "5", "--mode", "subcube:2", "--size", "4"),
-                "enumerate of subcube:2 families of size 4 in Q_5 is predicted at 93 s "
-                "(18,614,185 x 5.0 us per family), above the limit of 60 s; use --size 3",
-            ),
-            (
-                ("--n", "30", "--mode", "subcube:28", "--size", "1000000000"),
-                "enumerate of subcube:28 families of size 1000000000 in Q_30 is predicted at "
-                "92,233,720,368,548 s (18,446,744,073,709,551,616 x 5.0 us per family), above "
-                "the limit of 60 s; use --size 0",
-            ),
-        ],
-        ids=["structure:0", "subcube:2", "huge-size"],
-    )
-    def test_an_oversized_walk_is_refused_before_it_starts(self, capsys, monkeypatch, argv, message):
-        def walk(*args):
-            raise AssertionError("the walk started")
-
-        monkeypatch.setattr(cli, "enumerate_families", walk)
-        assert run(capsys, "enumerate", *argv) == (3, "", f"resource limit: {message}\n")
-
-    @pytest.mark.parametrize(
-        "n, size, families",
-        [(5, 30, 496), (5, 32, 1), (5, 33, 0), (3, 10**9, 0), (10, 1024, 1), (10, 1023, 1024)],
-    )
-    def test_sizes_next_to_the_space_finish(self, capsys, n, size, families):
-        """Q_n has 2^n vertices: the walk stops prefixes that cannot be
-        completed, so it does not visit every vertex subset; it allocates
-        nothing for a size above the space and does not recurse per
-        element, so a family of all 1024 vertices of Q_10 is one walk."""
-        code, out, _ = run(
-            capsys, "enumerate", "--n", str(n), "--mode", "structure:0",
-            "--size", str(size), "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["families"] == families
-
-
 class TestPlumbing:
     def test_json_reports_are_deterministic(self, capsys):
         args = (
@@ -441,6 +366,13 @@ class TestPlumbing:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_enumerate_command_is_gone(self, capsys):
+        # enumerate_families is the library's enumerator; no command wraps it
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "4", "--mode", "structure:1", "--size", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'enumerate'" in capsys.readouterr().err
+
     def test_bad_subcommand_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -453,6 +385,28 @@ class TestPlumbing:
     def test_a_second_spelling_of_a_dimension_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "4", "--mode", "structure:1_0")
         assert (code, err) == (2, "error: bad element dimension in mode label 'structure:1_0'\n")
+
+    @pytest.mark.parametrize(
+        "value",
+        ["0_4", "04", "+4", " 4", "4 ", "٤", "-0", ""],
+        ids=["underscore", "zero-pad", "plus", "lead-space", "trail-space", "arabic", "minus-0", "empty"],
+    )
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("verify", "--claims", "thm3.3"), "--max-n"),
+            (("connectivity", "--mode", "structure:1"), "--n"),
+            (("fault-diameter", "--n", "4", "--mode", "structure:1"), "--budget"),
+            (("adversary", "subcube", "--n", "5"), "--m"),
+        ],
+        ids=lambda a: a if isinstance(a, str) else a[0],
+    )
+    def test_an_integer_option_has_one_spelling(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {option}: expected a decimal integer, got {value!r}\n")
 
     @pytest.mark.parametrize("m", ["01", "+1", "1_0"])
     def test_an_adversary_dimension_has_one_spelling(self, capsys, m):
@@ -477,7 +431,6 @@ class TestOptionInventory:
         "diameter": ["--faults", "--format", "--mode", "--n", "--output"],
         "route": ["--faults", "--format", "--from", "--mode", "--n", "--output", "--to"],
         "adversary": ["--format", "--m", "--n", "--output"],
-        "enumerate": ["--format", "--mode", "--n", "--output", "--show", "--size"],
     }
 
     def test_each_subcommand_has_exactly_its_options(self):
@@ -519,14 +472,6 @@ class TestPinnedOutput:
             '4,structure:1,2,exhaustive,5,"000*,011*"\r\n',
         ),
         (
-            ("enumerate", "--n", "4", "--mode", "structure:1", "--size", "2"),
-            "n  mode         size  element_space  families\n"
-            "-  -----------  ----  -------------  --------\n"
-            "4  structure:1  2     32             400\n",
-            "n,mode,size,element_space,families\r\n"
-            "4,structure:1,2,32,400\r\n",
-        ),
-        (
             ("diameter", "--n", "3", "--faults", "0*1,110"),
             "n  mode          faults   survivors  diameter\n"
             "-  ------------  -------  ---------  --------\n"
@@ -546,7 +491,6 @@ class TestPinnedOutput:
         [
             ("connectivity", "--n", "4"),
             ("fault-diameter", "--n", "4"),
-            ("enumerate", "--n", "4", "--size", "1"),
         ],
         ids=lambda argv: argv[0],
     )

@@ -363,6 +363,17 @@ class TestEnumeration:
         fams = list(enumerate_families(3, FaultMode.structure(1), 0))
         assert len(fams) == 1 and fams[0].size == 0
 
+    @pytest.mark.parametrize(
+        "n, size, families",
+        [(5, 30, 496), (5, 32, 1), (5, 33, 0), (3, 10**9, 0), (10, 1024, 1), (10, 1023, 1024)],
+    )
+    def test_sizes_next_to_the_space_finish(self, n, size, families):
+        """Q_n has 2^n vertices: the walk stops prefixes that cannot be
+        completed, so it does not visit every vertex subset; it allocates
+        nothing for a size above the space and does not recurse per
+        element, so a family of all 1024 vertices of Q_10 is one walk."""
+        assert sum(1 for _ in enumerate_families(n, FaultMode.structure(0), size)) == families
+
     def test_the_bitset_table_is_refused_before_it_is_built(self, monkeypatch):
         # 16 * 2^15 edges of 2^16 bits each would take 4 GiB
         refuse_element_space(monkeypatch)

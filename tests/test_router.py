@@ -20,7 +20,6 @@ from cube_faultlab import (
     adversarial_subcube_family,
     bfs_distance,
     enumerate_families,
-    guided_route,
     route_bound,
     route_with_report,
     sample_families,
@@ -66,7 +65,7 @@ class TestRouteBound:
 
 
 def assert_route_ok(u, v, fam, bound):
-    path = guided_route(u, v, fam)
+    path = route_with_report(u, v, fam).path
     assert path.vertices[0] == u and path.vertices[-1] == v
     g = SurvivalGraph.from_family(fam)
     assert not any(w.bits in g.removed for w in path.vertices)
@@ -80,7 +79,7 @@ class TestGuidedRoute:
         fam = FaultFamily((), FaultMode.structure(0), 5)
         u = Vertex.from_pattern("01001")
         v = Vertex.from_pattern("11100")
-        path = guided_route(u, v, fam)
+        path = route_with_report(u, v, fam).path
         assert path.length == 3
 
     def test_q4_pinned_edge_worst_case(self):
@@ -127,17 +126,17 @@ class TestGuidedRoute:
     def test_over_budget_family_rejected(self):
         fam = FaultFamily.from_patterns(["00*", "11*"], FaultMode.structure(1), 3)
         with pytest.raises(ValueError):
-            guided_route(Vertex.from_pattern("010"), Vertex.from_pattern("101"), fam)
+            route_with_report(Vertex.from_pattern("010"), Vertex.from_pattern("101"), fam)
 
     def test_removed_endpoint_rejected(self):
         fam = adversarial_q1_family(4)
         with pytest.raises(ValueError):
-            guided_route(Vertex.from_pattern("0100"), Vertex.from_pattern("1111"), fam)
+            route_with_report(Vertex.from_pattern("0100"), Vertex.from_pattern("1111"), fam)
 
     def test_endpoints_must_share_the_ambient_cube(self):
         fam = adversarial_q1_family(4)
         with pytest.raises(ValueError):
-            guided_route(Vertex.from_pattern("000"), Vertex.from_pattern("1111"), fam)
+            route_with_report(Vertex.from_pattern("000"), Vertex.from_pattern("1111"), fam)
 
 
 class TestSafetyNets:
@@ -158,7 +157,7 @@ class TestSafetyNets:
         monkeypatch.setattr(router, "_bfs_route", lambda *args: None)
         fam = adversarial_q1_family(4)
         with pytest.raises(InvariantViolation, match="disconnected a routing context"):
-            guided_route(Vertex.from_pattern("0000"), Vertex.from_pattern("1110"), fam)
+            route_with_report(Vertex.from_pattern("0000"), Vertex.from_pattern("1110"), fam)
 
 
 class TestUnreachedInvariants:
@@ -175,7 +174,7 @@ class TestUnreachedInvariants:
         fam = adversarial_subcube_family(5, 2)
         with pytest.raises(InvariantViolation, match="^no safe crossing coordinate exists for "
                            "a symmetric pair within budget; this contradicts the crossing lemma$"):
-            guided_route(Vertex.from_pattern("00001"), Vertex.from_pattern("11110"), fam)
+            route_with_report(Vertex.from_pattern("00001"), Vertex.from_pattern("11110"), fam)
 
 
 class TestPostRouteChecks:
