@@ -158,7 +158,7 @@ def _removal_diameters(n: int, top: int):
     combinations order: their patterns and survivor diameter (None: cut)."""
     for size in range(top + 1):
         for removed in combinations(range(1 << n), size):
-            d = diameter(SurvivalGraph(n, frozenset(removed)))
+            d = diameter(SurvivalGraph(n, removed))
             yield [Vertex(w, n).pattern for w in removed], d
 
 
@@ -230,8 +230,7 @@ def _check_pinned_edge_family(n: int):
     fam = adversarial_q1_family(n)
     failure, half, g = _extremal_graphs(fam, n - 2)
     if failure is None:
-        pinned = {x.bits for x in component_of(half, Vertex(0, n - 1))}
-        if pinned != {0, 1 << (n - 2)}:
+        if component_of(half, Vertex(0, n - 1)) != 1 | 1 << (1 << (n - 2)):  # {0, 2^(n-2)}
             failure = "pinned component is not the expected edge"
     if failure is not None:
         return str(n + 1), failure, False, fam.patterns()
@@ -447,7 +446,8 @@ def verify_claims(
 
     `claims` selects ids (None means all); `max_n` keeps only claims
     whose ambient dimension params["n"] is at most max_n; `jobs` is
-    accepted and ignored.  Unknown or repeated ids raise ValueError.
+    accepted and ignored.  Unknown or repeated ids, and a max_n that
+    leaves no selected claim, raise ValueError.
     """
     reg = _registry()
     if claims is None:
@@ -461,6 +461,8 @@ def verify_claims(
             raise ValueError(f"repeated claim ids: {', '.join(repeated)}")
         selected = [reg[c] for c in claims]
     if max_n is not None:
+        if selected and max_n < (low := min(c.params["n"] for c in selected)):
+            raise ValueError(f"max_n {max_n} leaves no claim; the selected claims start at n = {low}")
         selected = [c for c in selected if c.params["n"] <= max_n]
     out, memo = [], {}
     for claim in selected:

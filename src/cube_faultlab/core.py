@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
 
@@ -234,6 +234,12 @@ def _vertex_mask(free: int, base: int) -> int:
         mask |= mask << low
         free ^= low
     return mask << base
+
+
+def _union_mask(pairs: Iterable[tuple[int, int]]) -> int:
+    """Bitset of the union of the pairwise disjoint subcubes (free, base)
+    in `pairs`: disjoint bitsets add as they OR."""
+    return sum(_vertex_mask(free, base) for free, base in pairs)
 
 
 _MASK_TABLE_BITS = 1 << 30

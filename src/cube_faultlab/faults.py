@@ -27,7 +27,8 @@ adjacent vertices into a corner of one half, tagged structure:1.
 A family's validity verdict (validate_family, require_valid) is
 computed once per FaultFamily instance, on the (free_mask, base) ints
 of its elements, and kept there with the router's faulty-label table:
-the router and SurvivalGraph.from_family ask again on every call.  The
+the router and SurvivalGraph.from_family ask again on every call, and
+from_family builds its bitset from the same ints (core._union_mask).  The
 memos are sound because FaultFamily and Subcube are frozen and
 __post_init__ orders the elements before anything reads them;
 dataclasses.replace gives a new instance and a fresh verdict.
@@ -261,14 +262,6 @@ def require_valid(family: FaultFamily) -> None:
     issue = family._verdict
     if issue is not None:
         raise ValueError(f"invalid fault family, {issue}")
-
-
-def fault_bits(family: FaultFamily) -> set[int]:
-    """Labels of all faulty vertices."""
-    out: set[int] = set()
-    for s in family.elements:
-        out.update(s.vertex_bits())
-    return out
 
 
 def _half_faults(

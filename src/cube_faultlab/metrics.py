@@ -26,25 +26,24 @@ built; the router needs none and serves n <= 30 with its own BFS.
 The one cost model lives here too: _check_time prices every diameter
 and scan as the families it walks or draws times its kernel's µs each,
 and refuses it above _LIMIT_S before the work starts, naming a request
-that fits.  component_of is priced in memory instead.
+that fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
-from .core import _MASK_TABLE_BITS, Vertex, _check_ambient
+from .core import Vertex, _check_ambient, _union_mask
 from .errors import ResourceLimitError
-from .faults import FaultFamily, fault_bits, require_valid
+from .faults import FaultFamily, require_valid
 
 _BITSET_LIMIT = 26  # the largest ambient dimension of a survival graph
 _ROW_BITS = 1 << 16
 
 _LIMIT_S = 60  # the one predicted-time limit of every request
 _CONNECTIVITY_US = 1.0  # per connectivity-scan family: 0.88-1.16 µs measured at n = 5, 6
-_COMPONENT_BYTES = 150  # per component_of survivor: Vertex and set slot, 148-151 B traced at n = 16-20
 
 
 def _diameter_us(n: int) -> float:
@@ -214,51 +213,51 @@ def _check_cap(n: int) -> None:
                                  f"{_BITSET_LIMIT}; use route_with_report (cube-faultlab route)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurvivalGraph:
-    """Q_ambient with a set of vertex labels removed, for ambient <= 26.
+    """Q_ambient with a set of vertices removed, for ambient <= 26.
 
-    Build one from a fault family with from_family, which validates the
-    family first, or directly from removed labels for ad-hoc
-    experiments (vertex-set removals are exactly structure:0 families).
+    The removed vertices are one bitset, removed_mask: bit w is set iff
+    vertex w is removed.  Build one from a fault family with
+    from_family, which validates the family first and ORs its elements'
+    bitsets, or directly from removed labels for ad-hoc experiments
+    (vertex-set removals are exactly structure:0 families).
     """
 
     ambient: int
-    removed: frozenset[int]
+    removed_mask: int = field(repr=False)  # past 4,300 digits Python refuses to print an int
 
-    def __post_init__(self) -> None:
-        _check_ambient(self.ambient)
-        _check_cap(self.ambient)
-        size = 1 << self.ambient
-        for w in self.removed:
+    def __init__(self, ambient: int, removed: Iterable[int]) -> None:
+        _check_ambient(ambient)
+        _check_cap(ambient)
+        size = 1 << ambient
+        buf = bytearray((size + 7) >> 3)
+        for w in removed:
             if not isinstance(w, int) or not 0 <= w < size:
-                raise ValueError(f"removed label {w!r} out of range for Q_{self.ambient}")
+                raise ValueError(f"removed label {w!r} out of range for Q_{ambient}")
+            buf[w >> 3] |= 1 << (w & 7)
+        self.__dict__.update(ambient=ambient, removed_mask=int.from_bytes(buf, "little"))
 
     @classmethod
     def from_family(cls, family: FaultFamily) -> "SurvivalGraph":
         require_valid(family)
-        _check_cap(family.ambient)  # before the faulty labels are listed
-        return cls(family.ambient, frozenset(fault_bits(family)))
-
-    @cached_property
-    def removed_mask(self) -> int:
-        buf = bytearray(((1 << self.ambient) + 7) >> 3)
-        for w in self.removed:
-            buf[w >> 3] |= 1 << (w & 7)
-        return int.from_bytes(buf, "little")
+        _check_cap(family.ambient)  # before any vertex bitset is built
+        g = cls.__new__(cls)
+        g.__dict__.update(ambient=family.ambient, removed_mask=_union_mask(family._pairs))
+        return g
 
     @cached_property
     def survivor_mask(self) -> int:
-        return _full_mask(self.ambient) & ~self.removed_mask
+        return _full_mask(self.ambient) ^ self.removed_mask
 
     @property
     def survivor_count(self) -> int:
-        return (1 << self.ambient) - len(self.removed)
+        return (1 << self.ambient) - self.removed_mask.bit_count()
 
     def _check_endpoint(self, v: Vertex, name: str) -> int:
         if v.dim != self.ambient:
             raise ValueError(f"{name} lives in Q_{v.dim}, graph in Q_{self.ambient}")
-        if v.bits in self.removed:
+        if self.removed_mask >> v.bits & 1:
             raise ValueError(f"{name} {v.pattern} is a removed vertex")
         return v.bits
 
@@ -297,17 +296,8 @@ def diameter(g: SurvivalGraph) -> int | None:
     return _diameter_mask(g.ambient, g.survivor_mask)
 
 
-def component_of(g: SurvivalGraph, v: Vertex) -> set[Vertex]:
-    """All survivors reachable from v, including v itself; refused when
-    its survivors, one Vertex each, would pass 128 MiB."""
+def component_of(g: SurvivalGraph, v: Vertex) -> int:
+    """The survivors reachable from v, v included, as a bitset: bit w is
+    set iff vertex w lies in v's component."""
     vb = g._check_endpoint(v, "v")
-    n, count = g.ambient, g.survivor_count
-    request = f"component_of over the {count:,} survivors of Q_{n}"
-    other = "is_connected or bfs_distance, which build no Vertex per survivor"
-    if count * _COMPONENT_BYTES << 3 > _MASK_TABLE_BITS:  # the element bitset table's budget
-        raise ResourceLimitError(f"{request} would hold about {count * _COMPONENT_BYTES >> 20:,} "
-                                 f"MiB, above {_MASK_TABLE_BITS >> 23} MiB; use {other}")
-    visited, _ = _bfs_cover(n, g.survivor_mask, 1 << vb)
-    # one linear pass over the binary digits, lowest vertex first
-    bits = f"{visited:b}"[::-1]
-    return {Vertex(w, n) for w, bit in enumerate(bits) if bit == "1"}
+    return _bfs_cover(g.ambient, g.survivor_mask, 1 << vb)[0]

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
-from .core import _ElementSpace, _vertex_mask
+from .core import _ElementSpace, _union_mask
 from .errors import InvariantViolation
 from .faults import (
     FaultFamily, FaultMode, _count_packings, _iter_packings, _max_family_size, _sample_one, _space,
@@ -241,10 +241,7 @@ def _sampled_families(
     limit = _max_family_size(space.n, mode)
     for _ in range(search.draws):
         idx, pairs = _sample_one(rng, mode, space, rng.randint(0, budget), limit)
-        faults = 0
-        for fr, ba in pairs:
-            faults |= _vertex_mask(fr, ba)
-        yield idx, faults
+        yield idx, _union_mask(pairs)
 
 
 def _max_diameter(

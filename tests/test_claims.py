@@ -53,6 +53,13 @@ def test_max_n_filters():
     assert all(r.params["n"] <= 3 for r in results)
 
 
+@pytest.mark.parametrize("claims, max_n, low", [(None, 2, 3), (None, -1, 3), (["lem3.4(n=5)"], 4, 5)])
+def test_a_max_n_that_leaves_no_claim_is_rejected(claims, max_n, low):
+    with pytest.raises(ValueError, match=f"^max_n {max_n} leaves no claim; the selected claims "
+                       f"start at n = {low}$"):
+        verify_claims(claims, max_n=max_n)
+
+
 def test_records_are_serializable():
     (res,) = verify_claims(["lem2.4(n=3,m=1)"])
     rec = res.to_record()
@@ -192,7 +199,7 @@ def test_small_removal_check_reports_a_disconnection(monkeypatch):
     """With every faulty survivor graph reported disconnected, lem3.2
     fails on the first vertex fault and names it."""
     real = claims.diameter
-    monkeypatch.setattr(claims, "diameter", lambda g: None if g.removed else real(g))
+    monkeypatch.setattr(claims, "diameter", lambda g: None if g.removed_mask else real(g))
     assert verdicts(["lem3.2(n=3)", "lem3.2(n=4)"]) == [
         ("lem3.2(n=3)", "3", "disconnected", "fail", ["000"]),
         ("lem3.2(n=4)", "4", "disconnected", "fail", ["0000"]),
@@ -235,7 +242,7 @@ def test_extremal_checks_report_an_invalid_family(monkeypatch):
 
 
 def test_pinned_edge_check_reports_the_wrong_component(monkeypatch):
-    monkeypatch.setattr(claims, "component_of", lambda g, v: {v})
+    monkeypatch.setattr(claims, "component_of", lambda g, v: 1 << v.bits)
     assert verdicts(["lem3.4(n=5)"]) == [(
         "lem3.4(n=5)", "6", "pinned component is not the expected edge", "fail",
         ["*0010", "*0100", "*1000"],

@@ -93,6 +93,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--claims", "thm3.3,lem2.3(n=3),thm3.3")
         assert (code, out, err) == (2, "", "error: repeated claim ids: thm3.3\n")
 
+    def test_a_max_n_below_every_claim_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: max_n 2 leaves no claim; the selected claims start at n = 3\n"
+
     def test_table_has_one_line_per_claim(self, capsys):
         code, out, _ = run(capsys, "verify", "--claims", "lem2.2(n=3),lem2.2(n=4)")
         assert code == 0

@@ -136,7 +136,7 @@ def test_a_sampled_search_is_refused_before_any_draw(no_scans, monkeypatch, case
         raise AssertionError("a vertex bitset was built")
 
     monkeypatch.setattr(core, "_vertex_mask", refuse)
-    monkeypatch.setattr(oracle, "_vertex_mask", refuse)
+    monkeypatch.setattr(oracle, "_union_mask", refuse)
     assert sampled_verdict(*case) == "refused"
 
 

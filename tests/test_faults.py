@@ -184,7 +184,7 @@ class TestValidation:
 
     def test_fault_vertices(self):
         fam = FaultFamily.from_patterns(["0*1", "110"], FaultMode.substructure(), 3)
-        assert SurvivalGraph.from_family(fam).removed == {0b001, 0b011, 0b110}
+        assert SurvivalGraph.from_family(fam).removed_mask == 1 << 0b001 | 1 << 0b011 | 1 << 0b110
         assert fam.size == 2
 
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])
@@ -461,8 +461,17 @@ def refuse_element_space(monkeypatch):
     def refuse(*args):
         raise AssertionError("the element space or its bitset table was built")
 
+    table = core._ElementSpace.masks.func
+
+    def refuse_table(space):
+        # the table's size refusal runs, then its first bitset fails; the
+        # sampled search's own per-draw bitsets stay allowed
+        with monkeypatch.context() as m:
+            m.setattr(core, "_vertex_mask", refuse)
+            return table(space)
+
     monkeypatch.setattr(core._ElementSpace, "__iter__", refuse, raising=False)
-    monkeypatch.setattr(core, "_vertex_mask", refuse)
+    monkeypatch.setattr(core._ElementSpace, "masks", property(refuse_table))
 
 
 class TestUnrankedSampling:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from cube_faultlab import (
     FaultFamily,
     FaultMode,
     ResourceLimitError,
+    Subcube,
     SurvivalGraph,
     Vertex,
     adversarial_q1_family,
@@ -19,15 +21,29 @@ from cube_faultlab import (
     bfs_distance,
     component_of,
     diameter,
+    enumerate_families,
     hamming,
     is_connected,
     sample_families,
 )
 from cube_faultlab import metrics
+from cube_faultlab.faults import _max_family_size
 
 
 def fault_free(n: int) -> SurvivalGraph:
     return SurvivalGraph(n, frozenset())
+
+
+def all_modes(n: int):
+    yield FaultMode.substructure()
+    yield from (FaultMode.structure(m) for m in range(n + 1))
+    yield from (FaultMode.subcube(m) for m in range(1, n + 1))
+
+
+def ref_survivors(fam: FaultFamily) -> int:
+    """The survivors of `fam` as a bitset, built label by label."""
+    faulty = {w for s in fam.elements for w in s.vertex_bits()}
+    return sum(1 << w for w in range(1 << fam.ambient) if w not in faulty)
 
 
 class TestBfsDistance:
@@ -48,7 +64,7 @@ class TestBfsDistance:
     def test_unreachable_is_none(self):
         fam = FaultFamily.from_patterns(["0*1", "*10", "10*"], FaultMode.structure(1), 3)
         g = SurvivalGraph.from_family(fam)
-        assert 0b000 not in g.removed
+        assert not g.removed_mask & 1
         assert bfs_distance(g, Vertex.from_pattern("000"), Vertex.from_pattern("111")) is None
 
     def test_removed_endpoint_rejected(self):
@@ -104,20 +120,18 @@ class TestConnectivity:
     def test_component_of_isolated_corner(self):
         fam = FaultFamily.from_patterns(["001", "010", "100"], FaultMode.structure(0), 3)
         g = SurvivalGraph.from_family(fam)
-        comp = component_of(g, Vertex.from_pattern("000"))
-        assert {v.pattern for v in comp} == {"000"}
+        assert component_of(g, Vertex.from_pattern("000")) == 1
 
     def test_component_covers_all_when_connected(self):
         g = fault_free(4)
-        comp = component_of(g, Vertex.from_pattern("0000"))
-        assert len(comp) == 16
+        assert component_of(g, Vertex.from_pattern("0000")) == (1 << 16) - 1
 
     def test_component_of_the_full_q18(self):
-        # the bits are read in one linear pass; one XOR per bit took 5 s here
-        comp = component_of(fault_free(18), Vertex(5, 18))
-        assert len(comp) == 1 << 18
-        assert {v.bits for v in comp} == set(range(1 << 18))
-        assert {v.dim for v in comp} == {18}
+        assert component_of(fault_free(18), Vertex(5, 18)) == (1 << (1 << 18)) - 1
+
+    def test_component_of_the_full_q20(self):
+        # refused when component_of built one Vertex per survivor (150 B each)
+        assert component_of(fault_free(20), Vertex(0, 20)) == (1 << (1 << 20)) - 1
 
 
 class TestSurvivalGraph:
@@ -125,8 +139,8 @@ class TestSurvivalGraph:
         fam = adversarial_q1_family(4)
         g = SurvivalGraph.from_family(fam)
         assert g.survivor_count == 16 - 4
-        assert 0b0000 not in g.removed
-        assert 0b0100 in g.removed
+        assert not g.removed_mask & 1
+        assert g.removed_mask >> 0b0100 & 1
 
     def test_plain_vertex_removals(self):
         g = SurvivalGraph(3, frozenset({0, 7}))
@@ -141,27 +155,53 @@ class TestSurvivalGraph:
             SurvivalGraph(n, frozenset({0, 1}))
 
     def test_from_family_refuses_before_listing_faulty_labels(self, monkeypatch):
-        def refuse(family):
-            raise AssertionError("faulty labels were listed")
+        def refuse(*args):
+            raise AssertionError("a vertex bitset was built")
 
-        monkeypatch.setattr(metrics, "fault_bits", refuse)
+        monkeypatch.setattr(metrics, "_union_mask", refuse)
         with pytest.raises(ResourceLimitError, match="cap of n = 26"):
             SurvivalGraph.from_family(adversarial_subcube_family(30, 27))
 
-    def test_component_of_is_priced_per_survivor(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_bfs_cover", None)  # a started search fails differently
-        with pytest.raises(ResourceLimitError, match="^component_of over the 67,108,863 "
-                           "survivors of Q_26 .*; use is_connected or bfs_distance"):
-            component_of(SurvivalGraph(26, frozenset({1})), Vertex(0, 26))
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_from_family_ors_the_element_bitsets(self, monkeypatch, n):
+        # two Q_(n-2) faults: listing their labels took 0.13 / 0.26 s and
+        # 64 / 128 MiB at n = 20 / 21; the OR takes 0.0002 / 0.0006 s
+        # (2 vCPUs, Python 3.11.7)
+        def refuse(self):
+            raise AssertionError("faulty labels were listed")
 
-    @pytest.mark.parametrize("n, mib", [(22, "600"), (24, "2,400")])
-    def test_component_of_is_refused_past_the_memory_budget(self, monkeypatch, n, mib):
-        # 150 B a survivor: 600 MiB and 2.3 GiB, refused before the BFS starts
-        monkeypatch.setattr(metrics, "_bfs_cover", None)
-        with pytest.raises(ResourceLimitError, match=f"^component_of over the {1 << n:,} survivors "
-                           f"of Q_{n} would hold about {mib} MiB, above 128 MiB; use is_connected "
-                           "or bfs_distance"):
-            component_of(fault_free(n), Vertex(0, n))
+        monkeypatch.setattr(Subcube, "vertex_bits", refuse)
+        half = "*" * (n - 2)
+        fam = FaultFamily.from_patterns(["00" + half, "11" + half], FaultMode.structure(n - 2), n)
+        t0 = time.perf_counter()
+        g = SurvivalGraph.from_family(fam)
+        assert time.perf_counter() - t0 < 0.1
+        assert g.survivor_count == 1 << (n - 1)
+        assert g.survivor_mask == ((1 << (1 << (n - 1))) - 1) << (1 << (n - 2))
+
+    def test_repr_leaves_out_the_mask(self):
+        # Python refuses to print an int past 4,300 digits: any Q_14 mask
+        assert repr(SurvivalGraph(20, [0, 5])) == "SurvivalGraph(ambient=20)"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_survivor_mask_on_every_family(self, n):
+        # every size at n <= 3; sizes 0..2 at n = 4, past which subcube:3
+        # and subcube:4 pack millions of families
+        for mode in all_modes(n):
+            top = _max_family_size(n, mode)
+            for size in range((top if n <= 3 else min(top, 2)) + 1):
+                for fam in enumerate_families(n, mode, size):
+                    assert SurvivalGraph.from_family(fam).survivor_mask == ref_survivors(fam)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_survivor_mask_on_seeded_families(self, n):
+        for mode in all_modes(n):
+            sizes = {1, min(2, _max_family_size(n, mode))}
+            if mode.max_element_dim <= n - 2:
+                sizes.add(mode.kappa(n) - 1)  # the full fault budget
+            for size in sizes:
+                for fam in sample_families(n, mode, size, 4, seed=31 * n + size):
+                    assert SurvivalGraph.from_family(fam).survivor_mask == ref_survivors(fam)
 
 
 def test_distance_cross_check_against_random_faults():
@@ -170,7 +210,7 @@ def test_distance_cross_check_against_random_faults():
     for _ in range(20):
         fam = sample_families(5, FaultMode.subcube(2), 2, 1, seed=rng.randrange(1 << 30))[0]
         g = SurvivalGraph.from_family(fam)
-        survivors = [b for b in range(32) if b not in g.removed]
+        survivors = [b for b in range(32) if g.survivor_mask >> b & 1]
         src = rng.choice(survivors)
         dist = {src: 0}
         frontier = [src]

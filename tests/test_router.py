@@ -68,7 +68,7 @@ def assert_route_ok(u, v, fam, bound):
     path = route_with_report(u, v, fam).path
     assert path.vertices[0] == u and path.vertices[-1] == v
     g = SurvivalGraph.from_family(fam)
-    assert not any(w.bits in g.removed for w in path.vertices)
+    assert not any(g.removed_mask >> w.bits & 1 for w in path.vertices)
     assert path.length <= bound
     assert path.length >= bfs_distance(g, u, v)
     return path
@@ -100,7 +100,7 @@ class TestGuidedRoute:
         # one Q_2 fault in Q_4: every survivor pair routes in <= 4 steps
         fam = FaultFamily.from_patterns(["1**0"], FaultMode.structure(2), 4)
         g = SurvivalGraph.from_family(fam)
-        survivors = [Vertex(b, 4) for b in range(16) if b not in g.removed]
+        survivors = [Vertex(b, 4) for b in range(16) if g.survivor_mask >> b & 1]
         for u, v in itertools.combinations(survivors, 2):
             path = assert_route_ok(u, v, fam, 4)
 
@@ -273,7 +273,7 @@ def test_randomized_sweep_meets_bounds(n):
         bound = route_bound(n, mode)
         for fam in sample_families(n, mode, budget, 40, seed=rng.randrange(1 << 30)):
             g = SurvivalGraph.from_family(fam)
-            survivors = [Vertex(b, n) for b in range(1 << n) if b not in g.removed]
+            survivors = [Vertex(b, n) for b in range(1 << n) if g.survivor_mask >> b & 1]
             u, v = rng.sample(survivors, 2)
             assert_route_ok(u, v, fam, bound)
 
@@ -363,8 +363,8 @@ def test_routing_is_translation_equivariant():
     checked = 0
     for fam in equivariance_families():
         n = fam.ambient
-        removed = SurvivalGraph.from_family(fam).removed
-        u, v = rng.sample([x for x in range(1 << n) if x not in removed], 2)
+        alive = SurvivalGraph.from_family(fam).survivor_mask
+        u, v = rng.sample([x for x in range(1 << n) if alive >> x & 1], 2)
         b = rng.getrandbits(n)
         rep = route_with_report(Vertex(u, n), Vertex(v, n), fam)
         moved = route_with_report(Vertex(u ^ b, n), Vertex(v ^ b, n), translated(fam, b))
@@ -387,12 +387,12 @@ def test_every_route_from_vertex_0_at_n5_meets_the_bound(label, families, routes
     seen = routed = worst = fallbacks = 0
     for size in range(mode.kappa(n)):
         for fam in enumerate_families(n, mode, size):
-            removed = SurvivalGraph.from_family(fam).removed
-            if 0 in removed:
+            alive = SurvivalGraph.from_family(fam).survivor_mask
+            if not alive & 1:
                 continue
             seen += 1
             for v in range(1, 1 << n):
-                if v not in removed:
+                if alive >> v & 1:
                     rep = route_with_report(Vertex(0, n), Vertex(v, n), fam)
                     routed += 1
                     worst = max(worst, rep.length)

@@ -8,7 +8,7 @@ witness indices and the same families-scanned counts.  The references
 here build their own neighbour masks vertex by vertex and run one BFS
 per source or per family.  The engine's tables are checked too: the
 per-dimension masks against a long-division formula, and a survival
-graph's removed-vertex mask against the elements' vertex bitsets.
+graph built from a family against one built from its faulty labels.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import pytest
 
 from cube_faultlab import FaultMode, SurvivalGraph, adversarial_subcube_family, sample_families
 from cube_faultlab import metrics
-from cube_faultlab.core import _vertex_mask
-from cube_faultlab.faults import _space, fault_bits
+from cube_faultlab.faults import _space
 from cube_faultlab.oracle import _iter_packings, _kappa_scan
 
 
@@ -135,10 +134,8 @@ def test_removed_mask_is_the_union_of_the_elements(n):
             mode = FaultMode.from_label(label)
             families += sample_families(n, mode, mode.kappa(n) - 1, 4, seed=n)
     for fam in families:
-        want = 0
-        for s in fam.elements:
-            want |= _vertex_mask(s.free_mask, s.base)
-        assert SurvivalGraph.from_family(fam).removed_mask == want
+        labels = (w for s in fam.elements for w in s.vertex_bits())
+        assert SurvivalGraph.from_family(fam) == SurvivalGraph(n, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,8 @@ def test_diameter_on_sampled_fault_families(n):
     for label in ("structure:1", "subcube:2", "structure:0"):
         mode = FaultMode.from_label(label)
         for fam in sample_families(n, mode, mode.kappa(n) - 1, 4, seed=n):
-            allowed = (1 << (1 << n)) - 1 & ~vertex_set(n, fault_bits(fam))
+            faulty = (w for s in fam.elements for w in s.vertex_bits())
+            allowed = (1 << (1 << n)) - 1 & ~vertex_set(n, faulty)
             assert metrics._diameter_mask(n, allowed) == ref_diameter(n, allowed)
 
 
