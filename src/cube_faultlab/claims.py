@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .core import Vertex, common_neighbors, enumerate_subcubes, hamming
+from .core import Vertex, _common_neighbor_bits, enumerate_subcubes
 from .faults import (
     FaultFamily,
     FaultMode,
@@ -124,31 +124,35 @@ def _violations(bad: int, witness: list[str]):
 
 def _check_common_neighbors(n: int):
     """Distinct vertices have 2 common neighbors at Hamming distance 2
-    and none otherwise; one violation per failing pair of labels."""
+    and none otherwise: two distinct labels, each adjacent to both ends.
+    Walks label pairs through core._common_neighbor_bits; one violation
+    per failing pair of labels."""
     bad = 0
     witness: list[str] = []
     for ub, vb in combinations(range(1 << n), 2):
-        u, v = Vertex(ub, n), Vertex(vb, n)
-        want = 2 if hamming(u, v) == 2 else 0
-        if len(common_neighbors(u, v)) != want:
+        got = _common_neighbor_bits(ub, vb)
+        want = 2 if (ub ^ vb).bit_count() == 2 else 0
+        if not (len(got) == len(set(got)) == want
+                and all((w ^ ub).bit_count() == (w ^ vb).bit_count() == 1 for w in got)):
             bad += 1
-            witness = witness or [u.pattern, v.pattern]
+            witness = witness or [Vertex(ub, n).pattern, Vertex(vb, n).pattern]
     return _violations(bad, witness)
 
 
 def _check_subcube_closure(n: int):
     """Common neighbors of two vertices of a subcube lie in the subcube.
-    Every subcube of dimension >= 1 and every pair of its vertices; one
-    violation per failing subcube, witnessed by its first failing pair."""
+    Every subcube of dimension >= 1 and every pair of its vertex labels,
+    walked through core._common_neighbor_bits and tested with
+    Subcube.contains; one violation per failing subcube, witnessed by its
+    first failing pair."""
     bad = 0
     witness: list[str] = []
     for k in range(1, n + 1):
         for s in enumerate_subcubes(n, k):
             for ub, vb in combinations(s.vertex_bits(), 2):
-                u, v = Vertex(ub, n), Vertex(vb, n)
-                if not all(s.contains(w) for w in common_neighbors(u, v)):
+                if not all(map(s.contains, _common_neighbor_bits(ub, vb))):
                     bad += 1
-                    witness = witness or [s.pattern, u.pattern, v.pattern]
+                    witness = witness or [s.pattern, Vertex(ub, n).pattern, Vertex(vb, n).pattern]
                     break
     return _violations(bad, witness)
 

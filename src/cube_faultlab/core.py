@@ -124,6 +124,16 @@ def hamming(u: Vertex, v: Vertex) -> int:
     return (u.bits ^ v.bits).bit_count()
 
 
+def _common_neighbor_bits(ub: int, vb: int) -> tuple[int, ...]:
+    """Labels adjacent to both labels ub and vb: at Hamming distance 2,
+    ub with either differing bit flipped (low bit first); otherwise none."""
+    diff = ub ^ vb
+    if diff.bit_count() != 2:
+        return ()
+    low = diff & -diff
+    return ub ^ low, ub ^ diff ^ low
+
+
 def common_neighbors(u: Vertex, v: Vertex) -> set[Vertex]:
     """Vertices adjacent to both u and v.
 
@@ -133,15 +143,7 @@ def common_neighbors(u: Vertex, v: Vertex) -> set[Vertex]:
     _check_same_cube(u, v)
     if u == v:
         raise ValueError("common_neighbors requires two distinct vertices")
-    diff = u.bits ^ v.bits
-    if diff.bit_count() != 2:
-        return set()
-    out = set()
-    while diff:
-        low = diff & -diff
-        out.add(Vertex(u.bits ^ low, u.dim))
-        diff ^= low
-    return out
+    return {Vertex(w, u.dim) for w in _common_neighbor_bits(u.bits, v.bits)}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from cube_faultlab import FaultMode, Vertex, claim_ids, claims, connectivity_bruteforce, verify_claims
+from cube_faultlab import (
+    FaultMode,
+    Vertex,
+    claim_ids,
+    claims,
+    common_neighbors,
+    connectivity_bruteforce,
+    core,
+    verify_claims,
+)
 from cube_faultlab.cli import main
 
 CATALOG_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_reference.json"
@@ -168,13 +177,16 @@ def test_verify_all_matches_the_golden_records(capsys):
     assert got == VERIFY_ALL.read_text()
 
 
+def antipode_kernel(n):
+    """A broken common-neighbour kernel of Q_n: the antipode of ub alone."""
+    return lambda ub, vb: (ub ^ ((1 << n) - 1),)
+
+
 def test_common_neighbor_checks_report_each_failure(monkeypatch):
-    """With common_neighbors broken (it returns the antipode alone), every
-    instance counts one violation per vertex pair (lem2.5) and per
-    subcube (cor2.6), and names the first failing case."""
-    monkeypatch.setattr(
-        claims, "common_neighbors", lambda u, v: {Vertex(u.bits ^ ((1 << u.dim) - 1), u.dim)}
-    )
+    """With the common-neighbour kernel broken (it returns the antipode
+    alone), every instance counts one violation per vertex pair (lem2.5)
+    and per subcube (cor2.6), and names the first failing case.  The
+    public common_neighbors wraps the same kernel, so it breaks too."""
     want = [
         ("lem2.5(n=3)", "28 violations", ["000", "001"]),
         ("lem2.5(n=4)", "120 violations", ["0000", "0001"]),
@@ -184,6 +196,33 @@ def test_common_neighbor_checks_report_each_failure(monkeypatch):
         ("cor2.6(n=4)", "64 violations", ["000*", "0000", "0001"]),
         ("cor2.6(n=5)", "210 violations", ["0000*", "00000", "00001"]),
         ("cor2.6(n=6)", "664 violations", ["00000*", "000000", "000001"]),
+    ]
+    results = []
+    for claim, _, witness in want:
+        n = len(witness[-1])  # the last witness pattern is a vertex of Q_n
+        monkeypatch.setattr(claims, "_common_neighbor_bits", antipode_kernel(n))
+        results += verify_claims([claim])
+    assert [(r.claim_id, r.computed, list(r.witness)) for r in results] == want
+    assert all(r.status == "fail" for r in results)
+
+    monkeypatch.setattr(core, "_common_neighbor_bits", antipode_kernel(3))
+    got = common_neighbors(Vertex.from_pattern("000"), Vertex.from_pattern("011"))
+    assert {w.pattern for w in got} == {"111"}
+
+
+def test_common_neighbor_check_names_the_labels(monkeypatch):
+    """A kernel that returns the two endpoints at Hamming distance 2 has
+    the right count and the wrong labels; lem2.5 counts one violation
+    per such pair, C(n, 2) * 2^(n-1) of them, and names the first."""
+    monkeypatch.setattr(
+        claims, "_common_neighbor_bits",
+        lambda ub, vb: (ub, vb) if (ub ^ vb).bit_count() == 2 else (),
+    )
+    want = [
+        ("lem2.5(n=3)", "12 violations", ["000", "011"]),
+        ("lem2.5(n=4)", "48 violations", ["0000", "0011"]),
+        ("lem2.5(n=5)", "160 violations", ["00000", "00011"]),
+        ("lem2.5(n=6)", "480 violations", ["000000", "000011"]),
     ]
     results = verify_claims([claim for claim, _, _ in want])
     assert [(r.claim_id, r.computed, list(r.witness)) for r in results] == want

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from cube_faultlab import (
     hamming,
     neighbor,
 )
+from cube_faultlab.core import _common_neighbor_bits
 
 dims = st.integers(min_value=1, max_value=10)
 
@@ -119,6 +121,20 @@ class TestCommonNeighbors:
         u = Vertex.from_pattern("000")
         with pytest.raises(ValueError):
             common_neighbors(u, u)
+
+    def test_vertices_of_different_cubes_rejected(self):
+        with pytest.raises(ValueError, match="different cubes"):
+            common_neighbors(Vertex(0, 3), Vertex(3, 4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_brute_force(self, n):
+        """Every ordered distinct pair: the labels adjacent to both ends."""
+        for ub, vb in permutations(range(1 << n), 2):
+            want = {w for w in range(1 << n)
+                    if (w ^ ub).bit_count() == (w ^ vb).bit_count() == 1}
+            got = _common_neighbor_bits(ub, vb)
+            assert len(got) == len(want) and set(got) == want
+            assert common_neighbors(Vertex(ub, n), Vertex(vb, n)) == {Vertex(w, n) for w in want}
 
 
 class TestSubcube:
