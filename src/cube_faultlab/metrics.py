@@ -18,7 +18,10 @@ shift crosses a row boundary, and one loop (_bfs_cover) advances all k
 searches with the same big-int operations.  Rows go max(1, 2^16 >> n)
 to an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds
 one row per source vertex; the connectivity oracle seeds one row per
-candidate family.
+candidate family.  The fault-diameter oracle does both at n <= 7: a
+block of 2^n source rows per family, _rows_per_int(n) >> n families per
+BFS (_batch_diameter).  It settles a batch holding an empty or
+disconnected set, and every family at n >= 8, with _diameter_mask.
 
 A survival graph is refused past n = _BITSET_LIMIT (26) when it is
 built; the router needs none and serves n <= 30 with its own BFS.
@@ -109,7 +112,7 @@ def _lo_masks(n: int, rows: int = 1) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -> tuple[int, int]:
+def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -> tuple[int, int, int]:
     """BFS from the vertex set `start` inside `allowed`, `rows` BFSs at once.
 
     Bits r*2^n .. (r+1)*2^n - 1 of both integers are row r, an
@@ -117,9 +120,10 @@ def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -
     `start` must lie inside `allowed`; `rows` bounds the row count
     (unused rows are all zero).  The search ends early once a level
     (the start set being level 0) meets `stop`.
-    Returns (visited set, number of levels expanded); without an early
-    end the second is the largest eccentricity of a row's start set
-    within its component.
+    Returns (visited set, number of levels expanded, last level); without
+    an early end the second is the largest eccentricity of a row's start
+    set within its component, and the last level holds the vertices at
+    that distance.
     """
     # memoise only tables of at most _ROW_BITS bits: a larger one would
     # outlive the call (Q_26's is 208 MiB)
@@ -137,7 +141,7 @@ def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -
         left ^= nxt
         frontier = nxt
         levels += 1
-    return allowed ^ left, levels
+    return allowed ^ left, levels, frontier
 
 
 def _first_disconnected(n: int, sets: list[int]) -> int | None:
@@ -154,11 +158,26 @@ def _first_disconnected(n: int, sets: list[int]) -> int | None:
     # x & ~(x - 1) is the lowest bit of x, done in every row at once;
     # no row is 0, so no borrow crosses into the next row
     ones = _spaced_ones(rows, 1 << n) >> ((rows - len(sets)) << n)
-    visited, _ = _bfs_cover(n, allowed, allowed & ~(allowed - ones), rows)
-    left = allowed ^ visited
+    left = allowed ^ _bfs_cover(n, allowed, allowed & ~(allowed - ones), rows)[0]
     if not left:
         return None
     return ((left & -left).bit_length() - 1) >> n
+
+
+def _batch_diameter(n: int, sets: list[int]) -> tuple[int, int] | None:
+    """(largest diameter, index of the first set attaining it) over the
+    vertex sets `sets` (at most _rows_per_int(n) >> n), None when one is
+    empty or disconnected.  Set i fills rows i*2^n and up, row r seeded
+    at vertex r, all in one _bfs_cover: the sets are connected iff it
+    visits Σ|S|² bits, and the lowest bit of its last level lies in the
+    first set at the largest eccentricity."""
+    size = 1 << n
+    wide = [s * _spaced_ones(size, size) for s in sets]
+    seeds = _pack_rows(2 * n, [w & _spaced_ones(size, size + 1) for w in wide])
+    visited, levels, last = _bfs_cover(n, _pack_rows(2 * n, wide), seeds, _rows_per_int(n))
+    if 0 in sets or visited.bit_count() != sum(s.bit_count() ** 2 for s in sets):
+        return None
+    return levels, ((last & -last).bit_length() - 1) >> 2 * n
 
 
 def _pack_rows(n: int, sets: list[int]) -> int:
@@ -198,7 +217,7 @@ def _diameter_mask(n: int, allowed: int) -> int | None:
         seeds = wide & diagonal << base
         if not seeds:
             continue
-        visited, levels = _bfs_cover(n, wide, seeds, rows)
+        visited, levels, _ = _bfs_cover(n, wide, seeds, rows)
         if base == first and visited >> ((low - first) << n) & allowed != allowed:
             return None
         if levels > best:
@@ -269,7 +288,7 @@ def bfs_distance(g: SurvivalGraph, u: Vertex, v: Vertex) -> int | None:
     """
     ub = g._check_endpoint(u, "u")
     vb = g._check_endpoint(v, "v")
-    visited, levels = _bfs_cover(g.ambient, g.survivor_mask, 1 << ub, stop=1 << vb)
+    visited, levels, _ = _bfs_cover(g.ambient, g.survivor_mask, 1 << ub, stop=1 << vb)
     return levels if visited >> vb & 1 else None
 
 

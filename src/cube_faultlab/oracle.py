@@ -27,9 +27,14 @@ families-scanned count are exactly those of a one-family-at-a-time scan.
 Both fault-diameter searches run one loop (_max_diameter) over (key,
 fault bitset) pairs, and both key a family by its ascending element
 indices: the exhaustive scan's packings and the sampled search's
-accepted draws alike.  Only the winning key becomes a witness.  The
-sampled search (a SearchSpec passed as `search`) is a library call
-only: the cli's fault-diameter always runs the exhaustive scan.
+accepted draws alike.  At n <= 7 the loop batches consecutive families
+through metrics._batch_diameter; a batch that beats the best so far
+gives its first family at its maximum, so ties keep the earliest.  A
+batch with an empty or disconnected survivor set, and every family at
+n >= 8, goes family by family through metrics._diameter_mask, which
+raises or skips.  Only the winning key becomes a witness.  The sampled
+search (a SearchSpec passed as `search`) is a library call only: the
+cli's fault-diameter always runs the exhaustive scan.
 
 Translation reduction.  XOR by a vertex b is an automorphism of Q_n; it
 maps an element (free, base) to (free, base ^ (b & ~free)), so it keeps
@@ -62,7 +67,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import _ElementSpace, _union_mask
 from .errors import InvariantViolation
@@ -70,8 +75,8 @@ from .faults import (
     FaultFamily, FaultMode, _count_packings, _iter_packings, _max_family_size, _sample_one, _space,
 )
 from .metrics import (
-    _CONNECTIVITY_US, _check_time, _diameter_mask, _diameter_us, _first_disconnected, _full_mask,
-    _rows_per_int,
+    _CONNECTIVITY_US, _batch_diameter, _check_time, _diameter_mask, _diameter_us,
+    _first_disconnected, _full_mask, _rows_per_int,
 )
 
 
@@ -246,7 +251,7 @@ def _sampled_families(
 
 def _max_diameter(
     space: _ElementSpace, mode: FaultMode, budget: int,
-    families: Iterable[tuple[tuple[int, ...], int]],
+    families: Iterator[tuple[tuple[int, ...], int]],
 ) -> tuple[int, tuple[int, ...], int, int]:
     """The one diameter-scan loop, over (ascending indices, fault bitset)
     pairs of `space`.
@@ -262,20 +267,26 @@ def _max_diameter(
     best = -1
     best_key = None
     walked = skipped = 0
-    for key, faults in families:
-        walked += 1
-        surv = full & ~faults
-        d = _diameter_mask(n, surv) if surv else None
-        if d is None:
-            if budget_safe:
-                pats = ", ".join(space[i].pattern for i in key)
-                raise InvariantViolation(
-                    f"family within the connectivity budget disconnected Q_{n} "
-                    f"(mode {mode.label}): {pats}"
-                )
-            skipped += 1
-        elif d > best:
-            best, best_key = d, key
+    per_int = _rows_per_int(n) >> n
+    while batch := list(islice(families, max(per_int, 1))):
+        walked += len(batch)
+        survivors = [full & ~faults for _, faults in batch]
+        if per_int > 1 and (hit := _batch_diameter(n, survivors)):
+            if hit[0] > best:
+                best, best_key = hit[0], batch[hit[1]][0]
+            continue
+        for (key, _), surv in zip(batch, survivors):
+            d = _diameter_mask(n, surv) if surv else None
+            if d is None:
+                if budget_safe:
+                    pats = ", ".join(space[i].pattern for i in key)
+                    raise InvariantViolation(
+                        f"family within the connectivity budget disconnected Q_{n} "
+                        f"(mode {mode.label}): {pats}"
+                    )
+                skipped += 1
+            elif d > best:
+                best, best_key = d, key
     if best_key is None:
         raise InvariantViolation(
             f"every family within budget {budget} disconnected Q_{n} "

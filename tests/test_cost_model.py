@@ -37,6 +37,7 @@ def no_scans(monkeypatch):
         raise Started
 
     monkeypatch.setattr(oracle, "_iter_packings", start)
+    monkeypatch.setattr(oracle, "_batch_diameter", start)
     monkeypatch.setattr(oracle, "_diameter_mask", start)
     monkeypatch.setattr(metrics, "_diameter_mask", start)
 

@@ -303,12 +303,14 @@ class TestArgumentChecks:
 
 
 class TestInvariantErrors:
-    """With every survivor set reported disconnected, the exhaustive scan
+    """With every survivor set reported disconnected, by the batch kernel
+    and by the per-family diameter it falls back to, the exhaustive scan
     and the sampled search fail the same way and name the caller's mode."""
 
     SEARCHES = [None, SearchSpec.sampled(0, 10)]  # the exhaustive scan, then the sampled one
 
     def errors(self, monkeypatch, budget):
+        monkeypatch.setattr(oracle, "_batch_diameter", lambda n, sets: None)
         monkeypatch.setattr(oracle, "_diameter_mask", lambda n, surv: None)
         messages = []
         for search in self.SEARCHES:

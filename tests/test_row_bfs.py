@@ -1,12 +1,15 @@
 """The row-packed bitset BFS against plain one-BFS-at-a-time references.
 
-metrics._diameter_mask runs many BFS sources per big integer, and
-oracle._kappa_scan checks a batch of candidate families per BFS.  Both
-must give exactly what a per-source diameter scan and a per-family
-connectivity scan give: the same diameters and None cases, the same
-witness indices and the same families-scanned counts.  The references
-here build their own neighbour masks vertex by vertex and run one BFS
-per source or per family.  The engine's tables are checked too: the
+metrics._diameter_mask runs many BFS sources per big integer,
+oracle._kappa_scan checks a batch of candidate families per BFS, and
+oracle._max_diameter measures a batch of families per BFS
+(metrics._batch_diameter).  They must give exactly what a per-source
+diameter scan and a per-family connectivity or diameter scan give: the
+same diameters and None cases, the same witness indices and the same
+families-scanned and skipped counts.  The references here build their
+own neighbour masks vertex by vertex and run one BFS per source or per
+family; the diameter scan's reference is the one-family-at-a-time loop
+over _diameter_mask.  The engine's tables are checked too: the
 per-dimension masks against a long-division formula, and a survival
 graph built from a family against one built from its faulty labels.
 """
@@ -16,12 +19,16 @@ from __future__ import annotations
 import random
 import time
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 
-from cube_faultlab import FaultMode, SurvivalGraph, adversarial_subcube_family, sample_families
-from cube_faultlab import metrics
-from cube_faultlab.faults import _space
+from cube_faultlab import (
+    FaultMode, InvariantViolation, SearchSpec, SurvivalGraph, adversarial_subcube_family,
+    fault_diameter_bruteforce, sample_families,
+)
+from cube_faultlab import metrics, oracle
+from cube_faultlab.faults import _max_family_size, _space
 from cube_faultlab.oracle import _iter_packings, _kappa_scan
 
 
@@ -233,7 +240,7 @@ def scan_cases(n: int, label: str):
 @pytest.mark.parametrize(
     "n,label", [(n, mode.label) for n in (2, 3, 4) for mode in modes(n)]
 )
-def test_kappa_chunk_matches_the_per_family_scan(n, label):
+def test_kappa_scan_matches_the_per_family_scan(n, label):
     mode = FaultMode.from_label(label)
     masks = _space(n, mode).masks
     for size, firsts in scan_cases(n, label):
@@ -242,7 +249,7 @@ def test_kappa_chunk_matches_the_per_family_scan(n, label):
 
 
 @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
-def test_kappa_chunk_matches_the_per_family_scan_at_n5(label):
+def test_kappa_scan_matches_the_per_family_scan_at_n5(label):
     mode = FaultMode.from_label(label)
     masks = _space(5, mode).masks
     count = len(masks)
@@ -278,7 +285,7 @@ def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
 
 
 @pytest.mark.parametrize("n,label", [(2, "structure:0"), (3, "subcube:1")])
-def test_kappa_chunk_on_every_size(n, label):
+def test_kappa_scan_on_every_size(n, label):
     """Past kappa too, where some families remove every vertex: those
     never count as disconnecting, also when they share a batch with a hit."""
     mode = FaultMode.from_label(label)
@@ -291,3 +298,172 @@ def test_kappa_chunk_on_every_size(n, label):
         assert _kappa_scan(n, masks, size, everything) == want, size
         emptied += packings(n, label, size, everything).count(full)
     assert emptied
+
+
+# ---------------------------------------------------------------------------
+# diameter batches
+
+
+def ref_max_diameter(space, mode, budget, families):
+    """The diameter scan one family at a time: (value, first key attaining
+    it, families walked, families skipped), raising as the oracle does."""
+    n = space.n
+    budget_safe = budget < mode.kappa(n)
+    full = (1 << (1 << n)) - 1
+    best, best_key, walked, skipped = -1, None, 0, 0
+    for key, faults in families:
+        walked += 1
+        surv = full & ~faults
+        d = metrics._diameter_mask(n, surv) if surv else None
+        if d is None:
+            if budget_safe:
+                pats = ", ".join(space[i].pattern for i in key)
+                raise InvariantViolation(
+                    f"family within the connectivity budget disconnected Q_{n} "
+                    f"(mode {mode.label}): {pats}"
+                )
+            skipped += 1
+        elif d > best:
+            best, best_key = d, key
+    if best_key is None:
+        raise InvariantViolation(
+            f"every family within budget {budget} disconnected Q_{n} "
+            f"(mode {mode.label}); no diameter is defined"
+        )
+    return best, best_key, walked, skipped
+
+
+def exhaustive_walk(n: int, mode, budget: int) -> list[tuple[tuple[int, ...], int]]:
+    """The (key, fault bitset) pairs fault_diameter_bruteforce walks."""
+    space = _space(n, mode)
+    firsts = list(space.base0_indices())
+    sizes = range(min(budget, _max_family_size(n, mode)) + 1)
+    return list(chain.from_iterable(_iter_packings(space.masks, s, firsts) for s in sizes))
+
+
+def batch_reference(n: int, sets: list[int]):
+    if 0 in sets:
+        return None
+    diameters = [metrics._diameter_mask(n, s) for s in sets]
+    if None in diameters:
+        return None
+    best = max(diameters)
+    return best, diameters.index(best)
+
+
+def diameter_cases():
+    """(n, label, budget): every mode at budgets 0..kappa for n <= 4
+    (kappa covers the skip path) and 0..kappa - 1 for n = 5."""
+    for n in (2, 3, 4, 5):
+        for mode in modes(n):
+            kappa = mode.kappa(n)
+            for budget in range(kappa + 1 if n <= 4 else kappa):
+                yield n, mode.label, budget
+
+
+@pytest.mark.parametrize("n,label,budget", list(diameter_cases()))
+def test_batched_diameter_scan_matches_the_per_family_scan(monkeypatch, n, label, budget):
+    mode = FaultMode.from_label(label)
+    got = fault_diameter_bruteforce(n, mode, budget)
+    monkeypatch.setattr(oracle, "_max_diameter", ref_max_diameter)
+    assert fault_diameter_bruteforce(n, mode, budget) == got
+
+
+@pytest.mark.parametrize(
+    "n,label,budget,draws",
+    [(3, "structure:1", 4, 300), (4, "structure:1", 3, 300), (5, "structure:1", 3, 200),
+     (5, "subcube:2", 2, 200), (6, "structure:2", 3, 100), (7, "structure:3", 3, 30)],
+)
+def test_batched_sampled_search_matches_the_per_family_search(monkeypatch, n, label, budget, draws):
+    """Past kappa, draws that disconnect Q_n (n = 3, 4) or remove all of
+    it (four edges of Q_3) are skipped inside batches."""
+    mode = FaultMode.from_label(label)
+    spec = SearchSpec.sampled(n, draws)
+    got = fault_diameter_bruteforce(n, mode, budget, spec)
+    monkeypatch.setattr(oracle, "_max_diameter", ref_max_diameter)
+    assert fault_diameter_bruteforce(n, mode, budget, spec) == got
+
+
+@pytest.mark.parametrize("n,label,budget", [(3, "structure:0", 2), (4, "structure:1", 2)])
+def test_diameter_hit_position_inside_a_batch(monkeypatch, n, label, budget):
+    """Shrink the batches and cut the walk's head and tail so the first
+    family at the maximum lands in every row of a batch, in a full
+    batch and in a short final one."""
+    mode = FaultMode.from_label(label)
+    space = _space(n, mode)
+    walk = exhaustive_walk(n, mode, budget)
+    value, key = ref_max_diameter(space, mode, budget, walk)[:2]
+    hit = [k for k, _ in walk].index(key)
+    assert hit >= 4 and value > n  # the empty family, first, is not the hit
+    for per_int in (2, 3, 4):
+        monkeypatch.setattr(metrics, "_ROW_BITS", per_int << 2 * n)
+        rows, short_final = set(), False
+        for start in range(hit + 1):
+            for end in (hit + 1, len(walk)):
+                families = walk[start:end]
+                want = ref_max_diameter(space, mode, budget, families)
+                assert oracle._max_diameter(space, mode, budget, iter(families)) == want
+                rows.add((hit - start) % per_int)
+                short_final |= end - start < -(-(hit - start + 1) // per_int) * per_int
+        assert rows == set(range(per_int)) and short_final, per_int
+
+
+@pytest.mark.parametrize("per_int", [2, 3, 4])
+def test_emptied_families_are_skipped_inside_small_batches(monkeypatch, per_int):
+    """Every family of up to four edges of Q_3, four at a time at most:
+    some batches mix the perfect matchings, which remove every vertex,
+    only with connected survivor sets."""
+    mode = FaultMode.structure(1)
+    space = _space(3, mode)
+    walk = exhaustive_walk(3, mode, 4)
+    monkeypatch.setattr(metrics, "_ROW_BITS", per_int << 6)
+    want = ref_max_diameter(space, mode, 4, walk)
+    assert oracle._max_diameter(space, mode, 4, iter(walk)) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_batch_diameter_on_seeded_sets(n):
+    """Full and short batches of sparse-fault sets (usually connected),
+    quarter sets (usually not), one cut set among connected ones, and
+    empty sets."""
+    rng = random.Random(2_000 + n)
+    full = (1 << (1 << n)) - 1
+    per_int = metrics._rows_per_int(n) >> n
+
+    def sparse():
+        faults = 0
+        for _ in range(n - 1):
+            faults |= 1 << rng.randrange(1 << n)
+        return full & ~faults
+
+    def quarter():
+        return rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+
+    # vertex 0 alone: its neighbours removed, a second survivor left
+    cut = full & ~sum(1 << (1 << p) for p in range(n))
+    seen = {"value": 0, "disconnected": 0, "empty": 0}
+    for case in range(24):
+        count = per_int if case % 2 else rng.randint(1, per_int)
+        sets = [sparse() if case % 3 else quarter() for _ in range(count)]
+        if case % 4 == 1:
+            sets[rng.randrange(count)] = cut
+        if case % 8 == 3:
+            sets[rng.randrange(count)] = 0
+        want = batch_reference(n, sets)
+        assert metrics._batch_diameter(n, sets) == want, case
+        seen["value" if want else "empty" if 0 in sets else "disconnected"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("n,label", [(n, mode.label) for n in (4, 5) for mode in modes(n)])
+def test_a_scan_within_kappa_never_falls_back(monkeypatch, n, label):
+    """At budget kappa - 1 no survivor set is empty or disconnected, so
+    every batch is settled by one BFS and no family by _diameter_mask."""
+
+    def per_family(*args):
+        raise AssertionError("a batch fell back to the per-family diameter")
+
+    mode = FaultMode.from_label(label)
+    monkeypatch.setattr(oracle, "_diameter_mask", per_family)
+    res = fault_diameter_bruteforce(n, mode, mode.kappa(n) - 1)
+    assert res.families_scanned > 1
