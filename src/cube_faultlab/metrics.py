@@ -18,10 +18,12 @@ shift crosses a row boundary, and one loop (_bfs_cover) advances all k
 searches with the same big-int operations.  Rows go max(1, 2^16 >> n)
 to an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds
 one row per source vertex; the connectivity oracle seeds one row per
-candidate family.  The fault-diameter oracle does both at n <= 7: a
-block of 2^n source rows per family, _rows_per_int(n) >> n families per
-BFS (_batch_diameter).  It settles a batch holding an empty or
-disconnected set, and every family at n >= 8, with _diameter_mask.
+candidate family.  At n <= 7 every survivor is a source, and the
+fault-diameter oracle packs 2^n source rows per family, _rows_per_int(n)
+>> n families per BFS (_batch_diameter); it settles a batch holding an
+empty or disconnected set, and every family at n >= 8, with
+_diameter_mask, whose sources at n >= 8 are only the survivors far from
+one anchor BFS (_fringe_diameter).
 
 A survival graph is refused past n = _BITSET_LIMIT (26) when it is
 built; the router needs none and serves n <= 30 with its own BFS.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Callable, Iterable
 
 from .core import Vertex, _check_ambient, _union_mask
@@ -50,9 +53,10 @@ _CONNECTIVITY_US = 1.0  # per connectivity-scan family: 0.88-1.16 µs measured a
 
 
 def _diameter_us(n: int) -> float:
-    """µs of one exact survivor diameter of Q_n, 0.002·n·4^n: fitted to
-    _diameter_mask on Q_n (11 µs at n = 5, 89 ms at n = 11) and to
-    sampled draws (0.44 / 1.82 / 6.67 s at n = 12 / 13 / 14)."""
+    """µs of one exact survivor diameter of Q_n, 0.002·n·4^n: fitted to the
+    all-sources BFS (11 µs at n = 5, 89 ms at n = 11, 0.44 / 1.82 / 6.67 s
+    at n = 12 / 13 / 14).  An upper bound on the fringe BFS at n = 8..14:
+    0.4-0.7 / 2.2-2.5 / 7-13 / 34-49 / 126-252 ms, 0.8-1.0 / 2.5-5.5 s."""
     return 0.002 * n * 4.0**n
 
 
@@ -112,14 +116,15 @@ def _lo_masks(n: int, rows: int = 1) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -> tuple[int, int, int]:
+def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0,
+               depth: int = -1) -> tuple[int, int, int]:
     """BFS from the vertex set `start` inside `allowed`, `rows` BFSs at once.
 
     Bits r*2^n .. (r+1)*2^n - 1 of both integers are row r, an
     independent BFS in Q_n; all rows share every big-int operation.
     `start` must lie inside `allowed`; `rows` bounds the row count
     (unused rows are all zero).  The search ends early once a level
-    (the start set being level 0) meets `stop`.
+    (the start set being level 0) meets `stop`, or after `depth` levels.
     Returns (visited set, number of levels expanded, last level); without
     an early end the second is the largest eccentricity of a row's start
     set within its component, and the last level holds the vertices at
@@ -131,7 +136,7 @@ def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0) -
     frontier = start
     left = allowed ^ start
     levels = 0
-    while not frontier & stop:
+    while not frontier & stop and levels != depth:
         nxt = 0
         for s, lo in masks:
             nxt |= (frontier & lo) << s | (frontier >> s) & lo
@@ -196,33 +201,37 @@ def _pack_rows(n: int, sets: list[int]) -> int:
 def _diameter_mask(n: int, allowed: int) -> int | None:
     """Exact diameter of the induced subgraph, None when disconnected.
 
-    Every survivor is a BFS source.  Sources go min(2^n,
-    _rows_per_int(n)) at a time into one integer: in the block starting
-    at vertex `base`, row i is seeded with vertex base + i (a diagonal
-    ANDed with `allowed` copied into every row), and one _bfs_cover
-    yields the block's largest eccentricity.  The first nonempty block
-    holds the lowest survivor; the graph is connected iff its row
-    covers `allowed`.
+    At n <= 7 every survivor is a source, all in one _batch_diameter.  At
+    n >= 8 (after the eccentricity bound of iFUB: Crescenzi et al., TCS
+    514, 2013) one BFS from the lowest survivor u tests connectivity and
+    gives e = ecc(u); the sources are the fringe, the survivors farther
+    than e // 2 from u.  Exact in any connected graph:
+    - two survivors within e // 2 of u are at most 2 * (e // 2) <= e apart;
+    - so every pair farther apart than e holds a fringe survivor;
+    - so the diameter is the largest of e and the fringe's eccentricities.
     """
     if not allowed:
         raise ValueError("empty vertex set has no diameter")
-    size = 1 << n
-    rows = min(size, _rows_per_int(n))
-    wide = allowed * _spaced_ones(rows, size)
-    diagonal = _spaced_ones(rows, size + 1)
-    low = (allowed & -allowed).bit_length() - 1
-    first = low - low % rows
-    best = 0
-    for base in range(first, size, rows):
-        seeds = wide & diagonal << base
-        if not seeds:
-            continue
-        visited, levels, _ = _bfs_cover(n, wide, seeds, rows)
-        if base == first and visited >> ((low - first) << n) & allowed != allowed:
-            return None
-        if levels > best:
-            best = levels
-    return best
+    if _rows_per_int(n) >> n < 2:
+        return _fringe_diameter(n, allowed)
+    hit = _batch_diameter(n, [allowed])
+    return hit[0] if hit else None
+
+
+def _fringe_diameter(n: int, allowed: int) -> int | None:
+    """_diameter_mask's fringe path, for a nonempty `allowed` at any n; the
+    ball of radius e // 2 is a BFS from u cut at that depth."""
+    low = allowed & -allowed
+    visited, ecc, _ = _bfs_cover(n, allowed, low)
+    if visited != allowed:
+        return None
+    fringe = allowed ^ _bfs_cover(n, allowed, low, depth=ecc // 2)[0]
+    rows = _rows_per_int(n)
+    wide = allowed * _spaced_ones(rows, 1 << n)
+    sources = (1 << v for v, bit in enumerate(reversed(f"{fringe:b}")) if bit == "1")
+    while batch := list(islice(sources, rows)):  # a short last batch keeps `rows`: one mask table
+        ecc = max(ecc, _bfs_cover(n, wide, _pack_rows(n, batch), rows)[1])
+    return ecc
 
 
 def _check_cap(n: int) -> None:

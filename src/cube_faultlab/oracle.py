@@ -32,9 +32,10 @@ through metrics._batch_diameter; a batch that beats the best so far
 gives its first family at its maximum, so ties keep the earliest.  A
 batch with an empty or disconnected survivor set, and every family at
 n >= 8, goes family by family through metrics._diameter_mask, which
-raises or skips.  Only the winning key becomes a witness.  The sampled
-search (a SearchSpec passed as `search`) is a library call only: the
-cli's fault-diameter always runs the exhaustive scan.
+raises or skips; at n >= 8 its BFS sources are only the survivors far
+from one anchor BFS.  Only the winning key becomes a witness.  The
+sampled search (a SearchSpec passed as `search`) is a library call
+only: the cli's fault-diameter always runs the exhaustive scan.
 
 Translation reduction.  XOR by a vertex b is an automorphism of Q_n; it
 maps an element (free, base) to (free, base ^ (b & ~free)), so it keeps

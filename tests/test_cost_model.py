@@ -40,6 +40,7 @@ def no_scans(monkeypatch):
     monkeypatch.setattr(oracle, "_batch_diameter", start)
     monkeypatch.setattr(oracle, "_diameter_mask", start)
     monkeypatch.setattr(metrics, "_diameter_mask", start)
+    monkeypatch.setattr(metrics, "_fringe_diameter", start)
 
 
 def connectivity(n, label):

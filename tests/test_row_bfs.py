@@ -1,17 +1,20 @@
 """The row-packed bitset BFS against plain one-BFS-at-a-time references.
 
-metrics._diameter_mask runs many BFS sources per big integer,
-oracle._kappa_scan checks a batch of candidate families per BFS, and
-oracle._max_diameter measures a batch of families per BFS
-(metrics._batch_diameter).  They must give exactly what a per-source
-diameter scan and a per-family connectivity or diameter scan give: the
-same diameters and None cases, the same witness indices and the same
-families-scanned and skipped counts.  The references here build their
-own neighbour masks vertex by vertex and run one BFS per source or per
-family; the diameter scan's reference is the one-family-at-a-time loop
-over _diameter_mask.  The engine's tables are checked too: the
-per-dimension masks against a long-division formula, and a survival
-graph built from a family against one built from its faulty labels.
+metrics._diameter_mask runs many BFS sources per big integer: at n <= 7
+every survivor, all in one metrics._batch_diameter; at n >= 8 only the
+survivors far from one anchor BFS (metrics._fringe_diameter, checked
+directly at small n too).  oracle._kappa_scan checks a batch of
+candidate families per BFS, and oracle._max_diameter measures a batch
+of families per BFS (metrics._batch_diameter).  They must give exactly
+what a per-source diameter scan and a per-family connectivity or
+diameter scan give: the same diameters and None cases, the same
+witness indices and the same families-scanned and skipped counts.  The
+references here build their own neighbour masks vertex by vertex and
+run one BFS per source or per family; the diameter scan's reference is
+the one-family-at-a-time loop over _diameter_mask.  The engine's tables
+are checked too: the per-dimension masks against a long-division
+formula, and a survival graph built from a family against one built
+from its faulty labels.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from itertools import chain
 import pytest
 
 from cube_faultlab import (
-    FaultMode, InvariantViolation, SearchSpec, SurvivalGraph, adversarial_subcube_family,
-    fault_diameter_bruteforce, sample_families,
+    FaultMode, InvariantViolation, SearchSpec, SurvivalGraph, adversarial_q1_family,
+    adversarial_subcube_family, fault_diameter_bruteforce, sample_families,
 )
 from cube_faultlab import metrics, oracle
 from cube_faultlab.faults import _max_family_size, _space
@@ -149,14 +152,28 @@ def test_removed_mask_is_the_union_of_the_elements(n):
 # diameter
 
 
+@lru_cache(maxsize=None)
+def every_subset_diameter(n: int) -> tuple[int | None, ...]:
+    """ref_diameter of every nonempty vertex set of Q_n, set s at s - 1."""
+    return tuple(ref_diameter(n, allowed) for allowed in range(1, 1 << (1 << n)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diameter_on_every_vertex_subset(n):
-    for allowed in range(1, 1 << (1 << n)):
-        assert metrics._diameter_mask(n, allowed) == ref_diameter(n, allowed), bin(allowed)
+    for allowed, want in enumerate(every_subset_diameter(n), 1):
+        assert metrics._diameter_mask(n, allowed) == want, bin(allowed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fringe_diameter_on_every_vertex_subset(n):
+    for allowed, want in enumerate(every_subset_diameter(n), 1):
+        assert metrics._fringe_diameter(n, allowed) == want, bin(allowed)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
 def test_diameter_on_seeded_subsets(n):
+    """_diameter_mask and, below n = 8 where it is not the default,
+    _fringe_diameter."""
     rng = random.Random(1_000 + n)
     full = (1 << (1 << n)) - 1
     cases = 12 if n <= 8 else 3
@@ -175,6 +192,7 @@ def test_diameter_on_seeded_subsets(n):
             seen_none |= want is None
             seen_value |= want is not None
             assert metrics._diameter_mask(n, allowed) == want
+            assert metrics._fringe_diameter(n, allowed) == want
     assert seen_none and seen_value
 
 
@@ -189,11 +207,14 @@ def test_diameter_on_sampled_fault_families(n):
 
 
 @pytest.mark.parametrize("n", [9, 10])
-def test_diameter_when_the_lowest_survivor_is_past_block_zero(n):
+def test_diameter_when_the_anchor_is_far_from_vertex_zero(n):
+    """The anchor, the lowest survivor, lies past the first row batch's
+    vertices 0 .. rows - 1; a vertex other than the anchor, or the
+    anchor itself, is cut off."""
     rows = metrics._rows_per_int(n)
-    assert rows < 1 << n  # several source blocks
+    assert rows < 1 << n  # several batches of sources
     full = (1 << (1 << n)) - 1
-    head = (1 << rows) - 1  # every vertex of block 0
+    head = (1 << rows) - 1  # vertices 0 .. rows - 1
     connected = full & ~head
     # vertex 3*rows + 1 cut off from the rest
     lone = 3 * rows + 1
@@ -207,9 +228,9 @@ def test_diameter_when_the_lowest_survivor_is_past_block_zero(n):
     assert metrics._diameter_mask(n, cut_low) is None
 
 
-def test_diameter_skips_a_source_block_without_survivors():
-    # 128 sources per block at n = 9; removing the Q_7 01******* empties
-    # block 1 (labels 128-255) and leaves the cube connected
+def test_diameter_around_a_removed_subcube():
+    # 128 rows per BFS at n = 9; removing the Q_7 01******* empties
+    # labels 128-255 and leaves the cube connected
     n = 9
     rows = metrics._rows_per_int(n)
     assert rows == 128
@@ -217,6 +238,26 @@ def test_diameter_skips_a_source_block_without_survivors():
     want = ref_diameter(n, allowed)
     assert want is not None
     assert metrics._diameter_mask(n, allowed) == want
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_fringe_diameter_with_every_batch_size(monkeypatch, n):
+    """1 .. 2^n fringe sources to a BFS: the fringe splits into one
+    batch, into full batches only and into full batches and a short
+    final one."""
+    rng = random.Random(3_000 + n)
+    full = (1 << (1 << n)) - 1
+    # the fault-free cube, a tight family (diameter n + 1), sets with an
+    # eighth of the vertices removed and quarter sets
+    sets = [full, SurvivalGraph.from_family(adversarial_q1_family(n)).survivor_mask]
+    for _ in range(2):
+        sets.append(full & ~(rng.getrandbits(1 << n) & rng.getrandbits(1 << n) & rng.getrandbits(1 << n)))
+        sets.append(rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
+    wants = [ref_diameter(n, allowed) for allowed in sets]
+    assert None in wants and n + 1 in wants
+    for rows in range(1, (1 << n) + 1):
+        monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
+        assert [metrics._fringe_diameter(n, allowed) for allowed in sets] == wants, rows
 
 
 # ---------------------------------------------------------------------------
