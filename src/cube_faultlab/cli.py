@@ -11,7 +11,7 @@ Each request has one spelling: --mode takes a full mode label
 (structure:1, substructure, subcube:2), an integer option takes plain
 decimal digits (faults._decimal), and fault-diameter always scans every
 in-budget family.  A diameter is priced before its survival graph
-is built, so a refused one lists no faulty label.
+is built, so a refused one builds no vertex bitset.
 
 Exit codes: 0 success, 1 claim mismatch, 2 usage error (a family file
 or --output path that cannot be opened included), 3 resource limit: a
@@ -221,7 +221,7 @@ def _cmd_fault_diameter(args) -> tuple[_Report, int]:
 
 def _cmd_diameter(args) -> tuple[_Report, int]:
     family = _parse_faults(args)
-    _check_diameter(args.n)  # before the graph lists every faulty label
+    _check_diameter(args.n)  # before the graph builds its vertex bitset
     g = SurvivalGraph.from_family(family)
     d = diameter(g)
     payload = {

@@ -46,7 +46,7 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -454,16 +454,31 @@ def _max_family_size(n: int, mode: FaultMode) -> int:
     return (1 << n) >> dims[0] if dims else 0
 
 
+def _clip_sizes(n: int, mode: FaultMode, sizes: range) -> range:
+    """`sizes` without those above _max_family_size(n, mode)."""
+    return range(sizes.start, min(sizes.stop, _max_family_size(n, mode) + 1))
+
+
+def _base0_walk(space: _ElementSpace, mode: FaultMode, sizes: range):
+    """The one family walk of the exhaustive scans: (indices, union
+    bitset) of every family of `space` of a size in _clip_sizes(sizes)
+    whose first element contains vertex 0, sizes ascending, each in
+    canonical order.  The oracle module docstring proves that this
+    translation reduction keeps every kappa, value and witness."""
+    firsts = list(space.base0_indices())
+    sizes = _clip_sizes(space.n, mode, sizes)
+    return chain.from_iterable(_iter_packings(space.masks, s, firsts) for s in sizes)
+
+
 def _count_packings(n: int, mode: FaultMode, sizes: range, cap: int) -> int:
-    """The families _iter_packings yields from the base-0 first indices
-    over `sizes` (up to _max_family_size), or some count above `cap`.
+    """The families _base0_walk yields over `sizes`, or some count above `cap`.
 
     A bound sums C(E - 1 - first, s - 1) over the base-0 firsts, listed
     lazily, and stops above `cap`; above it _estimate_packings decides,
     unless the sizes are {0} (one empty family) or its probes would cost
     over _PROBE_WORK."""
     space, total = _space(n, mode), 0
-    sizes = range(sizes.start, min(sizes.stop, _max_family_size(n, mode) + 1))
+    sizes = _clip_sizes(n, mode, sizes)
     for s in reversed(sizes):  # the largest layer first, so a cut comes soonest
         for f in space.base0_indices() if s else ():
             a, k = space.size - 1 - f, s - 1
@@ -481,13 +496,12 @@ def _count_packings(n: int, mode: FaultMode, sizes: range, cap: int) -> int:
 
 
 def _estimate_packings(space: _ElementSpace, sizes: range) -> int:
-    """Knuth's estimate of the families _iter_packings yields over `sizes`
-    from the base-0 first indices ("Estimating the efficiency of backtrack
-    programs", Math. Comp. 29, 1975).  A probe draws each child with p
-    proportional to (later indices + 1)^(depth left); the product of the
-    1/p to depth s counts size s without bias.  The seed is fixed, so the
-    verdict repeats.  A child is a later index whose (free, base) pair
-    misses every draw."""
+    """Knuth's estimate of the families _base0_walk yields over `sizes`
+    ("Estimating the efficiency of backtrack programs", Math. Comp. 29,
+    1975).  A probe draws each child with p proportional to (later
+    indices + 1)^(depth left); the product of the 1/p to depth s counts
+    size s without bias.  The seed is fixed, so the verdict repeats.  A
+    child is a later index whose (free, base) pair misses every draw."""
     rng, top, total, e = random.Random(0), sizes[-1], 0.0, space.size
     pairs = [space._free_and_base(j) for j in range(e)]
     firsts = list(space.base0_indices())

@@ -9,15 +9,12 @@ Two questions are answered by exhaustion:
 * fault diameter: the largest survivor diameter over every family of at
   most `budget` elements, including the empty family.
 
-Enumeration order is fixed (ascending element index tuples over the
-canonical element space, sizes ascending), so the reported witnesses
-are reproducible: the connectivity witness is the first disconnecting
-family encountered, the diameter witness the first family attaining
-the maximum.  The families come from faults._iter_packings, the same
-enumerator that faults.enumerate_families iterates, over the same
-element space, built once per public scan and dropped, bitset table
-included, when it returns (substructure's is subcube:1's); results and
-witnesses carry the caller's mode.
+Both exhaustive scans consume one stream, faults._base0_walk, over an
+element space built once per public scan and dropped, bitset table
+included, when it returns (substructure's is subcube:1's).  Its order
+is fixed, so the connectivity witness is the first disconnecting
+family walked and the diameter witness the first family attaining the
+maximum; results and witnesses carry the caller's mode.
 
 The connectivity scan checks consecutive families in batches: each
 family's survivor set is one 2^n-bit row of a single integer, and one
@@ -67,13 +64,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterator
 
 from .core import _ElementSpace, _union_mask
 from .errors import InvariantViolation
 from .faults import (
-    FaultFamily, FaultMode, _count_packings, _iter_packings, _max_family_size, _sample_one, _space,
+    FaultFamily, FaultMode, _base0_walk, _count_packings, _max_family_size, _sample_one, _space,
 )
 from .metrics import (
     _CONNECTIVITY_US, _batch_diameter, _check_time, _diameter_mask, _diameter_us,
@@ -124,10 +121,9 @@ class FaultDiameterResult:
 
 
 def _kappa_scan(
-    n: int, masks: tuple[int, ...], size: int, firsts: Sequence[int]
+    n: int, families: Iterator[tuple[tuple[int, ...], int]]
 ) -> tuple[tuple[int, ...] | None, int]:
-    """Scan the families of `size` elements (vertex bitsets `masks`) whose
-    first index is in `firsts` for a disconnecting one; stop at the first hit.
+    """(first disconnecting key or None, families walked) over (key, fault bitset) pairs.
 
     Consecutive families go _rows_per_int(n) at a time through one
     batched BFS, one survivor set per row.  A hit in row r of a batch
@@ -135,9 +131,8 @@ def _kappa_scan(
     a one-family-at-a-time scan reports.
     """
     full = _full_mask(n)
-    packings = _iter_packings(masks, size, firsts)
     scanned = 0
-    while batch := list(islice(packings, _rows_per_int(n))):
+    while batch := list(islice(families, _rows_per_int(n))):
         # a family that leaves no survivors does not disconnect; its row
         # gets the whole cube, which is connected
         row = _first_disconnected(n, [full & ~acc or full for _, acc in batch])
@@ -150,10 +145,10 @@ def _kappa_scan(
 def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
     """Exact connectivity of Q_n under `mode`, by exhausting family sizes.
 
-    Sweeps t = 1, 2, ... and scans every valid family of exactly t
-    elements; the first disconnecting family (canonical order) fixes
-    kappa = t.  Disconnection requires survivors: a removal that leaves
-    a single component, or nothing at all, does not count.
+    Walks the valid families of 1..kappa elements, sizes ascending; the
+    first disconnecting one fixes kappa as its size.  Disconnection
+    requires survivors: a removal that leaves a single component, or
+    nothing at all, does not count.
 
     Only families whose first element contains vertex 0 are walked; by
     translation symmetry that gives the kappa and witness of a scan
@@ -169,17 +164,13 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
         f"FaultMode.kappa, the proved closed form kappa = n - m = {kappa}",
     )
     space = _space(n, mode)
-    firsts = list(space.base0_indices())
-    total_scanned = 0
-    for size in range(1, kappa + 1):
-        witness_idx, scanned = _kappa_scan(n, space.masks, size, firsts)
-        total_scanned += scanned
-        if witness_idx is not None:
-            witness = FaultFamily(tuple(space[i] for i in witness_idx), mode, n)
-            return ConnectivityResult(n, mode, size, witness, total_scanned)
-    raise InvariantViolation(
-        f"no family of at most kappa = {kappa} elements disconnects Q_{n} under mode {mode.label}"
-    )
+    key, scanned = _kappa_scan(n, _base0_walk(space, mode, range(1, kappa + 1)))
+    if key is None:
+        raise InvariantViolation(
+            f"no family of at most kappa = {kappa} elements disconnects Q_{n} under mode {mode.label}"
+        )
+    witness = FaultFamily(tuple(map(space.__getitem__, key)), mode, n)
+    return ConnectivityResult(n, mode, len(key), witness, scanned)
 
 
 def fault_diameter_bruteforce(
@@ -221,12 +212,7 @@ def fault_diameter_bruteforce(
             lambda b, cap: _count_packings(n, mode, range(b + 1), cap), budget, "--budget",
         )
         space = _space(n, mode)
-        firsts = list(space.base0_indices())
-        # sizes ascending, families in canonical order: ties keep the earliest
-        families = chain.from_iterable(
-            _iter_packings(space.masks, size, firsts)
-            for size in range(min(budget, _max_family_size(n, mode)) + 1)
-        )
+        families = _base0_walk(space, mode, range(budget + 1))
     value, key, scanned, skipped = _max_diameter(space, mode, budget, families)
     witness = FaultFamily(tuple(map(space.__getitem__, key)), mode, n)
     return FaultDiameterResult(n, mode, budget, value, witness, scanned, skipped)
@@ -241,7 +227,7 @@ def _sampled_families(
     rejection-samples a family of that size (faults._sample_one, which
     unranks its draws without building the element space's bitset
     table) and yields its ascending indices with its fault bitset, as
-    _iter_packings does.  Deterministic for a fixed seed and draw count.
+    _base0_walk does.  Deterministic for a fixed seed and draw count.
     """
     rng = random.Random(search.seed)
     limit = _max_family_size(space.n, mode)

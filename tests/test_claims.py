@@ -32,6 +32,13 @@ def without_seconds(obj):
     return obj
 
 
+def test_a_duplicate_claim_id_is_refused():
+    reg = {}
+    claims._add(reg, "x", {}, "", None)
+    with pytest.raises(ValueError, match="^duplicate claim id x$"):
+        claims._add(reg, "x", {}, "", None)
+
+
 def test_catalog_is_nonempty_and_ordered():
     ids = claim_ids()
     assert len(ids) == 58

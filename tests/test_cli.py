@@ -6,7 +6,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,11 @@ class TestDiameterCommand:
         )
         assert json.loads(out)["mode"] == "subcube:1"
 
+    def test_an_empty_inline_list_is_the_fault_free_cube(self, capsys):
+        code, out, _ = run(capsys, "diameter", "--n", "3", "--faults", ",", "--format", "json")
+        payload = json.loads(out)
+        assert (code, payload["mode"], payload["faults"], payload["diameter"]) == (0, "structure:0", [], 3)
+
     def test_disconnected_reported_not_fatal(self, capsys):
         code, out, _ = run(
             capsys, "diameter", "--n", "3", "--faults", "00*,11*", "--format", "json"
@@ -331,6 +339,14 @@ class TestAdversaryCommand:
 
 
 class TestPlumbing:
+    def test_the_module_runs_as_a_script(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["connectivity", "--n", "3", "--mode", "structure:1", "--format", "json"]
+        proc = subprocess.run([sys.executable, "-m", "cube_faultlab.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, json.loads(proc.stdout)["kappa"]) == (0, 2)
+
     def test_json_reports_are_deterministic(self, capsys):
         args = (
             "route", "--n", "5", "--faults", "adversary:subcube:2",
@@ -418,6 +434,11 @@ class TestPlumbing:
         spec = f"adversary:subcube:{m}"
         code, _, err = run(capsys, "diameter", "--n", "5", "--faults", spec)
         assert (code, err) == (2, f"error: bad adversary spec {spec!r}\n")
+
+    def test_an_unknown_adversary_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "diameter", "--n", "5", "--faults", "adversary:q2")
+        assert (code, err) == (2, "error: unknown adversary family 'adversary:q2', "
+                               "expected adversary:q1 or adversary:subcube:<m>\n")
 
     def test_a_mode_kind_without_its_dimension_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "connectivity", "--n", "4", "--mode", "structure")

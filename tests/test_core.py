@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -18,7 +19,7 @@ from cube_faultlab import (
     hamming,
     neighbor,
 )
-from cube_faultlab.core import _common_neighbor_bits
+from cube_faultlab.core import _common_neighbor_bits, coord_bit
 
 dims = st.integers(min_value=1, max_value=10)
 
@@ -137,11 +138,27 @@ class TestCommonNeighbors:
             assert common_neighbors(Vertex(ub, n), Vertex(vb, n)) == {Vertex(w, n) for w in want}
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: coord_bit(3, 0), "coordinate index must be in [1, 3], got 0"),
+    (lambda: Subcube.from_pattern("0x1"), "pattern may contain only 0, 1, *; got '0x1'"),
+    (lambda: Vertex.from_pattern("0*1"), "vertex pattern may not contain '*': '0*1'"),
+    (lambda: Subcube(0b1000, 0, 3), "free_mask 0x8 out of range for Q_3"),
+    (lambda: Subcube(0, 0b1000, 3), "base 0x8 out of range for Q_3"),
+    (lambda: Subcube.from_pattern("0*1").disjoint_from(Subcube.from_pattern("0*10")),
+     "subcubes live in different cubes"),
+    (lambda: next(enumerate_subcubes(3, 4)), "subcube dimension must be in [0, 3], got 4"),
+], ids=["coordinate", "pattern", "vertex-pattern", "free-mask", "base", "disjoint", "subcube-dim"])
+def test_bad_input_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestSubcube:
     def test_pattern_round_trip(self):
         s = Subcube.from_pattern("0*1")
         assert s.dim == 1 and s.dim_ambient == 3
         assert s.pattern == "0*1"
+        assert str(s) == "0*1"
         assert set(s.vertex_bits()) == {0b001, 0b011}
 
     def test_base_must_avoid_free_positions(self):

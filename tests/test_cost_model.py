@@ -1,8 +1,9 @@
 """The one cost model: families x µs per family, refused above one limit.
 
-Every request here runs with the scan kernels patched to raise Started,
-so an accepted request shows itself by starting its scan and a refused
-one by raising ResourceLimitError first; no scan runs.
+Every request here runs with the one family walk (faults._iter_packings)
+and the one BFS (metrics._bfs_cover) patched to raise Started, so an
+accepted request shows itself by starting its scan and a refused one by
+raising ResourceLimitError first; no scan runs.
 """
 
 from __future__ import annotations
@@ -36,11 +37,8 @@ def no_scans(monkeypatch):
     def start(*args, **kwargs):
         raise Started
 
-    monkeypatch.setattr(oracle, "_iter_packings", start)
-    monkeypatch.setattr(oracle, "_batch_diameter", start)
-    monkeypatch.setattr(oracle, "_diameter_mask", start)
-    monkeypatch.setattr(metrics, "_diameter_mask", start)
-    monkeypatch.setattr(metrics, "_fringe_diameter", start)
+    monkeypatch.setattr(faults, "_iter_packings", start)
+    monkeypatch.setattr(metrics, "_bfs_cover", start)
 
 
 def connectivity(n, label):
@@ -206,8 +204,8 @@ def fresh_run(argv):
     return int(out[-3]), float(out[-2]), int(out[-1])
 
 
-# a refused diameter builds no survival graph, which at n = 24 would
-# list the 2 x 2^21 faulty labels of the family
+# a refused diameter builds no survival graph, whose vertex bitset at
+# n = 24 alone takes 2 MiB
 LARGE_DIAMETERS = [
     ["diameter", "--n", "22", "--faults", "adversary:subcube:19"],
     ["diameter", "--n", "24", "--faults", "adversary:subcube:21"],
@@ -247,9 +245,7 @@ def test_the_catalog_never_probes(monkeypatch):
 
 def exact_count(n, mode, sizes):
     """The families the scans walk: every first index an element containing vertex 0."""
-    space = faults._space(n, mode)
-    firsts = list(space.base0_indices())
-    return sum(sum(1 for _ in faults._iter_packings(space.masks, s, firsts)) for s in sizes)
+    return sum(1 for _ in faults._base0_walk(faults._space(n, mode), mode, sizes))
 
 
 @pytest.mark.parametrize(

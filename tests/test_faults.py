@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -77,6 +78,7 @@ class TestFaultMode:
         modes += [FaultMode.subcube(m) for m in range(1, 31)]
         for mode in modes:
             assert FaultMode.from_label(mode.label) == mode
+            assert str(mode) == mode.label
 
     @pytest.mark.parametrize("label", [
         "structure:1_0", "structure:+1", "structure: 1", "structure:01",
@@ -595,6 +597,23 @@ class TestFamilyFiles:
     def test_the_ambient_dimension_has_one_spelling(self, n):
         with pytest.raises(ValueError, match="bad ambient dimension"):
             family_from_text(f"n={n} mode=structure:0\n0000\n")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FaultMode("edgy"), "unknown fault mode kind 'edgy'"),
+    (lambda: FaultMode("substructure", 1), "substructure mode takes no element dimension"),
+    (lambda: restrict_along(adversarial_q1_family(4), 1, 2), "half must be 0 or 1, got 2"),
+    (lambda: restrict_along(FaultFamily((), FaultMode.structure(0), 1), 1, 0),
+     "cannot restrict a 1-dimensional cube"),
+    (lambda: next(enumerate_families(3, FaultMode.structure(0), -1)),
+     "family size must be >= 0, got -1"),
+    (lambda: sample_families(3, FaultMode.structure(0), -1, 1, 0), "size and count must be >= 0"),
+    (lambda: family_from_text("# a comment only\n\n"),
+     "empty family text, expected an 'n=... mode=...' header"),
+], ids=["mode-kind", "substructure-m", "half", "one-cube", "enum-size", "sample-size", "empty-text"])
+def test_bad_input_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @given(st.integers(min_value=3, max_value=6), st.data())

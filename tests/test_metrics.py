@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -207,6 +208,17 @@ class TestSurvivalGraph:
             for size in sizes:
                 for fam in sample_families(n, mode, size, 4, seed=31 * n + size):
                     assert SurvivalGraph.from_family(fam).survivor_mask == ref_survivors(fam)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: metrics._diameter_mask(3, 0), "empty vertex set has no diameter"),
+    (lambda: SurvivalGraph(3, [8]), "removed label 8 out of range for Q_3"),
+    (lambda: bfs_distance(fault_free(3), Vertex(0, 4), Vertex(0, 3)), "u lives in Q_4, graph in Q_3"),
+    (lambda: is_connected(SurvivalGraph(1, [0, 1])), "empty survivor set has no connectivity"),
+], ids=["empty-mask", "removed-label", "endpoint-cube", "empty-graph"])
+def test_bad_input_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_distance_cross_check_against_random_faults():

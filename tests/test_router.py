@@ -159,6 +159,11 @@ class TestSafetyNets:
         with pytest.raises(InvariantViolation, match="disconnected a routing context"):
             route_with_report(Vertex.from_pattern("0000"), Vertex.from_pattern("1110"), fam)
 
+    def test_the_bfs_finds_no_route_to_a_walled_off_target(self):
+        # 111's three neighbours are faulty vertices of Q_3
+        walls = [(0, 0b011), (0, 0b101), (0, 0b110)]
+        assert router._bfs_route(0b111, 0b000, 0b111, walls) is None
+
 
 class TestUnreachedInvariants:
     """The router's other InvariantViolations, reached by patching or by a
@@ -175,6 +180,10 @@ class TestUnreachedInvariants:
         with pytest.raises(InvariantViolation, match="^no safe crossing coordinate exists for "
                            "a symmetric pair within budget; this contradicts the crossing lemma$"):
             route_with_report(Vertex.from_pattern("00001"), Vertex.from_pattern("11110"), fam)
+
+    def test_no_safe_crossing_when_every_flip_is_blocked(self):
+        # in Q_2, 01 and 10 are faulty: every flip of 00 or 11 meets one
+        assert router._safe_crossing(0b11, 0b00, 0b11, [(0, 0b01), (0, 0b10)]) is None
 
 
 class TestPostRouteChecks:

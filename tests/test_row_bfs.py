@@ -5,7 +5,9 @@ every survivor, all in one metrics._batch_diameter; at n >= 8 only the
 survivors far from one anchor BFS (metrics._fringe_diameter, checked
 directly at small n too).  oracle._kappa_scan checks a batch of
 candidate families per BFS, and oracle._max_diameter measures a batch
-of families per BFS (metrics._batch_diameter).  They must give exactly
+of families per BFS (metrics._batch_diameter); both read any stream of
+(key, fault bitset) pairs, here one size of faults._iter_packings or
+the scans' one walk, faults._base0_walk.  They must give exactly
 what a per-source diameter scan and a per-family connectivity or
 diameter scan give: the same diameters and None cases, the same
 witness indices and the same families-scanned and skipped counts.  The
@@ -22,7 +24,6 @@ from __future__ import annotations
 import random
 import time
 from functools import lru_cache
-from itertools import chain
 
 import pytest
 
@@ -31,8 +32,8 @@ from cube_faultlab import (
     adversarial_subcube_family, fault_diameter_bruteforce, sample_families,
 )
 from cube_faultlab import metrics, oracle
-from cube_faultlab.faults import _max_family_size, _space
-from cube_faultlab.oracle import _iter_packings, _kappa_scan
+from cube_faultlab.faults import _base0_walk, _iter_packings, _space
+from cube_faultlab.oracle import _kappa_scan
 
 
 @lru_cache(maxsize=None)
@@ -286,7 +287,7 @@ def test_kappa_scan_matches_the_per_family_scan(n, label):
     masks = _space(n, mode).masks
     for size, firsts in scan_cases(n, label):
         want = ref_kappa_scan(n, label, size, firsts)
-        assert _kappa_scan(n, masks, size, firsts) == want, (size, firsts)
+        assert _kappa_scan(n, _iter_packings(masks, size, firsts)) == want, (size, firsts)
 
 
 @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
@@ -296,7 +297,7 @@ def test_kappa_scan_matches_the_per_family_scan_at_n5(label):
     count = len(masks)
     for size in range(1, 5):
         hit, scanned = ref_kappa_scan(5, label, size, range(count))
-        assert _kappa_scan(5, masks, size, range(count)) == (hit, scanned)
+        assert _kappa_scan(5, _iter_packings(masks, size, range(count))) == (hit, scanned)
         if hit is not None:
             break
     assert hit is not None
@@ -318,7 +319,7 @@ def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
     last_row = short_final = False
     for rows in range(1, total + 2):
         monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
-        assert _kappa_scan(n, masks, size, firsts) == (hit, scanned), rows
+        assert _kappa_scan(n, _iter_packings(masks, size, firsts)) == (hit, scanned), rows
         batch_end = -(-scanned // rows) * rows
         last_row |= batch_end == scanned
         short_final |= batch_end > total
@@ -336,7 +337,7 @@ def test_kappa_scan_on_every_size(n, label):
     emptied = 0
     for size in range(1, (1 << n) + 1):
         want = ref_kappa_scan(n, label, size, everything)
-        assert _kappa_scan(n, masks, size, everything) == want, size
+        assert _kappa_scan(n, _iter_packings(masks, size, everything)) == want, size
         emptied += packings(n, label, size, everything).count(full)
     assert emptied
 
@@ -376,10 +377,7 @@ def ref_max_diameter(space, mode, budget, families):
 
 def exhaustive_walk(n: int, mode, budget: int) -> list[tuple[tuple[int, ...], int]]:
     """The (key, fault bitset) pairs fault_diameter_bruteforce walks."""
-    space = _space(n, mode)
-    firsts = list(space.base0_indices())
-    sizes = range(min(budget, _max_family_size(n, mode)) + 1)
-    return list(chain.from_iterable(_iter_packings(space.masks, s, firsts) for s in sizes))
+    return list(_base0_walk(_space(n, mode), mode, range(budget + 1)))
 
 
 def batch_reference(n: int, sets: list[int]):
