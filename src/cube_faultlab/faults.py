@@ -400,52 +400,53 @@ def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFami
 
 
 def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
-    """Ascending index tuples of pairwise-disjoint elements.
+    """(ascending indices, union bitset) of every family of `size`
+    pairwise-disjoint elements whose first index is in `firsts`.  Size 0
+    yields the empty family once, whatever `firsts` is."""
+    return _extend(masks, _iter_prefixes(masks, size, firsts)) if size else iter([((), 0)])
 
-    The first index runs over `firsts` (ascending), later ones over the
-    rest of the space; yields (indices, union bitset).  Lexicographic
-    order of the tuples is exactly the canonical family order.  Size 0
-    yields the empty family once, whatever `firsts` is.  A prefix stops
-    where too few indices remain to complete it, so the walk visits at
-    most `size` prefixes per C(len(masks), size) candidate, and a size
-    above len(masks) yields nothing at once.
 
-    The walk keeps one index iterator per depth instead of recursing, so
-    its depth is not bounded by the interpreter's recursion limit.
-    """
-    if size == 0:
-        yield (), 0
-        return
+def _extend(masks: tuple[int, ...], prefixes):
+    """The families of _iter_prefixes triples: each prefix with each candidate that misses it."""
+    for prefix, acc, cands in prefixes:
+        for i in cands:
+            if not masks[i] & acc:
+                yield prefix + (i,), acc | masks[i]
+
+
+def _iter_prefixes(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
+    """The one family walk: (prefix, union bitset, candidates) for every
+    ascending tuple of `size` - 1 >= 0 pairwise-disjoint elements that a
+    family can extend, the first index in `firsts` (ascending).  The last
+    index runs over the range `candidates`: the rest of the space, or at
+    size 1 one index of `firsts`.  Prefix by prefix, then candidate by
+    candidate, is the canonical family order.  A prefix stops where too
+    few indices remain to complete it, so a size above len(masks) yields
+    nothing at once.  One index iterator per depth, not recursion, so the
+    interpreter's recursion limit does not bound the depth."""
     top = len(masks) - size  # index at depth d runs up to top + d
     if top < 0:
         return
-    last = size - 1
-    idx = [0] * size
-    accs = [0] * size  # accs[d]: union of the elements idx[0..d]
-    its = [iter(())] * size
-    for first in firsts:
-        if first > top:
+    if size == 1:
+        yield from (((), 0, range(f, f + 1)) for f in firsts if f <= top)
+        return
+    last = size - 2  # the depth of a prefix's last index
+    idx, accs = [0] * (last + 1), [0] * (last + 2)  # accs[d]: the union of idx[:d]
+    its, depth = [(f for f in firsts if f <= top)] + [iter(())] * last, 0
+    while depth >= 0:
+        acc = accs[depth]
+        for i in its[depth]:
+            if not masks[i] & acc:
+                break
+        else:
+            depth -= 1
             continue
-        if last == 0:
-            yield (first,), masks[first]
-            continue
-        idx[0], accs[0] = first, masks[first]
-        depth, its[1] = 1, iter(range(first + 1, top + 2))
-        while depth:
-            acc = accs[depth - 1]
-            for i in its[depth]:
-                if not masks[i] & acc:
-                    break
-            else:
-                depth -= 1
-                continue
-            idx[depth] = i
-            if depth == last:
-                yield tuple(idx), acc | masks[i]
-            else:
-                accs[depth] = acc | masks[i]
-                depth += 1
-                its[depth] = iter(range(i + 1, top + depth + 1))
+        idx[depth], accs[depth + 1] = i, acc | masks[i]
+        if depth == last:
+            yield tuple(idx), accs[depth + 1], range(i + 1, len(masks))
+        else:
+            depth += 1
+            its[depth] = iter(range(i + 1, top + depth + 1))
 
 
 def _max_family_size(n: int, mode: FaultMode) -> int:
@@ -459,15 +460,16 @@ def _clip_sizes(n: int, mode: FaultMode, sizes: range) -> range:
     return range(sizes.start, min(sizes.stop, _max_family_size(n, mode) + 1))
 
 
-def _base0_walk(space: _ElementSpace, mode: FaultMode, sizes: range):
-    """The one family walk of the exhaustive scans: (indices, union
-    bitset) of every family of `space` of a size in _clip_sizes(sizes)
-    whose first element contains vertex 0, sizes ascending, each in
-    canonical order.  The oracle module docstring proves that this
-    translation reduction keeps every kappa, value and witness."""
-    firsts = list(space.base0_indices())
+def _base0_walk(space: _ElementSpace, mode: FaultMode, sizes: range, prefixes: bool = False):
+    """The walk of the exhaustive scans: (indices, union bitset) of every
+    family of `space` of a size in _clip_sizes(sizes) whose first element
+    contains vertex 0, sizes ascending, each in canonical order; with
+    `prefixes`, the _iter_prefixes triples of those families instead.
+    The oracle module docstring proves that this translation reduction
+    keeps every kappa, value and witness."""
+    firsts, walk = list(space.base0_indices()), _iter_prefixes if prefixes else _iter_packings
     sizes = _clip_sizes(space.n, mode, sizes)
-    return chain.from_iterable(_iter_packings(space.masks, s, firsts) for s in sizes)
+    return chain.from_iterable(walk(space.masks, s, firsts) for s in sizes)
 
 
 def _count_packings(n: int, mode: FaultMode, sizes: range, cap: int) -> int:

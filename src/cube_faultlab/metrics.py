@@ -49,7 +49,7 @@ _BITSET_LIMIT = 26  # the largest ambient dimension of a survival graph
 _ROW_BITS = 1 << 16
 
 _LIMIT_S = 60  # the one predicted-time limit of every request
-_CONNECTIVITY_US = 1.0  # per connectivity-scan family: 0.88-1.16 µs measured at n = 5, 6
+_CONNECTIVITY_US = 1.0  # per κ-scan family at n <= 6: 0.27-0.62 µs measured (>= 10^4 families)
 
 
 def _diameter_us(n: int) -> float:
@@ -149,24 +149,30 @@ def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0,
     return allowed ^ left, levels, frontier
 
 
-def _first_disconnected(n: int, sets: list[int]) -> int | None:
-    """Index of the first vertex set in `sets` whose induced subgraph is
-    disconnected, None when all are connected.
+def _first_disconnected(n: int, allowed: int, rows: int) -> int | None:
+    """Index of the first disconnected row of `allowed`, None when all
+    are connected.
 
-    Each set must be nonempty; at most _rows_per_int(n) sets.  Set i is
-    row i of one integer, seeded at its lowest vertex, and one
-    _bfs_cover checks them all: the lowest vertex it leaves unvisited
-    lies in the first disconnected row.
+    `allowed` holds `rows` nonempty 2^n-bit rows, at most _rows_per_int(n).
+    Each row is seeded at its lowest vertex, and one _bfs_cover checks
+    them all: the lowest vertex it leaves unvisited lies in the first
+    disconnected row.
     """
-    rows = _rows_per_int(n)
-    allowed = _pack_rows(n, sets)
+    per_int = _rows_per_int(n)
     # x & ~(x - 1) is the lowest bit of x, done in every row at once;
     # no row is 0, so no borrow crosses into the next row
-    ones = _spaced_ones(rows, 1 << n) >> ((rows - len(sets)) << n)
-    left = allowed ^ _bfs_cover(n, allowed, allowed & ~(allowed - ones), rows)[0]
+    ones = _spaced_ones(per_int, 1 << n) >> ((per_int - rows) << n)
+    left = allowed ^ _bfs_cover(n, allowed, allowed & ~(allowed - ones), per_int)[0]
     if not left:
         return None
     return ((left & -left).bit_length() - 1) >> n
+
+
+def _nonzero_rows(n: int, x: int, ones: int) -> int:
+    """The bits of `ones` (bit 0 of 2^n-bit rows) whose row of x is nonzero."""
+    for k in range(n):
+        x |= x >> (1 << k)
+    return x & ones
 
 
 def _batch_diameter(n: int, sets: list[int]) -> tuple[int, int] | None:

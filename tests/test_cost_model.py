@@ -1,6 +1,6 @@
 """The one cost model: families x µs per family, refused above one limit.
 
-Every request here runs with the one family walk (faults._iter_packings)
+Every request here runs with the one family walk (faults._iter_prefixes)
 and the one BFS (metrics._bfs_cover) patched to raise Started, so an
 accepted request shows itself by starting its scan and a refused one by
 raising ResourceLimitError first; no scan runs.
@@ -37,7 +37,7 @@ def no_scans(monkeypatch):
     def start(*args, **kwargs):
         raise Started
 
-    monkeypatch.setattr(faults, "_iter_packings", start)
+    monkeypatch.setattr(faults, "_iter_prefixes", start)
     monkeypatch.setattr(metrics, "_bfs_cover", start)
 
 
@@ -99,6 +99,22 @@ def test_refused_before_any_scan(no_scans, capsys, argv):
 @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
 def test_accepted(no_scans, argv):
     assert verdict(argv) == "accepted"
+
+
+@pytest.mark.parametrize("kernel", [(faults, "_iter_prefixes"), (metrics, "_bfs_cover")],
+                         ids=lambda k: k[1])
+@pytest.mark.parametrize("argv", ACCEPTED[:3], ids=" ".join)
+def test_either_patch_alone_stops_a_scan(monkeypatch, kernel, argv):
+    """Both scans reach the walk and the BFS through their modules, so
+    each patch of no_scans stops them on its own, within a second."""
+
+    def start(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(*kernel, start)
+    t0 = time.perf_counter()
+    assert verdict(argv) == "accepted"
+    assert time.perf_counter() - t0 < 1
 
 
 # sampled searches, a library call only: (n, label, draws, budget), at

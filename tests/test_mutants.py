@@ -46,8 +46,28 @@ MUTANTS = {
     ),
     "empty-set-test-dropped": ("metrics", "if 0 in sets or visited", "if visited", SEEDED_SETS),
     "hit-count-one-short": (
-        "oracle", "scanned + row + 1", "scanned + row",
+        "oracle", "scanned + row - below + 1", "scanned + row - below",
         ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",
+    ),
+    "row-fold-one-step-short": (
+        "metrics", "for k in range(n):", "for k in range(1, n):",
+        ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",
+    ),
+    "overlapping-row-keeps-its-survivors": (
+        "oracle", "whole = over |", "whole = 0 |",
+        ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",
+    ),
+    "emptied-row-left-empty": (
+        "oracle", "ones & ~_nonzero_rows(n, rows, ones) if", "0 if",
+        ROW_BFS + "test_a_family_that_leaves_no_survivors",
+    ),
+    "continued-block-restarts-its-rows": (
+        "oracle", "count - take, rows >> (take << n)", "count - take, rows",
+        ROW_BFS + "test_a_block_straddles_two_bfs_integers",
+    ),
+    "integer-count-one-short": (
+        "oracle", "scanned += used - overs.bit_count()", "scanned += used - overs.bit_count() - 1",
+        ROW_BFS + "test_hit_position_inside_a_batch[3-structure:1-2]",
     ),
     "connectivity-walk-from-size-0": (
         "oracle", "range(1, kappa + 1)", "range(kappa + 1)",

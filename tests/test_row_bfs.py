@@ -4,10 +4,12 @@ metrics._diameter_mask runs many BFS sources per big integer: at n <= 7
 every survivor, all in one metrics._batch_diameter; at n >= 8 only the
 survivors far from one anchor BFS (metrics._fringe_diameter, checked
 directly at small n too).  oracle._kappa_scan checks a batch of
-candidate families per BFS, and oracle._max_diameter measures a batch
-of families per BFS (metrics._batch_diameter); both read any stream of
-(key, fault bitset) pairs, here one size of faults._iter_packings or
-the scans' one walk, faults._base0_walk.  They must give exactly
+candidate families per BFS over any stream of faults._iter_prefixes
+triples, at n <= 6 building each prefix's candidate rows in one big-int
+pass; oracle._max_diameter measures a batch of families per BFS
+(metrics._batch_diameter) over any stream of (key, fault bitset) pairs,
+here one size of faults._iter_packings or the scans' one walk,
+faults._base0_walk.  They must give exactly
 what a per-source diameter scan and a per-family connectivity or
 diameter scan give: the same diameters and None cases, the same
 witness indices and the same families-scanned and skipped counts.  The
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 import time
 from functools import lru_cache
+from itertools import accumulate, islice
 
 import pytest
 
@@ -31,8 +34,10 @@ from cube_faultlab import (
     FaultMode, InvariantViolation, SearchSpec, SurvivalGraph, adversarial_q1_family,
     adversarial_subcube_family, fault_diameter_bruteforce, sample_families,
 )
-from cube_faultlab import metrics, oracle
-from cube_faultlab.faults import _base0_walk, _iter_packings, _space
+from cube_faultlab import connectivity_bruteforce, metrics, oracle
+from cube_faultlab.faults import (
+    _base0_walk, _iter_packings, _iter_prefixes, _max_family_size, _space,
+)
 from cube_faultlab.oracle import _kappa_scan
 
 
@@ -76,17 +81,36 @@ def ref_connected(n: int, allowed: int) -> bool:
     return ref_bfs(n, allowed, low)[0] == allowed
 
 
-def ref_kappa_scan(n: int, label: str, size: int, firsts):
-    """(witness indices, families scanned), one family at a time."""
-    masks = _space(n, FaultMode.from_label(label)).masks
+def ref_family_scan(n: int, families):
+    """(first disconnecting key or None, families scanned) over (key,
+    fault bitset) pairs, one family at a time."""
     full = (1 << (1 << n)) - 1
     scanned = 0
-    for idx, acc in _iter_packings(masks, size, firsts):
+    for idx, acc in families:
         scanned += 1
         surv = full & ~acc
         if surv and not ref_connected(n, surv):
             return idx, scanned
     return None, scanned
+
+
+def extend(masks, prefixes):
+    """The (key, fault bitset) families of _iter_prefixes triples, candidate by candidate."""
+    for prefix, acc, cands in prefixes:
+        for i in cands:
+            if not masks[i] & acc:
+                yield prefix + (i,), acc | masks[i]
+
+
+def ref_kappa_scan(n: int, label: str, size: int, firsts):
+    """(witness indices, families scanned), one family at a time."""
+    masks = _space(n, FaultMode.from_label(label)).masks
+    return ref_family_scan(n, _iter_packings(masks, size, firsts))
+
+
+def kappa_scan(n: int, masks, size: int, firsts):
+    """oracle._kappa_scan over one size of the prefix walk."""
+    return _kappa_scan(n, masks, _iter_prefixes(masks, size, firsts))
 
 
 def packings(n: int, label: str, size: int, firsts) -> list[int]:
@@ -266,17 +290,16 @@ def test_fringe_diameter_with_every_batch_size(monkeypatch, n):
 
 
 def scan_cases(n: int, label: str):
-    """(size, firsts) for every size up to the first disconnecting one,
-    over the full index range and the base-0 first indices that
-    connectivity_bruteforce passes."""
+    """(size, firsts) for every size up to one past the largest family,
+    at most 14 (sizes 15-17 of the mixed-dimension modes at n = 4 take
+    seconds to walk), over the full index range and the base-0 first
+    indices that connectivity_bruteforce passes."""
     mode = FaultMode.from_label(label)
     count = _space(n, mode).size
     firstses = [range(count), list(_space(n, mode).base0_indices())]
-    for size in range(1, (1 << n) + 1):
+    for size in range(1, min(_max_family_size(n, mode) + 2, 15)):
         for firsts in firstses:
             yield size, firsts
-        if ref_kappa_scan(n, label, size, range(count))[0] is not None:
-            return
 
 
 @pytest.mark.parametrize(
@@ -287,7 +310,7 @@ def test_kappa_scan_matches_the_per_family_scan(n, label):
     masks = _space(n, mode).masks
     for size, firsts in scan_cases(n, label):
         want = ref_kappa_scan(n, label, size, firsts)
-        assert _kappa_scan(n, _iter_packings(masks, size, firsts)) == want, (size, firsts)
+        assert kappa_scan(n, masks, size, firsts) == want, (size, firsts)
 
 
 @pytest.mark.parametrize("label", ["structure:1", "subcube:2"])
@@ -297,7 +320,7 @@ def test_kappa_scan_matches_the_per_family_scan_at_n5(label):
     count = len(masks)
     for size in range(1, 5):
         hit, scanned = ref_kappa_scan(5, label, size, range(count))
-        assert _kappa_scan(5, _iter_packings(masks, size, range(count))) == (hit, scanned)
+        assert kappa_scan(5, masks, size, range(count)) == (hit, scanned)
         if hit is not None:
             break
     assert hit is not None
@@ -319,7 +342,7 @@ def test_hit_position_inside_a_batch(monkeypatch, n, label, size):
     last_row = short_final = False
     for rows in range(1, total + 2):
         monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
-        assert _kappa_scan(n, _iter_packings(masks, size, firsts)) == (hit, scanned), rows
+        assert kappa_scan(n, masks, size, firsts) == (hit, scanned), rows
         batch_end = -(-scanned // rows) * rows
         last_row |= batch_end == scanned
         short_final |= batch_end > total
@@ -337,9 +360,93 @@ def test_kappa_scan_on_every_size(n, label):
     emptied = 0
     for size in range(1, (1 << n) + 1):
         want = ref_kappa_scan(n, label, size, everything)
-        assert _kappa_scan(n, _iter_packings(masks, size, everything)) == want, size
+        assert kappa_scan(n, masks, size, everything) == want, size
         emptied += packings(n, label, size, everything).count(full)
     assert emptied
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_block_pass_on_seeded_firsts(n):
+    """Three seeded first indices per mode and size up to kappa, the
+    first 40 prefixes of each walk: hits and scans that find none."""
+    rng = random.Random(4_000 + n)
+    seen = set()
+    for mode in modes(n):
+        masks = _space(n, mode).masks
+        for size in range(1, mode.kappa(n) + 1):
+            firsts = sorted(rng.sample(range(len(masks)), 3))
+            prefixes = list(islice(_iter_prefixes(masks, size, firsts), 40))
+            want = ref_family_scan(n, extend(masks, iter(prefixes)))
+            assert _kappa_scan(n, masks, iter(prefixes)) == want, (mode.label, size, firsts)
+            seen.add(want[0] is None)
+    assert seen == {True, False}
+
+
+def test_a_block_straddles_two_bfs_integers(monkeypatch):
+    """With a few rows per BFS integer, a prefix's candidates run on into
+    the next integer: the hit lies in such a continuation for some row
+    counts, and a block straddles before the hit for others."""
+    n, label, size = 4, "structure:1", 3
+    masks = _space(n, FaultMode.from_label(label)).masks
+    prefixes = list(_iter_prefixes(masks, size, range(len(masks))))
+    want = ref_family_scan(n, extend(masks, iter(prefixes)))
+    key = want[0]
+    # the hit's row in the walk: the candidate rows of the earlier prefixes, then its offset
+    at = next(k for k, (p, _, _) in enumerate(prefixes) if p == key[:-1])
+    before = sum(len(c) for _, _, c in prefixes[:at])
+    hit_row = before + key[-1] - prefixes[at][2].start
+    continued = straddled = False
+    for rows in range(2, 40):
+        monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
+        assert _kappa_scan(n, masks, iter(prefixes)) == want, rows
+        continued |= before // rows < hit_row // rows
+        starts = accumulate([0] + [len(c) for _, _, c in prefixes[:at]])
+        straddled |= any(a // rows < (a + len(c) - 1) // rows
+                         for a, (_, _, c) in zip(starts, prefixes))
+    assert continued and straddled
+
+
+def test_a_prefix_whose_whole_tail_overlaps():
+    """Prefixes none of whose candidates miss them add rows but no family."""
+    n = 3
+    masks = _space(n, FaultMode.structure(1)).masks
+    prefixes = list(_iter_prefixes(masks, 3, range(len(masks))))
+    dead = [p for p in prefixes if all(masks[i] & p[1] for i in p[2])]
+    assert dead and len(dead[0][2]) == 8  # (00*, 11*) against every later edge
+    assert _kappa_scan(n, masks, iter(dead)) == (None, 0)
+    for stream in (dead + prefixes, prefixes):
+        want = ref_family_scan(n, extend(masks, iter(stream)))
+        assert _kappa_scan(n, masks, iter(stream)) == want
+
+
+def test_a_family_that_leaves_no_survivors():
+    """All eight vertices of Q_3, then the seven that leave vertex 0
+    alone, ahead of the size-6 families: the emptying family is walked
+    and counted, in the hit's BFS integer, but never the hit, and the
+    lowest-bit seed of the next row borrows nothing from its row."""
+    n = 3
+    masks = _space(n, FaultMode.structure(0)).masks
+    stream = [*_iter_prefixes(masks, 8, range(8)), *_iter_prefixes(masks, 7, [1]),
+              *_iter_prefixes(masks, 6, range(8))]
+    assert stream[0][0] == tuple(range(7)) and stream[1][0] == tuple(range(1, 7))
+    want = ref_family_scan(n, extend(masks, iter(stream)))
+    assert want[0] is not None and want[0] != tuple(range(8))
+    assert _kappa_scan(n, masks, iter(stream)) == want
+
+
+@pytest.mark.parametrize("n,label,kappa,scanned,witness", [
+    (6, "structure:4", 2, 18, ["00****", "11****"]),
+    (7, "structure:4", 3, 3021, ["000****", "011****", "101****"]),
+])
+def test_both_sides_of_the_block_pass_switch(n, label, kappa, scanned, witness):
+    """n = 6 runs the block pass, n = 7 the per-family rows; both give the
+    reference scan's witness and count over the same walk."""
+    mode = FaultMode.from_label(label)
+    res = connectivity_bruteforce(n, mode)
+    assert (res.kappa, res.families_scanned, res.witness.patterns()) == (kappa, scanned, witness)
+    space = _space(n, mode)
+    key, count = ref_family_scan(n, _base0_walk(space, mode, range(1, kappa + 1)))
+    assert ([space[i].pattern for i in key], count) == (witness, scanned)
 
 
 # ---------------------------------------------------------------------------
