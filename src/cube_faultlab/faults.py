@@ -417,18 +417,21 @@ def _extend(masks: tuple[int, ...], prefixes):
 def _iter_prefixes(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
     """The one family walk: (prefix, union bitset, candidates) for every
     ascending tuple of `size` - 1 >= 0 pairwise-disjoint elements that a
-    family can extend, the first index in `firsts` (ascending).  The last
-    index runs over the range `candidates`: the rest of the space, or at
-    size 1 one index of `firsts`.  Prefix by prefix, then candidate by
-    candidate, is the canonical family order.  A prefix stops where too
-    few indices remain to complete it, so a size above len(masks) yields
-    nothing at once.  One index iterator per depth, not recursion, so the
-    interpreter's recursion limit does not bound the depth."""
+    family can extend, the first index in `firsts` (ascending); size 0
+    has no last index and raises.  The last index runs over `candidates`:
+    the range of the rest of the space, or at size 1 the tuple of
+    `firsts`.  Prefix by prefix, then candidate by candidate, is the
+    canonical family order.  A prefix stops where too few indices remain
+    to complete it, so a size above len(masks) yields nothing at once.
+    One index iterator per depth, not recursion, so the interpreter's
+    recursion limit does not bound the depth."""
+    if size < 1:
+        raise ValueError(f"a prefix walk needs family size >= 1, got {size}")
     top = len(masks) - size  # index at depth d runs up to top + d
     if top < 0:
         return
     if size == 1:
-        yield from (((), 0, range(f, f + 1)) for f in firsts if f <= top)
+        yield (), 0, tuple(f for f in firsts if f <= top)
         return
     last = size - 2  # the depth of a prefix's last index
     idx, accs = [0] * (last + 1), [0] * (last + 2)  # accs[d]: the union of idx[:d]

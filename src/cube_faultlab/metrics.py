@@ -192,7 +192,7 @@ def _batch_diameter(n: int, sets: list[int]) -> tuple[int, int] | None:
 
 
 def _pack_rows(n: int, sets: list[int]) -> int:
-    """One integer holding sets[i] in row i (bits i*2^n and up)."""
+    """One integer holding sets[i] in row i (bits i*2^n and up); 0 for no sets."""
     width = 1 << n
     while len(sets) > 1:
         pairs = iter(sets)
@@ -201,7 +201,7 @@ def _pack_rows(n: int, sets: list[int]) -> int:
             packed.append(sets[-1])
         sets = packed
         width <<= 1
-    return sets[0]
+    return sets[0] if sets else 0
 
 
 def _diameter_mask(n: int, allowed: int) -> int | None:

@@ -19,17 +19,15 @@ maximum; results and witnesses carry the caller's mode.
 The connectivity scan reads the walk as faults._iter_prefixes triples
 and gives each family one 2^n-bit row, its survivor set, of an integer
 that one row-packed BFS (metrics._first_disconnected) tests; the first
-row left incomplete is the hit.  At n <= 6 a prefix's candidate rows
-come from one big-int pass (_row_blocks): the element table (element i
-in row i) shifted to the first candidate, ANDed with the prefix union
-in every row and folded by n shift-ORs (metrics._nonzero_rows), flags
-the candidates that overlap the prefix.  Those rows, and rows left
-empty, hold the whole cube, which is connected, and the flags keep them
-out of the count, so the witness and families_scanned are those of a
-one-family-at-a-time scan.  At n >= 7 a padded row costs more BFS than
-the Python it saves, and each family's row is built alone.  Whole scans,
-before -> after: lem2.4(n=5,m=2), 26,860 families, 14-16 -> 7.1-7.4 ms;
-n = 6 structure:1, 3,129,328 families, 2.2-2.5 -> 1.6 s.
+row left incomplete is the hit.  At n <= 6 _row_blocks flags a prefix's
+candidates that overlap it in one big-int pass: the element table
+(element i in row i; at size 1 the first indices' rows) shifted to the
+first candidate, ANDed with the prefix union in every row, folded by n
+shift-ORs (metrics._nonzero_rows).  Flagged rows, and rows left empty,
+hold the connected whole cube and are not counted.  At n >= 7 the pass
+took 1.02-1.85x the per-family time (0.89x at n = 7 subcube:5; 0.62-0.85x
+at n = 6 from 1,205 families), so each family's row is built alone.
+Scans: lem2.4(n=5,m=2) 14-16 -> 7.1-7.4 ms, n = 6 structure:1 2.2 -> 1.6 s.
 
 Both fault-diameter searches run one loop (_max_diameter) over (key,
 fault bitset) pairs, and both key a family by its ascending element
@@ -140,16 +138,16 @@ def _kappa_scan(n: int, masks: tuple[int, ...], prefixes) -> tuple[tuple[int, ..
     per_int, scanned, carry = _rows_per_int(n), 0, None
     pieces = _row_blocks(n, masks, prefixes)
     while True:
-        packed, overs, used, blocks = 0, 0, 0, []  # blocks: (first row, key of an index, index)
+        packed, overs, used, blocks = 0, 0, 0, []  # blocks: (first row, key, first position)
         while used < per_int and (carry or (carry := next(pieces, None))):
             key, lo, count, rows, over = carry
-            take = min(count, per_int - used)
-            at, cut = used << n, (1 << (take << n)) - 1
-            packed, overs = packed | (rows & cut) << at, overs | (over & cut) << at
+            take, carry = min(count, per_int - used), None
+            if take < count:  # the rest goes on in the next integer
+                carry = (key, lo + take, count - take, rows >> (take << n), over >> (take << n))
+                rows, over = rows & (cut := (1 << (take << n)) - 1), over & cut
+            packed, overs = packed | rows << (used << n), overs | over << (used << n)
             blocks.append((used, key, lo))
             used += take
-            rest = (key, lo + take, count - take, rows >> (take << n), over >> (take << n))
-            carry = rest if take < count else None
         if not used:
             return None, scanned
         row = _first_disconnected(n, packed, used)
@@ -161,11 +159,10 @@ def _kappa_scan(n: int, masks: tuple[int, ...], prefixes) -> tuple[tuple[int, ..
 
 
 def _row_blocks(n: int, masks: tuple[int, ...], prefixes):
-    """(key of an index, first index, row count, survivor rows, overlap
-    flags) per block: at n <= 6 a prefix's candidates in one big-int pass
-    (see the module docstring), at n >= 7 one BFS integer's families."""
+    """(key of a row position, first position, row count, rows, overlap flags)
+    per block: a prefix's candidates at n <= 6, one BFS integer's families above."""
     full, size = _full_mask(n), len(masks)
-    if n > 6:  # a padded row's BFS costs more than the Python it saves
+    if n > 6:  # a padded row's BFS costs more than the Python it saves (module docstring)
         families = _extend(masks, prefixes)
         while batch := list(islice(families, _rows_per_int(n))):
             rows = _pack_rows(n, [full & ~acc or full for _, acc in batch])  # empty: whole cube
@@ -173,13 +170,14 @@ def _row_blocks(n: int, masks: tuple[int, ...], prefixes):
         return
     table, every = _pack_rows(n, list(masks)), _spaced_ones(size, 1 << n)
     tight = (1 << n) - max(map(int.bit_count, masks))  # a union this large may leave none
-    for prefix, acc, cands in prefixes:
+    for prefix, acc, cands in prefixes:  # a size-1 block gathers its rows
         ones = every >> ((size - len(cands)) << n)
-        tail, accs = table >> (cands.start << n), acc * ones
+        tail = table >> (cands.start << n) if prefix else _pack_rows(n, [masks[i] for i in cands])
+        accs = acc * ones
         over = _nonzero_rows(n, tail & accs, ones)
         rows = ~(accs | tail) & ones * full
         whole = over | (ones & ~_nonzero_rows(n, rows, ones) if acc.bit_count() >= tight else 0)
-        yield lambda i, p=prefix: p + (i,), cands.start, len(cands), rows | whole * full, over
+        yield lambda i, p=prefix, c=cands: p + (c[i],), 0, len(cands), rows | whole * full, over
 
 
 def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:

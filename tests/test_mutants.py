@@ -69,6 +69,10 @@ MUTANTS = {
         "oracle", "scanned += used - overs.bit_count()", "scanned += used - overs.bit_count() - 1",
         ROW_BFS + "test_hit_position_inside_a_batch[3-structure:1-2]",
     ),
+    "size-1-key-is-its-row": (
+        "oracle", "p + (c[i],)", "p + (i,)",
+        ROW_BFS + "test_a_size_1_block_maps_its_hit_back_through_the_firsts",
+    ),
     "connectivity-walk-from-size-0": (
         "oracle", "range(1, kappa + 1)", "range(kappa + 1)",
         "tests/test_oracle.py::TestConnectivity::test_q3_edge_structure",

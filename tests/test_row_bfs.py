@@ -434,6 +434,28 @@ def test_a_family_that_leaves_no_survivors():
     assert _kappa_scan(n, masks, iter(stream)) == want
 
 
+def test_a_size_1_block_maps_its_hit_back_through_the_firsts(monkeypatch):
+    """Size 1 is one prefix, the empty one, whose candidates are the
+    first indices themselves, in one block gathered from the table.  No
+    one subcube disconnects Q_n, so the elements here are vertex sets of
+    Q_2: {0, 3} and {1, 2} each leave two non-adjacent vertices."""
+    n, masks = 2, (0b0001, 0b1000, 0b1001, 0b0110)
+    for firsts, want in (([0, 1, 2, 3], ((2,), 3)), ([1, 3], ((3,), 2)), ([0, 1], (None, 2))):
+        assert list(_iter_prefixes(masks, 1, firsts)) == [((), 0, tuple(firsts))]
+        for rows in (1, 2, 3, 4):  # one row per integer: the block straddles every integer
+            monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
+            assert _kappa_scan(n, masks, _iter_prefixes(masks, 1, firsts)) == want, (firsts, rows)
+
+
+def test_the_prefix_walk_has_no_size_0():
+    """The empty family has no last index, so the prefix walk refuses
+    size 0 by name; _iter_packings still yields it once."""
+    masks = _space(3, FaultMode.structure(1)).masks
+    with pytest.raises(ValueError, match="got 0"):
+        next(_iter_prefixes(masks, 0, range(len(masks))))
+    assert list(_iter_packings(masks, 0, range(len(masks)))) == [((), 0)]
+
+
 @pytest.mark.parametrize("n,label,kappa,scanned,witness", [
     (6, "structure:4", 2, 18, ["00****", "11****"]),
     (7, "structure:4", 3, 3021, ["000****", "011****", "101****"]),
