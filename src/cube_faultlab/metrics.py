@@ -49,7 +49,7 @@ _BITSET_LIMIT = 26  # the largest ambient dimension of a survival graph
 _ROW_BITS = 1 << 16
 
 _LIMIT_S = 60  # the one predicted-time limit of every request
-_CONNECTIVITY_US = 1.0  # per κ-scan family at n <= 6: 0.27-0.62 µs measured (>= 10^4 families)
+_CONNECTIVITY_US = 1.0  # per κ-scan family at n <= 6: 0.24-0.60 µs measured at >= 10^4 families
 
 
 def _diameter_us(n: int) -> float:

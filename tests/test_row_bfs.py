@@ -440,7 +440,8 @@ def test_a_size_1_block_maps_its_hit_back_through_the_firsts(monkeypatch):
     one subcube disconnects Q_n, so the elements here are vertex sets of
     Q_2: {0, 3} and {1, 2} each leave two non-adjacent vertices."""
     n, masks = 2, (0b0001, 0b1000, 0b1001, 0b0110)
-    for firsts, want in (([0, 1, 2, 3], ((2,), 3)), ([1, 3], ((3,), 2)), ([0, 1], (None, 2))):
+    for firsts, want in (([0, 1, 2, 3], ((2,), 3)), ([1, 3], ((3,), 2)), ([0, 1], (None, 2)),
+                         ([], (None, 0))):
         assert list(_iter_prefixes(masks, 1, firsts)) == [((), 0, tuple(firsts))]
         for rows in (1, 2, 3, 4):  # one row per integer: the block straddles every integer
             monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
