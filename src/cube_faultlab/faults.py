@@ -395,15 +395,9 @@ def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFami
     space = _space(n, mode)
     masks = space.masks  # refused before anything is built when too large
     elems = tuple(map(space.__getitem__, range(space.size)))
-    for idx, _ in _iter_packings(masks, size, range(space.size)):
+    walk = _extend(masks, _iter_prefixes(masks, size, range(space.size))) if size else [((), 0)]
+    for idx, _ in walk:
         yield FaultFamily(tuple(map(elems.__getitem__, idx)), mode, n)
-
-
-def _iter_packings(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
-    """(ascending indices, union bitset) of every family of `size`
-    pairwise-disjoint elements whose first index is in `firsts`.  Size 0
-    yields the empty family once, whatever `firsts` is."""
-    return _extend(masks, _iter_prefixes(masks, size, firsts)) if size else iter([((), 0)])
 
 
 def _extend(masks: tuple[int, ...], prefixes):
@@ -415,15 +409,16 @@ def _extend(masks: tuple[int, ...], prefixes):
 
 
 def _iter_prefixes(masks: tuple[int, ...], size: int, firsts: Iterable[int]):
-    """The one family walk: (prefix, union bitset, candidates) for every
-    ascending tuple of `size` - 1 >= 0 pairwise-disjoint elements that a
-    family can extend, the first index in `firsts` (ascending); size 0
-    has no last index and raises.  The last index runs over `candidates`:
-    the range of the rest of the space, or at size 1 the tuple of
-    `firsts`.  Prefix by prefix, then candidate by candidate, is the
-    canonical family order.  A prefix stops where too few indices remain
-    to complete it, so a size above len(masks) yields nothing at once.
-    One index iterator per depth, not recursion, so the interpreter's
+    """The one family walk, which _extend expands: (prefix, union bitset,
+    candidates) for every ascending tuple of `size` - 1 >= 0 disjoint
+    elements that a family can extend, the first index in `firsts`
+    (ascending).  Size 0 has no last index and raises: a caller adds the
+    empty family itself.  The last index runs over `candidates`: the
+    range of the rest of the space, or at size 1 the tuple of `firsts`.
+    Prefix by prefix, then candidate by candidate, is the canonical
+    family order.  A prefix stops where too few indices remain to
+    complete it, so a size above len(masks) yields nothing at once.  One
+    index iterator per depth, not recursion, so the interpreter's
     recursion limit does not bound the depth."""
     if size < 1:
         raise ValueError(f"a prefix walk needs family size >= 1, got {size}")
@@ -463,16 +458,15 @@ def _clip_sizes(n: int, mode: FaultMode, sizes: range) -> range:
     return range(sizes.start, min(sizes.stop, _max_family_size(n, mode) + 1))
 
 
-def _base0_walk(space: _ElementSpace, mode: FaultMode, sizes: range, prefixes: bool = False):
-    """The walk of the exhaustive scans: (indices, union bitset) of every
-    family of `space` of a size in _clip_sizes(sizes) whose first element
-    contains vertex 0, sizes ascending, each in canonical order; with
-    `prefixes`, the _iter_prefixes triples of those families instead.
-    The oracle module docstring proves that this translation reduction
-    keeps every kappa, value and witness."""
-    firsts, walk = list(space.base0_indices()), _iter_prefixes if prefixes else _iter_packings
-    sizes = _clip_sizes(space.n, mode, sizes)
-    return chain.from_iterable(walk(space.masks, s, firsts) for s in sizes)
+def _base0_walk(space: _ElementSpace, mode: FaultMode, sizes: range):
+    """The walk of the exhaustive scans: the _iter_prefixes triples of
+    every family of `space` of a size in _clip_sizes(sizes) whose first
+    element contains vertex 0, sizes ascending, each in canonical order
+    (sizes >= 1; the diameter scan adds the empty family).  The oracle
+    module docstring proves that this translation reduction keeps every
+    kappa, value and witness."""
+    firsts, sizes = list(space.base0_indices()), _clip_sizes(space.n, mode, sizes)
+    return chain.from_iterable(_iter_prefixes(space.masks, s, firsts) for s in sizes)
 
 
 def _count_packings(n: int, mode: FaultMode, sizes: range, cap: int) -> int:

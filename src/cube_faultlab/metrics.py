@@ -153,16 +153,17 @@ def _first_disconnected(n: int, allowed: int, rows: int) -> int | None:
     """Index of the first disconnected row of `allowed`, None when all
     are connected.
 
-    `allowed` holds `rows` nonempty 2^n-bit rows, at most _rows_per_int(n).
+    `allowed` holds `rows` 2^n-bit rows, at most _rows_per_int(n).
     Each row is seeded at its lowest vertex, and one _bfs_cover checks
     them all: the lowest vertex it leaves unvisited lies in the first
-    disconnected row.
+    disconnected row.  An empty row has no seed and is never that row.
     """
     per_int = _rows_per_int(n)
-    # x & ~(x - 1) is the lowest bit of x, done in every row at once;
-    # no row is 0, so no borrow crosses into the next row
+    # allowed & ~(x - 1) is the lowest bit of allowed, in every row at once;
+    # x holds every row's top bit, so no borrow crosses into the next row
     ones = _spaced_ones(per_int, 1 << n) >> ((per_int - rows) << n)
-    left = allowed ^ _bfs_cover(n, allowed, allowed & ~(allowed - ones), per_int)[0]
+    x = allowed | ones << ((1 << n) - 1)
+    left = allowed ^ _bfs_cover(n, allowed, allowed & ~(x - ones), per_int)[0]
     if not left:
         return None
     return ((left & -left).bit_length() - 1) >> n

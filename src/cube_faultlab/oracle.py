@@ -9,25 +9,24 @@ Two questions are answered by exhaustion:
 * fault diameter: the largest survivor diameter over every family of at
   most `budget` elements, including the empty family.
 
-Both exhaustive scans consume one stream, faults._base0_walk, over an
-element space built once per public scan and dropped, bitset table
-included, when it returns (substructure's is subcube:1's).  Its order
-is fixed, so the connectivity witness is the first disconnecting
+Both exhaustive scans read one walk of faults._iter_prefixes triples,
+faults._base0_walk, over an element space built once per public scan
+and dropped, bitset table included, when it returns (substructure's is
+subcube:1's); the diameter scan expands it after the empty family.  Its
+order is fixed, so the connectivity witness is the first disconnecting
 family walked and the diameter witness the first family attaining the
 maximum; results and witnesses carry the caller's mode.
 
-The connectivity scan reads the walk as faults._iter_prefixes triples
-and gives each family one 2^n-bit row, its survivor set, of an integer
-that one row-packed BFS (metrics._first_disconnected) tests; the first
-row left incomplete is the hit.  At n <= 6 _row_blocks flags a prefix's
-candidates that overlap it in one big-int pass: the element table
-(element i in row i; at size 1 the first indices' rows) shifted to the
-first candidate, ANDed with the prefix union in every row, folded by n
-shift-ORs (metrics._nonzero_rows).  Flagged rows, and rows left empty,
-hold the connected whole cube and are not counted.  At n >= 7 the pass
-took 1.02-1.85x the per-family time (0.89x at n = 7 subcube:5; 0.62-0.85x
-at n = 6 from 1,205 families), so each family's row is built alone.
-Scans: lem2.4(n=5,m=2) 14-16 -> 7.1-7.4 ms, n = 6 structure:1 2.2 -> 1.6 s.
+The connectivity scan gives each family one 2^n-bit row, its survivor
+set, of an integer that one row-packed BFS (metrics._first_disconnected)
+tests; the first row left incomplete is the hit, and an empty row, a
+family leaving no survivors, never is.  At n <= 6 _row_blocks flags a
+prefix's candidates that overlap it in one big-int pass: the element
+table (element i in row i; at size 1 the first indices' rows) shifted
+to the first candidate, ANDed with the prefix union in every row,
+folded by n shift-ORs (metrics._nonzero_rows).  Flagged rows are left
+empty and are not counted.  At n >= 7 a padded row's BFS costs more
+than the Python it saves, so each family's row is built alone.
 
 Both fault-diameter searches run one loop (_max_diameter) over (key,
 fault bitset) pairs, and both key a family by its ascending element
@@ -72,7 +71,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 from .core import _ElementSpace, _union_mask
@@ -160,24 +159,23 @@ def _kappa_scan(n: int, masks: tuple[int, ...], prefixes) -> tuple[tuple[int, ..
 
 def _row_blocks(n: int, masks: tuple[int, ...], prefixes):
     """(key of a row position, first position, row count, rows, overlap flags)
-    per block: a prefix's candidates at n <= 6, one BFS integer's families above."""
+    per block: a prefix's candidates at n <= 6, one BFS integer's families
+    above.  A candidate that overlaps its prefix is flagged, its row empty."""
     full, size = _full_mask(n), len(masks)
     if n > 6:  # a padded row's BFS costs more than the Python it saves (module docstring)
         families = _extend(masks, prefixes)
         while batch := list(islice(families, _rows_per_int(n))):
-            rows = _pack_rows(n, [full & ~acc or full for _, acc in batch])  # empty: whole cube
+            rows = _pack_rows(n, [full & ~acc for _, acc in batch])
             yield lambda i, b=batch: b[i][0], 0, len(batch), rows, 0
         return
     table, every = _pack_rows(n, list(masks)), _spaced_ones(size, 1 << n)
-    tight = (1 << n) - max(map(int.bit_count, masks))  # a union this large may leave none
     for prefix, acc, cands in prefixes:  # a size-1 block gathers its rows
         ones = every >> ((size - len(cands)) << n)
         tail = table >> (cands.start << n) if prefix else _pack_rows(n, [masks[i] for i in cands])
         accs = acc * ones
         over = _nonzero_rows(n, tail & accs, ones)
-        rows = ~(accs | tail) & ones * full
-        whole = over | (ones & ~_nonzero_rows(n, rows, ones) if acc.bit_count() >= tight else 0)
-        yield lambda i, p=prefix, c=cands: p + (c[i],), 0, len(cands), rows | whole * full, over
+        rows = ~(accs | tail) & (ones ^ over) * full
+        yield lambda i, p=prefix, c=cands: p + (c[i],), 0, len(cands), rows, over
 
 
 def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
@@ -202,8 +200,7 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
         f"FaultMode.kappa, the proved closed form kappa = n - m = {kappa}",
     )
     space = _space(n, mode)
-    prefixes = _base0_walk(space, mode, range(1, kappa + 1), prefixes=True)
-    key, scanned = _kappa_scan(n, space.masks, prefixes)
+    key, scanned = _kappa_scan(n, space.masks, _base0_walk(space, mode, range(1, kappa + 1)))
     if key is None:
         raise InvariantViolation(
             f"no family of at most kappa = {kappa} elements disconnects Q_{n} under mode {mode.label}"
@@ -242,16 +239,15 @@ def fault_diameter_bruteforce(
             f"a sampled fault-diameter search of Q_{n} ({search.draws} draws)",
             lambda _: _diameter_us(n), lambda d, cap: d, search.draws, "draws", 1,
         )
-        space = _space(n, mode)  # in each branch, after the request is priced
-        families = _sampled_families(space, mode, budget, search)
     else:
         _check_time(
             f"an exhaustive fault-diameter search of Q_{n} under {mode.label} "
             f"at budget {budget}", lambda _: _diameter_us(n),
             lambda b, cap: _count_packings(n, mode, range(b + 1), cap), budget, "--budget",
         )
-        space = _space(n, mode)
-        families = _base0_walk(space, mode, range(budget + 1))
+    space = _space(n, mode)  # after the request is priced
+    families = _sampled_families(space, mode, budget, search) if search is not None else chain(
+        [((), 0)], _extend(space.masks, _base0_walk(space, mode, range(1, budget + 1))))
     value, key, scanned, skipped = _max_diameter(space, mode, budget, families)
     witness = FaultFamily(tuple(map(space.__getitem__, key)), mode, n)
     return FaultDiameterResult(n, mode, budget, value, witness, scanned, skipped)

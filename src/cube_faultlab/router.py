@@ -284,7 +284,7 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
         raise ValueError(f"endpoint {(u if bad == u.bits else v).pattern} is a faulty vertex")
     faults = family._pairs  # memoised on the family
     budget = mode.kappa(n) - 1  # validates the pairing, as route_bound does
-    bound = RouteBound(n, mode, _target(n, budget, mode.max_element_dim))
+    bound = RouteBound(n, mode, route_bound(n, mode))
     if family.size > budget:
         raise ValueError(f"family size {family.size} exceeds the routing budget {budget} "
                          f"for mode {mode.label} in Q_{n}")

@@ -260,8 +260,11 @@ def test_the_catalog_never_probes(monkeypatch):
 
 
 def exact_count(n, mode, sizes):
-    """The families the scans walk: every first index an element containing vertex 0."""
-    return sum(1 for _ in faults._base0_walk(faults._space(n, mode), mode, sizes))
+    """The families the scans walk: every first index an element containing
+    vertex 0, and the empty family when `sizes` holds 0."""
+    space = faults._space(n, mode)
+    walk = faults._base0_walk(space, mode, range(max(sizes.start, 1), sizes.stop))
+    return (0 in sizes) + sum(1 for _ in faults._extend(space.masks, walk))
 
 
 @pytest.mark.parametrize(

@@ -54,11 +54,11 @@ MUTANTS = {
         ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",
     ),
     "overlapping-row-keeps-its-survivors": (
-        "oracle", "whole = over |", "whole = 0 |",
+        "oracle", "& (ones ^ over) * full", "& ones * full",
         ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",
     ),
     "emptied-row-left-empty": (
-        "oracle", "ones & ~_nonzero_rows(n, rows, ones) if", "0 if",
+        "metrics", "x = allowed | ones << ((1 << n) - 1)", "x = allowed",
         ROW_BFS + "test_a_family_that_leaves_no_survivors",
     ),
     "continued-block-restarts-its-rows": (
@@ -72,6 +72,10 @@ MUTANTS = {
     "size-1-key-is-its-row": (
         "oracle", "p + (c[i],)", "p + (i,)",
         ROW_BFS + "test_a_size_1_block_maps_its_hit_back_through_the_firsts",
+    ),
+    "diameter-scan-without-the-empty-family": (
+        "oracle", "[((), 0)], _extend(", "_extend(",
+        "tests/test_oracle.py::TestFaultDiameterExhaustive::test_q4_subcube",
     ),
     "connectivity-walk-from-size-0": (
         "oracle", "range(1, kappa + 1)", "range(kappa + 1)",

@@ -6,10 +6,11 @@ survivors far from one anchor BFS (metrics._fringe_diameter, checked
 directly at small n too).  oracle._kappa_scan checks a batch of
 candidate families per BFS over any stream of faults._iter_prefixes
 triples, at n <= 6 building each prefix's candidate rows in one big-int
-pass; oracle._max_diameter measures a batch of families per BFS
-(metrics._batch_diameter) over any stream of (key, fault bitset) pairs,
-here one size of faults._iter_packings or the scans' one walk,
-faults._base0_walk.  They must give exactly
+pass, through metrics._first_disconnected, which never counts an empty
+row as the hit; oracle._max_diameter measures a batch of families per
+BFS (metrics._batch_diameter) over any stream of (key, fault bitset)
+pairs, here the scans' one walk, faults._base0_walk, expanded after the
+empty family.  They must give exactly
 what a per-source diameter scan and a per-family connectivity or
 diameter scan give: the same diameters and None cases, the same
 witness indices and the same families-scanned and skipped counts.  The
@@ -36,7 +37,7 @@ from cube_faultlab import (
 )
 from cube_faultlab import connectivity_bruteforce, metrics, oracle
 from cube_faultlab.faults import (
-    _base0_walk, _iter_packings, _iter_prefixes, _max_family_size, _space,
+    _base0_walk, _iter_prefixes, _max_family_size, _space, enumerate_families,
 )
 from cube_faultlab.oracle import _kappa_scan
 
@@ -105,7 +106,7 @@ def extend(masks, prefixes):
 def ref_kappa_scan(n: int, label: str, size: int, firsts):
     """(witness indices, families scanned), one family at a time."""
     masks = _space(n, FaultMode.from_label(label)).masks
-    return ref_family_scan(n, _iter_packings(masks, size, firsts))
+    return ref_family_scan(n, extend(masks, _iter_prefixes(masks, size, firsts)))
 
 
 def kappa_scan(n: int, masks, size: int, firsts):
@@ -116,7 +117,7 @@ def kappa_scan(n: int, masks, size: int, firsts):
 def packings(n: int, label: str, size: int, firsts) -> list[int]:
     """Union bitset of every family whose first index is in `firsts`."""
     masks = _space(n, FaultMode.from_label(label)).masks
-    return [acc for _, acc in _iter_packings(masks, size, firsts)]
+    return [acc for _, acc in extend(masks, _iter_prefixes(masks, size, firsts))]
 
 
 def modes(n: int):
@@ -434,6 +435,33 @@ def test_a_family_that_leaves_no_survivors():
     assert _kappa_scan(n, masks, iter(stream)) == want
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_an_empty_row_is_never_the_hit(n):
+    """_first_disconnected over 1..8 rows with an empty row first, in the
+    middle, last and just before a row holding only vertex 0: the empty
+    row gets no seed, and its seed borrows nothing from the next row.
+    The other rows are the whole cube, so a wrong hit shows, or seeded
+    random sets, so a right one does."""
+    rng = random.Random(5_000 + n)
+    full = (1 << (1 << n)) - 1
+    seen = set()
+    for rows in range(1, 9):
+        layouts = [(at, False) for at in {0, rows // 2, rows - 1}]
+        layouts += [(at, True) for at in range(rows - 1)]
+        for at, lone_next in layouts:
+            for filler in ("whole", "random", "random"):
+                sets = [full if filler == "whole" else rng.getrandbits(1 << n)
+                        for _ in range(rows)]
+                sets[at] = 0
+                if lone_next:
+                    sets[at + 1] = 1
+                want = next((r for r, s in enumerate(sets) if s and not ref_connected(n, s)), None)
+                got = metrics._first_disconnected(n, metrics._pack_rows(n, sets), rows)
+                assert got == want, (rows, at, lone_next, sets)
+                seen.add(want is None)
+    assert seen == {True, False}
+
+
 def test_a_size_1_block_maps_its_hit_back_through_the_firsts(monkeypatch):
     """Size 1 is one prefix, the empty one, whose candidates are the
     first indices themselves, in one block gathered from the table.  No
@@ -450,11 +478,12 @@ def test_a_size_1_block_maps_its_hit_back_through_the_firsts(monkeypatch):
 
 def test_the_prefix_walk_has_no_size_0():
     """The empty family has no last index, so the prefix walk refuses
-    size 0 by name; _iter_packings still yields it once."""
+    size 0 by name; enumerate_families still yields it once."""
     masks = _space(3, FaultMode.structure(1)).masks
     with pytest.raises(ValueError, match="got 0"):
         next(_iter_prefixes(masks, 0, range(len(masks))))
-    assert list(_iter_packings(masks, 0, range(len(masks)))) == [((), 0)]
+    for mode in modes(3):
+        assert [f.patterns() for f in enumerate_families(3, mode, 0)] == [[]], mode.label
 
 
 @pytest.mark.parametrize("n,label,kappa,scanned,witness", [
@@ -468,7 +497,8 @@ def test_both_sides_of_the_block_pass_switch(n, label, kappa, scanned, witness):
     res = connectivity_bruteforce(n, mode)
     assert (res.kappa, res.families_scanned, res.witness.patterns()) == (kappa, scanned, witness)
     space = _space(n, mode)
-    key, count = ref_family_scan(n, _base0_walk(space, mode, range(1, kappa + 1)))
+    walk = _base0_walk(space, mode, range(1, kappa + 1))
+    key, count = ref_family_scan(n, extend(space.masks, walk))
     assert ([space[i].pattern for i in key], count) == (witness, scanned)
 
 
@@ -507,7 +537,8 @@ def ref_max_diameter(space, mode, budget, families):
 
 def exhaustive_walk(n: int, mode, budget: int) -> list[tuple[tuple[int, ...], int]]:
     """The (key, fault bitset) pairs fault_diameter_bruteforce walks."""
-    return list(_base0_walk(_space(n, mode), mode, range(budget + 1)))
+    space = _space(n, mode)
+    return [((), 0), *extend(space.masks, _base0_walk(space, mode, range(1, budget + 1)))]
 
 
 def batch_reference(n: int, sets: list[int]):
