@@ -439,7 +439,7 @@ def test_a_family_that_leaves_no_survivors():
 def test_an_empty_row_is_never_the_hit(n):
     """_first_disconnected over 1..8 rows with an empty row first, in the
     middle, last and just before a row holding only vertex 0: the empty
-    row gets no seed, and its seed borrows nothing from the next row.
+    row gets no seed and takes no borrow from the next row's seed.
     The other rows are the whole cube, so a wrong hit shows, or seeded
     random sets, so a right one does."""
     rng = random.Random(5_000 + n)
