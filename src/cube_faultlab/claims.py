@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .core import Vertex, _common_neighbor_bits, enumerate_subcubes
+from .core import Subcube, Vertex, _common_neighbor_bits, _ElementSpace, _submasks
 from .faults import (
     FaultFamily,
     FaultMode,
@@ -141,19 +141,23 @@ def _check_common_neighbors(n: int):
 
 def _check_subcube_closure(n: int):
     """Common neighbors of two vertices of a subcube lie in the subcube.
-    Every subcube of dimension >= 1 and every pair of its vertex labels,
-    walked through core._common_neighbor_bits and tested with
-    Subcube.contains; one violation per failing subcube, witnessed by its
-    first failing pair."""
+    Every subcube of dimension >= 1 as (free, base) ints and every pair
+    of its vertex labels, walked through core._common_neighbor_bits, w
+    inside when w & ~free == base; one violation per failing subcube,
+    witnessed by its first failing pair."""
     bad = 0
     witness: list[str] = []
     for k in range(1, n + 1):
-        for s in enumerate_subcubes(n, k):
-            for ub, vb in combinations(s.vertex_bits(), 2):
-                if not all(map(s.contains, _common_neighbor_bits(ub, vb))):
-                    bad += 1
-                    witness = witness or [s.pattern, Vertex(ub, n).pattern, Vertex(vb, n).pattern]
-                    break
+        for free, base in _ElementSpace(n, (k,)).pairs():
+            for ub, vb in combinations(map(base.__or__, _submasks(free)), 2):
+                for w in _common_neighbor_bits(ub, vb):
+                    if w & ~free != base:
+                        break
+                else:
+                    continue
+                bad += 1
+                witness = witness or [Subcube(free, base, n).pattern, f"{ub:0{n}b}", f"{vb:0{n}b}"]
+                break
     return _violations(bad, witness)
 
 
@@ -194,23 +198,24 @@ def _check_small_removal_diameter(n: int):
 def _check_crossing_dimension(n: int, max_dim: int):
     """Symmetric pairs keep a safe crossing coordinate under n-1 faults of
     dimension <= max_dim.  Translating u to 0 makes the pair (0, 1^n),
-    whose coordinate j is blocked when e_j or 1^n ^ e_j is faulty.  Every
-    element that misses both endpoints is walked: if each blocks at most
-    one coordinate, n-1 of them leave one free (pigeonhole).  One
-    violation per element blocking two or more, witnessed by the first."""
+    whose coordinate j is blocked when e_j or 1^n ^ e_j lies in a fault
+    (free, base), that is w & ~free == base.  If every element missing
+    both ends blocks at most one, n-1 of them leave one free (pigeonhole);
+    one violation per element blocking two or more, witnessed by the first."""
     full = (1 << n) - 1
     bad = 0
     witness: list[str] = []
     for k in range(max_dim + 1):
-        for s in enumerate_subcubes(n, k):
-            if s.contains(0) or s.contains(full):
+        for free, base in _ElementSpace(n, (k,)).pairs():
+            fixed = full ^ free
+            if not base or base == fixed:  # holds vertex 0 or 1^n
                 continue
             blocked = sum(
-                s.contains(1 << p) or s.contains(full ^ (1 << p)) for p in range(n)
+                (1 << p) & fixed == base or (full ^ 1 << p) & fixed == base for p in range(n)
             )
             if blocked > 1:
                 bad += 1
-                witness = witness or [s.pattern]
+                witness = witness or [Subcube(free, base, n).pattern]
     return _violations(bad, witness)
 
 

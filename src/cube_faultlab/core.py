@@ -18,10 +18,10 @@ and subcube faults share one representation.
 
 An element space is the list of subcubes of Q_n whose dimensions are
 admitted, in canonical order: ascending free_mask, then ascending
-base.  _ElementSpace indexes it by counting arithmetic alone and keeps
-no per-index state; every enumeration, sampler and exhaustive scan of
-the package walks it.  Each call builds its own space, so a vertex
-bitset table lives only as long as the scan that needs it.
+base.  _ElementSpace lists it in one ordered walk, unranks an index by
+counting arithmetic and keeps no per-index state; every enumeration,
+sampler and exhaustive scan of the package reads it.  Each call builds
+its own space, so a bitset table lives only as long as its scan.
 
 Ambient dimension is capped at 30 so every vertex set fits comfortably
 in native integers.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 from typing import Iterable, Iterator
 
@@ -190,13 +190,7 @@ class Subcube:
 
     def vertex_bits(self) -> Iterator[int]:
         """Labels of the subcube's vertices, ascending."""
-        free = self.free_mask
-        sub = 0
-        while True:
-            yield self.base | sub
-            if sub == free:
-                return
-            sub = (sub - free) & free
+        return map(self.base.__or__, _submasks(self.free_mask))
 
     def disjoint_from(self, other: "Subcube") -> bool:
         """True when the two subcubes share no vertex.
@@ -227,6 +221,15 @@ def enumerate_subcubes(n: int, k: int) -> Iterator[Subcube]:
     yield from _ElementSpace(n, (k,))
 
 
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of `mask`, ascending (Knuth, TAOCP 4A, 7.1.3)."""
+    sub = 0
+    yield sub
+    while sub != mask:
+        sub = (sub - mask) & mask  # the borrow carries through the clear bits
+        yield sub
+
+
 def _vertex_mask(free: int, base: int) -> int:
     """Bitset of the subcube (free, base): bit w set iff vertex w is inside.
     Each free bit doubles the set by a shifted copy; base adds as an OR."""
@@ -252,18 +255,18 @@ class _ElementSpace:
 
     This is the one definition of canonical order (ascending free mask,
     then ascending base): subcube and family enumeration, the samplers
-    and the exhaustive scans all index it.  The size, the element at an
-    index and the base-0 indices come from counting arithmetic alone,
-    so the space is never built.  Free masks come in
-    ascending order, so the walk over bit positions p = n-1..0 sets bit
-    p exactly when i is past the elements whose mask agrees with the
-    bits chosen so far and has bit p clear.  _counts[p][c] is that count
-    when c bits are set above p: sum over j of C(p, j) * 2^(n-c-j), for
-    admitted dimensions c + j.  The rest of i is the base's rank among
-    the 2^(n-k) bases of the mask, so its bits are deposited into the
-    fixed coordinates in ascending order.  The vertex-bitset table
-    `masks`, which the exhaustive scans need, is built on first use,
-    after a size check on the arithmetic alone.
+    and the exhaustive scans all read it; it is never built.  A free
+    mask of dimension k owns 2^(n-k) consecutive indices, its bases
+    ascending as the submasks of its fixed bits, base 0 first.
+    _counts[p][c] counts the elements whose mask agrees with the bits
+    chosen above p, c of them set: sum over j of C(p, j) * 2^(n-c-j) for
+    admitted c + j.  _blocks walks the masks in order, and pairs, masks
+    and __iter__ step through each block's submasks, unranking nothing.
+    _free_and_base(i), for witness keys and sampler draws, sets bit p
+    (p = n-1..0) when i is past the _counts[p][c] elements with it clear
+    and deposits the rest of i, the base's rank, into the fixed bits in
+    ascending order.  The vertex-bitset table `masks`, which the scans
+    need, is built on first use, after a size check on the arithmetic.
     """
 
     def __init__(self, n: int, dims: tuple[int, ...]) -> None:
@@ -279,8 +282,11 @@ class _ElementSpace:
 
     def __getitem__(self, i: int) -> Subcube:
         if not 0 <= i < self.size:
-            raise IndexError(i)  # also ends `for s in space` (no __iter__)
+            raise IndexError(i)
         return Subcube(*self._free_and_base(i), self.n)
+
+    def __iter__(self) -> Iterator[Subcube]:
+        return (Subcube(free, base, self.n) for free, base in self.pairs())
 
     def _free_and_base(self, i: int) -> tuple[int, int]:
         counts = self._counts
@@ -301,21 +307,28 @@ class _ElementSpace:
             rest ^= low
         return free, base
 
-    def base0_indices(self) -> Iterator[int]:
-        """The indices of the elements containing vertex 0, ascending and
-        lazily, so a caller that stops early lists few of them.  A free
-        mask of dimension k owns 2^(n-k) consecutive indices, its base-0
-        element first.  The walk sets mask bits clear before set: a
-        prefix with c bits set above p holds _counts[p][c] elements, so
-        setting the next bit skips _counts[p - 1][c] of them."""
-        counts, stack = self._counts, [(self.n, 0, 0)]
+    def _blocks(self) -> Iterator[tuple[int, int]]:
+        """(free mask, index of its base-0 element) of every admitted mask, ascending
+        and lazily.  The walk sets mask bits clear before set: a prefix with c bits
+        set above p holds _counts[p][c] elements; setting bit p - 1 skips _counts[p - 1][c]."""
+        counts, stack = self._counts, [(self.n, 0, 0, 0)]
         while stack:
-            p, c, at = stack.pop()  # a mask prefix above p, its set bits, its first index
+            p, c, at, free = stack.pop()  # a mask prefix above p, its set bits, first index, bits
             if counts[p][c]:
                 if p:
-                    stack += (p - 1, c + 1, at + counts[p - 1][c]), (p - 1, c, at)
+                    p -= 1
+                    stack += (p, c + 1, at + counts[p][c], free | 1 << p), (p, c, at, free)
                 else:
-                    yield at
+                    yield free, at
+
+    def base0_indices(self) -> Iterator[int]:
+        """The indices of the elements holding vertex 0, ascending and lazily."""
+        return (at for _, at in self._blocks())
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """(free, base) of every element, in canonical order."""
+        full = (1 << self.n) - 1
+        return ((free, base) for free, _ in self._blocks() for base in _submasks(full ^ free))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -326,7 +339,9 @@ class _ElementSpace:
                 f"the vertex bitsets of {self.size} elements of Q_{self.n} exceed "
                 f"{_MASK_TABLE_BITS} bits; use a smaller n, or sample_families"
             )
-        return tuple(_vertex_mask(*self._free_and_base(i)) for i in range(self.size))
+        full = (1 << self.n) - 1  # a block's base-0 bitset, shifted by each base
+        return tuple(chain.from_iterable(map(_vertex_mask(free, 0).__lshift__, _submasks(full ^ free))
+                                         for free, _ in self._blocks()))
 
 
 @dataclass(frozen=True)

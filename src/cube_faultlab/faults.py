@@ -387,14 +387,14 @@ def enumerate_families(n: int, mode: FaultMode, size: int) -> Iterator[FaultFami
 
     Families are ascending index tuples into the canonical element
     space, emitted lexicographically; every emitted family is pairwise
-    disjoint and mode-admissible by construction.  Each element is
-    unranked once per call.
+    disjoint and mode-admissible by construction.  The elements are
+    listed in one ordered walk of the space (_ElementSpace.__iter__).
     """
     if size < 0:
         raise ValueError(f"family size must be >= 0, got {size}")
     space = _space(n, mode)
     masks = space.masks  # refused before anything is built when too large
-    elems = tuple(map(space.__getitem__, range(space.size)))
+    elems = tuple(space)
     walk = _extend(masks, _iter_prefixes(masks, size, range(space.size))) if size else [((), 0)]
     for idx, _ in walk:
         yield FaultFamily(tuple(map(elems.__getitem__, idx)), mode, n)
@@ -502,7 +502,7 @@ def _estimate_packings(space: _ElementSpace, sizes: range) -> int:
     size s without bias.  The seed is fixed, so the verdict repeats.  A
     child is a later index whose (free, base) pair misses every draw."""
     rng, top, total, e = random.Random(0), sizes[-1], 0.0, space.size
-    pairs = [space._free_and_base(j) for j in range(e)]
+    pairs = list(space.pairs())
     firsts = list(space.base0_indices())
     for _ in range(_PROBES):
         weight, children = 1.0, firsts

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given
@@ -19,7 +19,8 @@ from cube_faultlab import (
     hamming,
     neighbor,
 )
-from cube_faultlab.core import _common_neighbor_bits, coord_bit
+from cube_faultlab.core import _common_neighbor_bits, _ElementSpace, _vertex_mask, coord_bit
+from cube_faultlab.faults import FaultMode, _admitted
 
 dims = st.integers(min_value=1, max_value=10)
 
@@ -292,3 +293,21 @@ def test_bfs_distance_equals_hamming_in_the_intact_cube():
         u = Vertex(rng.randrange(1 << n), n)
         v = Vertex(rng.randrange(1 << n), n)
         assert hamming(u, v) == bin(u.bits ^ v.bits).count("1")
+
+
+def test_the_ordered_walk_equals_unranking():
+    """pairs, masks and base0_indices walk the blocks and submasks in
+    order; they equal the per-index unranking for the admitted dimensions
+    of every mode at n = 1..8, the empty space included.  pairs is read
+    one past the size, so a walk that repeats fails instead of hanging."""
+    for n in range(1, 9):
+        modes = [FaultMode.substructure()]
+        modes += [FaultMode.structure(m) for m in range(n + 2)]
+        modes += [FaultMode.subcube(m) for m in range(1, n + 2)]
+        for dims in sorted({_admitted(n, mode) for mode in modes}):
+            space = _ElementSpace(n, dims)
+            ranked = [space._free_and_base(i) for i in range(space.size)]
+            assert list(islice(space.pairs(), space.size + 1)) == ranked, (n, dims)
+            assert space.masks == tuple(_vertex_mask(*pair) for pair in ranked), (n, dims)
+            base0 = [i for i, (_, base) in enumerate(ranked) if base == 0]
+            assert list(space.base0_indices()) == base0, (n, dims)

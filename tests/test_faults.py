@@ -472,7 +472,8 @@ def refuse_element_space(monkeypatch):
             m.setattr(core, "_vertex_mask", refuse)
             return table(space)
 
-    monkeypatch.setattr(core._ElementSpace, "__iter__", refuse, raising=False)
+    monkeypatch.setattr(core._ElementSpace, "__iter__", refuse)
+    monkeypatch.setattr(core._ElementSpace, "pairs", refuse)
     monkeypatch.setattr(core._ElementSpace, "masks", property(refuse_table))
 
 

@@ -81,6 +81,14 @@ MUTANTS = {
         "oracle", "range(1, kappa + 1)", "range(kappa + 1)",
         "tests/test_oracle.py::TestConnectivity::test_q3_edge_structure",
     ),
+    "submask-step-counts-up": (
+        "core", "sub = (sub - mask) & mask", "sub = (sub + 1) & mask",
+        "tests/test_core.py::test_the_ordered_walk_equals_unranking",
+    ),
+    "closure-membership-inverted": (
+        "claims", "if w & ~free != base:", "if w & ~free == base:",
+        "tests/test_claims.py::test_common_neighbor_checks_report_each_failure",
+    ),
 }
 
 
@@ -99,10 +107,10 @@ def run_checks(tmp_path: Path, checks: list[str], mutant: tuple[str, str, str] |
         module, old, new = mutant
         path = tmp_path / source(module)
         path.write_text(path.read_text().replace(old, new))
-    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")  # no installed plugin is imported
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
-         *checks],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *checks],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
 

@@ -266,6 +266,24 @@ def test_routing_builds_no_vertex(monkeypatch):
     assert [v.bits for v in path.vertices] == list(path.labels) == built  # the patch counts
 
 
+def test_a_route_evaluates_kappa_once(monkeypatch):
+    """The size budget and the certified bound of one route both come
+    from a single FaultMode.kappa call."""
+    n = 6
+    fam = adversarial_q1_family(n)
+    calls = []
+    kappa = FaultMode.kappa
+
+    def counting(self, k):
+        calls.append(k)
+        return kappa(self, k)
+
+    monkeypatch.setattr(FaultMode, "kappa", counting)
+    rep = route_with_report(Vertex(0, n), Vertex(((1 << n) - 1) ^ 1, n), fam)
+    assert calls == [n]
+    assert rep.bound == router.RouteBound(n, fam.mode, route_bound(n, fam.mode)) and rep.length <= n + 1
+
+
 def mode_sweep(n):
     yield FaultMode.substructure()
     for m in range(0, n - 1):
