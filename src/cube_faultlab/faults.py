@@ -469,6 +469,23 @@ def _base0_walk(space: _ElementSpace, mode: FaultMode, sizes: range):
     return chain.from_iterable(_iter_prefixes(space.masks, s, firsts) for s in sizes)
 
 
+def _anchored_walk(space: _ElementSpace, mode: FaultMode, sizes: range):
+    """The diameter scan's value walk: (space indices, bitsets,
+    _iter_prefixes triples over _clip_sizes(sizes), all >= 1) of the
+    elements sparing vertex 0, sorted by key (k, w), the popcounts of free
+    mask and base, then index.  Each key's run starts with E_{k,w} (free
+    bits 0..k-1, base bits k..k+w-1), the first indices, so a family is
+    E_{k,w} and elements of keys >= (k, w) (oracle module docstring)."""
+    # (k, w) as one int, by index: a block's j-th base is j deposited into its fixed bits
+    keys = [f.bit_count() << 8 | j.bit_count() for f, _ in space._blocks()
+            for j in range(1 << (space.n - f.bit_count()))]
+    idx = sorted((i for i, key in enumerate(keys) if key & 255), key=keys.__getitem__)
+    firsts = [at for at, i in enumerate(idx) if not at or keys[i] != keys[idx[at - 1]]]
+    masks = tuple(map(space.masks.__getitem__, idx))
+    sizes = _clip_sizes(space.n, mode, sizes)
+    return idx, masks, chain.from_iterable(_iter_prefixes(masks, s, firsts) for s in sizes)
+
+
 def _count_packings(n: int, mode: FaultMode, sizes: range, cap: int) -> int:
     """The families _base0_walk yields over `sizes`, or some count above `cap`.
 

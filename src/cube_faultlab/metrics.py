@@ -18,12 +18,13 @@ shift crosses a row boundary, and one loop (_bfs_cover) advances all k
 searches with the same big-int operations.  Rows go max(1, 2^16 >> n)
 to an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds
 one row per source vertex; the connectivity oracle seeds one row per
-candidate family.  At n <= 7 every survivor is a source, and the
-fault-diameter oracle packs 2^n source rows per family, _rows_per_int(n)
->> n families per BFS (_batch_diameter); it settles a batch holding an
-empty or disconnected set, and every family at n >= 8, with
-_diameter_mask, whose sources at n >= 8 are only the survivors far from
-one anchor BFS (_fringe_diameter).
+candidate family at its lowest survivor, and the fault-diameter value
+walk one row per family at vertex 0 (_anchored_cover).  At n <= 7 every
+survivor is a source, and the fault-diameter witness pass packs 2^n
+source rows per family, _rows_per_int(n) >> n families per BFS
+(_batch_diameter); it settles a batch holding an empty or disconnected
+set, and every family at n >= 8, with _diameter_mask, whose sources at
+n >= 8 are only the survivors far from one anchor BFS (_fringe_diameter).
 
 A survival graph is refused past n = _BITSET_LIMIT (26) when it is
 built; the router needs none and serves n <= 30 with its own BFS.
@@ -167,6 +168,16 @@ def _first_disconnected(n: int, allowed: int, rows: int) -> int | None:
     if not left:
         return None
     return ((left & -left).bit_length() - 1) >> n
+
+
+def _anchored_cover(n: int, allowed: int, rows: int) -> tuple[int, int]:
+    """_first_disconnected's one _bfs_cover with every row seeded at its
+    vertex 0: (the largest ecc(0) within its component, the bit 0 of every
+    nonempty row holding a vertex it leaves unvisited)."""
+    per_int = _rows_per_int(n)
+    ones = _spaced_ones(per_int, 1 << n) >> ((per_int - rows) << n)
+    visited, levels, _ = _bfs_cover(n, allowed, allowed & ones, per_int)
+    return levels, _nonzero_rows(n, allowed ^ visited, ones)
 
 
 def _nonzero_rows(n: int, x: int, ones: int) -> int:

@@ -9,37 +9,48 @@ Two questions are answered by exhaustion:
 * fault diameter: the largest survivor diameter over every family of at
   most `budget` elements, including the empty family.
 
-Both exhaustive scans read one walk of faults._iter_prefixes triples,
-faults._base0_walk, over an element space built once per public scan
-and dropped, bitset table included, when it returns (substructure's is
-subcube:1's); the diameter scan expands it after the empty family.  Its
-order is fixed, so the connectivity witness is the first disconnecting
-family walked and the diameter witness the first family attaining the
-maximum; results and witnesses carry the caller's mode.
+The exhaustive scans walk faults._iter_prefixes triples over an element
+space built once per public scan and dropped, bitset table included,
+when it returns (substructure's is subcube:1's).  The connectivity scan
+and the diameter scan's witness pass read faults._base0_walk, in a fixed
+order, so a witness is the first qualifying family walked; results and
+witnesses carry the caller's mode.
 
-The connectivity scan gives each family one 2^n-bit row, its survivor
-set, of an integer that one row-packed BFS (metrics._first_disconnected)
-tests; the first row left incomplete is the hit, and an empty row, a
-family leaving no survivors, never is.  At n <= 6 _row_blocks flags a
-prefix's candidates that overlap it in one big-int pass: the element
-table (element i in row i; at size 1 the first indices' rows) shifted
-to the first candidate, ANDed with the prefix union in every row,
-folded by n shift-ORs (metrics._nonzero_rows).  Flagged rows are left
-empty and are not counted.  At n >= 7 a padded row's BFS costs more
-than the Python it saves, so each family's row is built alone.
+Rows.  The connectivity scan gives each family one 2^n-bit row, its
+survivor set, of an integer that one row-packed BFS
+(metrics._first_disconnected) tests; the first row left incomplete is
+the hit, and an empty row, a family leaving no survivors, never is.  At
+n <= 6 _row_blocks flags a prefix's candidates that overlap it in one
+big-int pass: the element table (element i in row i; at size 1 the first
+indices' rows) shifted to the first candidate, ANDed with the prefix
+union in every row, folded by n shift-ORs (metrics._nonzero_rows).
+Flagged rows are left empty and are not counted.  At n >= 7 a padded
+row's BFS costs more than the Python it saves, so each family's row is
+built alone.  _packed fills the BFS integers with these blocks.
 
-Both fault-diameter searches run one loop (_max_diameter) over (key,
-fault bitset) pairs, and both key a family by its ascending element
-indices: the exhaustive scan's packings and the sampled search's
-accepted draws alike.  At n <= 7 the loop batches consecutive families
-through metrics._batch_diameter; a batch that beats the best so far
-gives its first family at its maximum, so ties keep the earliest.  A
-batch with an empty or disconnected survivor set, and every family at
-n >= 8, goes family by family through metrics._diameter_mask, which
-raises or skips; at n >= 8 its BFS sources are only the survivors far
-from one anchor BFS.  Only the winning key becomes a witness.  The
-sampled search (a SearchSpec passed as `search`) is a library call
-only: the cli's fault-diameter always runs the exhaustive scan.
+Fault diameter: a value walk, then a witness pass.  The value walk
+(_value_walk) builds the rows of faults._anchored_walk's families the
+same way and runs the same BFS with every row seeded at vertex 0
+(metrics._anchored_cover): an integer's level count is its largest
+ecc(0).  A row left uncovered is a disconnected family: it raises within
+the connectivity budget, and above it is skipped, its levels kept out of
+the maximum by a second BFS without it.  The empty family adds ecc(0) =
+n.  The witness pass is the translation-reduced loop (_max_diameter over
+faults._base0_walk after the empty family), stopped at the first family
+whose diameter is the value: at once when the value is n.
+families_scanned adds both parts' families, the empty one counted once,
+in the witness pass; disconnected_skipped is the value walk's.
+
+_max_diameter is the one loop over (key, fault bitset) pairs, keyed by
+ascending element indices: the witness pass's packings and the sampled
+search's accepted draws, walked to the end.  At n <= 7 it batches
+consecutive families through metrics._batch_diameter; a batch that beats
+the best so far gives its first family at its maximum, so ties keep the
+earliest.  A batch with an empty or disconnected survivor set, and every
+family at n >= 8, goes family by family through metrics._diameter_mask,
+which raises or skips; at n >= 8 its BFS sources are only the survivors
+far from one anchor BFS.  The sampled search (a SearchSpec passed as
+`search`) is a library call only: the cli runs the exhaustive scan.
 
 Translation reduction.  XOR by a vertex b is an automorphism of Q_n; it
 maps an element (free, base) to (free, base ^ (b & ~free)), so it keeps
@@ -52,12 +63,24 @@ translation keeps free masks, so that family's first element is
 (f1, 0) < (f1, b1).  It comes earlier in canonical order and qualifies
 too, contradicting the choice of F.  So the first qualifying family
 starts with a base-0 element, i.e. one containing vertex 0, and the
-same translation maps any family to one that does, which keeps the
-maximum.  The scans therefore let the first index run only over the
-elements containing vertex 0 (_ElementSpace.base0_indices, one per
-admissible free mask) and report the kappa, value and witness of a
-scan over every family; families_scanned and disconnected_skipped
-count the families actually walked.
+connectivity scan and the witness pass let the first index run only
+over those (_ElementSpace.base0_indices, one per admissible free mask).
+
+Anchoring at vertex 0, reduced by S_n.  A connected survivor graph's
+diameter is its largest eccentricity, and translation by a survivor u
+maps its family to one that spares vertex 0, ecc(u) becoming ecc(0).  So
+the value is the largest ecc(0) over the connected in-budget families
+that spare vertex 0.  The coordinate permutations S_n fix vertex 0 and
+keep dimensions, disjointness, connectivity and ecc(0).  An element
+sparing vertex 0 has base != 0, and its S_n orbit is fixed by its key
+(k, w), the popcounts of free mask and base: a permutation taking the
+free bits to 0..k-1 and the base bits to k..k+w-1 maps it to E_{k,w}.
+Applied to a family at one of its elements of least key (k, w), it gives
+E_{k,w} with elements that spare vertex 0, miss E_{k,w} and have keys >=
+(k, w): the families faults._anchored_walk walks.  Disconnection is kept
+by both maps, so the raise-or-skip rule reads the same.  This is the
+first level of orderly generation (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998); only the first element is reduced.
 
 Scans run in the calling process; the `jobs` keyword of
 connectivity_bruteforce is accepted and ignored.  Each search is priced
@@ -71,17 +94,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator
 
 from .core import _ElementSpace, _union_mask
 from .errors import InvariantViolation
 from .faults import (
-    FaultFamily, FaultMode, _base0_walk, _count_packings, _extend, _max_family_size, _sample_one,
-    _space,
+    FaultFamily, FaultMode, _anchored_walk, _base0_walk, _count_packings, _extend, _max_family_size,
+    _sample_one, _space,
 )
 from .metrics import (
-    _CONNECTIVITY_US, _batch_diameter, _check_time, _diameter_mask, _diameter_us,
+    _CONNECTIVITY_US, _anchored_cover, _batch_diameter, _check_time, _diameter_mask, _diameter_us,
     _first_disconnected, _full_mask, _nonzero_rows, _pack_rows, _rows_per_int, _spaced_ones,
 )
 
@@ -117,7 +140,9 @@ class ConnectivityResult:
 
 @dataclass(frozen=True)
 class FaultDiameterResult:
-    """Worst survivor diameter over families within the budget."""
+    """Worst survivor diameter over families within the budget.  An
+    exhaustive scan counts the value walk's families and the witness
+    pass's, to the witness, and the value walk's skipped ones."""
 
     n: int
     mode: FaultMode
@@ -130,14 +155,27 @@ class FaultDiameterResult:
 
 def _kappa_scan(n: int, masks: tuple[int, ...], prefixes) -> tuple[tuple[int, ...] | None, int]:
     """(first disconnecting key or None, families walked) over the
-    faults._iter_prefixes triples `prefixes` of `masks`.  Blocks of rows
-    fill BFS integers of _rows_per_int(n) rows, going on in the next one
-    when they overfill one.  A hit in row r counts the earlier integers'
-    families, the rows before r without an overlap flag, and itself."""
-    per_int, scanned, carry = _rows_per_int(n), 0, None
-    pieces = _row_blocks(n, masks, prefixes)
+    faults._iter_prefixes triples `prefixes` of `masks`.  A hit in row r
+    counts the earlier integers' families, the rows before r without an
+    overlap flag, and itself."""
+    scanned = 0
+    for packed, overs, used, blocks in _packed(n, _row_blocks(n, masks, prefixes)):
+        row = _first_disconnected(n, packed, used)
+        if row is not None:
+            below = (overs & ((1 << (row << n)) - 1)).bit_count()
+            return _row_key(blocks, row), scanned + row - below + 1
+        scanned += used - overs.bit_count()
+    return None, scanned
+
+
+def _packed(n: int, pieces):
+    """(rows, overlap flags, row count, blocks) per BFS integer of the
+    _row_blocks pieces `pieces`, a block being (first row, key, first
+    position).  Blocks fill integers of _rows_per_int(n) rows, going on in
+    the next one when they overfill one."""
+    per_int, carry = _rows_per_int(n), None
     while True:
-        packed, overs, used, blocks = 0, 0, 0, []  # blocks: (first row, key, first position)
+        packed, overs, used, blocks = 0, 0, 0, []
         while used < per_int and (carry or (carry := next(pieces, None))):
             key, lo, count, rows, over = carry
             take, carry = min(count, per_int - used), None
@@ -148,13 +186,14 @@ def _kappa_scan(n: int, masks: tuple[int, ...], prefixes) -> tuple[tuple[int, ..
             blocks.append((used, key, lo))
             used += take
         if not used:
-            return None, scanned
-        row = _first_disconnected(n, packed, used)
-        if row is not None:
-            start, key, lo = next(b for b in reversed(blocks) if b[0] <= row)
-            below = (overs & ((1 << (row << n)) - 1)).bit_count()
-            return key(lo + row - start), scanned + row - below + 1
-        scanned += used - overs.bit_count()
+            return
+        yield packed, overs, used, blocks
+
+
+def _row_key(blocks, row: int) -> tuple[int, ...]:
+    """The key of row `row` of a _packed integer with these blocks."""
+    start, key, lo = next(b for b in reversed(blocks) if b[0] <= row)
+    return key(lo + row - start)
 
 
 def _row_blocks(n: int, masks: tuple[int, ...], prefixes):
@@ -224,12 +263,12 @@ def fault_diameter_bruteforce(
     disconnecting families are skipped and counted instead, because the
     maximum is over connected survivor graphs only.
 
-    An exhaustive scan walks only the families whose first element
-    contains vertex 0; by translation symmetry the value and witness
-    are those of a scan over every family (see the module docstring),
-    and families_scanned and disconnected_skipped count the families
-    walked.  `search=None` runs that scan; a SearchSpec walks its seeded
-    draws instead, which gives a lower bound.
+    An exhaustive scan takes the value from the largest ecc(0) over the
+    families that spare vertex 0, reduced by S_n, and the witness from
+    the translation-reduced walk, stopped at the first family attaining
+    the value; both are those of a scan over every family (see the
+    module docstring).  `search=None` runs that scan; a SearchSpec walks
+    its seeded draws instead, which gives a lower bound.
     """
     mode.kappa(n)  # validates the (n, mode) pairing
     if budget < 0:
@@ -246,11 +285,46 @@ def fault_diameter_bruteforce(
             lambda b, cap: _count_packings(n, mode, range(b + 1), cap), budget, "--budget",
         )
     space = _space(n, mode)  # after the request is priced
-    families = _sampled_families(space, mode, budget, search) if search is not None else chain(
-        [((), 0)], _extend(space.masks, _base0_walk(space, mode, range(1, budget + 1))))
-    value, key, scanned, skipped = _max_diameter(space, mode, budget, families)
+    if search is not None:
+        families = _sampled_families(space, mode, budget, search)
+        value, key, scanned, skipped = _max_diameter(space, mode, budget, families)
+    else:
+        value, scanned, skipped = _value_walk(space, mode, budget)
+        key = ()  # the witness pass's first family, the empty one, has diameter n
+        if value > n:
+            families = _extend(space.masks, _base0_walk(space, mode, range(1, budget + 1)))
+            _, key, witnessed, _ = _max_diameter(space, mode, budget, families, value)
+            scanned += witnessed
+        scanned += 1
     witness = FaultFamily(tuple(map(space.__getitem__, key)), mode, n)
     return FaultDiameterResult(n, mode, budget, value, witness, scanned, skipped)
+
+
+def _value_walk(space: _ElementSpace, mode: FaultMode, budget: int) -> tuple[int, int, int]:
+    """(largest ecc(0), families walked, families skipped) over the
+    empty family, which needs no row and is not counted, and
+    faults._anchored_walk's."""
+    n = space.n
+    full, budget_safe = _full_mask(n), budget < mode.kappa(n)
+    idx, masks, prefixes = _anchored_walk(space, mode, range(1, budget + 1))
+    best, walked, skipped = n, 0, 0
+    for packed, overs, used, blocks in _packed(n, _row_blocks(n, masks, prefixes)):
+        levels, cut = _anchored_cover(n, packed, used)
+        if cut:
+            if budget_safe:
+                key = _row_key(blocks, (cut & -cut).bit_length() - 1 >> n)
+                raise _disconnected(space, mode, [idx[i] for i in key])
+            skipped += cut.bit_count()
+            levels = _anchored_cover(n, packed & ~(cut * full), used)[0]
+        best, walked = max(best, levels), walked + used - overs.bit_count()
+    return best, walked, skipped
+
+
+def _disconnected(space: _ElementSpace, mode: FaultMode, key: tuple[int, ...]) -> InvariantViolation:
+    pats = ", ".join(space[i].pattern for i in key)
+    return InvariantViolation(
+        f"family within the connectivity budget disconnected Q_{space.n} (mode {mode.label}): {pats}"
+    )
 
 
 def _sampled_families(
@@ -273,7 +347,7 @@ def _sampled_families(
 
 def _max_diameter(
     space: _ElementSpace, mode: FaultMode, budget: int,
-    families: Iterator[tuple[tuple[int, ...], int]],
+    families: Iterator[tuple[tuple[int, ...], int]], stop: int | None = None,
 ) -> tuple[int, tuple[int, ...], int, int]:
     """The one diameter-scan loop, over (ascending indices, fault bitset)
     pairs of `space`.
@@ -282,6 +356,8 @@ def _max_diameter(
     skipped).  A family whose survivor set is disconnected or empty is
     skipped; within the connectivity budget that contradicts kappa and
     raises, naming the family's elements.  Errors name the caller's mode.
+    With `stop`, the loop ends at the first family of diameter `stop`,
+    which the counts end with.
     """
     n = space.n
     budget_safe = budget < mode.kappa(n)
@@ -291,24 +367,24 @@ def _max_diameter(
     walked = skipped = 0
     per_int = _rows_per_int(n) >> n
     while batch := list(islice(families, max(per_int, 1))):
-        walked += len(batch)
         survivors = [full & ~faults for _, faults in batch]
         if per_int > 1 and (hit := _batch_diameter(n, survivors)):
             if hit[0] > best:
                 best, best_key = hit[0], batch[hit[1]][0]
-            continue
-        for (key, _), surv in zip(batch, survivors):
-            d = _diameter_mask(n, surv) if surv else None
-            if d is None:
-                if budget_safe:
-                    pats = ", ".join(space[i].pattern for i in key)
-                    raise InvariantViolation(
-                        f"family within the connectivity budget disconnected Q_{n} "
-                        f"(mode {mode.label}): {pats}"
-                    )
-                skipped += 1
-            elif d > best:
-                best, best_key = d, key
+                if best == stop:
+                    return best, best_key, walked + hit[1] + 1, skipped
+        else:
+            for at, ((key, _), surv) in enumerate(zip(batch, survivors), walked + 1):
+                d = _diameter_mask(n, surv) if surv else None
+                if d is None:
+                    if budget_safe:
+                        raise _disconnected(space, mode, key)
+                    skipped += 1
+                elif d > best:
+                    best, best_key = d, key
+                    if best == stop:
+                        return best, best_key, at, skipped
+        walked += len(batch)
     if best_key is None:
         raise InvariantViolation(
             f"every family within budget {budget} disconnected Q_{n} "

@@ -170,7 +170,7 @@ class TestOracleCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == 5
-        assert payload["families_scanned"] == 122
+        assert payload["families_scanned"] == 220
 
     # the sampled search is a library call only; the cli maps its
     # ResourceLimitError to exit 3 like every other refusal
@@ -203,7 +203,7 @@ class TestOracleCommands:
         assert code == 0
         payload = json.loads(out)
         assert (payload["value"], payload["witness"]) == (4, ["000", "011"])
-        assert (payload["families_scanned"], payload["disconnected_skipped"]) == (129, 52)
+        assert (payload["families_scanned"], payload["disconnected_skipped"]) == (78, 29)
 
 
 class TestDiameterCommand:

@@ -4,9 +4,10 @@ Each entry names a module of the package, a snippet that occurs in it
 exactly once, the snippet's replacement and one existing test that
 must fail on the changed code.  The package and its tests are copied
 to a temporary directory, the copy is changed and the check runs there
-in a new interpreter.  A mutant that survives means that no test pins
-its line any more.  The unchanged copy passes every check, so a check
-that fails for another reason shows up there first.
+in a new interpreter, two mutants at a time.  A mutant that survives
+means that no test pins its line any more.  The unchanged copy passes
+every check, so a check that fails for another reason shows up there
+first.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -32,10 +34,7 @@ MUTANTS = {
         "while len(batch := list(islice(sources, rows))) == rows:", SUBSETS,
     ),
     "fringe-in-one-row": ("metrics", "_pack_rows(n, batch), rows)", "sum(batch), rows)", SUBSETS),
-    "diagonal-seed": (
-        "metrics", "_spaced_ones(size, size + 1)", "_spaced_ones(size, size - 1)",
-        ROW_BFS + "test_a_scan_within_kappa_never_falls_back[4-structure:1]",
-    ),
+    "diagonal-seed": ("metrics", "_spaced_ones(size, size + 1)", "_spaced_ones(size, size - 1)", SEEDED_SETS),
     "highest-bit-of-the-last-level": (
         "metrics", "((last & -last).bit_length() - 1) >> 2 * n", "(last.bit_length() - 1) >> 2 * n",
         SEEDED_SETS,
@@ -74,8 +73,8 @@ MUTANTS = {
         ROW_BFS + "test_a_size_1_block_maps_its_hit_back_through_the_firsts",
     ),
     "diameter-scan-without-the-empty-family": (
-        "oracle", "[((), 0)], _extend(", "_extend(",
-        "tests/test_oracle.py::TestFaultDiameterExhaustive::test_q4_subcube",
+        "oracle", "best, walked, skipped = n, 0, 0", "best, walked, skipped = 0, 0, 0",
+        "tests/test_oracle.py::TestFaultDiameterExhaustive::test_budget_zero_is_the_plain_diameter",
     ),
     "connectivity-walk-from-size-0": (
         "oracle", "range(1, kappa + 1)", "range(kappa + 1)",
@@ -88,6 +87,21 @@ MUTANTS = {
     "closure-membership-inverted": (
         "claims", "if w & ~free != base:", "if w & ~free == base:",
         "tests/test_claims.py::test_common_neighbor_checks_report_each_failure",
+    ),
+    "value-walk-drops-keys-that-tie": (  # each key's first index at the end of its run
+        "faults", "if not at or keys[i] != keys[idx[at - 1]]",
+        "if at + 1 == len(idx) or keys[i] != keys[idx[at + 1]]",
+        "tests/test_oracle.py::TestValueWalk::test_the_reduced_walk_attains_every_statistic"
+        "[3-structure:0-3]",
+    ),
+    "anchor-at-the-lowest-survivor": (
+        "metrics", "_bfs_cover(n, allowed, allowed & ones, per_int)",
+        "_bfs_cover(n, allowed, allowed & ~((allowed | ones << ((1 << n) - 1)) - ones), per_int)",
+        ROW_BFS + "test_anchored_cover_on_seeded_sets[3]",
+    ),
+    "cut-row-levels-kept": (
+        "oracle", "packed & ~(cut * full)", "packed",
+        ROW_BFS + "test_a_cut_row_never_reaches_the_value",
     ),
 }
 
@@ -122,9 +136,20 @@ def test_every_check_passes_on_the_unchanged_code(tmp_path):
     assert f"{len(checks)} passed" in proc.stdout
 
 
+@pytest.fixture(scope="module")
+def mutant_runs(tmp_path_factory):
+    """Every mutant's check, started on first use two at a time: name -> future."""
+    pool = ThreadPoolExecutor(2)
+    yield {
+        name: pool.submit(run_checks, tmp_path_factory.mktemp(name), [check], (module, old, new))
+        for name, (module, old, new, check) in MUTANTS.items()
+    }
+    pool.shutdown(cancel_futures=True)
+
+
 @pytest.mark.parametrize("name", MUTANTS)
-def test_the_check_kills_the_mutant(tmp_path, name):
+def test_the_check_kills_the_mutant(mutant_runs, name):
     module, old, new, check = MUTANTS[name]
     assert (ROOT / source(module)).read_text().count(old) == 1, old
-    proc = run_checks(tmp_path, [check], (module, old, new))
+    proc = mutant_runs[name].result()
     assert proc.returncode == 1 and "1 failed" in proc.stdout, proc.stdout[-2000:]

@@ -24,7 +24,7 @@ from cube_faultlab import (
     fault_diameter_bruteforce,
     is_connected,
 )
-from cube_faultlab import oracle
+from cube_faultlab import faults, metrics, oracle
 from cube_faultlab.faults import _admitted
 
 
@@ -110,7 +110,7 @@ class TestFaultDiameterExhaustive:
         res = fault_diameter_bruteforce(3, FaultMode.structure(1), 1)
         assert res.value == 3
         assert res.witness.patterns() == []
-        assert res.families_scanned == 4
+        assert res.families_scanned == 3
 
     def test_q3_substructure(self):
         assert fault_diameter_bruteforce(3, FaultMode.substructure(), 1).value == 3
@@ -132,7 +132,7 @@ class TestFaultDiameterExhaustive:
         res = fault_diameter_bruteforce(4, FaultMode.structure(0), 3)
         assert res.value == 5
         assert res.witness.patterns() == ["0000", "0011", "0101"]
-        assert res.families_scanned == 122
+        assert res.families_scanned == 220
 
     def test_witness_attains_the_value(self):
         res = fault_diameter_bruteforce(4, FaultMode.structure(1), 2)
@@ -147,8 +147,8 @@ class TestFaultDiameterExhaustive:
         # from the max, counted, and the value matches the safe budget
         res = fault_diameter_bruteforce(3, FaultMode.structure(1), 2)
         assert res.value == 3
-        assert res.disconnected_skipped == 3
-        assert res.families_scanned == 19
+        assert res.disconnected_skipped == 1
+        assert res.families_scanned == 8
 
     def test_size_guard(self):
         # predicted at 46x and 111x the limit
@@ -280,16 +280,64 @@ class TestTranslationReduction:
             assert (res.disconnected_skipped > 0) == (budget == kappa)
 
     # the reference walks 531,229 families (about 15 s) to find the
-    # subcube:2 cut at n = 5, so that mode checks the diameter only
-    @pytest.mark.parametrize(
-        "label,cut",
-        [("structure:1", True), ("subcube:2", False)],
-        ids=["structure:1", "subcube:2"],
-    )
+    # subcube:2 cut at n = 5, so the other modes check the diameter only;
+    # subcube:1 computes as substructure, whose reference takes 5 s
+    N5 = [mode.label for mode in all_modes(5) if mode.label != "subcube:1"]
+
+    @pytest.mark.parametrize("label,cut", [(label, label == "structure:1") for label in N5], ids=N5)
     def test_n5(self, label, cut):
         mode = FaultMode.from_label(label)
         kappa = self.check_connectivity(5, mode, 1) if cut else mode.kappa(5)
-        self.check_diameter(5, mode, kappa - 1)
+        res = self.check_diameter(5, mode, kappa - 1)
+        if label == "substructure":
+            one = fault_diameter_bruteforce(5, FaultMode.subcube(1), kappa - 1)
+            assert one.witness.patterns() == res.witness.patterns()
+            assert (one.value, one.families_scanned) == (res.value, res.families_scanned)
+
+
+@lru_cache(maxsize=None)
+def lo_masks(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((1 << p, sum(1 << w for w in range(1 << n) if not w >> p & 1)) for p in range(n))
+
+
+def anchored_statistics(n: int, faults: int) -> tuple[tuple[int, ...], bool, int]:
+    """(sizes of the BFS levels from vertex 0, connected, faulty vertices)
+    of Q_n minus the vertex set `faults`, which spares vertex 0."""
+    left, frontier, sizes = ((1 << (1 << n)) - 2) & ~faults, 1, [1]
+    while frontier:
+        nxt = 0
+        for s, lo in lo_masks(n):
+            nxt |= (frontier & lo) << s | (frontier >> s) & lo
+        frontier = nxt & left
+        left ^= frontier
+        sizes.append(frontier.bit_count())
+    return tuple(sizes[:-1]), not left, faults.bit_count()
+
+
+class TestValueWalk:
+    """The value walk reduces the families that spare vertex 0 by S_n, the
+    coordinate permutations, which keep every statistic of vertex 0.  So
+    it attains exactly the statistics of the unreduced walk over those
+    families; the value alone (n to n + 2 here) would let a wrong
+    reduction pass."""
+
+    @pytest.mark.parametrize(
+        "n,label,budget",
+        [(n, mode.label, mode.kappa(n)) for n in (3, 4) for mode in all_modes(n)]
+        + [(5, "structure:1", 3), (5, "subcube:2", 2)],
+    )
+    def test_the_reduced_walk_attains_every_statistic(self, n, label, budget):
+        mode = FaultMode.from_label(label)
+        unreduced = {
+            anchored_statistics(n, g.removed_mask)
+            for size in range(budget + 1) for family in enumerate_families(n, mode, size)
+            if not (g := SurvivalGraph.from_family(family)).removed_mask & 1
+        }
+        _, masks, prefixes = faults._anchored_walk(faults._space(n, mode), mode, range(1, budget + 1))
+        reduced = {anchored_statistics(n, 0)} | {
+            anchored_statistics(n, acc) for _, acc in faults._extend(masks, prefixes)
+        }
+        assert reduced == unreduced
 
 
 class TestArgumentChecks:
@@ -303,30 +351,39 @@ class TestArgumentChecks:
 
 
 class TestInvariantErrors:
-    """With every survivor set reported disconnected, by the batch kernel
-    and by the per-family diameter it falls back to, the exhaustive scan
-    and the sampled search fail the same way and name the caller's mode."""
+    """With every survivor set reported disconnected, by the value walk's
+    kernel (every row cut), by the batch kernel and by the per-family
+    diameter it falls back to, a disconnection within the connectivity
+    budget raises in both searches and names the caller's mode.  Above
+    it only a sampled search can find no diameter: the exhaustive scan
+    keeps the empty family, which needs no BFS."""
 
-    SEARCHES = [None, SearchSpec.sampled(0, 10)]  # the exhaustive scan, then the sampled one
+    @pytest.fixture(autouse=True)
+    def disconnect_everything(self, monkeypatch):
+        def cut_every_row(n, allowed, rows):
+            return 0, metrics._nonzero_rows(n, allowed, metrics._spaced_ones(rows, 1 << n))
 
-    def errors(self, monkeypatch, budget):
+        monkeypatch.setattr(oracle, "_anchored_cover", cut_every_row)
         monkeypatch.setattr(oracle, "_batch_diameter", lambda n, sets: None)
         monkeypatch.setattr(oracle, "_diameter_mask", lambda n, surv: None)
+
+    def test_disconnection_within_the_connectivity_budget(self):
         messages = []
-        for search in self.SEARCHES:
+        for search in (None, SearchSpec.sampled(0, 10)):  # the exhaustive scan, then the sampled one
             with pytest.raises(InvariantViolation) as exc:
-                fault_diameter_bruteforce(4, FaultMode.substructure(), budget, search=search)
+                fault_diameter_bruteforce(4, FaultMode.substructure(), 2, search=search)
             messages.append(str(exc.value))
-        return messages
+        exhaustive, sampled = messages
+        assert exhaustive.endswith("(mode substructure): 0001")  # the value walk's first family
+        assert "(mode substructure)" in sampled
 
-    def test_disconnection_within_the_connectivity_budget(self, monkeypatch):
-        for message in self.errors(monkeypatch, 2):
-            assert "(mode substructure)" in message
-
-    def test_every_family_disconnected(self, monkeypatch):
-        exhaustive, sampled = self.errors(monkeypatch, 3)
-        assert exhaustive == sampled
-        assert exhaustive.startswith("every family within budget 3 disconnected Q_4")
+    def test_every_family_disconnected(self):
+        res = fault_diameter_bruteforce(4, FaultMode.substructure(), 3)
+        assert (res.value, res.witness.patterns()) == (4, [])
+        assert res.disconnected_skipped == res.families_scanned - 1 > 0
+        with pytest.raises(InvariantViolation, match=r"^every family within budget 3 disconnected "
+                           r"Q_4 \(mode substructure\); no diameter is defined$"):
+            fault_diameter_bruteforce(4, FaultMode.substructure(), 3, SearchSpec.sampled(0, 10))
 
 
 def test_no_disconnecting_family_up_to_kappa(monkeypatch):

@@ -10,7 +10,9 @@ pass, through metrics._first_disconnected, which never counts an empty
 row as the hit; oracle._max_diameter measures a batch of families per
 BFS (metrics._batch_diameter) over any stream of (key, fault bitset)
 pairs, here the scans' one walk, faults._base0_walk, expanded after the
-empty family.  They must give exactly
+empty family, and as the witness pass stops at a given diameter;
+metrics._anchored_cover seeds every row at vertex 0 for the value
+walk.  They must give exactly
 what a per-source diameter scan and a per-family connectivity or
 diameter scan give: the same diameters and None cases, the same
 witness indices and the same families-scanned and skipped counts.  The
@@ -506,9 +508,10 @@ def test_both_sides_of_the_block_pass_switch(n, label, kappa, scanned, witness):
 # diameter batches
 
 
-def ref_max_diameter(space, mode, budget, families):
+def ref_max_diameter(space, mode, budget, families, stop=None):
     """The diameter scan one family at a time: (value, first key attaining
-    it, families walked, families skipped), raising as the oracle does."""
+    it, families walked, families skipped), raising as the oracle does;
+    with `stop`, up to the first family of diameter `stop`."""
     n = space.n
     budget_safe = budget < mode.kappa(n)
     full = (1 << (1 << n)) - 1
@@ -527,6 +530,8 @@ def ref_max_diameter(space, mode, budget, families):
             skipped += 1
         elif d > best:
             best, best_key = d, key
+            if best == stop:
+                break
     if best_key is None:
         raise InvariantViolation(
             f"every family within budget {budget} disconnected Q_{n} "
@@ -588,7 +593,8 @@ def test_batched_sampled_search_matches_the_per_family_search(monkeypatch, n, la
 def test_diameter_hit_position_inside_a_batch(monkeypatch, n, label, budget):
     """Shrink the batches and cut the walk's head and tail so the first
     family at the maximum lands in every row of a batch, in a full
-    batch and in a short final one."""
+    batch and in a short final one; the witness pass's stop at the value
+    counts the families up to it."""
     mode = FaultMode.from_label(label)
     space = _space(n, mode)
     walk = exhaustive_walk(n, mode, budget)
@@ -601,8 +607,9 @@ def test_diameter_hit_position_inside_a_batch(monkeypatch, n, label, budget):
         for start in range(hit + 1):
             for end in (hit + 1, len(walk)):
                 families = walk[start:end]
-                want = ref_max_diameter(space, mode, budget, families)
-                assert oracle._max_diameter(space, mode, budget, iter(families)) == want
+                for stop in (None, value):
+                    want = ref_max_diameter(space, mode, budget, families, stop)
+                    assert oracle._max_diameter(space, mode, budget, iter(families), stop) == want
                 rows.add((hit - start) % per_int)
                 short_final |= end - start < -(-(hit - start + 1) // per_int) * per_int
         assert rows == set(range(per_int)) and short_final, per_int
@@ -667,3 +674,69 @@ def test_a_scan_within_kappa_never_falls_back(monkeypatch, n, label):
     monkeypatch.setattr(oracle, "_diameter_mask", per_family)
     res = fault_diameter_bruteforce(n, mode, mode.kappa(n) - 1)
     assert res.families_scanned > 1
+
+
+# ---------------------------------------------------------------------------
+# value walk
+
+
+def anchored_reference(n: int, sets: list[int]) -> tuple[int, int]:
+    """(largest eccentricity of vertex 0 within its component, bit 0 of
+    every row holding a vertex that a BFS from vertex 0 does not reach),
+    one set at a time; a set without vertex 0 gets no BFS."""
+    levels = cut = 0
+    for r, s in enumerate(sets):
+        seen, ecc = ref_bfs(n, s, 0) if s & 1 else (0, 0)
+        levels = max(levels, ecc)
+        if seen != s:
+            cut |= 1 << (r << n)
+    return levels, cut
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_anchored_cover_on_seeded_sets(n):
+    """Short and full integers of sets holding vertex 0 (sparse faults,
+    usually connected, quarter sets, usually not, and vertex 0 cut off),
+    sets without vertex 0, which no seed reaches, and empty sets, which
+    are never cut."""
+    rng = random.Random(3_000 + n)
+    full = (1 << (1 << n)) - 1
+    per_int = metrics._rows_per_int(n)
+
+    def sparse():
+        return full & ~sum(1 << rng.randrange(1, 1 << n) for _ in range(n - 1))
+
+    def quarter():
+        return rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+
+    cut_off = full & ~sum(1 << (1 << p) for p in range(n))  # vertex 0's neighbours removed
+    kinds = [sparse, lambda: quarter() | 1, lambda: quarter() & ~1 or 2, lambda: cut_off, lambda: 0]
+    seen = {"connected": 0, "cut": 0, "no vertex 0": 0, "empty": 0}
+    for case in range(16):
+        count = per_int if case % 4 == 0 and n >= 5 else rng.randint(1, 40)
+        sets = [rng.choice(kinds)() if case % 2 else sparse() for _ in range(count)]
+        want = anchored_reference(n, sets)
+        assert metrics._anchored_cover(n, metrics._pack_rows(n, sets), count) == want, case
+        for s in sets:
+            kind = ("empty" if not s else "no vertex 0" if not s & 1
+                    else "connected" if ref_bfs(n, s, 0)[0] == s else "cut")
+            seen[kind] += 1
+    assert all(seen.values()), seen
+
+
+def test_a_cut_row_never_reaches_the_value(monkeypatch):
+    """One BFS integer holds two families of Q_4: one whose survivors fall
+    apart, vertex 0's component 6 levels deep, and one vertex of weight
+    4, whose ecc(0) is 4.  Past kappa the first is skipped and the value
+    is n, not 6; within kappa it raises."""
+    n, mode = 4, FaultMode.structure(0)
+    full = (1 << (1 << n)) - 1
+    apart = full & ~vertex_set(n, [0, 3, 4, 6, 9, 10, 13, 14, 15])
+    assert ref_bfs(n, full & ~apart, 0) == (vertex_set(n, [0, 4, 6, 9, 10, 13, 14, 15]), 6)
+    masks = (apart, 1 << 15)
+    monkeypatch.setattr(oracle, "_anchored_walk",
+                        lambda *args: ([1, 15], masks, _iter_prefixes(masks, 1, [0, 1])))
+    space = _space(n, mode)
+    assert oracle._value_walk(space, mode, mode.kappa(n)) == (n, 2, 1)
+    with pytest.raises(InvariantViolation, match=r"disconnected Q_4 \(mode structure:0\): 0001$"):
+        oracle._value_walk(space, mode, mode.kappa(n) - 1)
