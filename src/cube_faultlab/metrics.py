@@ -15,16 +15,17 @@ One integer can also hold k rows of 2^n bits, row r at bits r*2^n and
 up, each an independent BFS (multi-source BFS: Then et al., "The More
 the Merrier", VLDB 2014).  The masks are copied into every row, so no
 shift crosses a row boundary, and one loop (_bfs_cover) advances all k
-searches with the same big-int operations.  Rows go max(1, 2^16 >> n)
-to an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds
-one row per source vertex; the connectivity oracle seeds one row per
-candidate family at its lowest survivor, and the fault-diameter value
-walk one row per family at vertex 0 (_anchored_cover).  At n <= 7 every
-survivor is a source, and the fault-diameter witness pass packs 2^n
-source rows per family, _rows_per_int(n) >> n families per BFS
+searches with the same big-int operations.  Rows go max(1, 2^16 >> n) to
+an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds one
+row per source vertex.  The connectivity oracle and the fault-diameter
+value walk share one kernel, _row_cover: one row per family, seeded at
+its lowest survivor (vertex 0 in every nonempty value-walk row).  At
+n <= 7 every survivor is a source, and the fault-diameter witness pass
+packs 2^n source rows per family, _rows_per_int(n) >> n families per BFS
 (_batch_diameter); it settles a batch holding an empty or disconnected
 set, and every family at n >= 8, with _diameter_mask, whose sources at
-n >= 8 are only the survivors far from one anchor BFS (_fringe_diameter).
+n >= 8 are only the survivors far from one anchor BFS
+(_fringe_diameter).
 
 A survival graph is refused past n = _BITSET_LIMIT (26) when it is
 built; the router needs none and serves n <= 30 with its own BFS.
@@ -150,34 +151,17 @@ def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0,
     return allowed ^ left, levels, frontier
 
 
-def _first_disconnected(n: int, allowed: int, rows: int) -> int | None:
-    """Index of the first disconnected row of `allowed`, None when all
-    are connected.
-
-    `allowed` holds `rows` 2^n-bit rows, at most _rows_per_int(n).
-    Each row is seeded at its lowest vertex, and one _bfs_cover checks
-    them all: the lowest vertex it leaves unvisited lies in the first
-    disconnected row.  An empty row has no seed and is never that row.
-    """
+def _row_cover(n: int, allowed: int, rows: int) -> tuple[int, int]:
+    """One _bfs_cover of the `rows` 2^n-bit rows of `allowed` (at most
+    _rows_per_int(n)), each seeded at its lowest vertex, an empty row at
+    none: (the largest seed eccentricity in its component, vertices left unvisited)."""
     per_int = _rows_per_int(n)
     # allowed & ~(x - 1) is the lowest bit of allowed, in every row at once;
     # x holds every row's top bit, so no borrow crosses into the next row
     ones = _spaced_ones(per_int, 1 << n) >> ((per_int - rows) << n)
     x = allowed | ones << ((1 << n) - 1)
-    left = allowed ^ _bfs_cover(n, allowed, allowed & ~(x - ones), per_int)[0]
-    if not left:
-        return None
-    return ((left & -left).bit_length() - 1) >> n
-
-
-def _anchored_cover(n: int, allowed: int, rows: int) -> tuple[int, int]:
-    """_first_disconnected's one _bfs_cover with every row seeded at its
-    vertex 0: (the largest ecc(0) within its component, the bit 0 of every
-    nonempty row holding a vertex it leaves unvisited)."""
-    per_int = _rows_per_int(n)
-    ones = _spaced_ones(per_int, 1 << n) >> ((per_int - rows) << n)
-    visited, levels, _ = _bfs_cover(n, allowed, allowed & ones, per_int)
-    return levels, _nonzero_rows(n, allowed ^ visited, ones)
+    visited, levels, _ = _bfs_cover(n, allowed, allowed & ~(x - ones), per_int)
+    return levels, allowed ^ visited
 
 
 def _nonzero_rows(n: int, x: int, ones: int) -> int:

@@ -16,24 +16,27 @@ and the diameter scan's witness pass read faults._base0_walk, in a fixed
 order, so a witness is the first qualifying family walked; results and
 witnesses carry the caller's mode.
 
-Rows.  The connectivity scan gives each family one 2^n-bit row, its
-survivor set, of an integer that one row-packed BFS
-(metrics._first_disconnected) tests; the first row left incomplete is
-the hit, and an empty row, a family leaving no survivors, never is.  At
-n <= 6 _row_blocks flags a prefix's candidates that overlap it in one
-big-int pass: the element table (element i in row i; at size 1 the first
-indices' rows) shifted to the first candidate, ANDed with the prefix
-union in every row, folded by n shift-ORs (metrics._nonzero_rows).
-Flagged rows are left empty and are not counted.  At n >= 7 a padded
-row's BFS costs more than the Python it saves, so each family's row is
-built alone.  _packed fills the BFS integers with these blocks.
+Rows.  Both exhaustive row scans give each family one 2^n-bit row, its
+survivor set, of an integer that one row-packed BFS tests
+(metrics._row_cover, every row seeded at its lowest survivor): the
+lowest survivor it leaves unvisited lies in the first disconnected row,
+the connectivity scan's hit.  An empty row, a family leaving no
+survivors, has no seed and is never disconnected.  At n <= 6
+_row_blocks flags a prefix's candidates that overlap it in one big-int
+pass: the element table (element i in row i, built at the first
+non-empty prefix; at size 1 the first indices' rows) shifted to the
+first candidate, ANDed with the prefix union in every row, folded by n
+shift-ORs (metrics._nonzero_rows).  Flagged rows are left empty and are
+not counted.  At n >= 7 a padded row's BFS costs more than the Python
+it saves, so each family's row is built alone.  _packed fills the BFS
+integers with these blocks.
 
 Fault diameter: a value walk, then a witness pass.  The value walk
-(_value_walk) builds the rows of faults._anchored_walk's families the
-same way and runs the same BFS with every row seeded at vertex 0
-(metrics._anchored_cover): an integer's level count is its largest
-ecc(0).  A row left uncovered is a disconnected family: it raises within
-the connectivity budget, and above it is skipped, its levels kept out of
+(_value_walk) runs the same rows and BFS over faults._anchored_walk's
+families, which all spare vertex 0, so every nonempty row is seeded at
+vertex 0 and an integer's level count is its largest ecc(0).  A
+disconnected family raises within the connectivity budget, and above it
+is skipped, its row flagged by _nonzero_rows and its levels kept out of
 the maximum by a second BFS without it.  The empty family adds ecc(0) =
 n.  The witness pass is the translation-reduced loop (_max_diameter over
 faults._base0_walk after the empty family), stopped at the first family
@@ -104,8 +107,8 @@ from .faults import (
     _sample_one, _space,
 )
 from .metrics import (
-    _CONNECTIVITY_US, _anchored_cover, _batch_diameter, _check_time, _diameter_mask, _diameter_us,
-    _first_disconnected, _full_mask, _nonzero_rows, _pack_rows, _rows_per_int, _spaced_ones,
+    _CONNECTIVITY_US, _batch_diameter, _check_time, _diameter_mask, _diameter_us, _full_mask,
+    _nonzero_rows, _pack_rows, _row_cover, _rows_per_int, _spaced_ones,
 )
 
 
@@ -160,8 +163,8 @@ def _kappa_scan(n: int, masks: tuple[int, ...], prefixes) -> tuple[tuple[int, ..
     overlap flag, and itself."""
     scanned = 0
     for packed, overs, used, blocks in _packed(n, _row_blocks(n, masks, prefixes)):
-        row = _first_disconnected(n, packed, used)
-        if row is not None:
+        if left := _row_cover(n, packed, used)[1]:
+            row = (left & -left).bit_length() - 1 >> n
             below = (overs & ((1 << (row << n)) - 1)).bit_count()
             return _row_key(blocks, row), scanned + row - below + 1
         scanned += used - overs.bit_count()
@@ -207,9 +210,11 @@ def _row_blocks(n: int, masks: tuple[int, ...], prefixes):
             rows = _pack_rows(n, [full & ~acc for _, acc in batch])
             yield lambda i, b=batch: b[i][0], 0, len(batch), rows, 0
         return
-    table, every = _pack_rows(n, list(masks)), _spaced_ones(size, 1 << n)
-    for prefix, acc, cands in prefixes:  # a size-1 block gathers its rows
+    table, every = 0, _spaced_ones(size, 1 << n)
+    for prefix, acc, cands in prefixes:  # a size-1 block gathers its rows, so needs no table
         ones = every >> ((size - len(cands)) << n)
+        if prefix:
+            table = table or _pack_rows(n, list(masks))
         tail = table >> (cands.start << n) if prefix else _pack_rows(n, [masks[i] for i in cands])
         accs = acc * ones
         over = _nonzero_rows(n, tail & accs, ones)
@@ -309,13 +314,14 @@ def _value_walk(space: _ElementSpace, mode: FaultMode, budget: int) -> tuple[int
     idx, masks, prefixes = _anchored_walk(space, mode, range(1, budget + 1))
     best, walked, skipped = n, 0, 0
     for packed, overs, used, blocks in _packed(n, _row_blocks(n, masks, prefixes)):
-        levels, cut = _anchored_cover(n, packed, used)
-        if cut:
+        levels, left = _row_cover(n, packed, used)
+        if left:
             if budget_safe:
-                key = _row_key(blocks, (cut & -cut).bit_length() - 1 >> n)
+                key = _row_key(blocks, (left & -left).bit_length() - 1 >> n)
                 raise _disconnected(space, mode, [idx[i] for i in key])
+            cut = _nonzero_rows(n, left, _spaced_ones(used, 1 << n))
             skipped += cut.bit_count()
-            levels = _anchored_cover(n, packed & ~(cut * full), used)[0]
+            levels = _row_cover(n, packed & ~(cut * full), used)[0]
         best, walked = max(best, levels), walked + used - overs.bit_count()
     return best, walked, skipped
 

@@ -94,10 +94,9 @@ MUTANTS = {
         "tests/test_oracle.py::TestValueWalk::test_the_reduced_walk_attains_every_statistic"
         "[3-structure:0-3]",
     ),
-    "anchor-at-the-lowest-survivor": (
-        "metrics", "_bfs_cover(n, allowed, allowed & ones, per_int)",
-        "_bfs_cover(n, allowed, allowed & ~((allowed | ones << ((1 << n) - 1)) - ones), per_int)",
-        ROW_BFS + "test_anchored_cover_on_seeded_sets[3]",
+    "anchor-at-vertex-0": (
+        "metrics", "allowed & ~(x - ones), per_int)", "allowed & ones, per_int)",
+        ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",
     ),
     "cut-row-levels-kept": (
         "oracle", "packed & ~(cut * full)", "packed",

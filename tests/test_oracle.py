@@ -24,7 +24,7 @@ from cube_faultlab import (
     fault_diameter_bruteforce,
     is_connected,
 )
-from cube_faultlab import faults, metrics, oracle
+from cube_faultlab import faults, oracle
 from cube_faultlab.faults import _admitted
 
 
@@ -351,19 +351,16 @@ class TestArgumentChecks:
 
 
 class TestInvariantErrors:
-    """With every survivor set reported disconnected, by the value walk's
-    kernel (every row cut), by the batch kernel and by the per-family
-    diameter it falls back to, a disconnection within the connectivity
-    budget raises in both searches and names the caller's mode.  Above
-    it only a sampled search can find no diameter: the exhaustive scan
-    keeps the empty family, which needs no BFS."""
+    """With every survivor set reported disconnected, by the row kernel
+    (every survivor left unvisited), by the batch kernel and by the
+    per-family diameter it falls back to, a disconnection within the
+    connectivity budget raises in both searches and names the caller's
+    mode.  Above it only a sampled search can find no diameter: the
+    exhaustive scan keeps the empty family, which needs no BFS."""
 
     @pytest.fixture(autouse=True)
     def disconnect_everything(self, monkeypatch):
-        def cut_every_row(n, allowed, rows):
-            return 0, metrics._nonzero_rows(n, allowed, metrics._spaced_ones(rows, 1 << n))
-
-        monkeypatch.setattr(oracle, "_anchored_cover", cut_every_row)
+        monkeypatch.setattr(oracle, "_row_cover", lambda n, allowed, rows: (0, allowed))
         monkeypatch.setattr(oracle, "_batch_diameter", lambda n, sets: None)
         monkeypatch.setattr(oracle, "_diameter_mask", lambda n, surv: None)
 

@@ -3,25 +3,25 @@
 metrics._diameter_mask runs many BFS sources per big integer: at n <= 7
 every survivor, all in one metrics._batch_diameter; at n >= 8 only the
 survivors far from one anchor BFS (metrics._fringe_diameter, checked
-directly at small n too).  oracle._kappa_scan checks a batch of
-candidate families per BFS over any stream of faults._iter_prefixes
-triples, at n <= 6 building each prefix's candidate rows in one big-int
-pass, through metrics._first_disconnected, which never counts an empty
-row as the hit; oracle._max_diameter measures a batch of families per
-BFS (metrics._batch_diameter) over any stream of (key, fault bitset)
-pairs, here the scans' one walk, faults._base0_walk, expanded after the
-empty family, and as the witness pass stops at a given diameter;
-metrics._anchored_cover seeds every row at vertex 0 for the value
-walk.  They must give exactly
-what a per-source diameter scan and a per-family connectivity or
-diameter scan give: the same diameters and None cases, the same
-witness indices and the same families-scanned and skipped counts.  The
-references here build their own neighbour masks vertex by vertex and
-run one BFS per source or per family; the diameter scan's reference is
-the one-family-at-a-time loop over _diameter_mask.  The engine's tables
-are checked too: the per-dimension masks against a long-division
-formula, and a survival graph built from a family against one built
-from its faulty labels.
+directly at small n too).  oracle._kappa_scan and the fault-diameter
+value walk (oracle._value_walk) share one kernel, metrics._row_cover:
+one row per family, each seeded at its lowest vertex (vertex 0 in every
+nonempty value-walk row), an empty row at none.  The κ scan checks a
+batch of candidate families per BFS over any stream of
+faults._iter_prefixes triples, at n <= 6 building each prefix's
+candidate rows in one big-int pass; oracle._max_diameter measures a
+batch of families per BFS (metrics._batch_diameter) over any stream of
+(key, fault bitset) pairs, here the scans' one walk, faults._base0_walk,
+expanded after the empty family, and as the witness pass stops at a
+given diameter.  They must give exactly what a per-source diameter scan
+and a per-family connectivity or diameter scan give: the same diameters
+and None cases, the same witness indices and the same families-scanned
+and skipped counts.  The references here build their own neighbour masks
+vertex by vertex and run one BFS per source, per row or per family; the
+diameter scan's reference is the one-family-at-a-time loop over
+_diameter_mask.  The engine's tables are checked too: the per-dimension
+masks against a long-division formula, and a survival graph built from a
+family against one built from its faulty labels.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from cube_faultlab import (
 )
 from cube_faultlab import connectivity_bruteforce, metrics, oracle
 from cube_faultlab.faults import (
-    _base0_walk, _iter_prefixes, _max_family_size, _space, enumerate_families,
+    _anchored_walk, _base0_walk, _iter_prefixes, _max_family_size, _space, enumerate_families,
 )
 from cube_faultlab.oracle import _kappa_scan
 
@@ -437,33 +437,6 @@ def test_a_family_that_leaves_no_survivors():
     assert _kappa_scan(n, masks, iter(stream)) == want
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_an_empty_row_is_never_the_hit(n):
-    """_first_disconnected over 1..8 rows with an empty row first, in the
-    middle, last and just before a row holding only vertex 0: the empty
-    row gets no seed and takes no borrow from the next row's seed.
-    The other rows are the whole cube, so a wrong hit shows, or seeded
-    random sets, so a right one does."""
-    rng = random.Random(5_000 + n)
-    full = (1 << (1 << n)) - 1
-    seen = set()
-    for rows in range(1, 9):
-        layouts = [(at, False) for at in {0, rows // 2, rows - 1}]
-        layouts += [(at, True) for at in range(rows - 1)]
-        for at, lone_next in layouts:
-            for filler in ("whole", "random", "random"):
-                sets = [full if filler == "whole" else rng.getrandbits(1 << n)
-                        for _ in range(rows)]
-                sets[at] = 0
-                if lone_next:
-                    sets[at + 1] = 1
-                want = next((r for r, s in enumerate(sets) if s and not ref_connected(n, s)), None)
-                got = metrics._first_disconnected(n, metrics._pack_rows(n, sets), rows)
-                assert got == want, (rows, at, lone_next, sets)
-                seen.add(want is None)
-    assert seen == {True, False}
-
-
 def test_a_size_1_block_maps_its_hit_back_through_the_firsts(monkeypatch):
     """Size 1 is one prefix, the empty one, whose candidates are the
     first indices themselves, in one block gathered from the table.  No
@@ -680,28 +653,66 @@ def test_a_scan_within_kappa_never_falls_back(monkeypatch, n, label):
 # value walk
 
 
-def anchored_reference(n: int, sets: list[int]) -> tuple[int, int]:
-    """(largest eccentricity of vertex 0 within its component, bit 0 of
-    every row holding a vertex that a BFS from vertex 0 does not reach),
-    one set at a time; a set without vertex 0 gets no BFS."""
-    levels = cut = 0
+def row_cover_reference(n: int, sets: list[int]) -> tuple[int, int]:
+    """(largest eccentricity of a set's lowest vertex within its component,
+    the vertices a BFS from it leaves unvisited, set r in row r), one set
+    at a time; an empty set gets no BFS."""
+    levels = unvisited = 0
     for r, s in enumerate(sets):
-        seen, ecc = ref_bfs(n, s, 0) if s & 1 else (0, 0)
-        levels = max(levels, ecc)
-        if seen != s:
-            cut |= 1 << (r << n)
-    return levels, cut
+        if s:
+            seen, ecc = ref_bfs(n, s, (s & -s).bit_length() - 1)
+            levels = max(levels, ecc)
+            unvisited |= (s ^ seen) << (r << n)
+    return levels, unvisited
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def check_row_cover(n: int, cases: list[list[int]]) -> dict[str, int]:
+    """metrics._row_cover, the κ scan's and the value walk's one kernel,
+    against row_cover_reference on every case's packed sets: levels and
+    the unvisited set.  Returns how many sets of each kind it saw."""
+    seen = dict.fromkeys(["empty", "with vertex 0", "without vertex 0", "cut"], 0)
+    for case, sets in enumerate(cases):
+        want = row_cover_reference(n, sets)
+        assert metrics._row_cover(n, metrics._pack_rows(n, sets), len(sets)) == want, (case, sets)
+        for s in sets:
+            seen["empty" if not s else "cut" if not ref_connected(n, s)
+                 else "with vertex 0" if s & 1 else "without vertex 0"] += 1
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_an_empty_row_is_never_the_hit(n):
+    """_row_cover over 1..8 rows with an empty row first, in the middle,
+    last and just before a row holding only vertex 0: the empty row gets
+    no seed and takes no borrow from the next row's seed.  The other rows
+    are the whole cube, so a wrong cut shows, or seeded random sets, so a
+    right one does."""
+    rng = random.Random(5_000 + n)
+    full = (1 << (1 << n)) - 1
+    cases = []
+    for rows in range(1, 9):
+        layouts = [(at, False) for at in {0, rows // 2, rows - 1}]
+        layouts += [(at, True) for at in range(rows - 1)]
+        for at, lone_next in layouts:
+            for filler in ("whole", "random", "random"):
+                sets = [full if filler == "whole" else rng.getrandbits(1 << n)
+                        for _ in range(rows)]
+                sets[at] = 0
+                if lone_next:
+                    sets[at + 1] = 1
+                cases.append(sets)
+    seen = check_row_cover(n, cases)
+    assert seen["empty"] and seen["cut"] and seen["with vertex 0"], seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_anchored_cover_on_seeded_sets(n):
-    """Short and full integers of sets holding vertex 0 (sparse faults,
-    usually connected, quarter sets, usually not, and vertex 0 cut off),
-    sets without vertex 0, which no seed reaches, and empty sets, which
-    are never cut."""
+    """_row_cover over short and full integers of sets holding vertex 0
+    (sparse faults, usually connected, quarter sets, usually not, and
+    vertex 0 cut off), sets without vertex 0, seeded at their lowest
+    vertex, and empty sets, which are never cut."""
     rng = random.Random(3_000 + n)
     full = (1 << (1 << n)) - 1
-    per_int = metrics._rows_per_int(n)
 
     def sparse():
         return full & ~sum(1 << rng.randrange(1, 1 << n) for _ in range(n - 1))
@@ -711,17 +722,22 @@ def test_anchored_cover_on_seeded_sets(n):
 
     cut_off = full & ~sum(1 << (1 << p) for p in range(n))  # vertex 0's neighbours removed
     kinds = [sparse, lambda: quarter() | 1, lambda: quarter() & ~1 or 2, lambda: cut_off, lambda: 0]
-    seen = {"connected": 0, "cut": 0, "no vertex 0": 0, "empty": 0}
+    cases = []
     for case in range(16):
-        count = per_int if case % 4 == 0 and n >= 5 else rng.randint(1, 40)
-        sets = [rng.choice(kinds)() if case % 2 else sparse() for _ in range(count)]
-        want = anchored_reference(n, sets)
-        assert metrics._anchored_cover(n, metrics._pack_rows(n, sets), count) == want, case
-        for s in sets:
-            kind = ("empty" if not s else "no vertex 0" if not s & 1
-                    else "connected" if ref_bfs(n, s, 0)[0] == s else "cut")
-            seen[kind] += 1
+        count = metrics._rows_per_int(n) if case < 2 else rng.randint(1, 40)
+        cases.append([rng.choice(kinds)() if case % 2 else sparse() for _ in range(count)])
+    seen = check_row_cover(n, cases)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_value_walk_rows_are_seeded_at_vertex_0(n):
+    """No element of the value walk holds vertex 0, so every family it
+    walks spares vertex 0, the lowest vertex of its row: _row_cover's
+    lowest-vertex seed is the value walk's vertex-0 seed."""
+    for mode in modes(n):
+        _, masks, _ = _anchored_walk(_space(n, mode), mode, range(1, 2))
+        assert masks and not any(mask & 1 for mask in masks), mode.label
 
 
 def test_a_cut_row_never_reaches_the_value(monkeypatch):
