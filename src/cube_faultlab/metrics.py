@@ -24,8 +24,14 @@ n <= 7 every survivor is a source, and the fault-diameter witness pass
 packs 2^n source rows per family, _rows_per_int(n) >> n families per BFS
 (_batch_diameter); it settles a batch holding an empty or disconnected
 set, and every family at n >= 8, with _diameter_mask, whose sources at
-n >= 8 are only the survivors far from one anchor BFS
-(_fringe_diameter).
+n >= 8 are only the survivors that two anchor BFSs leave open
+(_fringe_diameter).  Anchor u is the lowest survivor and v the lowest
+of u's farthest, with best = max(ecc(u), ecc(v)) and ℓ_a the distance
+from a.  The sources are the smaller of two exact sets: the fringe,
+farther than ecc(u) // 2 from u, and the survivors with ℓ_u + ℓ_v > best:
+- a pair x, y farther apart than best has ℓ_a(x) + ℓ_a(y) > best for a = u, v;
+- adding both, ℓ_u + ℓ_v > best at x or at y;
+- so the diameter is the largest of best and those survivors' eccentricities.
 
 A survival graph is refused past n = _BITSET_LIMIT (26) when it is
 built; the router needs none and serves n <= 30 with its own BFS.
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterable
 
 from .core import Vertex, _check_ambient, _union_mask
@@ -57,8 +63,12 @@ _CONNECTIVITY_US = 1.0  # per κ-scan family at n <= 6: 0.24-0.60 µs measured a
 def _diameter_us(n: int) -> float:
     """µs of one exact survivor diameter of Q_n, 0.002·n·4^n: fitted to the
     all-sources BFS (11 µs at n = 5, 89 ms at n = 11, 0.44 / 1.82 / 6.67 s
-    at n = 12 / 13 / 14).  An upper bound on the fringe BFS at n = 8..14:
-    0.4-0.7 / 2.2-2.5 / 7-13 / 34-49 / 126-252 ms, 0.8-1.0 / 2.5-5.5 s."""
+    at n = 12 / 13 / 14).  An upper bound on the two-anchor BFS, which
+    takes 0.06-0.08 / 0.08-0.09 / 0.13 / 0.21-0.22 / 0.30-0.32 / 0.51-0.59
+    / 0.81-0.91 / 1.35-1.56 ms at n = 8..15 when no source batch runs (the
+    fault-free cube, n - 1 random faults, both tight families; 2 vCPUs,
+    Python 3.11.7), plus one row-packed BFS per _rows_per_int(n) sources
+    when the smaller source set is not empty."""
     return 0.002 * n * 4.0**n
 
 
@@ -156,11 +166,13 @@ def _row_cover(n: int, allowed: int, rows: int) -> tuple[int, int]:
     _rows_per_int(n)), each seeded at its lowest vertex, an empty row at
     none: (the largest seed eccentricity in its component, vertices left unvisited)."""
     per_int = _rows_per_int(n)
-    # allowed & ~(x - 1) is the lowest bit of allowed, in every row at once;
-    # x holds every row's top bit, so no borrow crosses into the next row
+    # allowed & (x ^ (x - 1)) is the lowest bit of allowed, in every row at
+    # once; x holds every row's top bit, so no borrow crosses into the next
+    # row, and every operand stays positive (an AND with a negative int
+    # takes twice as long)
     ones = _spaced_ones(per_int, 1 << n) >> ((per_int - rows) << n)
     x = allowed | ones << ((1 << n) - 1)
-    visited, levels, _ = _bfs_cover(n, allowed, allowed & ~(x - ones), per_int)
+    visited, levels, _ = _bfs_cover(n, allowed, allowed & (x ^ (x - ones)), per_int)
     return levels, allowed ^ visited
 
 
@@ -204,13 +216,20 @@ def _diameter_mask(n: int, allowed: int) -> int | None:
     """Exact diameter of the induced subgraph, None when disconnected.
 
     At n <= 7 every survivor is a source, all in one _batch_diameter.  At
-    n >= 8 (after the eccentricity bound of iFUB: Crescenzi et al., TCS
-    514, 2013) one BFS from the lowest survivor u tests connectivity and
-    gives e = ecc(u); the sources are the fringe, the survivors farther
-    than e // 2 from u.  Exact in any connected graph:
+    n >= 8 one BFS from the lowest survivor u tests connectivity and gives
+    e = ecc(u); a second from v, the lowest survivor at distance e from u
+    (the 2-sweep: Magnien, Latapy, Habib, ACM JEA 13, 2009), gives ecc(v),
+    and best = max(e, ecc(v)).  The sources are the smaller of two sets,
+    each exact in any connected graph.  The fringe, the survivors farther
+    than e // 2 from u (the eccentricity bound of iFUB: Crescenzi et al.,
+    TCS 514, 2013):
     - two survivors within e // 2 of u are at most 2 * (e // 2) <= e apart;
     - so every pair farther apart than e holds a fringe survivor;
     - so the diameter is the largest of e and the fringe's eccentricities.
+    The survivors with ℓ_u + ℓ_v > best, ℓ_a the distance from a:
+    - a pair x, y farther apart than best has ℓ_a(x) + ℓ_a(y) > best for a = u, v;
+    - adding both, ℓ_u + ℓ_v > best at x or at y;
+    - so the diameter is the largest of best and those survivors' eccentricities.
     """
     if not allowed:
         raise ValueError("empty vertex set has no diameter")
@@ -220,20 +239,39 @@ def _diameter_mask(n: int, allowed: int) -> int | None:
     return hit[0] if hit else None
 
 
+def _levels(n: int, allowed: int, start: int) -> list[int]:
+    """The BFS levels of the vertex set `start` inside `allowed`, level 0
+    first, disjoint and covering the component of `start`: one depth-1
+    _bfs_cover per level, inside the last level and the unvisited set."""
+    levels, left = [start], allowed ^ start
+    while nxt := _bfs_cover(n, left | levels[-1], levels[-1], depth=1)[2] & left:
+        levels.append(nxt)
+        left ^= nxt
+    return levels
+
+
 def _fringe_diameter(n: int, allowed: int) -> int | None:
-    """_diameter_mask's fringe path, for a nonempty `allowed` at any n; the
-    ball of radius e // 2 is a BFS from u cut at that depth."""
-    low = allowed & -allowed
-    visited, ecc, _ = _bfs_cover(n, allowed, low)
-    if visited != allowed:
+    """_diameter_mask's two-anchor path, for a nonempty `allowed` at any n:
+    from the levels L_u, L_v of the anchors, Ball_v(r) the union of L_v[:r + 1],
+    ℓ_u + ℓ_v > best holds on L_u[i] outside Ball_v(best - i), and the
+    fringe is the union of L_u[e // 2 + 1:]."""
+    lu = _levels(n, allowed, allowed & -allowed)
+    if sum(lu) != allowed:  # the levels are disjoint: their sum is their union
         return None
-    fringe = allowed ^ _bfs_cover(n, allowed, low, depth=ecc // 2)[0]
+    lv = _levels(n, allowed, lu[-1] & -lu[-1])
+    eu, ev = len(lu) - 1, len(lv) - 1
+    best = max(eu, ev)
+    balls = list(accumulate(lv))
+    far = 0
+    for i in range(best - ev + 1, eu + 1):  # at i <= best - ev, Ball_v(best - i) is `allowed`
+        far |= lu[i] & (allowed ^ balls[best - i])
+    pick = min(far, sum(lu[eu // 2 + 1:]), key=int.bit_count)
     rows = _rows_per_int(n)
     wide = allowed * _spaced_ones(rows, 1 << n)
-    sources = (1 << v for v, bit in enumerate(reversed(f"{fringe:b}")) if bit == "1")
+    sources = (1 << v for v, bit in enumerate(reversed(f"{pick:b}")) if bit == "1")
     while batch := list(islice(sources, rows)):  # a short last batch keeps `rows`: one mask table
-        ecc = max(ecc, _bfs_cover(n, wide, _pack_rows(n, batch), rows)[1])
-    return ecc
+        best = max(best, _bfs_cover(n, wide, _pack_rows(n, batch), rows)[1])
+    return best
 
 
 def _check_cap(n: int) -> None:

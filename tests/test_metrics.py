@@ -96,7 +96,7 @@ class TestDiameter:
     def test_pinned_edge_family_q4(self):
         assert diameter(SurvivalGraph.from_family(adversarial_q1_family(4))) == 5
 
-    @pytest.mark.parametrize("n", range(8, 13))
+    @pytest.mark.parametrize("n", range(8, 16))
     def test_tight_families_at_scale(self, n):
         for fam in (adversarial_q1_family(n), adversarial_subcube_family(n, 2)):
             assert diameter(SurvivalGraph.from_family(fam)) == n + 1, fam

@@ -28,7 +28,15 @@ SEEDED_SETS = ROW_BFS + "test_batch_diameter_on_seeded_sets[3]"
 
 # id: (module, snippet, replacement, the check that must fail)
 MUTANTS = {
-    "fringe-radius": ("metrics", "depth=ecc // 2)", "depth=ecc // 2 + 1)", SUBSETS),
+    "fringe-radius": ("metrics", "sum(lu[eu // 2 + 1:])", "sum(lu[eu // 2 + 2:])", SUBSETS),
+    "v-ball-one-too-wide": (
+        "metrics", "balls[best - i])", "balls[best - i + 1])",
+        ROW_BFS + "test_fringe_diameter_on_every_vertex_subset[4]",
+    ),
+    "sources-from-the-larger-set": (
+        "metrics", "pick = min(far,", "pick = max(far,",
+        ROW_BFS + "test_the_cube_and_the_tight_families_need_no_source_batch[8]",
+    ),
     "short-last-batch-dropped": (
         "metrics", "while batch := list(islice(sources, rows)):",
         "while len(batch := list(islice(sources, rows))) == rows:", SUBSETS,
@@ -95,7 +103,7 @@ MUTANTS = {
         "[3-structure:0-3]",
     ),
     "anchor-at-vertex-0": (
-        "metrics", "allowed & ~(x - ones), per_int)", "allowed & ones, per_int)",
+        "metrics", "allowed & (x ^ (x - ones)), per_int)", "allowed & ones, per_int)",
         ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",
     ),
     "cut-row-levels-kept": (

@@ -2,11 +2,23 @@
 
 metrics._diameter_mask runs many BFS sources per big integer: at n <= 7
 every survivor, all in one metrics._batch_diameter; at n >= 8 only the
-survivors far from one anchor BFS (metrics._fringe_diameter, checked
-directly at small n too).  oracle._kappa_scan and the fault-diameter
-value walk (oracle._value_walk) share one kernel, metrics._row_cover:
-one row per family, each seeded at its lowest vertex (vertex 0 in every
-nonempty value-walk row), an empty row at none.  The κ scan checks a
+smaller of two source sets that two anchor BFSs leave open
+(metrics._fringe_diameter, checked directly at small n too).  Anchor u
+is the lowest survivor, v the lowest at distance e = ecc(u) from u,
+best = max(e, ecc(v)) and ℓ_a the distance from a; the sets are the
+survivors farther than e // 2 from u (iFUB's fringe) and those with
+ℓ_u + ℓ_v > best:
+- a pair x, y farther apart than best has ℓ_a(x) + ℓ_a(y) > best for a = u, v;
+- adding both, ℓ_u + ℓ_v > best at x or at y;
+- so the diameter is the largest of best and those survivors' eccentricities.
+The sources batched are counted too: none on the fault-free cube and the
+tight families, the smaller set's size on seeded sets where either set
+is the smaller.
+
+oracle._kappa_scan and the fault-diameter value walk (oracle._value_walk)
+share one kernel, metrics._row_cover: one row per family, each seeded
+at its lowest vertex (vertex 0 in every nonempty value-walk row), an
+empty row at none.  The κ scan checks a
 batch of candidate families per BFS over any stream of
 faults._iter_prefixes triples, at n <= 6 building each prefix's
 candidate rows in one big-int pass; oracle._max_diameter measures a
@@ -66,6 +78,20 @@ def ref_bfs(n: int, allowed: int, source: int) -> tuple[int, int]:
         seen |= nxt
         frontier = nxt
         ecc += 1
+
+
+def ref_distances(n: int, allowed: int, source: int) -> dict[int, int]:
+    """Distance from `source` to every vertex it reaches inside `allowed`."""
+    dist, seen, frontier, d = {}, 1 << source, 1 << source, 0
+    while frontier:
+        dist.update((w, d) for w in range(1 << n) if frontier >> w & 1)
+        nxt = 0
+        for s, lo in ref_masks(n):
+            nxt |= (frontier & lo) << s | (frontier >> s) & lo
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+        d += 1
+    return dist
 
 
 def ref_diameter(n: int, allowed: int) -> int | None:
@@ -286,6 +312,67 @@ def test_fringe_diameter_with_every_batch_size(monkeypatch, n):
     for rows in range(1, (1 << n) + 1):
         monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
         assert [metrics._fringe_diameter(n, allowed) for allowed in sets] == wants, rows
+
+
+def count_source_rows(monkeypatch) -> list[int]:
+    """Patch metrics._bfs_cover to record the size of the start set of
+    every call with rows > 1: the sources of one diameter's batch."""
+    seen, bfs = [], metrics._bfs_cover
+
+    def counting(n, allowed, start, rows=1, *args, **kwargs):
+        if rows > 1:
+            seen.append(start.bit_count())
+        return bfs(n, allowed, start, rows, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_bfs_cover", counting)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(8, 16))
+def test_the_cube_and_the_tight_families_need_no_source_batch(monkeypatch, n):
+    """The two anchors settle these diameters alone: no survivor has
+    ℓ_u + ℓ_v > best, so no source batch runs, where the e // 2 fringe
+    holds more than a third of the survivors."""
+    sets = [metrics._full_mask(n)] + [
+        SurvivalGraph.from_family(fam).survivor_mask
+        for fam in (adversarial_q1_family(n), adversarial_subcube_family(n, 2))
+    ]
+    batches = count_source_rows(monkeypatch)
+    assert [metrics._diameter_mask(n, allowed) for allowed in sets] == [n, n + 1, n + 1]
+    assert batches == []
+
+
+# (mode, seed) of four sampled families at full budget, each with 3 more
+# vertices removed: at every n some have survivors with ℓ_u + ℓ_v > best,
+# and at n = 9 one has more of them than the e // 2 fringe holds
+BOTH_SOURCE_SETS = {8: ("structure:3", 26), 9: ("structure:2", 18), 10: ("structure:2", 10)}
+
+
+@pytest.mark.parametrize("n", sorted(BOTH_SOURCE_SETS))
+def test_fringe_diameter_on_both_source_sets(monkeypatch, n):
+    """The diameter against the reference, and the sources batched are
+    the smaller of the two sets, both taken from reference distances."""
+    label, seed = BOTH_SOURCE_SETS[n]
+    mode = FaultMode.from_label(label)
+    rng = random.Random(seed)
+    batches = count_source_rows(monkeypatch)
+    seen = set()
+    for fam in sample_families(n, mode, mode.kappa(n) - 1, 4, seed=seed):
+        allowed = SurvivalGraph.from_family(fam).survivor_mask
+        for w in rng.sample([w for w in range(1 << n) if allowed >> w & 1], 3):
+            allowed &= ~(1 << w)
+        du = ref_distances(n, allowed, (allowed & -allowed).bit_length() - 1)
+        assert len(du) == allowed.bit_count()
+        eu = max(du.values())
+        dv = ref_distances(n, allowed, min(w for w, d in du.items() if d == eu))
+        best = max(eu, max(dv.values()))
+        far = sum(du[w] + dv[w] > best for w in du)
+        fringe = sum(d > eu // 2 for d in du.values())
+        seen.add("none" if not far else "fewer" if far <= fringe else "more")
+        batches.clear()
+        assert metrics._fringe_diameter(n, allowed) == ref_diameter(n, allowed)
+        assert sum(batches) == min(far, fringe)
+    assert "fewer" in seen and (n != 9 or "more" in seen), seen
 
 
 # ---------------------------------------------------------------------------
