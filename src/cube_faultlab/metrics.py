@@ -19,19 +19,15 @@ searches with the same big-int operations.  Rows go max(1, 2^16 >> n) to
 an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds one
 row per source vertex.  The connectivity oracle and the fault-diameter
 value walk share one kernel, _row_cover: one row per family, seeded at
-its lowest survivor (vertex 0 in every nonempty value-walk row).  At
-n <= 7 every survivor is a source, and the fault-diameter witness pass
-packs 2^n source rows per family, _rows_per_int(n) >> n families per BFS
-(_batch_diameter); it settles a batch holding an empty or disconnected
-set, and every family at n >= 8, with _diameter_mask, whose sources at
-n >= 8 are only the survivors that two anchor BFSs leave open
-(_fringe_diameter).  Anchor u is the lowest survivor and v the lowest
-of u's farthest, with best = max(ecc(u), ecc(v)) and ℓ_a the distance
-from a.  The sources are the smaller of two exact sets: the fringe,
-farther than ecc(u) // 2 from u, and the survivors with ℓ_u + ℓ_v > best:
-- a pair x, y farther apart than best has ℓ_a(x) + ℓ_a(y) > best for a = u, v;
-- adding both, ℓ_u + ℓ_v > best at x or at y;
-- so the diameter is the largest of best and those survivors' eccentricities.
+its lowest survivor (vertex 0 in every nonempty value-walk row).  Every
+other diameter, of one set (_diameter_mask) or of a scan's batch, is
+one _batch_diameter call, which returns the largest diameter, the first
+set attaining it and the empty or cut sets.  At n <= 7 it packs 2^n
+source rows per set, _diameter_batch(n) sets per BFS, and a visited
+count short of Σ|S|² sends it to one more BFS without the cut sets; at
+n >= 8 it takes one set, whose sources are only the survivors that two
+anchor BFSs leave open (_fringe_diameter, which states the rule and its
+proof); each anchor BFS is one _bfs_cover that keeps its levels.
 
 A survival graph is refused past n = _BITSET_LIMIT (26) when it is
 built; the router needs none and serves n <= 30 with its own BFS.
@@ -129,26 +125,27 @@ def _lo_masks(n: int, rows: int = 1) -> tuple[tuple[int, int], ...]:
 
 
 def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0,
-               depth: int = -1) -> tuple[int, int, int]:
+               levels: list[int] | None = None) -> tuple[int, int, int]:
     """BFS from the vertex set `start` inside `allowed`, `rows` BFSs at once.
 
     Bits r*2^n .. (r+1)*2^n - 1 of both integers are row r, an
     independent BFS in Q_n; all rows share every big-int operation.
     `start` must lie inside `allowed`; `rows` bounds the row count
     (unused rows are all zero).  The search ends early once a level
-    (the start set being level 0) meets `stop`, or after `depth` levels.
-    Returns (visited set, number of levels expanded, last level); without
-    an early end the second is the largest eccentricity of a row's start
-    set within its component, and the last level holds the vertices at
-    that distance.
+    (the start set being level 0) meets `stop`.  Each level past the
+    start is appended to `levels` when it is given.  Returns (visited
+    set, number of levels expanded, last level); without an early end
+    the second is the largest eccentricity of a row's start set within
+    its component, and the last level holds the vertices at that
+    distance.
     """
     # memoise only tables of at most _ROW_BITS bits: a larger one would
     # outlive the call (Q_26's is 208 MiB)
     masks = (_lo_masks if rows << n <= _ROW_BITS else _lo_masks.__wrapped__)(n, rows)
     frontier = start
     left = allowed ^ start
-    levels = 0
-    while not frontier & stop and levels != depth:
+    count = 0
+    while not frontier & stop:
         nxt = 0
         for s, lo in masks:
             nxt |= (frontier & lo) << s | (frontier >> s) & lo
@@ -157,8 +154,10 @@ def _bfs_cover(n: int, allowed: int, start: int, rows: int = 1, stop: int = 0,
             break
         left ^= nxt
         frontier = nxt
-        levels += 1
-    return allowed ^ left, levels, frontier
+        count += 1
+        if levels is not None:
+            levels.append(nxt)
+    return allowed ^ left, count, frontier
 
 
 def _row_cover(n: int, allowed: int, rows: int) -> tuple[int, int]:
@@ -183,20 +182,42 @@ def _nonzero_rows(n: int, x: int, ones: int) -> int:
     return x & ones
 
 
-def _batch_diameter(n: int, sets: list[int]) -> tuple[int, int] | None:
-    """(largest diameter, index of the first set attaining it) over the
-    vertex sets `sets` (at most _rows_per_int(n) >> n), None when one is
-    empty or disconnected.  Set i fills rows i*2^n and up, row r seeded
-    at vertex r, all in one _bfs_cover: the sets are connected iff it
-    visits Σ|S|² bits, and the lowest bit of its last level lies in the
-    first set at the largest eccentricity."""
-    size = 1 << n
+def _diameter_batch(n: int) -> int:
+    """How many vertex sets one _batch_diameter takes: 2^n rows each, so one at n >= 8."""
+    return max(1, _rows_per_int(n) >> n)
+
+
+def _batch_diameter(n: int, sets: list[int]) -> tuple[int, int, list[int]]:
+    """(largest diameter over the connected sets, index of the first set
+    attaining it, indices of the empty or cut sets) over the vertex sets
+    `sets`, at most _diameter_batch(n); (-1, -1, bad) when every set is bad.
+
+    At n >= 8 the one set goes through _fringe_diameter.  Below, set i
+    fills rows i*2^n and up, row r seeded at vertex r when r is in it,
+    all in one _bfs_cover: the sets are connected iff it visits Σ|S|²
+    bits, and the lowest bit of its last level lies in the first set at
+    the largest eccentricity.  An unseeded row is a copy of its set that
+    is never visited, so only unvisited bits in a seeded row mark a cut
+    set; on a mismatch those sets are emptied and the BFS runs once more.
+    """
+    if _diameter_batch(n) == 1:
+        d = _fringe_diameter(n, sets[0]) if sets[0] else None
+        return (-1, -1, [0]) if d is None else (d, 0, [])
+    size, rows = 1 << n, _rows_per_int(n)
     wide = [s * _spaced_ones(size, size) for s in sets]
+    allowed = _pack_rows(2 * n, wide)
     seeds = _pack_rows(2 * n, [w & _spaced_ones(size, size + 1) for w in wide])
-    visited, levels, last = _bfs_cover(n, _pack_rows(2 * n, wide), seeds, _rows_per_int(n))
-    if 0 in sets or visited.bit_count() != sum(s.bit_count() ** 2 for s in sets):
-        return None
-    return levels, ((last & -last).bit_length() - 1) >> 2 * n
+    visited, levels, last = _bfs_cover(n, allowed, seeds, rows)
+    cut = 0
+    if visited.bit_count() != sum(s.bit_count() ** 2 for s in sets):
+        ones = _spaced_ones(len(sets), size * size)
+        seeded = _nonzero_rows(n, seeds, _spaced_ones(rows, size)) * ((1 << size) - 1)
+        cut = _nonzero_rows(2 * n, (allowed ^ visited) & seeded, ones)
+        keep = (ones ^ cut) * ((1 << size * size) - 1)
+        _, levels, last = _bfs_cover(n, allowed & keep, seeds & keep, rows)
+    bad = ([i for i, s in enumerate(sets) if not s or cut >> (i << 2 * n) & 1]
+           if cut or 0 in sets else [])  # no loop over the sets when none is bad
+    return levels if last else -1, ((last & -last).bit_length() - 1) >> 2 * n, bad
 
 
 def _pack_rows(n: int, sets: list[int]) -> int:
@@ -213,52 +234,38 @@ def _pack_rows(n: int, sets: list[int]) -> int:
 
 
 def _diameter_mask(n: int, allowed: int) -> int | None:
-    """Exact diameter of the induced subgraph, None when disconnected.
+    """Exact diameter of the induced subgraph, None when disconnected."""
+    if not allowed:
+        raise ValueError("empty vertex set has no diameter")
+    value, _, bad = _batch_diameter(n, [allowed])
+    return None if bad else value
 
-    At n <= 7 every survivor is a source, all in one _batch_diameter.  At
-    n >= 8 one BFS from the lowest survivor u tests connectivity and gives
+
+def _fringe_diameter(n: int, allowed: int) -> int | None:
+    """Exact diameter of a nonempty `allowed` at any n, None when
+    disconnected: _batch_diameter's path at n >= 8.
+
+    One BFS from the lowest survivor u tests connectivity and gives
     e = ecc(u); a second from v, the lowest survivor at distance e from u
     (the 2-sweep: Magnien, Latapy, Habib, ACM JEA 13, 2009), gives ecc(v),
-    and best = max(e, ecc(v)).  The sources are the smaller of two sets,
-    each exact in any connected graph.  The fringe, the survivors farther
-    than e // 2 from u (the eccentricity bound of iFUB: Crescenzi et al.,
-    TCS 514, 2013):
+    and best = max(e, ecc(v)).  Both keep their levels L_u, L_v.  The
+    sources are the smaller of two sets, each exact in any connected
+    graph.  The fringe, the union of L_u[e // 2 + 1:] (the eccentricity
+    bound of iFUB: Crescenzi et al., TCS 514, 2013):
     - two survivors within e // 2 of u are at most 2 * (e // 2) <= e apart;
     - so every pair farther apart than e holds a fringe survivor;
     - so the diameter is the largest of e and the fringe's eccentricities.
-    The survivors with ℓ_u + ℓ_v > best, ℓ_a the distance from a:
+    The survivors with ℓ_u + ℓ_v > best, ℓ_a the distance from a, which
+    are L_u[i] outside Ball_v(best - i), the union of L_v[:best - i + 1]:
     - a pair x, y farther apart than best has ℓ_a(x) + ℓ_a(y) > best for a = u, v;
     - adding both, ℓ_u + ℓ_v > best at x or at y;
     - so the diameter is the largest of best and those survivors' eccentricities.
     """
-    if not allowed:
-        raise ValueError("empty vertex set has no diameter")
-    if _rows_per_int(n) >> n < 2:
-        return _fringe_diameter(n, allowed)
-    hit = _batch_diameter(n, [allowed])
-    return hit[0] if hit else None
-
-
-def _levels(n: int, allowed: int, start: int) -> list[int]:
-    """The BFS levels of the vertex set `start` inside `allowed`, level 0
-    first, disjoint and covering the component of `start`: one depth-1
-    _bfs_cover per level, inside the last level and the unvisited set."""
-    levels, left = [start], allowed ^ start
-    while nxt := _bfs_cover(n, left | levels[-1], levels[-1], depth=1)[2] & left:
-        levels.append(nxt)
-        left ^= nxt
-    return levels
-
-
-def _fringe_diameter(n: int, allowed: int) -> int | None:
-    """_diameter_mask's two-anchor path, for a nonempty `allowed` at any n:
-    from the levels L_u, L_v of the anchors, Ball_v(r) the union of L_v[:r + 1],
-    ℓ_u + ℓ_v > best holds on L_u[i] outside Ball_v(best - i), and the
-    fringe is the union of L_u[e // 2 + 1:]."""
-    lu = _levels(n, allowed, allowed & -allowed)
-    if sum(lu) != allowed:  # the levels are disjoint: their sum is their union
+    lu = [allowed & -allowed]
+    if _bfs_cover(n, allowed, lu[0], levels=lu)[0] != allowed:
         return None
-    lv = _levels(n, allowed, lu[-1] & -lu[-1])
+    lv = [lu[-1] & -lu[-1]]
+    _bfs_cover(n, allowed, lv[0], levels=lv)
     eu, ev = len(lu) - 1, len(lv) - 1
     best = max(eu, ev)
     balls = list(accumulate(lv))
@@ -266,6 +273,8 @@ def _fringe_diameter(n: int, allowed: int) -> int | None:
     for i in range(best - ev + 1, eu + 1):  # at i <= best - ev, Ball_v(best - i) is `allowed`
         far |= lu[i] & (allowed ^ balls[best - i])
     pick = min(far, sum(lu[eu // 2 + 1:]), key=int.bit_count)
+    if not pick:  # before the 2^16-bit row table
+        return best
     rows = _rows_per_int(n)
     wide = allowed * _spaced_ones(rows, 1 << n)
     sources = (1 << v for v, bit in enumerate(reversed(f"{pick:b}")) if bit == "1")

@@ -46,13 +46,12 @@ in the witness pass; disconnected_skipped is the value walk's.
 
 _max_diameter is the one loop over (key, fault bitset) pairs, keyed by
 ascending element indices: the witness pass's packings and the sampled
-search's accepted draws, walked to the end.  At n <= 7 it batches
-consecutive families through metrics._batch_diameter; a batch that beats
-the best so far gives its first family at its maximum, so ties keep the
-earliest.  A batch with an empty or disconnected survivor set, and every
-family at n >= 8, goes family by family through metrics._diameter_mask,
-which raises or skips; at n >= 8 its BFS sources are only the survivors
-far from one anchor BFS.  The sampled search (a SearchSpec passed as
+search's accepted draws, walked to the end.  It hands each batch of
+metrics._diameter_batch(n) families to metrics._batch_diameter, which
+gives the batch's largest diameter, its first family at that value (so
+ties keep the earliest) and its empty or disconnected families; the loop
+raises on the first of those within the connectivity budget and counts
+and skips them above it.  The sampled search (a SearchSpec passed as
 `search`) is a library call only: the cli runs the exhaustive scan.
 
 Translation reduction.  XOR by a vertex b is an automorphism of Q_n; it
@@ -107,7 +106,7 @@ from .faults import (
     _sample_one, _space,
 )
 from .metrics import (
-    _CONNECTIVITY_US, _batch_diameter, _check_time, _diameter_mask, _diameter_us, _full_mask,
+    _CONNECTIVITY_US, _batch_diameter, _check_time, _diameter_batch, _diameter_us, _full_mask,
     _nonzero_rows, _pack_rows, _row_cover, _rows_per_int, _spaced_ones,
 )
 
@@ -367,30 +366,20 @@ def _max_diameter(
     """
     n = space.n
     budget_safe = budget < mode.kappa(n)
-    full = _full_mask(n)
-    best = -1
-    best_key = None
-    walked = skipped = 0
-    per_int = _rows_per_int(n) >> n
-    while batch := list(islice(families, max(per_int, 1))):
-        survivors = [full & ~faults for _, faults in batch]
-        if per_int > 1 and (hit := _batch_diameter(n, survivors)):
-            if hit[0] > best:
-                best, best_key = hit[0], batch[hit[1]][0]
-                if best == stop:
-                    return best, best_key, walked + hit[1] + 1, skipped
-        else:
-            for at, ((key, _), surv) in enumerate(zip(batch, survivors), walked + 1):
-                d = _diameter_mask(n, surv) if surv else None
-                if d is None:
-                    if budget_safe:
-                        raise _disconnected(space, mode, key)
-                    skipped += 1
-                elif d > best:
-                    best, best_key = d, key
-                    if best == stop:
-                        return best, best_key, at, skipped
+    full, per_batch = _full_mask(n), _diameter_batch(n)
+    best, best_key, walked, skipped = -1, None, 0, 0
+    while batch := list(islice(families, per_batch)):
+        value, at, bad = _batch_diameter(n, [full & ~faults for _, faults in batch])
+        if value == stop and value > best:  # the counts end at the stopping family
+            batch, bad = batch[:at + 1], [i for i in bad if i < at]
+        if bad and budget_safe:
+            raise _disconnected(space, mode, batch[bad[0]][0])
+        skipped += len(bad)
         walked += len(batch)
+        if value > best:
+            best, best_key = value, batch[at][0]
+            if best == stop:
+                return best, best_key, walked, skipped
     if best_key is None:
         raise InvariantViolation(
             f"every family within budget {budget} disconnected Q_{n} "

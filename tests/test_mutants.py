@@ -48,10 +48,14 @@ MUTANTS = {
         SEEDED_SETS,
     ),
     "ties-keep-the-latest": (
-        "oracle", "if hit[0] > best:", "if hit[0] >= best:",
+        "oracle", "if value > best:", "if value >= best:",
         ROW_BFS + "test_diameter_hit_position_inside_a_batch[3-structure:0-2]",
     ),
-    "empty-set-test-dropped": ("metrics", "if 0 in sets or visited", "if visited", SEEDED_SETS),
+    "empty-set-test-dropped": ("metrics", "if not s or cut", "if cut", SEEDED_SETS),
+    "cut-set-levels-kept": (
+        "metrics", "(n, allowed & keep, seeds & keep, rows)", "(n, allowed, seeds, rows)", SEEDED_SETS,
+    ),
+    "cut-sets-not-counted": ("metrics", "if not s or cut >> (i << 2 * n) & 1", "if not s", SEEDED_SETS),
     "hit-count-one-short": (
         "oracle", "scanned + row - below + 1", "scanned + row - below",
         ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",

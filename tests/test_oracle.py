@@ -352,17 +352,16 @@ class TestArgumentChecks:
 
 class TestInvariantErrors:
     """With every survivor set reported disconnected, by the row kernel
-    (every survivor left unvisited), by the batch kernel and by the
-    per-family diameter it falls back to, a disconnection within the
-    connectivity budget raises in both searches and names the caller's
-    mode.  Above it only a sampled search can find no diameter: the
-    exhaustive scan keeps the empty family, which needs no BFS."""
+    (every survivor left unvisited) and by the batch kernel (every set
+    bad), a disconnection within the connectivity budget raises in both
+    searches and names the caller's mode.  Above it only a sampled search
+    can find no diameter: the exhaustive scan keeps the empty family,
+    which needs no BFS."""
 
     @pytest.fixture(autouse=True)
     def disconnect_everything(self, monkeypatch):
         monkeypatch.setattr(oracle, "_row_cover", lambda n, allowed, rows: (0, allowed))
-        monkeypatch.setattr(oracle, "_batch_diameter", lambda n, sets: None)
-        monkeypatch.setattr(oracle, "_diameter_mask", lambda n, surv: None)
+        monkeypatch.setattr(oracle, "_batch_diameter", lambda n, sets: (-1, -1, list(range(len(sets)))))
 
     def test_disconnection_within_the_connectivity_budget(self):
         messages = []

@@ -1,13 +1,15 @@
 """The row-packed bitset BFS against plain one-BFS-at-a-time references.
 
-metrics._diameter_mask runs many BFS sources per big integer: at n <= 7
-every survivor, all in one metrics._batch_diameter; at n >= 8 only the
-smaller of two source sets that two anchor BFSs leave open
-(metrics._fringe_diameter, checked directly at small n too).  Anchor u
-is the lowest survivor, v the lowest at distance e = ecc(u) from u,
-best = max(e, ecc(v)) and ℓ_a the distance from a; the sets are the
-survivors farther than e // 2 from u (iFUB's fringe) and those with
-ℓ_u + ℓ_v > best:
+Every diameter outside the row kernel is one metrics._batch_diameter
+call: (largest diameter over the connected sets, first set attaining it,
+the empty or cut sets).  At n <= 7 it runs every survivor of a batch of
+sets as a source in one BFS, and once more without the cut sets when
+there are any; at n >= 8 its one set runs only the smaller of two source
+sets that two anchor BFSs leave open (metrics._fringe_diameter, checked
+directly at small n too).  Anchor u is the lowest survivor, v the lowest
+at distance e = ecc(u) from u, best = max(e, ecc(v)) and ℓ_a the
+distance from a; the sets are the survivors farther than e // 2 from u
+(iFUB's fringe) and those with ℓ_u + ℓ_v > best:
 - a pair x, y farther apart than best has ℓ_a(x) + ℓ_a(y) > best for a = u, v;
 - adding both, ℓ_u + ℓ_v > best at x or at y;
 - so the diameter is the largest of best and those survivors' eccentricities.
@@ -606,14 +608,14 @@ def exhaustive_walk(n: int, mode, budget: int) -> list[tuple[tuple[int, ...], in
     return [((), 0), *extend(space.masks, _base0_walk(space, mode, range(1, budget + 1)))]
 
 
-def batch_reference(n: int, sets: list[int]):
-    if 0 in sets:
-        return None
-    diameters = [metrics._diameter_mask(n, s) for s in sets]
-    if None in diameters:
-        return None
-    best = max(diameters)
-    return best, diameters.index(best)
+def batch_reference(n: int, sets: list[int]) -> tuple[int, int, list[int]]:
+    """(largest diameter over the connected sets, index of the first set
+    attaining it, indices of the empty or cut sets), one set at a time;
+    (-1, -1, bad) when every set is bad."""
+    diameters = [ref_diameter(n, s) if s else None for s in sets]
+    bad = [i for i, d in enumerate(diameters) if d is None]
+    best = max((d for d in diameters if d is not None), default=-1)
+    return best, diameters.index(best) if best >= 0 else -1, bad
 
 
 def diameter_cases():
@@ -688,14 +690,18 @@ def test_emptied_families_are_skipped_inside_small_batches(monkeypatch, per_int)
     assert oracle._max_diameter(space, mode, 4, iter(walk)) == want
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_batch_diameter_on_seeded_sets(n):
     """Full and short batches of sparse-fault sets (usually connected),
-    quarter sets (usually not), one cut set among connected ones, and
-    empty sets."""
+    quarter sets (usually not), one cut set among connected ones, empty
+    sets and batches of bad sets only.  Where a batch holds two sets
+    (n <= 7) and a path of length 2 fits beside a lone vertex (n >= 3),
+    such a cut set comes first, ahead of sets of diameter 0 and 1: its
+    levels reach past theirs, so only the BFS run again without it gives
+    the value and the index.  At n = 8 a batch is one set."""
     rng = random.Random(2_000 + n)
     full = (1 << (1 << n)) - 1
-    per_int = metrics._rows_per_int(n) >> n
+    per_int = metrics._diameter_batch(n)
 
     def sparse():
         faults = 0
@@ -708,7 +714,8 @@ def test_batch_diameter_on_seeded_sets(n):
 
     # vertex 0 alone: its neighbours removed, a second survivor left
     cut = full & ~sum(1 << (1 << p) for p in range(n))
-    seen = {"value": 0, "disconnected": 0, "empty": 0}
+    seen = dict.fromkeys(["value", "cut", "empty", "all bad"], 0)
+    cases = []
     for case in range(24):
         count = per_int if case % 2 else rng.randint(1, per_int)
         sets = [sparse() if case % 3 else quarter() for _ in range(count)]
@@ -716,24 +723,43 @@ def test_batch_diameter_on_seeded_sets(n):
             sets[rng.randrange(count)] = cut
         if case % 8 == 3:
             sets[rng.randrange(count)] = 0
+        if case % 6 == 5:
+            sets = [rng.choice([cut, 0]) for _ in range(count)]
+        cases.append(sets)
+    if n in range(3, 8):  # a batch holds four sets
+        deep = vertex_set(n, [0, 1, 3, 6])  # the path 0-1-3, 2 levels deep, and vertex 6 alone
+        cases.append([deep, 1, 0b11, 0])
+    for case, sets in enumerate(cases):
         want = batch_reference(n, sets)
         assert metrics._batch_diameter(n, sets) == want, case
-        seen["value" if want else "empty" if 0 in sets else "disconnected"] += 1
-    assert all(seen.values()), seen
+        seen["value" if not want[2] else "all bad" if want[0] < 0
+             else "empty" if 0 in sets else "cut"] += 1
+    if n in range(3, 8):
+        assert want == (1, 2, [0, 3])
+    assert all(seen.values()) if per_int > 1 else seen["value"] and seen["all bad"], seen
 
 
 @pytest.mark.parametrize("n,label", [(n, mode.label) for n in (4, 5) for mode in modes(n)])
 def test_a_scan_within_kappa_never_falls_back(monkeypatch, n, label):
     """At budget kappa - 1 no survivor set is empty or disconnected, so
-    every batch is settled by one BFS and no family by _diameter_mask."""
+    each witness-pass batch is settled by exactly one _bfs_cover; the
+    pass runs when the value is above n."""
+    bfs, batch_diameter = metrics._bfs_cover, oracle._batch_diameter
+    counts = []
 
-    def per_family(*args):
-        raise AssertionError("a batch fell back to the per-family diameter")
+    def counting(n, sets):
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "_bfs_cover", lambda *args, **kw: calls.append(1) or bfs(*args, **kw))
+            got = batch_diameter(n, sets)
+        counts.append(len(calls))
+        return got
 
     mode = FaultMode.from_label(label)
-    monkeypatch.setattr(oracle, "_diameter_mask", per_family)
+    monkeypatch.setattr(oracle, "_batch_diameter", counting)
     res = fault_diameter_bruteforce(n, mode, mode.kappa(n) - 1)
     assert res.families_scanned > 1
+    assert set(counts) == ({1} if res.value > n else set()), counts
 
 
 # ---------------------------------------------------------------------------
