@@ -17,9 +17,9 @@ the Merrier", VLDB 2014).  The masks are copied into every row, so no
 shift crosses a row boundary, and one loop (_bfs_cover) advances all k
 searches with the same big-int operations.  Rows go max(1, 2^16 >> n) to
 an integer, so no BFS integer exceeds 2^16 bits.  A diameter seeds one
-row per source vertex.  The connectivity oracle and the fault-diameter
-value walk share one kernel, _row_cover: one row per family, seeded at
-its lowest survivor (vertex 0 in every nonempty value-walk row).  Every
+row per source vertex.  One oracle loop, oracle._row_scan, runs the κ
+scan and the value walk on _row_cover: one row per family, seeded at its
+lowest survivor (vertex 0 in every nonempty value-walk row).  Every
 other diameter, of one set (_diameter_mask) or of a scan's batch, is
 one _batch_diameter call, which returns the largest diameter, the first
 set attaining it and the empty or cut sets.  At n <= 7 it packs 2^n

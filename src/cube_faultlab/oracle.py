@@ -16,33 +16,34 @@ and the diameter scan's witness pass read faults._base0_walk, in a fixed
 order, so a witness is the first qualifying family walked; results and
 witnesses carry the caller's mode.
 
-Rows.  Both exhaustive row scans give each family one 2^n-bit row, its
-survivor set, of an integer that one row-packed BFS tests
-(metrics._row_cover, every row seeded at its lowest survivor): the
-lowest survivor it leaves unvisited lies in the first disconnected row,
-the connectivity scan's hit.  An empty row, a family leaving no
-survivors, has no seed and is never disconnected.  At n <= 6
-_row_blocks flags a prefix's candidates that overlap it in one big-int
-pass: the element table (element i in row i, built at the first
-non-empty prefix; at size 1 the first indices' rows) shifted to the
-first candidate, ANDed with the prefix union in every row, folded by n
-shift-ORs (metrics._nonzero_rows).  Flagged rows are left empty and are
-not counted.  At n >= 7 a padded row's BFS costs more than the Python
-it saves, so each family's row is built alone.  _packed fills the BFS
-integers with these blocks.
+Rows.  Both exhaustive row scans are one loop, _row_scan: each family
+gets one 2^n-bit row, its survivor set, of an integer that one
+row-packed BFS tests (metrics._row_cover, every row seeded at its lowest
+survivor): the lowest survivor it leaves unvisited lies in the first
+disconnected row.  An empty row, a family leaving no survivors, has no
+seed and is never disconnected.  The scan stops at the first cut row;
+with `skip` it flags the cut rows instead, counts them and keeps them out
+of the level count by a second BFS without them.  At n <= 6 _row_blocks
+flags a prefix's candidates that overlap it in one big-int pass: the
+element table (element i in row i, built at the first non-empty prefix;
+at size 1 the first indices' rows) shifted to the first candidate, ANDed
+with the prefix union in every row, folded by n shift-ORs
+(metrics._nonzero_rows).  Flagged rows are left empty and are not
+counted.  At n >= 7 a padded row's BFS costs more than the Python it
+saves, so each family's row is built alone.  _packed fills the BFS
+integers with these blocks; one that runs on into the next integer goes
+on under a shifted key.
 
-Fault diameter: a value walk, then a witness pass.  The value walk
-(_value_walk) runs the same rows and BFS over faults._anchored_walk's
-families, which all spare vertex 0, so every nonempty row is seeded at
-vertex 0 and an integer's level count is its largest ecc(0).  A
-disconnected family raises within the connectivity budget, and above it
-is skipped, its row flagged by _nonzero_rows and its levels kept out of
-the maximum by a second BFS without it.  The empty family adds ecc(0) =
-n.  The witness pass is the translation-reduced loop (_max_diameter over
-faults._base0_walk after the empty family), stopped at the first family
-whose diameter is the value: at once when the value is n.
-families_scanned adds both parts' families, the empty one counted once,
-in the witness pass; disconnected_skipped is the value walk's.
+Fault diameter: a value walk, then a witness pass.  The value walk is
+_row_scan over faults._anchored_walk's families, which all spare vertex
+0, so every nonempty row is seeded at vertex 0 and an integer's level
+count is its largest ecc(0).  It skips disconnected families from
+kappa on; below, it stops at the first, which raises.  The empty family
+adds ecc(0) = n.  The witness pass is the translation-reduced loop
+(_max_diameter over faults._base0_walk after the empty family), stopped
+at the first family whose diameter is the value: at once when the value
+is n.  families_scanned adds both parts' families, the empty one counted
+once, in the witness pass; disconnected_skipped is the value walk's.
 
 _max_diameter is the one loop over (key, fault bitset) pairs, keyed by
 ascending element indices: the witness pass's packings and the sampled
@@ -155,59 +156,65 @@ class FaultDiameterResult:
     disconnected_skipped: int
 
 
-def _kappa_scan(n: int, masks: tuple[int, ...], prefixes) -> tuple[tuple[int, ...] | None, int]:
-    """(first disconnecting key or None, families walked) over the
-    faults._iter_prefixes triples `prefixes` of `masks`.  A hit in row r
-    counts the earlier integers' families, the rows before r without an
-    overlap flag, and itself."""
-    scanned = 0
+def _row_scan(
+    n: int, masks: tuple[int, ...], prefixes, skip: bool = False
+) -> tuple[int, int, int, tuple[int, ...] | None]:
+    """(largest seed eccentricity, families walked, families skipped, key
+    of the first disconnected family or None) over the
+    faults._iter_prefixes triples `prefixes` of `masks`.  Without `skip`
+    the scan stops at the first cut row r, counting the earlier integers'
+    families, the rows before r without an overlap flag, and r itself;
+    with it, cut rows are counted as skipped and a second BFS without
+    them gives the levels."""
+    full, best, walked, skipped = _full_mask(n), 0, 0, 0
     for packed, overs, used, blocks in _packed(n, _row_blocks(n, masks, prefixes)):
-        if left := _row_cover(n, packed, used)[1]:
+        levels, left = _row_cover(n, packed, used)
+        if left and not skip:
             row = (left & -left).bit_length() - 1 >> n
             below = (overs & ((1 << (row << n)) - 1)).bit_count()
-            return _row_key(blocks, row), scanned + row - below + 1
-        scanned += used - overs.bit_count()
-    return None, scanned
+            start, key = next(b for b in reversed(blocks) if b[0] <= row)
+            return best, walked + row - below + 1, skipped, key(row - start)
+        if left:
+            cut = _nonzero_rows(n, left, _spaced_ones(used, 1 << n))
+            skipped += cut.bit_count()
+            levels = _row_cover(n, packed & ~(cut * full), used)[0]
+        best, walked = max(best, levels), walked + used - overs.bit_count()
+    return best, walked, skipped, None
 
 
 def _packed(n: int, pieces):
     """(rows, overlap flags, row count, blocks) per BFS integer of the
-    _row_blocks pieces `pieces`, a block being (first row, key, first
-    position).  Blocks fill integers of _rows_per_int(n) rows, going on in
-    the next one when they overfill one."""
+    _row_blocks pieces `pieces`, a block being (first row, key).  Blocks
+    fill integers of _rows_per_int(n) rows; one that overfills an integer
+    goes on in the next, its key shifted past the rows taken."""
     per_int, carry = _rows_per_int(n), None
     while True:
         packed, overs, used, blocks = 0, 0, 0, []
         while used < per_int and (carry or (carry := next(pieces, None))):
-            key, lo, count, rows, over = carry
+            key, count, rows, over = carry
             take, carry = min(count, per_int - used), None
             if take < count:  # the rest goes on in the next integer
-                carry = (key, lo + take, count - take, rows >> (take << n), over >> (take << n))
+                carry = (lambda i, k=key, t=take: k(i + t), count - take,
+                         rows >> (take << n), over >> (take << n))
                 rows, over = rows & (cut := (1 << (take << n)) - 1), over & cut
             packed, overs = packed | rows << (used << n), overs | over << (used << n)
-            blocks.append((used, key, lo))
+            blocks.append((used, key))
             used += take
         if not used:
             return
         yield packed, overs, used, blocks
 
 
-def _row_key(blocks, row: int) -> tuple[int, ...]:
-    """The key of row `row` of a _packed integer with these blocks."""
-    start, key, lo = next(b for b in reversed(blocks) if b[0] <= row)
-    return key(lo + row - start)
-
-
 def _row_blocks(n: int, masks: tuple[int, ...], prefixes):
-    """(key of a row position, first position, row count, rows, overlap flags)
-    per block: a prefix's candidates at n <= 6, one BFS integer's families
-    above.  A candidate that overlaps its prefix is flagged, its row empty."""
+    """(key of a row position, row count, rows, overlap flags) per block:
+    a prefix's candidates at n <= 6, one BFS integer's families above.  A
+    candidate that overlaps its prefix is flagged, its row empty."""
     full, size = _full_mask(n), len(masks)
     if n > 6:  # a padded row's BFS costs more than the Python it saves (module docstring)
         families = _extend(masks, prefixes)
         while batch := list(islice(families, _rows_per_int(n))):
             rows = _pack_rows(n, [full & ~acc for _, acc in batch])
-            yield lambda i, b=batch: b[i][0], 0, len(batch), rows, 0
+            yield lambda i, b=batch: b[i][0], len(batch), rows, 0
         return
     table, every = 0, _spaced_ones(size, 1 << n)
     for prefix, acc, cands in prefixes:  # a size-1 block gathers its rows, so needs no table
@@ -218,7 +225,7 @@ def _row_blocks(n: int, masks: tuple[int, ...], prefixes):
         accs = acc * ones
         over = _nonzero_rows(n, tail & accs, ones)
         rows = ~(accs | tail) & (ones ^ over) * full
-        yield lambda i, p=prefix, c=cands: p + (c[i],), 0, len(cands), rows, over
+        yield lambda i, p=prefix, c=cands: p + (c[i],), len(cands), rows, over
 
 
 def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> ConnectivityResult:
@@ -243,7 +250,7 @@ def connectivity_bruteforce(n: int, mode: FaultMode, jobs: int = 1) -> Connectiv
         f"FaultMode.kappa, the proved closed form kappa = n - m = {kappa}",
     )
     space = _space(n, mode)
-    key, scanned = _kappa_scan(n, space.masks, _base0_walk(space, mode, range(1, kappa + 1)))
+    _, scanned, _, key = _row_scan(n, space.masks, _base0_walk(space, mode, range(1, kappa + 1)))
     if key is None:
         raise InvariantViolation(
             f"no family of at most kappa = {kappa} elements disconnects Q_{n} under mode {mode.label}"
@@ -293,7 +300,11 @@ def fault_diameter_bruteforce(
         families = _sampled_families(space, mode, budget, search)
         value, key, scanned, skipped = _max_diameter(space, mode, budget, families)
     else:
-        value, scanned, skipped = _value_walk(space, mode, budget)
+        idx, masks, prefixes = _anchored_walk(space, mode, range(1, budget + 1))
+        value, scanned, skipped, key = _row_scan(n, masks, prefixes, skip=budget >= mode.kappa(n))
+        if key is not None:
+            raise _disconnected(space, mode, [idx[i] for i in key])
+        value = max(n, value)  # the empty family's ecc(0) is n
         key = ()  # the witness pass's first family, the empty one, has diameter n
         if value > n:
             families = _extend(space.masks, _base0_walk(space, mode, range(1, budget + 1)))
@@ -302,27 +313,6 @@ def fault_diameter_bruteforce(
         scanned += 1
     witness = FaultFamily(tuple(map(space.__getitem__, key)), mode, n)
     return FaultDiameterResult(n, mode, budget, value, witness, scanned, skipped)
-
-
-def _value_walk(space: _ElementSpace, mode: FaultMode, budget: int) -> tuple[int, int, int]:
-    """(largest ecc(0), families walked, families skipped) over the
-    empty family, which needs no row and is not counted, and
-    faults._anchored_walk's."""
-    n = space.n
-    full, budget_safe = _full_mask(n), budget < mode.kappa(n)
-    idx, masks, prefixes = _anchored_walk(space, mode, range(1, budget + 1))
-    best, walked, skipped = n, 0, 0
-    for packed, overs, used, blocks in _packed(n, _row_blocks(n, masks, prefixes)):
-        levels, left = _row_cover(n, packed, used)
-        if left:
-            if budget_safe:
-                key = _row_key(blocks, (left & -left).bit_length() - 1 >> n)
-                raise _disconnected(space, mode, [idx[i] for i in key])
-            cut = _nonzero_rows(n, left, _spaced_ones(used, 1 << n))
-            skipped += cut.bit_count()
-            levels = _row_cover(n, packed & ~(cut * full), used)[0]
-        best, walked = max(best, levels), walked + used - overs.bit_count()
-    return best, walked, skipped
 
 
 def _disconnected(space: _ElementSpace, mode: FaultMode, key: tuple[int, ...]) -> InvariantViolation:

@@ -57,7 +57,7 @@ MUTANTS = {
     ),
     "cut-sets-not-counted": ("metrics", "if not s or cut >> (i << 2 * n) & 1", "if not s", SEEDED_SETS),
     "hit-count-one-short": (
-        "oracle", "scanned + row - below + 1", "scanned + row - below",
+        "oracle", "walked + row - below + 1", "walked + row - below",
         ROW_BFS + "test_kappa_scan_matches_the_per_family_scan[3-structure:1]",
     ),
     "row-fold-one-step-short": (
@@ -73,11 +73,14 @@ MUTANTS = {
         ROW_BFS + "test_a_family_that_leaves_no_survivors",
     ),
     "continued-block-restarts-its-rows": (
-        "oracle", "count - take, rows >> (take << n)", "count - take, rows",
+        "oracle", "rows >> (take << n), over", "rows, over",
         ROW_BFS + "test_a_block_straddles_two_bfs_integers",
     ),
+    "continued-block-key-unshifted": (
+        "oracle", "k(i + t)", "k(i)", ROW_BFS + "test_a_block_straddles_two_bfs_integers",
+    ),
     "integer-count-one-short": (
-        "oracle", "scanned += used - overs.bit_count()", "scanned += used - overs.bit_count() - 1",
+        "oracle", "walked + used - overs.bit_count()", "walked + used - overs.bit_count() - 1",
         ROW_BFS + "test_hit_position_inside_a_batch[3-structure:1-2]",
     ),
     "size-1-key-is-its-row": (
@@ -85,7 +88,7 @@ MUTANTS = {
         ROW_BFS + "test_a_size_1_block_maps_its_hit_back_through_the_firsts",
     ),
     "diameter-scan-without-the-empty-family": (
-        "oracle", "best, walked, skipped = n, 0, 0", "best, walked, skipped = 0, 0, 0",
+        "oracle", "value = max(n, value)", "value = max(0, value)",
         "tests/test_oracle.py::TestFaultDiameterExhaustive::test_budget_zero_is_the_plain_diameter",
     ),
     "connectivity-walk-from-size-0": (
@@ -112,6 +115,14 @@ MUTANTS = {
     ),
     "cut-row-levels-kept": (
         "oracle", "packed & ~(cut * full)", "packed",
+        ROW_BFS + "test_a_cut_row_never_reaches_the_value",
+    ),
+    "cut-row-ends-the-scan-past-kappa": (
+        "oracle", "if left and not skip:", "if left:",
+        ROW_BFS + "test_a_cut_row_never_reaches_the_value",
+    ),
+    "skip-from-kappa-plus-one": (
+        "oracle", "skip=budget >= mode.kappa(n)", "skip=budget > mode.kappa(n)",
         ROW_BFS + "test_a_cut_row_never_reaches_the_value",
     ),
 }

@@ -384,7 +384,7 @@ class TestInvariantErrors:
 
 def test_no_disconnecting_family_up_to_kappa(monkeypatch):
     # a scan that never finds a hit contradicts the proved kappa = n - m
-    monkeypatch.setattr(oracle, "_kappa_scan", lambda *args: (None, 0))
+    monkeypatch.setattr(oracle, "_row_scan", lambda *args: (0, 0, 0, None))
     with pytest.raises(InvariantViolation, match=r"^no family of at most kappa = 2 elements "
                        r"disconnects Q_3 under mode structure:1$"):
         connectivity_bruteforce(3, FaultMode.structure(1))

@@ -17,25 +17,29 @@ The sources batched are counted too: none on the fault-free cube and the
 tight families, the smaller set's size on seeded sets where either set
 is the smaller.
 
-oracle._kappa_scan and the fault-diameter value walk (oracle._value_walk)
-share one kernel, metrics._row_cover: one row per family, each seeded
-at its lowest vertex (vertex 0 in every nonempty value-walk row), an
-empty row at none.  The κ scan checks a
-batch of candidate families per BFS over any stream of
-faults._iter_prefixes triples, at n <= 6 building each prefix's
-candidate rows in one big-int pass; oracle._max_diameter measures a
-batch of families per BFS (metrics._batch_diameter) over any stream of
-(key, fault bitset) pairs, here the scans' one walk, faults._base0_walk,
-expanded after the empty family, and as the witness pass stops at a
-given diameter.  They must give exactly what a per-source diameter scan
-and a per-family connectivity or diameter scan give: the same diameters
-and None cases, the same witness indices and the same families-scanned
-and skipped counts.  The references here build their own neighbour masks
-vertex by vertex and run one BFS per source, per row or per family; the
-diameter scan's reference is the one-family-at-a-time loop over
-_diameter_mask.  The engine's tables are checked too: the per-dimension
-masks against a long-division formula, and a survival graph built from a
-family against one built from its faulty labels.
+The κ scan and the fault-diameter value walk are one loop,
+oracle._row_scan, over one kernel, metrics._row_cover: one row per
+family, each seeded at its lowest vertex (vertex 0 in every nonempty
+value-walk row), an empty row at none.  The loop checks a batch of
+candidate families per BFS over any stream of faults._iter_prefixes
+triples, at n <= 6 building each prefix's candidate rows in one big-int
+pass; as the κ scan it stops at the first cut row, and with `skip`, as
+the value walk past kappa, it counts and skips every cut row, here also
+with blocks that run on into the next BFS integer.  The κ scan is read
+through a two-value helper, row_kappa_scan.  oracle._max_diameter
+measures a batch of families per BFS (metrics._batch_diameter) over any
+stream of (key, fault bitset) pairs, here the scans' one walk,
+faults._base0_walk, expanded after the empty family, and as the witness
+pass stops at a given diameter.  They must give exactly what a
+per-source diameter scan and a per-family connectivity or diameter scan
+give: the same diameters and None cases, the same witness indices and
+the same families-scanned and skipped counts.  The references here build
+their own neighbour masks vertex by vertex and run one BFS per source,
+per row or per family; the diameter scan's reference is the
+one-family-at-a-time loop over _diameter_mask.  The engine's tables are
+checked too: the per-dimension masks against a long-division formula,
+and a survival graph built from a family against one built from its
+faulty labels.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from cube_faultlab import connectivity_bruteforce, metrics, oracle
 from cube_faultlab.faults import (
     _anchored_walk, _base0_walk, _iter_prefixes, _max_family_size, _space, enumerate_families,
 )
-from cube_faultlab.oracle import _kappa_scan
+from cube_faultlab.oracle import _row_scan
 
 
 @lru_cache(maxsize=None)
@@ -139,9 +143,16 @@ def ref_kappa_scan(n: int, label: str, size: int, firsts):
     return ref_family_scan(n, extend(masks, _iter_prefixes(masks, size, firsts)))
 
 
+def row_kappa_scan(n: int, masks, prefixes):
+    """oracle._row_scan as the κ scan: (first disconnecting key or None,
+    families walked) over the _iter_prefixes triples `prefixes`."""
+    _, walked, _, key = _row_scan(n, masks, prefixes)
+    return key, walked
+
+
 def kappa_scan(n: int, masks, size: int, firsts):
-    """oracle._kappa_scan over one size of the prefix walk."""
-    return _kappa_scan(n, masks, _iter_prefixes(masks, size, firsts))
+    """The κ scan over one size of the prefix walk."""
+    return row_kappa_scan(n, masks, _iter_prefixes(masks, size, firsts))
 
 
 def packings(n: int, label: str, size: int, firsts) -> list[int]:
@@ -469,7 +480,7 @@ def test_block_pass_on_seeded_firsts(n):
             firsts = sorted(rng.sample(range(len(masks)), 3))
             prefixes = list(islice(_iter_prefixes(masks, size, firsts), 40))
             want = ref_family_scan(n, extend(masks, iter(prefixes)))
-            assert _kappa_scan(n, masks, iter(prefixes)) == want, (mode.label, size, firsts)
+            assert row_kappa_scan(n, masks, iter(prefixes)) == want, (mode.label, size, firsts)
             seen.add(want[0] is None)
     assert seen == {True, False}
 
@@ -490,7 +501,7 @@ def test_a_block_straddles_two_bfs_integers(monkeypatch):
     continued = straddled = False
     for rows in range(2, 40):
         monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
-        assert _kappa_scan(n, masks, iter(prefixes)) == want, rows
+        assert row_kappa_scan(n, masks, iter(prefixes)) == want, rows
         continued |= before // rows < hit_row // rows
         starts = accumulate([0] + [len(c) for _, _, c in prefixes[:at]])
         straddled |= any(a // rows < (a + len(c) - 1) // rows
@@ -505,10 +516,10 @@ def test_a_prefix_whose_whole_tail_overlaps():
     prefixes = list(_iter_prefixes(masks, 3, range(len(masks))))
     dead = [p for p in prefixes if all(masks[i] & p[1] for i in p[2])]
     assert dead and len(dead[0][2]) == 8  # (00*, 11*) against every later edge
-    assert _kappa_scan(n, masks, iter(dead)) == (None, 0)
+    assert row_kappa_scan(n, masks, iter(dead)) == (None, 0)
     for stream in (dead + prefixes, prefixes):
         want = ref_family_scan(n, extend(masks, iter(stream)))
-        assert _kappa_scan(n, masks, iter(stream)) == want
+        assert row_kappa_scan(n, masks, iter(stream)) == want
 
 
 def test_a_family_that_leaves_no_survivors():
@@ -523,7 +534,7 @@ def test_a_family_that_leaves_no_survivors():
     assert stream[0][0] == tuple(range(7)) and stream[1][0] == tuple(range(1, 7))
     want = ref_family_scan(n, extend(masks, iter(stream)))
     assert want[0] is not None and want[0] != tuple(range(8))
-    assert _kappa_scan(n, masks, iter(stream)) == want
+    assert row_kappa_scan(n, masks, iter(stream)) == want
 
 
 def test_a_size_1_block_maps_its_hit_back_through_the_firsts(monkeypatch):
@@ -537,7 +548,7 @@ def test_a_size_1_block_maps_its_hit_back_through_the_firsts(monkeypatch):
         assert list(_iter_prefixes(masks, 1, firsts)) == [((), 0, tuple(firsts))]
         for rows in (1, 2, 3, 4):  # one row per integer: the block straddles every integer
             monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
-            assert _kappa_scan(n, masks, _iter_prefixes(masks, 1, firsts)) == want, (firsts, rows)
+            assert row_kappa_scan(n, masks, _iter_prefixes(masks, 1, firsts)) == want, (firsts, rows)
 
 
 def test_the_prefix_walk_has_no_size_0():
@@ -855,17 +866,57 @@ def test_the_value_walk_rows_are_seeded_at_vertex_0(n):
 
 def test_a_cut_row_never_reaches_the_value(monkeypatch):
     """One BFS integer holds two families of Q_4: one whose survivors fall
-    apart, vertex 0's component 6 levels deep, and one vertex of weight
-    4, whose ecc(0) is 4.  Past kappa the first is skipped and the value
-    is n, not 6; within kappa it raises."""
+    apart, vertex 0's component 6 levels deep, and the vertex of weight
+    4, whose ecc(0) is 3.  From budget kappa on the first is skipped and
+    the value is n, not 6; within kappa it raises."""
     n, mode = 4, FaultMode.structure(0)
     full = (1 << (1 << n)) - 1
     apart = full & ~vertex_set(n, [0, 3, 4, 6, 9, 10, 13, 14, 15])
     assert ref_bfs(n, full & ~apart, 0) == (vertex_set(n, [0, 4, 6, 9, 10, 13, 14, 15]), 6)
     masks = (apart, 1 << 15)
+    assert _row_scan(n, masks, _iter_prefixes(masks, 1, [0, 1]), skip=True) == (3, 2, 1, None)
     monkeypatch.setattr(oracle, "_anchored_walk",
                         lambda *args: ([1, 15], masks, _iter_prefixes(masks, 1, [0, 1])))
-    space = _space(n, mode)
-    assert oracle._value_walk(space, mode, mode.kappa(n)) == (n, 2, 1)
+    res = fault_diameter_bruteforce(n, mode, mode.kappa(n))
+    assert (res.value, res.witness.patterns(), res.families_scanned, res.disconnected_skipped) == (
+        n, [], 3, 1)
     with pytest.raises(InvariantViolation, match=r"disconnected Q_4 \(mode structure:0\): 0001$"):
-        oracle._value_walk(space, mode, mode.kappa(n) - 1)
+        fault_diameter_bruteforce(n, mode, mode.kappa(n) - 1)
+
+
+@pytest.mark.parametrize("label", ["structure:0", "structure:1"])
+def test_cut_rows_are_skipped_across_bfs_integers(monkeypatch, label):
+    """The value walk of Q_4 at budget kappa, whose families include
+    disconnecting ones (and, under structure:1, candidates that overlap
+    their prefix), in one BFS integer and with 2..40 rows per integer:
+    blocks run on into the next integer, and for some row counts a
+    disconnecting family's row lies in such a continuation.  The largest
+    ecc(0) and the families walked and skipped are the per-family
+    reference's for every row count."""
+    n, mode = 4, FaultMode.from_label(label)
+    full = (1 << (1 << n)) - 1
+    _, masks, prefixes = _anchored_walk(_space(n, mode), mode, range(1, mode.kappa(n) + 1))
+    prefixes = list(prefixes)
+    best = walked = 0
+    cuts = []  # (first row of the block, row) of each disconnecting family
+    starts = list(accumulate([0] + [len(c) for _, _, c in prefixes]))
+    for start, (_, acc, cands) in zip(starts, prefixes):
+        for row, i in enumerate(cands, start):
+            if masks[i] & acc:
+                continue
+            walked += 1
+            surv = full & ~(acc | masks[i])
+            if ref_connected(n, surv):
+                best = max(best, ref_bfs(n, surv, 0)[1])
+            else:
+                cuts.append((start, row))
+    want = (best, walked, len(cuts), None)
+    assert len(cuts) > 1 and starts[-1] <= metrics._rows_per_int(n)
+    assert (walked < starts[-1]) == (label == "structure:1")  # overlapping candidates
+    assert _row_scan(n, masks, iter(prefixes), skip=True) == want
+    carried = False
+    for rows in range(2, 41):
+        monkeypatch.setattr(metrics, "_ROW_BITS", rows << n)
+        assert _row_scan(n, masks, iter(prefixes), skip=True) == want, rows
+        carried |= any(start // rows < row // rows for start, row in cuts)
+    assert carried
