@@ -26,7 +26,7 @@ adjacent vertices into a corner of one half, tagged structure:1.
 
 A family's validity verdict (validate_family, require_valid) is
 computed once per FaultFamily instance, on the (free_mask, base) ints
-of its elements, and kept there with the router's faulty-label table:
+of its elements, and kept there with the router's label table and plan:
 the router and SurvivalGraph.from_family ask again on every call, and
 from_family builds its bitset from the same ints (core._union_mask).  The
 memos are sound because FaultFamily and Subcube are frozen and
@@ -50,7 +50,7 @@ from itertools import accumulate, chain
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_DIM, Subcube, _check_ambient, _ElementSpace, coord_bit
+from .core import MAX_DIM, Subcube, _check_ambient, _ElementSpace, _submasks, coord_bit
 from .errors import ResourceLimitError
 
 _MODE_KINDS = ("structure", "substructure", "subcube")
@@ -186,9 +186,9 @@ class FaultFamily:
         """(free_mask, base) of every element, in canonical order."""
         return tuple((s.free_mask, s.base) for s in self.elements)
 
-    @cached_property
+    @property
     def _max_dim(self) -> int:
-        """The largest element dimension, 0 for the empty family."""
+        """The largest element dimension, 0 for the empty family; the kept plan reads it."""
         return max([fr.bit_count() for fr, _ in self._pairs], default=0)
 
     @cached_property
@@ -196,12 +196,23 @@ class FaultFamily:
         """Label x is faulty iff x & ~free is in bases for some (free, bases).
         Elements of at most n vertices join free mask 0 as their vertices."""
         groups: dict[int, set[int]] = {}
-        for s in self.elements:
-            if 1 << s.dim <= self.ambient:
-                groups.setdefault(0, set()).update(s.vertex_bits())
+        for fr, ba in self._pairs:
+            if 1 << fr.bit_count() <= self.ambient:
+                groups.setdefault(0, set()).update(map(ba.__or__, _submasks(fr)))
             else:
-                groups.setdefault(s.free_mask, set()).add(s.base)
+                groups.setdefault(fr, set()).add(ba)
         return tuple((fr, frozenset(bases)) for fr, bases in groups.items())
+
+    @cached_property
+    def _route_plan(self) -> tuple[RouteBound, int]:
+        """The router's bound certificate and root target; a refusal keeps nothing."""
+        n, mode = self.ambient, self.mode
+        budget = mode.kappa(n) - 1  # validates the pairing, as route_bound does
+        if self.size > budget:
+            raise ValueError(f"family size {self.size} exceeds the routing budget {budget} "
+                             f"for mode {mode.label} in Q_{n}")
+        bound = RouteBound(n, mode, _target(n, budget, mode.max_element_dim))  # route_bound's value
+        return bound, _target(n, self.size, self._max_dim)
 
     @cached_property
     def _verdict(self) -> FamilyViolation | None:
@@ -219,6 +230,15 @@ class FaultFamily:
                 j = pairs.index(hit, i + 1)  # an equal pair before hit would have met first
                 return FamilyViolation("elements intersect", (elems[i], elems[j]))
         return None
+
+
+@dataclass(frozen=True)
+class RouteBound:
+    """The bound certificate attached to a routing request."""
+
+    n: int
+    mode: FaultMode
+    bound: int
 
 
 @dataclass(frozen=True)
@@ -277,16 +297,26 @@ def _half_faults(
     bit = 1 << p
     half = bit if side else 0
     keep, md = [], 0
-    for fr, ba in faults:
+    for pair in faults:
+        fr, ba = pair
         if fr & bit:
             fr ^= bit
-            ba |= half
+            pair = fr, ba | half
         elif ba & bit != half:
             continue
-        keep.append((fr, ba))
-        if fr.bit_count() > md:
+        keep.append(pair)
+        if fr and fr.bit_count() > md:
             md = fr.bit_count()
     return keep, md
+
+
+def _target(k: int, t: int, md: int) -> int:
+    """Reachable route length in a dim-k context holding t faults of maximum
+    element dimension md, 0 when they are over its budget.  Every context
+    the router enters is within budget."""
+    if t and (md > k - 2 or t > k - md - 1):
+        return 0
+    return k if t <= 1 or t <= k - md - 2 else k + 1
 
 
 def _drop_coordinate(mask: int, p: int) -> int:

@@ -40,10 +40,11 @@ the event; the report carries the counter, and a produced path
 longer than the mode bound raises InvariantViolation rather than
 returning quietly.
 
-The router reads the family's (free_mask, base) pairs, its
-faulty-label table and its validity verdict from the FaultFamily
-instance, where each is computed once (see faults), so routing many
-pairs around one family validates it once.
+The router reads the family's (free_mask, base) pairs, faulty-label
+table (groups), validity verdict and route plan (bound certificate and
+root target, after the budget check) from the FaultFamily instance,
+where each is computed once (see faults).  A context's faults are the
+family's cut to it (_half_faults), and each label tested lies in it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Sequence
 
 from .core import Path, Vertex
 from .errors import InvariantViolation
-from .faults import FaultFamily, FaultMode, _half_faults, require_valid
+from .faults import FaultFamily, FaultMode, RouteBound, _half_faults, _target, require_valid
 
 _BFS_BASE_DIM = 4
 
@@ -65,15 +66,6 @@ def route_bound(n: int, mode: FaultMode) -> int:
     fault diameter: n in the tight regimes (vertex faults in tiny cubes,
     substructure faults in Q_3, element dimension n - 2), else n + 1."""
     return _target(n, mode.kappa(n) - 1, mode.max_element_dim)
-
-
-@dataclass(frozen=True)
-class RouteBound:
-    """The bound certificate attached to a routing request."""
-
-    n: int
-    mode: FaultMode
-    bound: int
 
 
 @dataclass(frozen=True)
@@ -92,9 +84,10 @@ class RouteReport:
 _Faults = Sequence[tuple[int, int]]  # (free_mask, base) pairs, in any order
 
 
-def _hit(x: int, faults: _Faults) -> bool:
-    for fr, ba in faults:
-        if x & ~fr == ba:
+def _faulty(x: int, groups) -> bool:
+    """Label x lies inside a fault element, given FaultFamily._groups."""
+    for fr, bases in groups:
+        if x & ~fr in bases:
             return True
     return False
 
@@ -103,17 +96,8 @@ def _first_faulty(labels: Sequence[int], groups) -> int | None:
     """The first label inside a fault element, given FaultFamily._groups."""
     for fr, bases in groups:
         if not bases.isdisjoint(map((~fr).__and__, labels)):
-            return next(x for x in labels if any(x & ~f in b for f, b in groups))
+            return next(x for x in labels if _faulty(x, groups))
     return None
-
-
-def _target(k: int, t: int, md: int) -> int:
-    """Reachable route length in a dim-k context holding t faults of maximum
-    element dimension md, 0 when they are over its budget.  Every context
-    the router enters is within budget."""
-    if t and (md > k - 2 or t > k - md - 1):
-        return 0
-    return k if t <= 1 or t <= k - md - 2 else k + 1
 
 
 def _affords(k: int, faults: _Faults, md: int, extra: int, tgt: int) -> int:
@@ -135,7 +119,7 @@ def _greedy(u: int, v: int) -> list[int]:
     return path
 
 
-def _bfs_route(ctx_free: int, u: int, v: int, faults: _Faults) -> list[int] | None:
+def _bfs_route(ctx_free: int, u: int, v: int, groups) -> list[int] | None:
     """Shortest fault-free path inside the context, None when v is not
     reachable.  Ties are deterministic: flips go high bit first (ascending
     coordinate), and a vertex's parent is fixed when it is discovered."""
@@ -146,7 +130,7 @@ def _bfs_route(ctx_free: int, u: int, v: int, faults: _Faults) -> list[int] | No
         w = queue.popleft()
         for f in flips:
             x = w ^ f
-            if x not in parent and not _hit(x, faults):
+            if x not in parent and not _faulty(x, groups):
                 parent[x] = w
                 queue.append(x)
     if v not in parent:
@@ -158,12 +142,12 @@ def _bfs_route(ctx_free: int, u: int, v: int, faults: _Faults) -> list[int] | No
     return out
 
 
-def _safe_crossing(ctx_free: int, u: int, v: int, faults: _Faults) -> int | None:
+def _safe_crossing(ctx_free: int, u: int, v: int, groups) -> int | None:
     """First free bit position (ascending coordinate) whose flip keeps both
     endpoints off the faults, None when there is none."""
     while ctx_free:
         bit = 1 << (ctx_free.bit_length() - 1)
-        if not _hit(u ^ bit, faults) and not _hit(v ^ bit, faults):
+        if not _faulty(u ^ bit, groups) and not _faulty(v ^ bit, groups):
             return bit.bit_length() - 1
         ctx_free ^= bit
     return None
@@ -173,7 +157,8 @@ class _Router:
     """One routing run: full-width labels, shrinking free-coordinate context.
     Each context carries its target tgt, computed once by its parent."""
 
-    def __init__(self):
+    def __init__(self, groups):
+        self.groups = groups
         self.fallbacks = 0
 
     def route(self, ctx_free: int, u: int, v: int, faults: _Faults, tgt: int) -> list[int]:
@@ -182,15 +167,15 @@ class _Router:
         if not faults:
             return _greedy(u, v)
         if ctx_free.bit_count() <= _BFS_BASE_DIM:
-            return self._bfs_or_die(ctx_free, u, v, faults)
+            return self._bfs_or_die(ctx_free, u, v)
         if len(faults) == 1:
             return self._route_single(ctx_free, u, v, faults, tgt)
         if ((u ^ v) & ctx_free) == ctx_free:
             return self._route_symmetric(ctx_free, u, v, faults, tgt)
         return self._route_unsymmetric(ctx_free, u, v, faults, tgt)
 
-    def _bfs_or_die(self, ctx_free: int, u: int, v: int, faults: _Faults) -> list[int]:
-        got = _bfs_route(ctx_free, u, v, faults)
+    def _bfs_or_die(self, ctx_free: int, u: int, v: int) -> list[int]:
+        got = _bfs_route(ctx_free, u, v, self.groups)
         if got is None:
             raise InvariantViolation(
                 "an in-budget fault family disconnected a routing context; "
@@ -198,9 +183,9 @@ class _Router:
             )
         return got
 
-    def _fallback(self, ctx_free: int, u: int, v: int, faults: _Faults) -> list[int]:
+    def _fallback(self, ctx_free: int, u: int, v: int) -> list[int]:
         self.fallbacks += 1
-        return self._bfs_or_die(ctx_free, u, v, faults)
+        return self._bfs_or_die(ctx_free, u, v)
 
     def _route_single(self, ctx_free: int, u: int, v: int, faults: _Faults,
                       tgt: int) -> list[int]:
@@ -226,7 +211,7 @@ class _Router:
     def _route_symmetric(self, ctx_free: int, u: int, v: int, faults: _Faults,
                          tgt: int) -> list[int]:
         """Endpoints differ in every free coordinate: cross next to one of them."""
-        p = _safe_crossing(ctx_free, u, v, faults)
+        p = _safe_crossing(ctx_free, u, v, self.groups)
         if p is None:
             raise InvariantViolation(
                 "no safe crossing coordinate exists for a symmetric pair within "
@@ -244,7 +229,7 @@ class _Router:
         t1 = _affords(k1, f_v, md, 1, tgt)
         if t1:
             return [u] + self.route(child_free, u ^ bit, v, f_v, t1)
-        return self._fallback(ctx_free, u, v, faults)
+        return self._fallback(ctx_free, u, v)
 
     def _route_unsymmetric(self, ctx_free: int, u: int, v: int, faults: _Faults,
                            tgt: int) -> list[int]:
@@ -262,9 +247,9 @@ class _Router:
         f_other, md = _half_faults(faults, p, 1 - side)
         u2, v2 = u ^ bit, v ^ bit
         t1 = _affords(k1, f_other, md, 2, tgt)
-        if t1 and not _hit(u2, faults) and not _hit(v2, faults):
+        if t1 and not _faulty(u2, self.groups) and not _faulty(v2, self.groups):
             return [u] + self.route(child_free, u2, v2, f_other, t1) + [v]
-        return self._fallback(ctx_free, u, v, faults)
+        return self._fallback(ctx_free, u, v)
 
 
 def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
@@ -279,22 +264,17 @@ def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:
     n, mode = family.ambient, family.mode
     if u.dim != n or v.dim != n:
         raise ValueError(f"endpoints live in Q_{u.dim}/Q_{v.dim}, family in Q_{n}")
-    bad = _first_faulty((u.bits, v.bits), family._groups)
-    if bad is not None:
-        raise ValueError(f"endpoint {(u if bad == u.bits else v).pattern} is a faulty vertex")
-    faults = family._pairs  # memoised on the family
-    budget = mode.kappa(n) - 1  # validates the pairing, as route_bound does
-    bound = RouteBound(n, mode, _target(n, budget, mode.max_element_dim))  # route_bound's value
-    if family.size > budget:
-        raise ValueError(f"family size {family.size} exceeds the routing budget {budget} "
-                         f"for mode {mode.label} in Q_{n}")
-    runner = _Router()
-    tgt = _target(n, len(faults), family._max_dim)
-    labels = runner.route((1 << n) - 1, u.bits, v.bits, faults, tgt)
+    groups = family._groups
+    for w in (u, v):
+        if _faulty(w.bits, groups):
+            raise ValueError(f"endpoint {w.pattern} is a faulty vertex")
+    bound, tgt = family._route_plan  # the budget check, memoised on the family
+    runner = _Router(groups)
+    labels = runner.route((1 << n) - 1, u.bits, v.bits, family._pairs, tgt)
     if labels[0] != u.bits or labels[-1] != v.bits:
         raise InvariantViolation("routed path does not connect the requested endpoints")
     path = Path(tuple(labels), n)
-    bad = _first_faulty(labels, family._groups)
+    bad = _first_faulty(labels, groups)
     if bad is not None:
         raise InvariantViolation(f"routed path touches the faulty vertex {Vertex(bad, n).pattern}")
     if path.length > bound.bound:

@@ -1,4 +1,4 @@
-"""Mutants of the scan kernels: each breaks one line, and a named check must fail.
+"""Mutants of the scan kernels and the router: each breaks one line, and a named check must fail.
 
 Each entry names a module of the package, a snippet that occurs in it
 exactly once, the snippet's replacement and one existing test that
@@ -23,6 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 ROW_BFS = "tests/test_row_bfs.py::"
+ROUTER = "tests/test_router.py::"
 SUBSETS = ROW_BFS + "test_fringe_diameter_on_every_vertex_subset[3]"
 SEEDED_SETS = ROW_BFS + "test_batch_diameter_on_seeded_sets[3]"
 
@@ -124,6 +125,14 @@ MUTANTS = {
     "skip-from-kappa-plus-one": (
         "oracle", "skip=budget >= mode.kappa(n)", "skip=budget > mode.kappa(n)",
         ROW_BFS + "test_a_cut_row_never_reaches_the_value",
+    ),
+    "label-table-without-the-free-mask-clear": (
+        "router", "if x & ~fr in bases:", "if x in bases:",
+        ROUTER + "test_the_label_table_agrees_with_every_context",
+    ),
+    "route-plan-without-the-budget-refusal": (
+        "faults", "if self.size > budget:", "if False:",
+        ROUTER + "TestGuidedRoute::test_an_over_budget_family_is_refused_on_every_call",
     ),
 }
 

@@ -63,6 +63,24 @@ class TestRouteBound:
                 checked += 1
         assert checked == 435 + 406 + 28  # structure, subcube, substructure
 
+    def test_the_certificate_carries_route_bound(self):
+        """rep.bound.bound is route_bound(n, mode) at every valid (n, mode)
+        up to n = 30, on the route that computes the family's route plan
+        and on the next one, which reads it."""
+        rng = random.Random(30)
+        checked = 0
+        for n in range(2, 31):
+            for mode in mode_sweep(n):
+                if mode.max_element_dim > n - 2:
+                    continue  # substructure at n = 2
+                fam = sample_families(n, mode, mode.kappa(n) - 1, 1, seed=n)[0]
+                (_, u, v), = pinned_pairs(fam, False, rng)[:1]
+                for _ in range(2):
+                    rep = route_with_report(Vertex(u, n), Vertex(v, n), fam)
+                    assert rep.bound == router.RouteBound(n, mode, route_bound(n, mode)), (n, mode.label)
+                checked += 1
+        assert checked == 435 + 406 + 28
+
 
 def assert_route_ok(u, v, fam, bound):
     path = route_with_report(u, v, fam).path
@@ -128,6 +146,23 @@ class TestGuidedRoute:
         with pytest.raises(ValueError):
             route_with_report(Vertex.from_pattern("010"), Vertex.from_pattern("101"), fam)
 
+    def test_an_over_budget_family_is_refused_on_every_call(self):
+        """A refused family keeps no route plan, so the next call checks
+        its size again and gives the same message."""
+        fam = FaultFamily.from_patterns(["00*", "11*"], FaultMode.structure(1), 3)
+        u, v = Vertex.from_pattern("010"), Vertex.from_pattern("101")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^family size 2 exceeds the routing budget 1 "
+                               "for mode structure:1 in Q_3$"):
+                route_with_report(u, v, fam)
+        assert "_route_plan" not in vars(fam)
+
+    def test_a_faulty_endpoint_is_named_before_the_budget(self):
+        fam = FaultFamily.from_patterns(["00*", "11*"], FaultMode.structure(1), 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^endpoint 001 is a faulty vertex$"):
+                route_with_report(Vertex.from_pattern("001"), Vertex.from_pattern("101"), fam)
+
     def test_removed_endpoint_rejected(self):
         fam = adversarial_q1_family(4)
         with pytest.raises(ValueError):
@@ -161,8 +196,8 @@ class TestSafetyNets:
 
     def test_the_bfs_finds_no_route_to_a_walled_off_target(self):
         # 111's three neighbours are faulty vertices of Q_3
-        walls = [(0, 0b011), (0, 0b101), (0, 0b110)]
-        assert router._bfs_route(0b111, 0b000, 0b111, walls) is None
+        walls = FaultFamily.from_patterns(["011", "101", "110"], FaultMode.structure(0), 3)
+        assert router._bfs_route(0b111, 0b000, 0b111, walls._groups) is None
 
 
 class TestUnreachedInvariants:
@@ -171,8 +206,9 @@ class TestUnreachedInvariants:
 
     def test_an_element_filling_its_context(self):
         ctx_free = 0b00111  # the element 11***'s free mask is the whole context
+        fam = FaultFamily.from_patterns(["11***"], FaultMode.structure(3), 5)
         with pytest.raises(InvariantViolation, match="^fault element fills its routing context$"):
-            router._Router()._route_single(ctx_free, 0b11000, 0b11111, [(ctx_free, 0b11000)], 3)
+            router._Router(fam._groups)._route_single(ctx_free, 0b11000, 0b11111, fam._pairs, 3)
 
     def test_no_safe_crossing_for_a_symmetric_pair(self, monkeypatch):
         monkeypatch.setattr(router, "_safe_crossing", lambda *args: None)
@@ -183,7 +219,8 @@ class TestUnreachedInvariants:
 
     def test_no_safe_crossing_when_every_flip_is_blocked(self):
         # in Q_2, 01 and 10 are faulty: every flip of 00 or 11 meets one
-        assert router._safe_crossing(0b11, 0b00, 0b11, [(0, 0b01), (0, 0b10)]) is None
+        fam = FaultFamily.from_patterns(["01", "10"], FaultMode.structure(0), 2)
+        assert router._safe_crossing(0b11, 0b00, 0b11, fam._groups) is None
 
 
 class TestPostRouteChecks:
@@ -240,6 +277,59 @@ def test_faulty_label_table_matches_the_elements(n):
                     assert router._first_faulty(walk, fam._groups) == faulty[-1]
 
 
+def identity_families():
+    """The pinned families with their pinned pairs, then one seeded
+    full-budget family of every mode at n = 5..30 with a uniform and an
+    antipodal survivor pair."""
+    rng = random.Random(35)
+    for _, _, fam, extremal in pinned_families():
+        yield fam, [(u, v) for _, u, v in pinned_pairs(fam, extremal, rng)]
+    for n in range(5, 31):
+        for mode in mode_sweep(n):
+            for fam in sample_families(n, mode, mode.kappa(n) - 1, 1, seed=rng.randrange(1 << 30)):
+                yield fam, [(u, v) for _, u, v in pinned_pairs(fam, False, rng)[::2]]
+
+
+def test_the_label_table_agrees_with_every_context(monkeypatch):
+    """Every label test reads the family's table (FaultFamily._groups)
+    instead of the pairs of the context the router is in.  The two agree
+    on each label tested: it lies inside that context, whose pairs are the
+    family's elements cut to it.  At n <= 6 every label of every context
+    entered is checked as well."""
+    entered, tested = [], []
+    route, faulty = router._Router.route, router._faulty
+
+    def entering(self, ctx_free, u, v, faults, tgt):
+        entered.append((ctx_free, u & ~ctx_free, faults))
+        return route(self, ctx_free, u, v, faults, tgt)
+
+    def testing(x, groups):
+        if entered:  # the endpoint checks come before the root context
+            tested.append((x, entered[-1]))  # no label is tested after a child returns
+        return faulty(x, groups)
+
+    monkeypatch.setattr(router._Router, "route", entering)
+    monkeypatch.setattr(router, "_faulty", testing)
+    counts = [0, 0, 0]  # routes, labels tested, labels of whole contexts
+    for fam, pairs in identity_families():
+        n, groups = fam.ambient, fam._groups
+        for u, v in pairs:
+            entered.clear()
+            tested.clear()
+            route_with_report(Vertex(u, n), Vertex(v, n), fam)
+            checks = list(tested)
+            if n <= 6:
+                for ctx in entered:
+                    checks += [(ctx[1] | sub, ctx) for sub in core._submasks(ctx[0])]
+                counts[2] += len(checks) - len(tested)
+            for x, (ctx_free, fixed, faults) in checks:
+                assert x & ~ctx_free == fixed
+                assert faulty(x, groups) == any(x & ~fr == ba for fr, ba in faults), (fam.patterns(), x)
+            counts[0] += 1
+            counts[1] += len(tested)
+    assert counts[0] == 1924 and counts[1] > 10_000 and counts[2] > 8_000, counts
+
+
 def test_routing_builds_no_vertex(monkeypatch):
     """route_with_report certifies on int labels; Path.vertices is built
     only on access."""
@@ -268,7 +358,8 @@ def test_routing_builds_no_vertex(monkeypatch):
 
 def test_a_route_evaluates_kappa_once(monkeypatch):
     """The size budget and the certified bound of one route both come
-    from a single FaultMode.kappa call."""
+    from a single FaultMode.kappa call, and a second route around the
+    same family instance reads them from its route plan."""
     n = 6
     fam = adversarial_q1_family(n)
     calls = []
@@ -281,6 +372,7 @@ def test_a_route_evaluates_kappa_once(monkeypatch):
     monkeypatch.setattr(FaultMode, "kappa", counting)
     rep = route_with_report(Vertex(0, n), Vertex(((1 << n) - 1) ^ 1, n), fam)
     assert calls == [n]
+    assert route_with_report(Vertex(1, n), Vertex(3, n), fam).bound is rep.bound and calls == [n]
     assert rep.bound == router.RouteBound(n, fam.mode, route_bound(n, fam.mode)) and rep.length <= n + 1
 
 
