@@ -36,6 +36,7 @@ from .faults import (
     family_to_text,
     read_family,
     restrict_along,
+    route_bound,
     sample_families,
     validate_family,
     write_family,
@@ -57,7 +58,6 @@ from .oracle import (
 from .router import (
     RouteBound,
     RouteReport,
-    route_bound,
     route_with_report,
 )
 

@@ -207,12 +207,11 @@ class FaultFamily:
     def _route_plan(self) -> tuple[RouteBound, int]:
         """The router's bound certificate and root target; a refusal keeps nothing."""
         n, mode = self.ambient, self.mode
-        budget = mode.kappa(n) - 1  # validates the pairing, as route_bound does
+        budget, bound = _budget_and_bound(n, mode)
         if self.size > budget:
             raise ValueError(f"family size {self.size} exceeds the routing budget {budget} "
                              f"for mode {mode.label} in Q_{n}")
-        bound = RouteBound(n, mode, _target(n, budget, mode.max_element_dim))  # route_bound's value
-        return bound, _target(n, self.size, self._max_dim)
+        return RouteBound(n, mode, bound), _target(n, self.size, self._max_dim)
 
     @cached_property
     def _verdict(self) -> FamilyViolation | None:
@@ -317,6 +316,20 @@ def _target(k: int, t: int, md: int) -> int:
     if t and (md > k - 2 or t > k - md - 1):
         return 0
     return k if t <= 1 or t <= k - md - 2 else k + 1
+
+
+def route_bound(n: int, mode: FaultMode) -> int:
+    """Guaranteed maximum route length for in-budget families of a mode:
+    the root context's target at the full budget kappa - 1.  It equals the
+    fault diameter: n in the tight regimes (vertex faults in tiny cubes,
+    substructure faults in Q_3, element dimension n - 2), else n + 1."""
+    return _budget_and_bound(n, mode)[1]
+
+
+def _budget_and_bound(n: int, mode: FaultMode) -> tuple[int, int]:
+    """The routing budget kappa - 1 (kappa validates the pairing) and route_bound."""
+    budget = mode.kappa(n) - 1
+    return budget, _target(n, budget, mode.max_element_dim)
 
 
 def _drop_coordinate(mask: int, p: int) -> int:

@@ -43,8 +43,10 @@ returning quietly.
 The router reads the family's (free_mask, base) pairs, faulty-label
 table (groups), validity verdict and route plan (bound certificate and
 root target, after the budget check) from the FaultFamily instance,
-where each is computed once (see faults).  A context's faults are the
-family's cut to it (_half_faults), and each label tested lies in it.
+where each is computed once (see faults).  A label test scans the
+shorter of the family's table and the context's pairs (_table): a
+context's faults are the family's cut to it (_half_faults), and each
+label tested lies in it, so both answer alike.
 """
 
 from __future__ import annotations
@@ -55,17 +57,9 @@ from typing import Sequence
 
 from .core import Path, Vertex
 from .errors import InvariantViolation
-from .faults import FaultFamily, FaultMode, RouteBound, _half_faults, _target, require_valid
+from .faults import FaultFamily, RouteBound, _half_faults, _target, require_valid
 
 _BFS_BASE_DIM = 4
-
-
-def route_bound(n: int, mode: FaultMode) -> int:
-    """Guaranteed maximum route length for in-budget families of a mode:
-    the root context's target at the full budget kappa - 1.  It equals the
-    fault diameter: n in the tight regimes (vertex faults in tiny cubes,
-    substructure faults in Q_3, element dimension n - 2), else n + 1."""
-    return _target(n, mode.kappa(n) - 1, mode.max_element_dim)
 
 
 @dataclass(frozen=True)
@@ -84,12 +78,17 @@ class RouteReport:
 _Faults = Sequence[tuple[int, int]]  # (free_mask, base) pairs, in any order
 
 
-def _faulty(x: int, groups) -> bool:
-    """Label x lies inside a fault element, given FaultFamily._groups."""
-    for fr, bases in groups:
+def _faulty(x: int, table) -> bool:
+    """Label x lies inside a fault element, given (free, bases) groups."""
+    for fr, bases in table:
         if x & ~fr in bases:
             return True
     return False
+
+
+def _table(faults: _Faults, groups):
+    """The shorter of the family's label table and the context's pairs as groups."""
+    return groups if len(groups) <= len(faults) else [(fr, (ba,)) for fr, ba in faults]
 
 
 def _first_faulty(labels: Sequence[int], groups) -> int | None:
@@ -119,7 +118,7 @@ def _greedy(u: int, v: int) -> list[int]:
     return path
 
 
-def _bfs_route(ctx_free: int, u: int, v: int, groups) -> list[int] | None:
+def _bfs_route(ctx_free: int, u: int, v: int, table) -> list[int] | None:
     """Shortest fault-free path inside the context, None when v is not
     reachable.  Ties are deterministic: flips go high bit first (ascending
     coordinate), and a vertex's parent is fixed when it is discovered."""
@@ -130,7 +129,7 @@ def _bfs_route(ctx_free: int, u: int, v: int, groups) -> list[int] | None:
         w = queue.popleft()
         for f in flips:
             x = w ^ f
-            if x not in parent and not _faulty(x, groups):
+            if x not in parent and not _faulty(x, table):
                 parent[x] = w
                 queue.append(x)
     if v not in parent:
@@ -142,12 +141,12 @@ def _bfs_route(ctx_free: int, u: int, v: int, groups) -> list[int] | None:
     return out
 
 
-def _safe_crossing(ctx_free: int, u: int, v: int, groups) -> int | None:
+def _safe_crossing(ctx_free: int, u: int, v: int, table) -> int | None:
     """First free bit position (ascending coordinate) whose flip keeps both
     endpoints off the faults, None when there is none."""
     while ctx_free:
         bit = 1 << (ctx_free.bit_length() - 1)
-        if not _faulty(u ^ bit, groups) and not _faulty(v ^ bit, groups):
+        if not _faulty(u ^ bit, table) and not _faulty(v ^ bit, table):
             return bit.bit_length() - 1
         ctx_free ^= bit
     return None
@@ -167,15 +166,15 @@ class _Router:
         if not faults:
             return _greedy(u, v)
         if ctx_free.bit_count() <= _BFS_BASE_DIM:
-            return self._bfs_or_die(ctx_free, u, v)
+            return self._bfs_or_die(ctx_free, u, v, _table(faults, self.groups))
         if len(faults) == 1:
             return self._route_single(ctx_free, u, v, faults, tgt)
         if ((u ^ v) & ctx_free) == ctx_free:
             return self._route_symmetric(ctx_free, u, v, faults, tgt)
         return self._route_unsymmetric(ctx_free, u, v, faults, tgt)
 
-    def _bfs_or_die(self, ctx_free: int, u: int, v: int) -> list[int]:
-        got = _bfs_route(ctx_free, u, v, self.groups)
+    def _bfs_or_die(self, ctx_free: int, u: int, v: int, table) -> list[int]:
+        got = _bfs_route(ctx_free, u, v, table)
         if got is None:
             raise InvariantViolation(
                 "an in-budget fault family disconnected a routing context; "
@@ -183,9 +182,9 @@ class _Router:
             )
         return got
 
-    def _fallback(self, ctx_free: int, u: int, v: int) -> list[int]:
+    def _fallback(self, ctx_free: int, u: int, v: int, table) -> list[int]:
         self.fallbacks += 1
-        return self._bfs_or_die(ctx_free, u, v)
+        return self._bfs_or_die(ctx_free, u, v, table)
 
     def _route_single(self, ctx_free: int, u: int, v: int, faults: _Faults,
                       tgt: int) -> list[int]:
@@ -211,7 +210,8 @@ class _Router:
     def _route_symmetric(self, ctx_free: int, u: int, v: int, faults: _Faults,
                          tgt: int) -> list[int]:
         """Endpoints differ in every free coordinate: cross next to one of them."""
-        p = _safe_crossing(ctx_free, u, v, self.groups)
+        table = _table(faults, self.groups)
+        p = _safe_crossing(ctx_free, u, v, table)
         if p is None:
             raise InvariantViolation(
                 "no safe crossing coordinate exists for a symmetric pair within "
@@ -229,7 +229,7 @@ class _Router:
         t1 = _affords(k1, f_v, md, 1, tgt)
         if t1:
             return [u] + self.route(child_free, u ^ bit, v, f_v, t1)
-        return self._fallback(ctx_free, u, v)
+        return self._fallback(ctx_free, u, v, table)
 
     def _route_unsymmetric(self, ctx_free: int, u: int, v: int, faults: _Faults,
                            tgt: int) -> list[int]:
@@ -246,10 +246,10 @@ class _Router:
             return self.route(child_free, u, v, f_same, t1)
         f_other, md = _half_faults(faults, p, 1 - side)
         u2, v2 = u ^ bit, v ^ bit
-        t1 = _affords(k1, f_other, md, 2, tgt)
-        if t1 and not _faulty(u2, self.groups) and not _faulty(v2, self.groups):
+        t1, table = _affords(k1, f_other, md, 2, tgt), _table(faults, self.groups)
+        if t1 and not _faulty(u2, table) and not _faulty(v2, table):
             return [u] + self.route(child_free, u2, v2, f_other, t1) + [v]
-        return self._fallback(ctx_free, u, v)
+        return self._fallback(ctx_free, u, v, table)
 
 
 def route_with_report(u: Vertex, v: Vertex, family: FaultFamily) -> RouteReport:

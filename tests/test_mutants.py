@@ -130,6 +130,14 @@ MUTANTS = {
         "router", "if x & ~fr in bases:", "if x in bases:",
         ROUTER + "test_the_label_table_agrees_with_every_context",
     ),
+    "context-table-without-its-free-masks": (
+        "router", "[(fr, (ba,)) for fr, ba in faults]", "[(0, (ba,)) for fr, ba in faults]",
+        ROUTER + "test_the_label_table_agrees_with_every_context",
+    ),
+    "label-table-the-longer-one": (
+        "router", "groups if len(groups) <= len(faults)", "groups if len(groups) >= len(faults)",
+        ROUTER + "test_the_label_table_agrees_with_every_context",
+    ),
     "route-plan-without-the-budget-refusal": (
         "faults", "if self.size > budget:", "if False:",
         ROUTER + "TestGuidedRoute::test_an_over_budget_family_is_refused_on_every_call",

@@ -291,11 +291,11 @@ def identity_families():
 
 
 def test_the_label_table_agrees_with_every_context(monkeypatch):
-    """Every label test reads the family's table (FaultFamily._groups)
-    instead of the pairs of the context the router is in.  The two agree
-    on each label tested: it lies inside that context, whose pairs are the
-    family's elements cut to it.  At n <= 6 every label of every context
-    entered is checked as well."""
+    """Every label test in the recursion reads the shorter of the family's table
+    (FaultFamily._groups) and the pairs of the context the router is in.
+    The two agree on each label tested: it lies inside that context, whose
+    pairs are the family's elements cut to it.  At n <= 6 every label of
+    every context entered is checked as well."""
     entered, tested = [], []
     route, faulty = router._Router.route, router._faulty
 
@@ -303,14 +303,18 @@ def test_the_label_table_agrees_with_every_context(monkeypatch):
         entered.append((ctx_free, u & ~ctx_free, faults))
         return route(self, ctx_free, u, v, faults, tgt)
 
-    def testing(x, groups):
+    def testing(x, table):
         if entered:  # the endpoint checks come before the root context
-            tested.append((x, entered[-1]))  # no label is tested after a child returns
-        return faulty(x, groups)
+            ctx = entered[-1]  # no label is tested after a child returns
+            assert len(table) == min(len(ctx[2]), len(fam._groups))
+            assert faulty(x, table) == faulty(x, fam._groups)
+            counts[3] += table is not fam._groups
+            tested.append((x, ctx))
+        return faulty(x, table)
 
     monkeypatch.setattr(router._Router, "route", entering)
     monkeypatch.setattr(router, "_faulty", testing)
-    counts = [0, 0, 0]  # routes, labels tested, labels of whole contexts
+    counts = [0, 0, 0, 0]  # routes, labels tested, labels of whole contexts, on context tables
     for fam, pairs in identity_families():
         n, groups = fam.ambient, fam._groups
         for u, v in pairs:
@@ -327,7 +331,7 @@ def test_the_label_table_agrees_with_every_context(monkeypatch):
                 assert faulty(x, groups) == any(x & ~fr == ba for fr, ba in faults), (fam.patterns(), x)
             counts[0] += 1
             counts[1] += len(tested)
-    assert counts[0] == 1924 and counts[1] > 10_000 and counts[2] > 8_000, counts
+    assert counts[0] == 1924 and counts[1] > 10_000 and counts[2] > 8_000 and counts[3] > 1_000, counts
 
 
 def test_routing_builds_no_vertex(monkeypatch):
