@@ -161,10 +161,11 @@ class Subcube:
     def __post_init__(self) -> None:
         _check_ambient(self.dim_ambient)
         full = (1 << self.dim_ambient) - 1
-        if not 0 <= self.free_mask <= full:
-            raise ValueError(f"free_mask {self.free_mask:#x} out of range for Q_{self.dim_ambient}")
-        if not 0 <= self.base <= full:
-            raise ValueError(f"base {self.base:#x} out of range for Q_{self.dim_ambient}")
+        for name, x in (("free_mask", self.free_mask), ("base", self.base)):
+            if type(x) is not int:
+                raise ValueError(f"{name} must be an int, got {x!r}")
+            if not 0 <= x <= full:
+                raise ValueError(f"{name} {x:#x} out of range for Q_{self.dim_ambient}")
         if self.base & self.free_mask:
             raise ValueError("base must be zero on free coordinates")
 

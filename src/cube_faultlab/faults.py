@@ -24,15 +24,16 @@ forces every route between two chosen vertices to take n+1 steps.  At
 m = 1 it is the Q_1 family of n-2 parallel edges that pins two
 adjacent vertices into a corner of one half, tagged structure:1.
 
-A family's validity verdict (validate_family, require_valid) is
-computed once per FaultFamily instance, on the (free_mask, base) ints
-of its elements, and kept there with the router's label table and plan:
-the router and SurvivalGraph.from_family ask again on every call, and
-from_family builds its bitset from the same ints (core._union_mask).  The
-memos are sound because FaultFamily and Subcube are frozen and
-__post_init__ orders the elements before anything reads them;
-dataclasses.replace gives a new instance and a fresh verdict.
-_first_meeting is the one disjointness loop of the verdict and sampler.
+A FaultFamily builds its integer form at construction, in the pass
+that sorts its elements: the (free_mask, base) ints, the largest
+element dimension, the router's faulty-label table and the verdict of
+validate_family and require_valid.  The router and
+SurvivalGraph.from_family read them on every call (from_family ORs the
+same ints, core._union_mask).  FaultFamily and Subcube are frozen, and
+dataclasses.replace runs __post_init__ again.  The route plan is the one
+memo, kept on first use: it alone can refuse, and a refused family keeps
+nothing.  _first_meeting is the one disjointness loop of the verdict and
+sampler.
 
 Text format: a family file starts with ``n=<n> mode=<label>`` and lists
 one subcube pattern per line.  Blank lines and lines starting with '#'
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import MAX_DIM, Subcube, _check_ambient, _ElementSpace, _submasks, coord_bit
@@ -57,6 +59,7 @@ _MODE_KINDS = ("structure", "substructure", "subcube")
 
 SAMPLING_ATTEMPTS = 10_000
 _PROBES, _PROBE_WORK = 200, 1 << 27  # Knuth probes; the most probes x size x E x 2^n run
+_pair = attrgetter("free_mask", "base")  # a subcube's (free_mask, base), its canonical key
 
 
 def _decimal(text: str, error: str) -> int:
@@ -152,8 +155,8 @@ class FaultFamily:
     Canonical order is ascending (free_mask, base).  Construction does
     not enforce disjointness or mode admissibility; validate_family
     reports violations so that invalid input can be described rather
-    than rejected blind.  The integer form and the verdict are computed
-    on first use and kept on the instance.
+    than rejected blind.  The integer form and the verdict are built at
+    construction; the route plan is the one memo, kept on first use.
     """
 
     elements: tuple[Subcube, ...]
@@ -161,14 +164,40 @@ class FaultFamily:
     ambient: int
 
     def __post_init__(self) -> None:
-        _check_ambient(self.ambient)
+        n, mode = self.ambient, self.mode
+        _check_ambient(n)
         for s in self.elements:
-            if s.dim_ambient != self.ambient:
-                raise ValueError(
-                    f"element {s.pattern} lives in Q_{s.dim_ambient}, family in Q_{self.ambient}"
-                )
-        ordered = tuple(sorted(self.elements, key=lambda s: (s.free_mask, s.base)))
-        object.__setattr__(self, "elements", ordered)
+            if not isinstance(s, Subcube):
+                raise ValueError(f"family element {s!r} is not a Subcube")
+            if s.dim_ambient != n:
+                raise ValueError(f"element {s.pattern} lives in Q_{s.dim_ambient}, family in Q_{n}")
+        elems = tuple(sorted(self.elements, key=_pair))
+        pairs = tuple(map(_pair, elems))
+        dims = [fr.bit_count() for fr, _ in pairs]
+        verdict, groups = None, {}
+        for s, (fr, ba), k in zip(elems, pairs, dims):
+            if verdict is None and not mode.admits(k):
+                verdict = FamilyViolation(
+                    f"element of dimension {k} not admitted by mode {mode.label}", (s,))
+            if 1 << k <= n:  # at most n vertices: listed under free mask 0
+                groups.setdefault(0, set()).update(map(ba.__or__, _submasks(fr)))
+            else:
+                groups.setdefault(fr, set()).add(ba)
+        end = 0  # the end of the run of pairs with the free mask fr
+        for i, (fr, ba) in enumerate(pairs if verdict is None else ()):
+            if i == end:
+                end = bisect(pairs, (fr, 1 << n), i)
+            if end > i + 1 and pairs[i + 1][1] == ba:  # in fr's run only an equal pair meets
+                j = i + 1
+            elif (hit := _first_meeting(pairs[end:], fr, ba)) is not None:
+                j = pairs.index(hit, end)  # an equal pair before hit would have met first
+            else:
+                continue
+            verdict = FamilyViolation("elements intersect", (elems[i], elems[j]))
+            break
+        self.__dict__.update(
+            elements=elems, _pairs=pairs, _max_dim=max(dims, default=0), _verdict=verdict,
+            _groups=tuple((fr, frozenset(bases)) for fr, bases in groups.items()))
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[str], mode: FaultMode, n: int) -> "FaultFamily":
@@ -182,28 +211,6 @@ class FaultFamily:
         return [s.pattern for s in self.elements]
 
     @cached_property
-    def _pairs(self) -> tuple[tuple[int, int], ...]:
-        """(free_mask, base) of every element, in canonical order."""
-        return tuple((s.free_mask, s.base) for s in self.elements)
-
-    @property
-    def _max_dim(self) -> int:
-        """The largest element dimension, 0 for the empty family; the kept plan reads it."""
-        return max([fr.bit_count() for fr, _ in self._pairs], default=0)
-
-    @cached_property
-    def _groups(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        """Label x is faulty iff x & ~free is in bases for some (free, bases).
-        Elements of at most n vertices join free mask 0 as their vertices."""
-        groups: dict[int, set[int]] = {}
-        for fr, ba in self._pairs:
-            if 1 << fr.bit_count() <= self.ambient:
-                groups.setdefault(0, set()).update(map(ba.__or__, _submasks(fr)))
-            else:
-                groups.setdefault(fr, set()).add(ba)
-        return tuple((fr, frozenset(bases)) for fr, bases in groups.items())
-
-    @cached_property
     def _route_plan(self) -> tuple[RouteBound, int]:
         """The router's bound certificate and root target; a refusal keeps nothing."""
         n, mode = self.ambient, self.mode
@@ -212,23 +219,6 @@ class FaultFamily:
             raise ValueError(f"family size {self.size} exceeds the routing budget {budget} "
                              f"for mode {mode.label} in Q_{n}")
         return RouteBound(n, mode, bound), _target(n, self.size, self._max_dim)
-
-    @cached_property
-    def _verdict(self) -> FamilyViolation | None:
-        """validate_family's answer, computed once on the integer pairs."""
-        pairs, elems = self._pairs, self.elements
-        for i, (fr, _) in enumerate(pairs):
-            if not self.mode.admits(fr.bit_count()):
-                return FamilyViolation(
-                    f"element of dimension {elems[i].dim} not admitted by mode {self.mode.label}",
-                    (elems[i],),
-                )
-        for i, (fr, ba) in enumerate(pairs):
-            hit = _first_meeting(pairs[i + 1:], fr, ba)
-            if hit is not None:
-                j = pairs.index(hit, i + 1)  # an equal pair before hit would have met first
-                return FamilyViolation("elements intersect", (elems[i], elems[j]))
-        return None
 
 
 @dataclass(frozen=True)
@@ -271,8 +261,8 @@ def validate_family(family: FaultFamily) -> FamilyViolation | None:
 
     Returns None when the family is valid, otherwise a report naming the
     first offending element (in canonical order), or else the first
-    intersecting pair (i, j) with i < j.  The verdict is computed once
-    per family instance; later calls return the same object.
+    intersecting pair (i, j) with i < j.  The verdict is built with the
+    family instance, so every call returns the same object.
     """
     return family._verdict
 

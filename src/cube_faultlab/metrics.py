@@ -41,7 +41,7 @@ that fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Callable, Iterable
 
@@ -294,11 +294,11 @@ def _check_cap(n: int) -> None:
 class SurvivalGraph:
     """Q_ambient with a set of vertices removed, for ambient <= 26.
 
-    The removed vertices are one bitset, removed_mask: bit w is set iff
-    vertex w is removed.  Build one from a fault family with
-    from_family, which validates the family first and ORs its elements'
-    bitsets, or directly from removed labels for ad-hoc experiments
-    (vertex-set removals are exactly structure:0 families).
+    The removed vertices are one bitset, removed_mask (bit w is set iff
+    vertex w is removed), and survivor_mask is its complement.  from_family
+    validates a fault family and ORs its elements' bitsets; the
+    constructor takes removed labels, for ad-hoc experiments (vertex-set
+    removals are exactly structure:0 families).
     """
 
     ambient: int
@@ -313,19 +313,18 @@ class SurvivalGraph:
             if not isinstance(w, int) or not 0 <= w < size:
                 raise ValueError(f"removed label {w!r} out of range for Q_{ambient}")
             buf[w >> 3] |= 1 << (w & 7)
-        self.__dict__.update(ambient=ambient, removed_mask=int.from_bytes(buf, "little"))
+        self._fill(ambient, int.from_bytes(buf, "little"))
 
     @classmethod
     def from_family(cls, family: FaultFamily) -> "SurvivalGraph":
         require_valid(family)
         _check_cap(family.ambient)  # before any vertex bitset is built
-        g = cls.__new__(cls)
-        g.__dict__.update(ambient=family.ambient, removed_mask=_union_mask(family._pairs))
-        return g
+        return cls.__new__(cls)._fill(family.ambient, _union_mask(family._pairs))
 
-    @cached_property
-    def survivor_mask(self) -> int:
-        return _full_mask(self.ambient) ^ self.removed_mask
+    def _fill(self, ambient: int, removed_mask: int) -> "SurvivalGraph":
+        self.__dict__.update(ambient=ambient, removed_mask=removed_mask,
+                             survivor_mask=_full_mask(ambient) ^ removed_mask)
+        return self
 
     @property
     def survivor_count(self) -> int:

@@ -41,12 +41,13 @@ longer than the mode bound raises InvariantViolation rather than
 returning quietly.
 
 The router reads the family's (free_mask, base) pairs, faulty-label
-table (groups), validity verdict and route plan (bound certificate and
-root target, after the budget check) from the FaultFamily instance,
-where each is computed once (see faults).  A label test scans the
-shorter of the family's table and the context's pairs (_table): a
-context's faults are the family's cut to it (_half_faults), and each
-label tested lies in it, so both answer alike.
+table (groups) and validity verdict, which a FaultFamily builds at
+construction, and its route plan (bound certificate and root target,
+after the budget check), the family's one memo, kept on the first route
+(see faults).  A label test scans the shorter of the family's table and
+the context's pairs (_table): a context's faults are the family's cut
+to it (_half_faults), and each label tested lies in it, so both answer
+alike.
 """
 
 from __future__ import annotations

@@ -187,7 +187,7 @@ def test_criterion_6_router_property_suite(criterion):
         "6. router property suite",
         ok,
         f"{routes} routes over {len(configs)} configs, "
-        f"{len(violations)} violations, fallback rate {rate:.4f}, {elapsed:.0f}s",
+        f"{len(violations)} violations, fallback rate {rate:.4f}, {elapsed:.1f}s",
     )
     assert ok, violations[:5]
 

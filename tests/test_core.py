@@ -145,10 +145,15 @@ class TestCommonNeighbors:
     (lambda: Vertex.from_pattern("0*1"), "vertex pattern may not contain '*': '0*1'"),
     (lambda: Subcube(0b1000, 0, 3), "free_mask 0x8 out of range for Q_3"),
     (lambda: Subcube(0, 0b1000, 3), "base 0x8 out of range for Q_3"),
+    (lambda: Subcube(1.0, 0, 3), "free_mask must be an int, got 1.0"),
+    (lambda: Subcube("1", 0, 3), "free_mask must be an int, got '1'"),
+    (lambda: Subcube(True, 0, 3), "free_mask must be an int, got True"),
+    (lambda: Subcube(0, 1.0, 3), "base must be an int, got 1.0"),
     (lambda: Subcube.from_pattern("0*1").disjoint_from(Subcube.from_pattern("0*10")),
      "subcubes live in different cubes"),
     (lambda: next(enumerate_subcubes(3, 4)), "subcube dimension must be in [0, 3], got 4"),
-], ids=["coordinate", "pattern", "vertex-pattern", "free-mask", "base", "disjoint", "subcube-dim"])
+], ids=["coordinate", "pattern", "vertex-pattern", "free-mask", "base", "float-free-mask",
+        "str-free-mask", "bool-free-mask", "float-base", "disjoint", "subcube-dim"])
 def test_bad_input_is_named(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -17,6 +17,7 @@ from cube_faultlab import (
     FaultFamily,
     FaultMode,
     ResourceLimitError,
+    RouteBound,
     SearchSpec,
     Subcube,
     SurvivalGraph,
@@ -205,6 +206,8 @@ class TestValidation:
                 fam = FaultFamily(elems, mode, 3)
                 want = reference_violation(fam)
                 assert validate_family(fam) == want, (mode.label, fam.patterns())
+                # the verdict reads the canonical order, not the input order
+                assert validate_family(FaultFamily(elems[::-1], mode, 3)) == want
                 invalid += want is not None
         assert invalid > 0 or size == 0
 
@@ -217,6 +220,9 @@ class TestValidation:
         assert validate_family(fam) is first
         valid = FaultFamily.from_patterns(["0*1", "1*0"], FaultMode.structure(1), 3)
         assert validate_family(valid) is None and validate_family(valid) is None
+        for f in (fam, valid):  # built at construction; only the route plan waits for use
+            assert {"_pairs", "_max_dim", "_groups", "_verdict"} <= vars(f).keys()
+            assert "_route_plan" not in vars(f)
 
     def test_an_invalid_family_raises_on_every_call(self):
         fam = FaultFamily.from_patterns(["000*", "00*0"], FaultMode.structure(1), 4)
@@ -239,6 +245,17 @@ class TestValidation:
             "elements intersect", (Subcube.from_pattern("01*"), Subcube.from_pattern("0*1"))
         )
         assert validate_family(fam) is None
+        # one more element: the router steps around it, though the
+        # original instance keeps a route plan and a table without it
+        edge = FaultFamily.from_patterns(["0*01"], FaultMode.structure(1), 4)
+        u, v = Vertex.from_pattern("0000"), Vertex.from_pattern("0111")
+        assert route_with_report(u, v, edge).path.labels == (0b0000, 0b0100, 0b0110, 0b0111)
+        grown = dataclasses.replace(edge, elements=edge.elements + (Subcube.from_pattern("01*0"),))
+        assert route_with_report(u, v, grown).path.labels == (0b0000, 0b0010, 0b0011, 0b0111)
+        # a mode change: the new mode's bound, not the one the original plan keeps
+        assert route_with_report(u, v, edge).bound == RouteBound(4, FaultMode.structure(1), 5)
+        wider = dataclasses.replace(edge, mode=FaultMode.subcube(2))
+        assert route_with_report(u, v, wider).bound == RouteBound(4, FaultMode.subcube(2), 4)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_max_dim_is_the_largest_element_dimension(self, n):
@@ -586,6 +603,10 @@ class TestFamilyFiles:
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="^element \\*01 lives in Q_3, family in Q_4$"):
             family_from_text("n=4 mode=structure:1\n*01\n")
+
+    def test_an_element_that_is_not_a_subcube_is_named(self):
+        with pytest.raises(ValueError, match="^family element '0\\*1' is not a Subcube$"):
+            FaultFamily(("0*1",), FaultMode.structure(1), 3)
 
     @pytest.mark.parametrize("header", [
         "n=3 n=4 mode=structure:0", "n=4 mode=structure:0 mode=structure:0", "n=4",

@@ -24,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 ROW_BFS = "tests/test_row_bfs.py::"
 ROUTER = "tests/test_router.py::"
+VALIDATION = "tests/test_faults.py::TestValidation::"
 SUBSETS = ROW_BFS + "test_fringe_diameter_on_every_vertex_subset[3]"
 SEEDED_SETS = ROW_BFS + "test_batch_diameter_on_seeded_sets[3]"
 
@@ -141,6 +142,15 @@ MUTANTS = {
     "route-plan-without-the-budget-refusal": (
         "faults", "if self.size > budget:", "if False:",
         ROUTER + "TestGuidedRoute::test_an_over_budget_family_is_refused_on_every_call",
+    ),
+    "admission-over-the-input-order": (
+        "faults", "zip(elems, pairs, dims)",
+        "zip(self.elements, map(_pair, self.elements), (e.dim for e in self.elements))",
+        VALIDATION + "test_int_verdict_matches_the_per_pair_reference[2]",
+    ),
+    "max-dim-of-the-first-pair": (
+        "faults", "max(dims, default=0)", "max(dims[:1], default=0)",
+        VALIDATION + "test_max_dim_is_the_largest_element_dimension[4]",
     ),
 }
 
