@@ -1,7 +1,7 @@
 """Divide-and-conquer routing around fault families.
 
 The router halves the cube along a carefully chosen coordinate,
-projects straddling faults into the halves, and recurses; the resulting
+projects straddling faults into the halves, and goes on in one; the resulting
 path provably stays within the fault-diameter bound without any global
 search.  A BFS cross-check on random instances shows how close to
 optimal the guided paths run.

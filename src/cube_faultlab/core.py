@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from math import comb
+from operator import xor
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
@@ -84,7 +85,7 @@ class Vertex:
 
     def __post_init__(self) -> None:
         _check_ambient(self.dim)
-        if not isinstance(self.bits, int) or not 0 <= self.bits < (1 << self.dim):
+        if type(self.bits) is not int or not 0 <= self.bits < (1 << self.dim):
             raise ValueError(f"vertex label {self.bits!r} out of range for Q_{self.dim}")
 
     @classmethod
@@ -249,6 +250,7 @@ def _union_mask(pairs: Iterable[tuple[int, int]]) -> int:
 
 
 _MASK_TABLE_BITS = 1 << 30
+_FLIPS = tuple(frozenset(1 << p for p in range(n)) for n in range(MAX_DIM + 1))  # steps in Q_n
 
 
 class _ElementSpace:
@@ -349,21 +351,29 @@ class _ElementSpace:
 class Path:
     """A walk in Q_n whose consecutive labels differ in exactly one bit.
 
-    The int labels are validated; `vertices` is built on first access.
-    length is the number of edges; a single vertex has length 0.
+    The int labels are validated and kept as a tuple, whatever sequence
+    is given; `vertices` is built on first access.  length is the number
+    of edges; a single vertex has length 0.
     """
 
     labels: tuple[int, ...]
     n: int
 
     def __post_init__(self) -> None:
-        labels, n = self.labels, self.n
+        n, labels = self.n, self.labels
         _check_ambient(n)
+        if type(labels) is not tuple:  # a list, a range, ...: kept as a tuple
+            labels = tuple(labels)
+            object.__setattr__(self, "labels", labels)
         if not labels:
             raise ValueError("a path needs at least one vertex")
-        if not all(map(isinstance, labels, repeat(int))) or min(labels) < 0 or max(labels) >> n:
-            bad = next(b for b in labels if not isinstance(b, int) or not 0 <= b < 1 << n)
-            raise ValueError(f"vertex label {bad!r} out of range for Q_{n}")
+        # each step flips one of the n coordinates, so every label is in range
+        if ({int}.issuperset(map(type, labels)) and 0 <= labels[0] < 1 << n
+                and _FLIPS[n].issuperset(map(xor, labels, labels[1:]))):
+            return
+        for b in labels:  # the checks one label and one pair at a time, to name the first fault
+            if type(b) is not int or not 0 <= b < 1 << n:
+                raise ValueError(f"vertex label {b!r} out of range for Q_{n}")
         for a, b in zip(labels, labels[1:]):
             if (a ^ b).bit_count() != 1:
                 raise ValueError(f"consecutive path vertices must be adjacent: "

@@ -26,14 +26,14 @@ adjacent vertices into a corner of one half, tagged structure:1.
 
 A FaultFamily builds its integer form at construction, in the pass
 that sorts its elements: the (free_mask, base) ints, the largest
-element dimension, the router's faulty-label table and the verdict of
-validate_family and require_valid.  The router and
-SurvivalGraph.from_family read them on every call (from_family ORs the
-same ints, core._union_mask).  FaultFamily and Subcube are frozen, and
-dataclasses.replace runs __post_init__ again.  The route plan is the one
-memo, kept on first use: it alone can refuse, and a refused family keeps
-nothing.  _first_meeting is the one disjointness loop of the verdict and
-sampler.
+element dimension, the router's faulty-label table (bases grouped by
+positive fixed mask) and the verdict of validate_family and
+require_valid.  The router and SurvivalGraph.from_family read them on
+every call (from_family ORs the same ints, core._union_mask).
+FaultFamily and Subcube are frozen, and dataclasses.replace runs
+__post_init__ again.  The route plan is the one memo, kept on first use:
+it alone can refuse, and a refused family keeps nothing.  _first_meeting
+is the one disjointness loop of the verdict and sampler.
 
 Text format: a family file starts with ``n=<n> mode=<label>`` and lists
 one subcube pattern per line.  Blank lines and lines starting with '#'
@@ -174,15 +174,15 @@ class FaultFamily:
         elems = tuple(sorted(self.elements, key=_pair))
         pairs = tuple(map(_pair, elems))
         dims = [fr.bit_count() for fr, _ in pairs]
-        verdict, groups = None, {}
+        verdict, groups, full = None, {}, (1 << n) - 1
         for s, (fr, ba), k in zip(elems, pairs, dims):
             if verdict is None and not mode.admits(k):
                 verdict = FamilyViolation(
                     f"element of dimension {k} not admitted by mode {mode.label}", (s,))
-            if 1 << k <= n:  # at most n vertices: listed under free mask 0
-                groups.setdefault(0, set()).update(map(ba.__or__, _submasks(fr)))
+            if 1 << k <= n:  # at most n vertices: listed under the fixed mask full
+                groups.setdefault(full, set()).update(map(ba.__or__, _submasks(fr)))
             else:
-                groups.setdefault(fr, set()).add(ba)
+                groups.setdefault(full ^ fr, set()).add(ba)
         end = 0  # the end of the run of pairs with the free mask fr
         for i, (fr, ba) in enumerate(pairs if verdict is None else ()):
             if i == end:
@@ -197,7 +197,7 @@ class FaultFamily:
             break
         self.__dict__.update(
             elements=elems, _pairs=pairs, _max_dim=max(dims, default=0), _verdict=verdict,
-            _groups=tuple((fr, frozenset(bases)) for fr, bases in groups.items()))
+            _groups=tuple((fx, frozenset(bases)) for fx, bases in groups.items()))
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[str], mode: FaultMode, n: int) -> "FaultFamily":

@@ -149,11 +149,15 @@ class TestCommonNeighbors:
     (lambda: Subcube("1", 0, 3), "free_mask must be an int, got '1'"),
     (lambda: Subcube(True, 0, 3), "free_mask must be an int, got True"),
     (lambda: Subcube(0, 1.0, 3), "base must be an int, got 1.0"),
+    (lambda: Vertex(True, 3), "vertex label True out of range for Q_3"),
+    (lambda: Path([0, True], 2), "vertex label True out of range for Q_2"),
+    (lambda: Path([0, 1, 1, 3], 2), "consecutive path vertices must be adjacent: 01 -> 01"),
     (lambda: Subcube.from_pattern("0*1").disjoint_from(Subcube.from_pattern("0*10")),
      "subcubes live in different cubes"),
     (lambda: next(enumerate_subcubes(3, 4)), "subcube dimension must be in [0, 3], got 4"),
 ], ids=["coordinate", "pattern", "vertex-pattern", "free-mask", "base", "float-free-mask",
-        "str-free-mask", "bool-free-mask", "float-base", "disjoint", "subcube-dim"])
+        "str-free-mask", "bool-free-mask", "float-base", "bool-vertex", "bool-path-label",
+        "path-first-non-adjacent-pair", "disjoint", "subcube-dim"])
 def test_bad_input_is_named(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -280,6 +284,14 @@ class TestPath:
         assert a == b and hash(a) == hash(b)
         assert a != Path.from_bits([0, 1, 3], 5)
         assert a != Path.from_bits([0, 2, 3], 4)
+
+    def test_a_list_is_kept_as_a_tuple(self):
+        labels = [0, 1, 3]
+        p = Path(labels, 2)
+        labels.append(2)  # the path keeps its own labels
+        assert type(p.labels) is tuple and p.labels == (0, 1, 3)
+        assert p == Path((0, 1, 3), 2) and hash(p) == hash(Path((0, 1, 3), 2))
+        assert Path(range(2), 1).labels == (0, 1)
 
     def test_from_bits_accepts_a_list_and_a_tuple(self):
         assert Path.from_bits([2, 3], 2) == Path.from_bits((2, 3), 2)

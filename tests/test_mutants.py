@@ -128,16 +128,27 @@ MUTANTS = {
         ROW_BFS + "test_a_cut_row_never_reaches_the_value",
     ),
     "label-table-without-the-free-mask-clear": (
-        "router", "if x & ~fr in bases:", "if x in bases:",
+        "router", "if x & fixed in bases:", "if x in bases:",
         ROUTER + "test_the_label_table_agrees_with_every_context",
     ),
     "context-table-without-its-free-masks": (
-        "router", "[(fr, (ba,)) for fr, ba in faults]", "[(0, (ba,)) for fr, ba in faults]",
+        "router", "[(full ^ fr, (ba,)) for fr, ba in faults]", "[(full, (ba,)) for fr, ba in faults]",
         ROUTER + "test_the_label_table_agrees_with_every_context",
     ),
     "label-table-the-longer-one": (
         "router", "groups if len(groups) <= len(faults)", "groups if len(groups) >= len(faults)",
         ROUTER + "test_the_label_table_agrees_with_every_context",
+    ),
+    "group-mask-without-the-free-mask-clear": (
+        "faults", "groups.setdefault(full ^ fr, set())", "groups.setdefault(full, set())",
+        ROUTER + "test_faulty_label_table_matches_the_elements[10]",
+    ),
+    "tail-kept-unreversed": (
+        "router", "*reversed(tail)", "*tail", ROUTER + "test_routes_match_the_pinned_records",
+    ),
+    "symmetric-crossing-at-the-wrong-end": (
+        "router", "if t1:\n                tail.append(v)", "if t1:\n                head.append(v)",
+        ROUTER + "test_randomized_sweep_meets_bounds[5]",
     ),
     "route-plan-without-the-budget-refusal": (
         "faults", "if self.size > budget:", "if False:",

@@ -184,7 +184,7 @@ class TestSafetyNets:
         fam = adversarial_subcube_family(5, 2)
         u, v = Vertex.from_pattern("00001"), Vertex.from_pattern(to)
         rep = route_with_report(u, v, fam)
-        assert rep.fallbacks >= 1
+        assert rep.fallbacks == 1  # a fallback is a leaf: it ends the route
         assert rep.length <= rep.bound.bound
         assert rep.length == bfs_distance(SurvivalGraph.from_family(fam), u, v)
 
@@ -205,10 +205,10 @@ class TestUnreachedInvariants:
     direct call: no in-budget family reaches them."""
 
     def test_an_element_filling_its_context(self):
-        ctx_free = 0b00111  # the element 11***'s free mask is the whole context
-        fam = FaultFamily.from_patterns(["11***"], FaultMode.structure(3), 5)
+        # the element *****'s free mask is the whole context, of dimension 5
+        fam = FaultFamily.from_patterns(["*****"], FaultMode.structure(5), 5)
         with pytest.raises(InvariantViolation, match="^fault element fills its routing context$"):
-            router._Router(fam._groups)._route_single(ctx_free, 0b11000, 0b11111, fam._pairs, 3)
+            router._route(0b11111, 0b00000, 0b00111, fam._pairs, 5, fam._groups)
 
     def test_no_safe_crossing_for_a_symmetric_pair(self, monkeypatch):
         monkeypatch.setattr(router, "_safe_crossing", lambda *args: None)
@@ -224,15 +224,15 @@ class TestUnreachedInvariants:
 
 
 class TestPostRouteChecks:
-    """route_with_report certifies what the recursion returns: each test
-    makes _Router.route return labels that break exactly one check."""
+    """route_with_report certifies what the router returns: each test
+    makes router._route return labels that break exactly one check."""
 
     # one faulty vertex 00011 in Q_5; route 00000 -> 00111, bound 6
     FAMILY = FaultFamily.from_patterns(["00011"], FaultMode.structure(0), 5)
     U, V = Vertex.from_pattern("00000"), Vertex.from_pattern("00111")
 
     def route(self, monkeypatch, labels):
-        monkeypatch.setattr(router._Router, "route", lambda self, *args: list(labels))
+        monkeypatch.setattr(router, "_route", lambda *args: (tuple(labels), 0))
         return route_with_report(self.U, self.V, self.FAMILY)
 
     def test_the_family_allows_a_clean_route(self, monkeypatch):
@@ -257,24 +257,44 @@ class TestPostRouteChecks:
             self.route(monkeypatch, [0b00000, 0b00111])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def seeded_labels(fam, rng):
+    """Labels of Q_n to test a family on: 20 uniform ones, then a label
+    inside each element and that label with one random coordinate flipped."""
+    n = fam.ambient
+    labels = [rng.getrandbits(n) for _ in range(20)]
+    for s in fam.elements:
+        x = s.base | rng.getrandbits(n) & s.free_mask
+        labels += [x, x ^ 1 << rng.randrange(n)]
+    return labels
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 10, 16, 30])
 def test_faulty_label_table_matches_the_elements(n):
-    """FaultFamily._groups, as the router reads it, marks exactly the
-    labels inside some element, on both sides of the vertex-expansion
-    threshold (elements of at most n vertices)."""
-    rng = random.Random(n)
-    labels = range(1 << n)
+    """FaultFamily._groups, as the router reads it (_faulty and
+    _first_faulty), marks exactly the labels inside some element, on both
+    sides of the vertex-expansion threshold (elements of at most n
+    vertices).  Every label is tested at n <= 6 and seeded labels above,
+    where elements such as structure:m's at m >= 5 exceed the threshold:
+    their groups have nonzero free masks and fixed masks n - m wide."""
+    rng, full = random.Random(n), (1 << n) - 1
+    wide = 0  # faulty labels tested inside elements above the threshold, n > 6
     for mode in mode_sweep(n):
         for size in {1, mode.kappa(n) - 1}:
             for fam in sample_families(n, mode, size, 5, seed=rng.randrange(1 << 30)):
-                faulty = [x for x in labels if any(s.contains(x) for s in fam.elements)]
+                labels = range(1 << n) if n <= 6 else seeded_labels(fam, rng)
+                inside = [[s for s in fam.elements if s.contains(x)] for x in labels]
+                faulty = [x for x, elems in zip(labels, inside) if elems]
                 clean = sorted(set(labels) - set(faulty))
-                got = [x for x in labels if router._first_faulty((x,), fam._groups) is not None]
+                got = [x for x in labels if router._first_faulty((x,), fam._groups, full) is not None]
                 assert got == faulty
-                assert router._first_faulty(clean, fam._groups) is None
+                assert [x for x in labels if router._faulty(x, fam._groups)] == faulty
+                assert router._first_faulty(clean, fam._groups, full) is None
                 if faulty:
                     walk = clean[:3] + faulty[::-1]
-                    assert router._first_faulty(walk, fam._groups) == faulty[-1]
+                    assert router._first_faulty(walk, fam._groups, full) == faulty[-1]
+                if n > 6:
+                    wide += sum(1 << elems[0].dim > n for elems in inside if elems)
+    assert n <= 6 or wide > 300, wide
 
 
 def identity_families():
@@ -291,39 +311,54 @@ def identity_families():
 
 
 def test_the_label_table_agrees_with_every_context(monkeypatch):
-    """Every label test in the recursion reads the shorter of the family's table
+    """Every label test in the router reads the shorter of the family's table
     (FaultFamily._groups) and the pairs of the context the router is in.
     The two agree on each label tested: it lies inside that context, whose
-    pairs are the family's elements cut to it.  At n <= 6 every label of
-    every context entered is checked as well."""
-    entered, tested = [], []
-    route, faulty = router._Router.route, router._faulty
+    pairs are the family's elements cut to it.  A context is recorded when
+    _half_faults makes its pairs (the root's are the family's), keyed by
+    the list's identity, and looked up when _table reads them.  At n <= 6
+    every label of every context made is checked as well."""
+    contexts, tested, current = {}, [], []
+    split, table_of, faulty = router._half_faults, router._table, router._faulty
 
-    def entering(self, ctx_free, u, v, faults, tgt):
-        entered.append((ctx_free, u & ~ctx_free, faults))
-        return route(self, ctx_free, u, v, faults, tgt)
+    def splitting(faults, p, side):
+        kids, md = split(faults, p, side)
+        ctx_free, fixed, _ = contexts[id(faults)]
+        bit = 1 << p
+        contexts[id(kids)] = (ctx_free ^ bit, fixed | (bit if side else 0), kids)
+        return kids, md
+
+    def reading(faults, groups, full):
+        # a one-fault context that narrows keeps its list: its labels lie in the recorded one
+        table = table_of(faults, groups, full)
+        current[:] = contexts[id(faults)], table
+        return table
 
     def testing(x, table):
-        if entered:  # the endpoint checks come before the root context
-            ctx = entered[-1]  # no label is tested after a child returns
+        if current:  # the endpoint checks come before the first context's table
+            ctx, last = current
+            assert table is last  # no label is tested on an earlier context's table
             assert len(table) == min(len(ctx[2]), len(fam._groups))
             assert faulty(x, table) == faulty(x, fam._groups)
             counts[3] += table is not fam._groups
             tested.append((x, ctx))
         return faulty(x, table)
 
-    monkeypatch.setattr(router._Router, "route", entering)
+    monkeypatch.setattr(router, "_half_faults", splitting)
+    monkeypatch.setattr(router, "_table", reading)
     monkeypatch.setattr(router, "_faulty", testing)
     counts = [0, 0, 0, 0]  # routes, labels tested, labels of whole contexts, on context tables
     for fam, pairs in identity_families():
         n, groups = fam.ambient, fam._groups
         for u, v in pairs:
-            entered.clear()
+            contexts.clear()
             tested.clear()
+            current.clear()
+            contexts[id(fam._pairs)] = ((1 << n) - 1, 0, fam._pairs)
             route_with_report(Vertex(u, n), Vertex(v, n), fam)
             checks = list(tested)
             if n <= 6:
-                for ctx in entered:
+                for ctx in contexts.values():
                     checks += [(ctx[1] | sub, ctx) for sub in core._submasks(ctx[0])]
                 counts[2] += len(checks) - len(tested)
             for x, (ctx_free, fixed, faults) in checks:
